@@ -34,8 +34,13 @@
 //   - internal/dtree and internal/forest: split search is counting-based —
 //     one columnar pass per parameter accumulates per-value-code label
 //     counts, and every "="/"<=" candidate's gain derives from those
-//     counts and their prefix sums, O(params × examples + params × values)
-//     per node instead of O(params × values × examples).
+//     counts and their prefix sums. Candidates come in value order by
+//     sorting a node's k observed codes by integer rank: the intern table
+//     caches each parameter's code→rank table (NaN after every number),
+//     and Space.ValueOrder hands it out with the code→value table as
+//     immutable snapshots, so a node costs O(params × (examples +
+//     k log k)) with no lock and no Value comparison, instead of
+//     O(params × values × examples).
 //   - internal/exec: the executor's memoized Evaluate path and the replay
 //     HistoricalOracle key off instance hashes, so a memoization hit
 //     performs zero allocations.

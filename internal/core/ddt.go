@@ -311,8 +311,8 @@ func sampleTests(s *pipeline.Space, region predicate.Region, opts DDTOptions) []
 		}
 	}
 	seen := pipeline.NewInstanceMap[struct{}](max)
+	vals := make([]pipeline.Value, s.Len()) // NewInstance copies it
 	for attempts := 0; len(tests) < max && attempts < max*10; attempts++ {
-		vals := make([]pipeline.Value, s.Len())
 		for i := range vals {
 			vals[i] = allowed[i][r.Intn(len(allowed[i]))]
 		}

@@ -13,13 +13,19 @@
 // Split search is counting-based: one columnar pass per parameter over the
 // interned value codes accumulates per-code succeed/fail counts, and the
 // information gain of every candidate derives from those counts (prefix
-// sums for ordinal thresholds) — O(params × examples + params × values)
-// per node rather than evaluating each candidate against every example.
+// sums for ordinal thresholds). Candidates are visited in value order by
+// sorting the node's k observed codes by the space's cached value ranks
+// (pipeline.Space.ValueOrder, fetched once per build), so a node costs
+// O(params × (examples + k log k)) integer work, with no lock and no
+// Value comparison, instead of evaluating each candidate against every
+// example.
 package dtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -80,22 +86,13 @@ func (n *Node) PureSucceed() bool { return n.NSucceed > 0 && n.NFail == 0 }
 // permutation in place, so descending a level moves hi−lo int32s instead
 // of copying []Example slices at every node.
 func Build(s *pipeline.Space, examples []Example) *Node {
-	b := &builder{
-		s:        s,
-		examples: examples,
-		idx:      make([]int32, len(examples)),
-		tmp:      make([]int32, 0, len(examples)),
-	}
-	for i := range b.idx {
-		b.idx[i] = int32(i)
-	}
-	return b.build(0, len(examples))
+	return newBuilder(s, examples).build(0, len(examples))
 }
 
 // builder carries the state shared across every node of one Build call:
-// the examples, the single index permutation the nodes partition, and the
-// per-parameter counting scratch, so growing a tree allocates per node, not
-// per candidate split and not per partition.
+// the examples, the single index permutation the nodes partition, the
+// value-order snapshots, and the per-parameter counting scratch, so growing
+// a tree allocates per node, not per candidate split and not per partition.
 type builder struct {
 	s        *pipeline.Space
 	examples []Example
@@ -103,11 +100,35 @@ type builder struct {
 	// the window idx[lo:hi] and partitions it in place for its children.
 	// tmp buffers the no-side during the stable partition.
 	idx, tmp []int32
+	// vals[i] and rank[i] are parameter i's code→value and code→rank
+	// snapshots (pipeline.Space.ValueOrder), taken once per build; every
+	// example's codes were interned before the build started, so they
+	// cover them all.
+	vals [][]pipeline.Value
+	rank [][]uint32
 	// countS/countF accumulate succeed/fail counts per value code during
 	// the columnar pass; order lists the observed codes (first-seen, then
-	// sorted by value) of the current parameter.
+	// sorted by rank) of the current parameter.
 	countS, countF []int
 	order          []uint32
+}
+
+func newBuilder(s *pipeline.Space, examples []Example) *builder {
+	b := &builder{
+		s:        s,
+		examples: examples,
+		idx:      make([]int32, len(examples)),
+		tmp:      make([]int32, 0, len(examples)),
+		vals:     make([][]pipeline.Value, s.Len()),
+		rank:     make([][]uint32, s.Len()),
+	}
+	for i := range b.idx {
+		b.idx[i] = int32(i)
+	}
+	for i := range b.vals {
+		b.vals[i], b.rank[i] = s.ValueOrder(i)
+	}
+	return b
 }
 
 func (b *builder) build(lo, hi int) *Node {
@@ -130,14 +151,16 @@ func (b *builder) build(lo, hi int) *Node {
 	}
 	// Stable in-place partition of the node's index window: yes-side
 	// compacts to the front, no-side stages through the shared scratch.
-	// The parameter index is resolved once; Holds is a single integer or
-	// float comparison per example. tmp is free to reuse in the recursive
-	// calls because its contents are copied back before they run.
+	// The parameter index and its value snapshot are resolved once; Holds
+	// is a single integer or float comparison per example. tmp is free to
+	// reuse in the recursive calls because its contents are copied back
+	// before they run.
 	pi, _ := b.s.Index(split.Param)
+	vals := b.vals[pi]
 	mid := lo
 	tmp := b.tmp[:0]
 	for _, j := range b.idx[lo:hi] {
-		if split.Holds(b.examples[j].Instance.Value(pi)) {
+		if split.Holds(vals[b.examples[j].Instance.Code(pi)]) {
 			b.idx[mid] = j
 			mid++
 		} else {
@@ -156,11 +179,7 @@ func (b *builder) build(lo, hi int) *Node {
 // list through a throwaway builder. Build's internal nodes use
 // bestSplitRange directly on the shared permutation.
 func bestSplit(s *pipeline.Space, examples []Example) (predicate.Triple, bool) {
-	b := &builder{s: s, examples: examples, idx: make([]int32, len(examples))}
-	for i := range b.idx {
-		b.idx[i] = int32(i)
-	}
-	return b.bestSplitRange(0, len(examples))
+	return newBuilder(s, examples).bestSplitRange(0, len(examples))
 }
 
 // bestSplitRange evaluates every candidate triple over the examples of the
@@ -175,11 +194,11 @@ func bestSplit(s *pipeline.Space, examples []Example) (predicate.Triple, bool) {
 // The search is counting-based: one columnar pass per parameter
 // accumulates per-value-code succeed/fail counts, and the gain of every
 // "=" candidate falls out of the per-code counts while every "<="
-// candidate falls out of prefix sums over the value-sorted codes —
-// O(params × examples + params × values) per node instead of the naive
-// O(params × values × examples). The gain arithmetic is identical to
-// evaluating each candidate against the example list, so the chosen split
-// (including tie-breaks) matches the naive search exactly.
+// candidate falls out of prefix sums over the codes sorted by value rank —
+// O(params × (examples + k log k)) per node for k observed codes, instead
+// of the naive O(params × values × examples). The gain arithmetic is
+// identical to evaluating each candidate against the example list, so the
+// chosen split (including tie-breaks) matches the naive search exactly.
 func (b *builder) bestSplitRange(lo, hi int) (predicate.Triple, bool) {
 	s := b.s
 	window := b.idx[lo:hi]
@@ -215,8 +234,9 @@ func (b *builder) bestSplitRange(lo, hi int) (predicate.Triple, bool) {
 	}
 	for i := 0; i < s.Len(); i++ {
 		p := s.At(i)
+		vals, rank := b.vals[i], b.rank[i]
 		// Columnar pass: count labels per value code of parameter i.
-		if nc := s.NumCodes(i); len(b.countS) < nc {
+		if nc := len(vals); len(b.countS) < nc {
 			b.countS = make([]int, nc)
 			b.countF = make([]int, nc)
 		}
@@ -239,13 +259,11 @@ func (b *builder) bestSplitRange(lo, hi int) (predicate.Triple, bool) {
 			b.countS[c] += dS
 			b.countF[c] += dF
 		}
-		sort.Slice(b.order, func(a, c int) bool {
-			return s.InternedValue(i, b.order[a]).Less(s.InternedValue(i, b.order[c]))
-		})
+		slices.SortFunc(b.order, func(x, y uint32) int { return cmp.Compare(rank[x], rank[y]) })
 		switch p.Kind {
 		case pipeline.Categorical:
 			for _, c := range b.order {
-				consider(predicate.T(p.Name, predicate.Eq, s.InternedValue(i, c)), b.countS[c], b.countF[c])
+				consider(predicate.T(p.Name, predicate.Eq, vals[c]), b.countS[c], b.countF[c])
 			}
 		case pipeline.Ordinal:
 			// Thresholds between consecutive observed values: testing
@@ -254,14 +272,14 @@ func (b *builder) bestSplitRange(lo, hi int) (predicate.Triple, bool) {
 			// exceeds it). Prefix sums over the sorted codes give the
 			// yes-side counts of each threshold. NaN values — possible
 			// only through out-of-domain instances — never satisfy any
-			// "<=" and are never thresholds themselves, so they stay out
-			// of the prefix sums; their examples land on every no side,
-			// exactly as Holds evaluates them.
+			// "<=" and are never thresholds themselves; NaN ranks last, so
+			// the prefix sums stop before it and its examples land on
+			// every no side, exactly as Holds evaluates them.
 			cumS, cumF := 0, 0
 			for _, c := range b.order {
-				v := s.InternedValue(i, c)
+				v := vals[c]
 				if math.IsNaN(v.Num()) {
-					continue
+					break
 				}
 				cumS += b.countS[c]
 				cumF += b.countF[c]

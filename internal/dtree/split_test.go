@@ -1,6 +1,7 @@
 package dtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -70,8 +71,20 @@ func naiveObservedValues(examples []Example, i int) []pipeline.Value {
 			out = append(out, v)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Less(out[b]) })
+	sort.Slice(out, func(a, b int) bool { return nanLastLess(out[a], out[b]) })
 	return out
+}
+
+// nanLastLess is Value.Less with NaN ordered after every number: the value
+// order of the counting search. Less alone orders NaN neither before nor
+// after anything, so sorting by it can leave numbers out of order.
+func nanLastLess(a, b pipeline.Value) bool {
+	if a.Kind() == pipeline.Ordinal && b.Kind() == pipeline.Ordinal {
+		if an, bn := math.IsNaN(a.Num()), math.IsNaN(b.Num()); an || bn {
+			return !an && bn
+		}
+	}
+	return a.Less(b)
 }
 
 func naiveEntropy(examples []Example) float64 {
@@ -169,20 +182,62 @@ func randomExamples(r *rand.Rand, s *pipeline.Space, n int) []Example {
 	return out
 }
 
-// TestCountingSplitMatchesNaive differentially checks bestSplit: across
-// randomized example sets the counting-based search and the naive
-// per-candidate partition must agree on the split (including ok=false
-// cases and canonical tie-breaks).
+// sprinkleNaN replaces each ordinal value of the examples by NaN with
+// probability 1/4. NaN is interned after the domain, as it is when
+// out-of-domain provenance brings it in.
+func sprinkleNaN(r *rand.Rand, s *pipeline.Space, examples []Example) {
+	for k := range examples {
+		for i := 0; i < s.Len(); i++ {
+			if s.At(i).Kind == pipeline.Ordinal && r.Intn(4) == 0 {
+				examples[k].Instance = examples[k].Instance.With(i, pipeline.Ord(math.NaN()))
+			}
+		}
+	}
+}
+
+// nanMidwayExamples is a case a comparator sort gets wrong: with x = 3 F,
+// 3 F, NaN S, 1 S, 2 F seen in that order, NaN sits between 3 and 1 and an
+// insertion sort by Value.Less never moves 3 past it, so the prefix sums
+// miscount every threshold and "x <= 3" wins. On true gain "x <= 1" and
+// "x <= 3" tie and the canonical tie-break picks "x <= 1".
+func nanMidwayExamples() (*pipeline.Space, []Example) {
+	s := pipeline.MustSpace(pipeline.Parameter{Name: "x", Kind: pipeline.Ordinal, Domain: ordDomain(1, 2, 3)})
+	var examples []Example
+	for _, e := range []struct {
+		x   float64
+		out pipeline.Outcome
+	}{{3, pipeline.Fail}, {3, pipeline.Fail}, {math.NaN(), pipeline.Succeed}, {1, pipeline.Succeed}, {2, pipeline.Fail}} {
+		examples = append(examples, Example{Instance: pipeline.MustInstance(s, pipeline.Ord(e.x)), Outcome: e.out})
+	}
+	return s, examples
+}
+
+// TestCountingSplitMatchesNaive differentially checks bestSplit: on
+// nanMidwayExamples and across randomized example sets, with and without
+// NaN values, the counting-based search and the naive per-candidate
+// partition must agree on the split (including ok=false cases and
+// canonical tie-breaks).
 func TestCountingSplitMatchesNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 300; trial++ {
-		s := randomSplitSpace(t, r)
-		examples := randomExamples(r, s, 2+r.Intn(60))
+	check := func(name string, s *pipeline.Space, examples []Example) {
+		t.Helper()
 		gotT, gotOK := bestSplit(s, examples)
 		wantT, wantOK := naiveBestSplit(s, examples)
 		if gotOK != wantOK || gotT != wantT {
-			t.Fatalf("trial %d: bestSplit = (%v, %v), naive = (%v, %v)\nspace: %v, %d examples",
-				trial, gotT, gotOK, wantT, wantOK, s, len(examples))
+			t.Fatalf("%s: bestSplit = (%v, %v), naive = (%v, %v)\nspace: %v, %d examples",
+				name, gotT, gotOK, wantT, wantOK, s, len(examples))
+		}
+	}
+	s, examples := nanMidwayExamples()
+	check("NaN seen midway", s, examples)
+	r := rand.New(rand.NewSource(99))
+	for _, nan := range []bool{false, true} {
+		for trial := 0; trial < 300; trial++ {
+			s := randomSplitSpace(t, r)
+			examples := randomExamples(r, s, 2+r.Intn(60))
+			if nan {
+				sprinkleNaN(r, s, examples)
+			}
+			check(fmt.Sprintf("trial %d (NaN %v)", trial, nan), s, examples)
 		}
 	}
 }
@@ -243,13 +298,18 @@ func TestBuildTerminatesOnNaN(t *testing.T) {
 // every node, identical leaf statistics.
 func TestBuildMatchesNaiveBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 60; trial++ {
-		s := randomSplitSpace(t, r)
-		examples := randomExamples(r, s, 5+r.Intn(80))
-		got := Build(s, examples)
-		want := naiveBuild(s, examples)
-		if !sameTree(got, want) {
-			t.Fatalf("trial %d: trees diverge\ncounting:\n%vnaive:\n%v", trial, got, want)
+	for _, nan := range []bool{false, true} {
+		for trial := 0; trial < 60; trial++ {
+			s := randomSplitSpace(t, r)
+			examples := randomExamples(r, s, 5+r.Intn(80))
+			if nan {
+				sprinkleNaN(r, s, examples)
+			}
+			got := Build(s, examples)
+			want := naiveBuild(s, examples)
+			if !sameTree(got, want) {
+				t.Fatalf("trial %d (NaN %v): trees diverge\ncounting:\n%vnaive:\n%v", trial, nan, got, want)
+			}
 		}
 	}
 }

@@ -6,9 +6,10 @@
 package forest
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/pipeline"
 )
@@ -79,10 +80,10 @@ func Train(s *pipeline.Space, xs []pipeline.Instance, ys []float64, cfg Config) 
 }
 
 // scratch is per-Train reusable working memory: candidate tests run over
-// interned value codes (rank tables instead of float/string comparisons),
-// and the per-candidate partitions reuse one pair of index buffers.
+// interned value codes (the space's value ranks instead of float/string
+// comparisons), and the per-candidate partitions reuse one pair of index
+// buffers.
 type scratch struct {
-	rank     []int32 // value code -> position in the sorted distinct values
 	yes, no  []int
 	distinct []uint32
 }
@@ -101,38 +102,27 @@ func grow(s *pipeline.Space, xs []pipeline.Instance, ys []float64, idx []int, cf
 	found := false
 	for _, pi := range feats {
 		p := s.At(pi)
-		codes := distinctCodes(s, xs, idx, pi, sc)
+		vals, rank := s.ValueOrder(pi)
+		codes := distinctCodes(xs, idx, pi, rank, sc)
 		if len(codes) < 2 {
 			continue
 		}
-		// rank[c] is c's position among the sorted distinct values, so
-		// "value <= vals[k]" becomes the integer test rank <= k and
-		// "value == vals[k]" becomes code equality — the same membership
-		// the value comparisons produced, at integer-compare cost. NaN
-		// values (possible only through out-of-domain instances) rank at
-		// MaxInt32 so they fail every threshold test, matching
-		// Num() <= thr, and are never thresholds themselves.
-		if nc := s.NumCodes(pi); len(sc.rank) < nc {
-			sc.rank = make([]int32, nc)
-		}
+		// The codes are in value order, so "value <= vals[c]" becomes the
+		// integer test rank <= rank[c] and "value == vals[c]" becomes code
+		// equality — the same membership test applies at integer-compare
+		// cost. NaN (possible only through out-of-domain instances) ranks
+		// after every number, so it fails every finite threshold as
+		// Num() <= thr does; as a threshold itself it holds the top rank,
+		// leaves the no side empty and scores +Inf, so it is never chosen.
 		if p.Kind == pipeline.Ordinal {
-			finite := codes[:0:0]
 			for _, c := range codes {
-				if v := s.InternedValue(pi, c); math.IsNaN(v.Num()) {
-					sc.rank[c] = math.MaxInt32
-				} else {
-					sc.rank[c] = int32(len(finite))
-					finite = append(finite, c)
-				}
-			}
-			for k := 0; k < len(finite); k++ {
-				rk := int32(k)
+				rk := rank[c]
 				v := splitVariance(xs, ys, idx, func(in pipeline.Instance) bool {
-					return sc.rank[in.Code(pi)] <= rk
+					return rank[in.Code(pi)] <= rk
 				}, cfg.MinLeaf, sc)
 				if v < bestVar {
 					bestVar, found = v, true
-					n.param, n.threshold, n.ordinal = pi, s.InternedValue(pi, finite[k]).Num(), true
+					n.param, n.threshold, n.ordinal = pi, vals[c].Num(), true
 				}
 			}
 		} else {
@@ -143,7 +133,7 @@ func grow(s *pipeline.Space, xs []pipeline.Instance, ys []float64, idx []int, cf
 				}, cfg.MinLeaf, sc)
 				if v < bestVar {
 					bestVar, found = v, true
-					n.param, n.category, n.ordinal = pi, s.InternedValue(pi, c).Str(), false
+					n.param, n.category, n.ordinal = pi, vals[c].Str(), false
 				}
 			}
 		}
@@ -231,11 +221,10 @@ func pure(ys []float64, idx []int) bool {
 }
 
 // distinctCodes returns the distinct value codes of parameter pi among
-// xs[idx], sorted by value order. The dedup runs over dense codes instead
-// of hashing Value structs.
-func distinctCodes(s *pipeline.Space, xs []pipeline.Instance, idx []int, pi int, sc *scratch) []uint32 {
-	nc := s.NumCodes(pi)
-	seen := make([]bool, nc)
+// xs[idx], sorted by value order (rank is the space's code→rank table for
+// pi). The dedup runs over dense codes instead of hashing Value structs.
+func distinctCodes(xs []pipeline.Instance, idx []int, pi int, rank []uint32, sc *scratch) []uint32 {
+	seen := make([]bool, len(rank))
 	sc.distinct = sc.distinct[:0]
 	for _, i := range idx {
 		c := xs[i].Code(pi)
@@ -244,9 +233,7 @@ func distinctCodes(s *pipeline.Space, xs []pipeline.Instance, idx []int, pi int,
 			sc.distinct = append(sc.distinct, c)
 		}
 	}
-	sort.Slice(sc.distinct, func(a, b int) bool {
-		return s.InternedValue(pi, sc.distinct[a]).Less(s.InternedValue(pi, sc.distinct[b]))
-	})
+	slices.SortFunc(sc.distinct, func(a, b uint32) int { return cmp.Compare(rank[a], rank[b]) })
 	return sc.distinct
 }
 

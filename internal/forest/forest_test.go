@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -110,5 +111,33 @@ func TestForestDeterministicPerSeed(t *testing.T) {
 	m2, v2 := f2.Predict(in)
 	if m1 != m2 || v1 != v2 {
 		t.Fatalf("forest not deterministic: (%v,%v) vs (%v,%v)", m1, v1, m2, v2)
+	}
+}
+
+// TestGrowScoresTheAppliedPartition pins the split search to the partition
+// the tree applies when NaN is among the observed values. The NaN value is
+// interned after the domain and first seen between 3 and 1, where a
+// comparator sort cannot order it; ordering codes by value rank, NaN last,
+// scores each "<=" threshold on exactly the examples its test sends to the
+// yes side. Variances with MinLeaf 2: x <= 1 scores 133.3, x <= 2 scores
+// 100 (yes {1,1,2,2}, no {3,3,NaN,NaN}), x <= 3 scores 133.3 (no side
+// {NaN,NaN}), so the root must split at 2.
+func TestGrowScoresTheAppliedPartition(t *testing.T) {
+	s := pipeline.MustSpace(pipeline.Parameter{Name: "x", Kind: pipeline.Ordinal, Domain: ordDomain(1, 2, 3)})
+	var xs []pipeline.Instance
+	var ys []float64
+	for _, x := range []float64{3, 3, math.NaN(), math.NaN(), 1, 1, 2, 2} {
+		xs = append(xs, pipeline.MustInstance(s, pipeline.Ord(x)))
+		y := 0.0
+		if x == 3 {
+			y = 10
+		}
+		ys = append(ys, y)
+	}
+	idx := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	root := grow(s, xs, ys, idx, Config{MinLeaf: 2}.withDefaults(), 1, 0, &scratch{})
+	if root.yes == nil || !root.ordinal || root.param != 0 || root.threshold != 2 {
+		t.Fatalf("root split: leaf=%v ordinal=%v param=%d threshold=%v, want x <= 2",
+			root.yes == nil, root.ordinal, root.param, root.threshold)
 	}
 }

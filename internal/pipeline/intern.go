@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -19,6 +20,16 @@ import (
 // dictionary of (parameter, code, value) assignments replayed in order
 // through Space.Intern, which reproduces the exact assignment sequence (see
 // internal/provlog).
+//
+// Because first-intern order is not value order once an out-of-domain
+// value arrives, the table also owns each parameter's value order: a
+// code→rank table (rank = position among the parameter's values sorted by
+// value, NaN after every number), built under the intern lock on first
+// request and rebuilt as a new slice only after the parameter gains a
+// code. Space.ValueOrder hands it out together with the code→value table
+// as immutable snapshots, so split searches (internal/dtree,
+// internal/forest) sort observed codes by integer rank and read values
+// without any lock or Value comparison per step.
 
 // internKey is the canonical map key for interning a Value. Ordinals are
 // keyed by their bit pattern with -0 collapsed into +0 (so interning agrees
@@ -58,12 +69,17 @@ type internTable struct {
 	mu    sync.RWMutex
 	codes []map[internKey]uint32 // per parameter: value -> dense code
 	vals  [][]Value              // per parameter: code -> value
+	// ranks holds, per parameter, code -> rank in value order; nil until
+	// first requested and again after the parameter gains a code. A
+	// published slice is never written, so readers may keep it.
+	ranks [][]uint32
 }
 
 func newInternTable(nParams int) *internTable {
 	return &internTable{
 		codes: make([]map[internKey]uint32, nParams),
 		vals:  make([][]Value, nParams),
+		ranks: make([][]uint32, nParams),
 	}
 }
 
@@ -88,7 +104,67 @@ func (t *internTable) code(i int, v Value) uint32 {
 	c = uint32(len(t.vals[i]))
 	t.codes[i][k] = c
 	t.vals[i] = append(t.vals[i], v)
+	t.ranks[i] = nil
 	return c
+}
+
+// order returns snapshots of parameter i's code→value and code→rank
+// tables, building the rank table under the write lock when it is stale.
+// The value snapshot is capped at its length: appends of later codes write
+// past it, never into it.
+func (t *internTable) order(i int) ([]Value, []uint32) {
+	t.mu.RLock()
+	vals, rank := t.vals[i], t.ranks[i]
+	t.mu.RUnlock()
+	if rank == nil {
+		t.mu.Lock()
+		vals, rank = t.vals[i], t.ranks[i]
+		if rank == nil {
+			rank = rankValues(vals)
+			t.ranks[i] = rank
+		}
+		t.mu.Unlock()
+	}
+	return vals[:len(vals):len(vals)], rank
+}
+
+// rankValues returns rank[c] = position of vals[c] among vals sorted by
+// compareValues. Interned values of one parameter are pairwise distinct
+// under that order, so the ranks are a permutation of 0..len(vals)-1.
+func rankValues(vals []Value) []uint32 {
+	byValue := make([]uint32, len(vals))
+	for c := range byValue {
+		byValue[c] = uint32(c)
+	}
+	slices.SortFunc(byValue, func(a, b uint32) int { return compareValues(vals[a], vals[b]) })
+	rank := make([]uint32, len(vals))
+	for r, c := range byValue {
+		rank[c] = uint32(r)
+	}
+	return rank
+}
+
+// compareValues orders values as Value.Less does, except that NaN sorts
+// after every number: Less orders NaN neither before nor after anything,
+// so it is no strict weak order once NaN has been interned.
+func compareValues(a, b Value) int {
+	if a.kind == Ordinal && b.kind == Ordinal {
+		switch aNaN, bNaN := math.IsNaN(a.num), math.IsNaN(b.num); {
+		case aNaN && bNaN:
+			return 0
+		case aNaN:
+			return 1
+		case bNaN:
+			return -1
+		}
+	}
+	switch {
+	case a.Less(b):
+		return -1
+	case b.Less(a):
+		return 1
+	}
+	return 0
 }
 
 // size returns the number of codes assigned so far for parameter i.
@@ -134,6 +210,17 @@ func (s *Space) NumCodes(i int) int { return s.intern.size(i) }
 // InternedValue returns the Value that was assigned code c for parameter i.
 // It panics if c was never assigned.
 func (s *Space) InternedValue(i int, c uint32) Value { return s.intern.value(i, c) }
+
+// ValueOrder returns immutable snapshots of parameter i's interned values
+// and their order: vals[c] is the Value assigned code c (InternedValue),
+// and rank[c] is c's position when the parameter's codes are sorted by
+// value — numerically for ordinals with NaN after every number,
+// lexicographically for categoricals, the order Value.Less gives wherever
+// Less is a strict order. Both slices cover the codes assigned when it was
+// called and must not be modified. A code interned later is missing from
+// them, and it may shift the ranks of a later snapshot, but never the
+// relative order of two codes.
+func (s *Space) ValueOrder(i int) (vals []Value, rank []uint32) { return s.intern.order(i) }
 
 // codeOf interns v for parameter i and returns its dense code.
 func (s *Space) codeOf(i int, v Value) uint32 { return s.intern.code(i, v) }

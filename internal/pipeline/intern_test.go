@@ -1,7 +1,11 @@
 package pipeline
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -166,4 +170,104 @@ func TestInternConcurrent(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
+}
+
+// checkValueOrder verifies one ValueOrder snapshot: rank is a permutation
+// of the codes it covers, and listing the codes by rank lists their values
+// in strictly increasing order, NaN last.
+func checkValueOrder(vals []Value, rank []uint32) error {
+	if len(rank) != len(vals) {
+		return fmt.Errorf("%d ranks for %d values", len(rank), len(vals))
+	}
+	byRank := make([]int, len(rank))
+	for i := range byRank {
+		byRank[i] = -1
+	}
+	for c, r := range rank {
+		if int(r) >= len(rank) || byRank[r] >= 0 {
+			return fmt.Errorf("rank %d of code %d is out of range or repeated", r, c)
+		}
+		byRank[r] = c
+	}
+	for r := 1; r < len(byRank); r++ {
+		a, b := vals[byRank[r-1]], vals[byRank[r]]
+		var ordered bool
+		if a.Kind() == Ordinal {
+			ordered = !math.IsNaN(a.Num()) && (math.IsNaN(b.Num()) || a.Num() < b.Num())
+		} else {
+			ordered = a.Str() < b.Str()
+		}
+		if !ordered {
+			return fmt.Errorf("rank %d holds %v but rank %d holds %v", r-1, a, r, b)
+		}
+	}
+	return nil
+}
+
+// TestValueOrderConcurrent interns new values, most of them between
+// existing ones, plus NaN, while other goroutines read the value order.
+// Every snapshot a reader gets must rank its values correctly, a snapshot
+// taken before the writes must not change under them, and the final order
+// must cover every interned code. Run under -race -count=10 it checks the
+// rank table's publication.
+func TestValueOrderConcurrent(t *testing.T) {
+	s := MustSpace(
+		Parameter{Name: "a", Kind: Ordinal, Domain: []Value{Ord(0), Ord(1000)}},
+		Parameter{Name: "b", Kind: Categorical, Domain: []Value{Cat("m")}},
+	)
+	before := make([][]Value, s.Len())
+	beforeRank := make([][]uint32, s.Len())
+	wantRank := make([][]uint32, s.Len())
+	for i := range before {
+		before[i], beforeRank[i] = s.ValueOrder(i)
+		wantRank[i] = slices.Clone(beforeRank[i])
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for i := 0; i < s.Len(); i++ {
+					if err := checkValueOrder(s.ValueOrder(i)); err != nil {
+						t.Errorf("parameter %d: %v", i, err)
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	r := rand.New(rand.NewSource(3))
+	for k := 0; k < 400; k++ {
+		s.Intern(0, Ord(float64(r.Intn(100000))/100))
+		s.Intern(1, Cat(strconv.Itoa(r.Intn(100000))))
+		if k == 200 {
+			s.Intern(0, Ord(math.NaN()))
+		}
+	}
+	close(done)
+	wg.Wait()
+	for i := 0; i < s.Len(); i++ {
+		vals, rank := s.ValueOrder(i)
+		if len(vals) != s.NumCodes(i) {
+			t.Fatalf("parameter %d: order covers %d codes, %d interned", i, len(vals), s.NumCodes(i))
+		}
+		if err := checkValueOrder(vals, rank); err != nil {
+			t.Fatalf("parameter %d: %v", i, err)
+		}
+		if !slices.Equal(beforeRank[i], wantRank[i]) {
+			t.Fatalf("parameter %d: early rank snapshot changed from %v to %v", i, wantRank[i], beforeRank[i])
+		}
+		for c, v := range before[i] {
+			if v != vals[c] {
+				t.Fatalf("parameter %d: early snapshot code %d now holds %v, want %v", i, c, v, vals[c])
+			}
+		}
+	}
 }

@@ -219,7 +219,16 @@ func (r Region) AllowedValues(param string) []pipeline.Value {
 	if !ok {
 		return nil
 	}
-	var out []pipeline.Value
+	n := 0
+	for _, allow := range r.allowed[i] {
+		if allow {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]pipeline.Value, 0, n)
 	for j, allow := range r.allowed[i] {
 		if allow {
 			out = append(out, r.space.At(i).Domain[j])
