@@ -387,86 +387,6 @@ func BenchmarkCountSatisfying(b *testing.B) {
 	}
 }
 
-// BenchmarkCountSatisfyingSnapshot measures the same counting query through
-// the lock-free read path: one Epoch capture (two atomic loads per shard on
-// the quiescent fast path) plus the bitset count against the immutable
-// snapshot. CI runs this under -cpu 1,4,8 alongside the locked baseline.
-func BenchmarkCountSatisfyingSnapshot(b *testing.B) {
-	st, ins := benchStore(b)
-	s := st.Space()
-	c := predicate.And(
-		predicate.T(s.At(0).Name, predicate.Eq, ins[0].Value(0)),
-		predicate.T(s.At(1).Name, predicate.Eq, ins[0].Value(1)),
-	)
-	st.Epoch() // publish the first per-shard epochs outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		succ, fail := st.Epoch().CountSatisfying(c)
-		if succ+fail == 0 {
-			b.Fatal("count found nothing")
-		}
-	}
-}
-
-// benchStoreShardedQuiescent seeds an 8-shard store with 4096 distinct
-// records for the concurrent-reader contrast.
-func benchStoreShardedQuiescent(b *testing.B) (*provenance.Store, predicate.Conjunction) {
-	b.Helper()
-	space := benchLogSpace(b)
-	const n = 4096
-	ins := distinctInstances(b, space, 0, n)
-	entries := make([]provenance.Entry, n)
-	for i, in := range ins {
-		out := pipeline.Succeed
-		if in.Hash()&1 == 0 {
-			out = pipeline.Fail
-		}
-		entries[i] = provenance.Entry{Instance: in, Outcome: out, Source: "bench"}
-	}
-	st := provenance.NewStoreSharded(space, 8)
-	if added, err := st.AddBatch(entries); err != nil || added != n {
-		b.Fatalf("AddBatch = %d, %v", added, err)
-	}
-	c := predicate.And(
-		predicate.T(space.At(0).Name, predicate.Eq, ins[0].Value(0)),
-		predicate.T(space.At(1).Name, predicate.Eq, ins[0].Value(1)),
-	)
-	return st, c
-}
-
-// BenchmarkCountSatisfyingConcurrent contrasts GOMAXPROCS concurrent
-// readers hammering CountSatisfying through the locked store path (one
-// RLock per shard per query) against the epoch-snapshot path (no locks;
-// immutable shared indices). The snapshot path is CI-gated to stay well
-// ahead of locked at 8 readers.
-func BenchmarkCountSatisfyingConcurrent(b *testing.B) {
-	for _, path := range []string{"locked", "snapshot"} {
-		b.Run("path="+path, func(b *testing.B) {
-			st, c := benchStoreShardedQuiescent(b)
-			snapshot := path == "snapshot"
-			st.Epoch() // publish epochs and build indices outside the timer
-			st.CountSatisfying(c)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					var succ, fail int
-					if snapshot {
-						succ, fail = st.Epoch().CountSatisfying(c)
-					} else {
-						succ, fail = st.CountSatisfying(c)
-					}
-					if succ+fail == 0 {
-						b.Error("count found nothing")
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkTreeGrow measures decision-tree induction over a provenance-sized
 // example set — the per-iteration cost of the DDT loop.
 func BenchmarkTreeGrow(b *testing.B) {
@@ -679,7 +599,7 @@ func openBenchSpace() *pipeline.Space {
 	return sp.Space
 }
 
-func benchOpen(b *testing.B, dir string, opts ...provlog.Option) {
+func benchOpen(b *testing.B, dir string) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -688,7 +608,7 @@ func benchOpen(b *testing.B, dir string, opts ...provlog.Option) {
 		b.StopTimer()
 		runtime.GC()
 		b.StartTimer()
-		l, st, err := provlog.Open(dir, openBenchSpace(), opts...)
+		l, st, err := provlog.Open(dir, openBenchSpace())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -717,23 +637,6 @@ func BenchmarkOpenFullReplay1M(b *testing.B) {
 func BenchmarkOpenCheckpointed1M(b *testing.B) {
 	_, ckptDir := openBenchDirs(b)
 	benchOpen(b, ckptDir)
-}
-
-// BenchmarkOpenParallelDecode1M sweeps the checkpoint-decode fan-out on the
-// same 1M-record resume: par=seq pins the historic single-goroutine decode,
-// par=max lets Open split the row region across GOMAXPROCS decoders (the
-// default). CI runs this under -cpu 1,4,8 to gate the scaling curve.
-func BenchmarkOpenParallelDecode1M(b *testing.B) {
-	_, ckptDir := openBenchDirs(b)
-	for _, par := range []int{1, 0} {
-		name := "par=seq"
-		if par == 0 {
-			name = "par=max"
-		}
-		b.Run(name, func(b *testing.B) {
-			benchOpen(b, ckptDir, provlog.WithOpenParallelism(par))
-		})
-	}
 }
 
 // --- Delta checkpoints (LSM tiers) -----------------------------------------
@@ -1058,22 +961,20 @@ func BenchmarkStoreAddBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/record")
 }
 
-// --- Sharded provenance store ----------------------------------------------
+// --- Concurrent writers -----------------------------------------------------
 
-// benchStoreAddParallel measures Add throughput into a fresh volatile
+// BenchmarkStoreAddParallel measures Add throughput into a fresh volatile
 // store from 8 concurrent workers, each committing its own slice of
-// distinct instances — the contention profile of a parallel debugging
-// session extending shared provenance. With one shard every commit
-// serializes on the store lock; with hash-range shards writers contend
-// only within a hash range.
-func benchStoreAddParallel(b *testing.B, shards int) {
+// distinct instances — the shape of EvaluateAll's per-worker commits
+// extending shared provenance. Every commit serializes on the store lock.
+func BenchmarkStoreAddParallel(b *testing.B) {
 	space := benchLogSpace(b)
 	const workers, per = 8, 512
 	ins := distinctInstances(b, space, 0, workers*per)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := provenance.NewStoreSharded(space, shards)
+		st := provenance.NewStore(space)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -1096,21 +997,9 @@ func benchStoreAddParallel(b *testing.B, shards int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(workers*per), "ns/record")
 }
 
-// BenchmarkStoreAddParallel contrasts the single-shard store with a
-// hash-range sharded one under 8 concurrent Add writers; the sharded
-// variant is CI-gated against BENCH_BASELINE.json.
-func BenchmarkStoreAddParallel(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchStoreAddParallel(b, shards)
-		})
-	}
-}
-
-// benchStoreAddBatchParallel is the batched twin: 8 workers each commit
-// their slice as AddBatch rounds of 128, so the per-shard commit loops of
-// concurrent batches pipeline across the shards.
-func benchStoreAddBatchParallel(b *testing.B, shards int) {
+// BenchmarkStoreAddBatchParallel is the batched twin: 8 workers each
+// commit their slice as AddBatch rounds of 128 into one store.
+func BenchmarkStoreAddBatchParallel(b *testing.B) {
 	space := benchLogSpace(b)
 	const workers, per, round = 8, 512, 128
 	ins := distinctInstances(b, space, 0, workers*per)
@@ -1125,7 +1014,7 @@ func benchStoreAddBatchParallel(b *testing.B, shards int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := provenance.NewStoreSharded(space, shards)
+		st := provenance.NewStore(space)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -1142,16 +1031,6 @@ func benchStoreAddBatchParallel(b *testing.B, shards int) {
 		wg.Wait()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(workers*per), "ns/record")
-}
-
-// BenchmarkStoreAddBatchParallel contrasts single-shard and sharded
-// AddBatch under 8 concurrent batch submitters.
-func BenchmarkStoreAddBatchParallel(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchStoreAddBatchParallel(b, shards)
-		})
-	}
 }
 
 // BenchmarkShortcutLinear measures one full Shortcut pass on a 10-parameter

@@ -163,28 +163,6 @@ func WithSeed(seed int64) Option {
 	return func(s *Session) { s.seed = seed }
 }
 
-// WithShards shards the session's provenance store across n instance-hash
-// ranges (rounded up to a power of two), each with its own lock and
-// indices, so sessions with many workers contend per hash range instead of
-// on one store lock. Results are identical at every shard count; the shard
-// count is a property of the in-memory store only, so a durable session's
-// state directory can be resumed with any value. The default (1) is the
-// historic unsharded store.
-func WithShards(n int) Option {
-	return func(s *Session) { s.shards = n }
-}
-
-// WithOpenParallelism sets how many goroutines a durable session's open
-// uses to decode its checkpoint (see provlog.WithOpenParallelism): the
-// checkpoint's fixed-width rows split into contiguous ranges decoded
-// concurrently, so resuming a large session scales with the machine's
-// cores. The default (0) is GOMAXPROCS; 1 forces the sequential load. Like
-// the shard count it only shapes the load — every value rebuilds an
-// identical store. It has no effect without WithDurability.
-func WithOpenParallelism(n int) Option {
-	return func(s *Session) { s.openParallel = n }
-}
-
 // WithHistory pre-populates the provenance with previously-run instances
 // G = CP_1..CP_k; their evaluations are free.
 func WithHistory(records []Record) Option {
@@ -261,8 +239,6 @@ type Session struct {
 	seed         int64
 	budget       int
 	workers      int
-	shards       int
-	openParallel int
 	history      []Record
 	stateDir     string
 	syncPolicy   *SyncPolicy
@@ -283,7 +259,7 @@ func NewSession(space *Space, oracle Oracle, opts ...Option) (*Session, error) {
 	if oracle == nil {
 		return nil, fmt.Errorf("bugdoc: nil oracle")
 	}
-	s := &Session{space: space, seed: 1, budget: -1, workers: 1, shards: 1}
+	s := &Session{space: space, seed: 1, budget: -1, workers: 1}
 	for _, o := range opts {
 		o(s)
 	}
@@ -294,16 +270,12 @@ func NewSession(space *Space, oracle Oracle, opts ...Option) (*Session, error) {
 	}
 	telOpt := s.telemetryOption()
 	if s.stateDir != "" {
-		exOpts := []exec.Option{exec.WithBudget(s.budget), exec.WithWorkers(s.workers),
-			exec.WithStoreShards(s.shards)}
+		exOpts := []exec.Option{exec.WithBudget(s.budget), exec.WithWorkers(s.workers)}
 		if s.flakyPolicy != nil {
 			exOpts = append(exOpts, exec.WithFlakyPolicy(*s.flakyPolicy))
 		}
 		if telOpt != nil {
 			exOpts = append(exOpts, telOpt)
-		}
-		if s.openParallel != 0 {
-			exOpts = append(exOpts, exec.WithOpenParallelism(s.openParallel))
 		}
 		var logOpts []provlog.Option
 		if s.fsync {
@@ -342,7 +314,7 @@ func NewSession(space *Space, oracle Oracle, opts ...Option) (*Session, error) {
 		}
 		return s, nil
 	}
-	st := provenance.NewStoreSharded(space, s.shards)
+	st := provenance.NewStore(space)
 	for _, r := range s.history {
 		if err := st.Add(r.Instance, r.Outcome, r.Source); err != nil {
 			return nil, fmt.Errorf("bugdoc: history: %w", err)

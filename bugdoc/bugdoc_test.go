@@ -59,16 +59,16 @@ func TestSessionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSessionShardedMatchesUnsharded runs the same deterministic search
-// with and without store sharding: the shard count is a contention knob,
-// so the asserted causes, the provenance size, and the budget spent must
-// all be identical.
-func TestSessionShardedMatchesUnsharded(t *testing.T) {
+// TestSessionRepeatsExactly runs the same seeded search twice with four
+// dispatch workers: concurrent dispatch must not perturb the search, so the
+// asserted causes, the provenance size, and the budget spent must all be
+// identical.
+func TestSessionRepeatsExactly(t *testing.T) {
 	ctx := context.Background()
-	run := func(shards int) (bugdoc.DNF, int, int) {
+	run := func() (bugdoc.DNF, int, int) {
 		t.Helper()
 		session, err := bugdoc.NewSession(lrSpace(t), bugdoc.OracleFunc(diverges),
-			bugdoc.WithSeed(5), bugdoc.WithWorkers(4), bugdoc.WithShards(shards))
+			bugdoc.WithSeed(5), bugdoc.WithWorkers(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,17 +81,13 @@ func TestSessionShardedMatchesUnsharded(t *testing.T) {
 		}
 		return causes, session.Store().Len(), session.Spent()
 	}
-	causes1, len1, spent1 := run(1)
-	for _, shards := range []int{2, 8} {
-		causesN, lenN, spentN := run(shards)
-		if lenN != len1 || spentN != spent1 {
-			t.Fatalf("shards=%d: %d records / %d spent, unsharded %d / %d",
-				shards, lenN, spentN, len1, spent1)
-		}
-		if bugdoc.Explain(causesN) != bugdoc.Explain(causes1) {
-			t.Fatalf("shards=%d asserted %vvs unsharded %v",
-				shards, bugdoc.Explain(causesN), bugdoc.Explain(causes1))
-		}
+	causes1, len1, spent1 := run()
+	causes2, len2, spent2 := run()
+	if len2 != len1 || spent2 != spent1 {
+		t.Fatalf("second run: %d records / %d spent, first %d / %d", len2, spent2, len1, spent1)
+	}
+	if bugdoc.Explain(causes2) != bugdoc.Explain(causes1) {
+		t.Fatalf("second run asserted %vvs first %v", bugdoc.Explain(causes2), bugdoc.Explain(causes1))
 	}
 }
 

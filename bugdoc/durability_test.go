@@ -237,64 +237,3 @@ func TestSessionCheckpointResume(t *testing.T) {
 		t.Fatalf("an instance reached the oracle %d times across checkpointed resumes, want at most once", got)
 	}
 }
-
-// TestDurableSessionShardedResume writes a checkpointed session unsharded,
-// resumes it with a sharded store (the checkpoint run splits across the
-// shards on load), and resumes once more unsharded: the shard count is an
-// in-memory property, so the history replays identically in both
-// directions with zero repeated oracle calls.
-func TestDurableSessionShardedResume(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	oracle := &killableOracle{calls: make(map[string]int), quota: -1}
-
-	s1, err := bugdoc.NewSession(durabilitySpace(), oracle.oracle(),
-		bugdoc.WithDurability(dir), bugdoc.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Seed(ctx); err != nil {
-		t.Fatal(err)
-	}
-	causes, err := s1.FindAll(ctx, bugdoc.DebuggingDecisionTrees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spent := s1.Spent()
-	if err := s1.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, shards := range []int{4, 1} {
-		s2, err := bugdoc.ResumeSession(dir, oracle.oracle(),
-			bugdoc.WithWorkers(4), bugdoc.WithShards(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s2.Store().Shards() != shards {
-			t.Fatalf("resumed store has %d shards, want %d", s2.Store().Shards(), shards)
-		}
-		if s2.Store().Len() != spent {
-			t.Fatalf("shards=%d: resumed store has %d records, want %d", shards, s2.Store().Len(), spent)
-		}
-		causes2, err := s2.FindAll(ctx, bugdoc.DebuggingDecisionTrees)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if causes2.String() != causes.String() {
-			t.Fatalf("shards=%d: resumed causes %v, want %v", shards, causes2, causes)
-		}
-		if s2.Spent() != 0 {
-			t.Fatalf("shards=%d: resumed session spent %d new executions, want 0", shards, s2.Spent())
-		}
-		if err := s2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := oracle.maxCalls(); got != 1 {
-		t.Fatalf("an instance reached the oracle %d times across sharded resumes, want at most once", got)
-	}
-}

@@ -15,7 +15,7 @@ type (
 	// StatsSnapshot is a point-in-time view of every metric in a Registry.
 	StatsSnapshot = telemetry.Snapshot
 	// Journal is a JSON-lines session event log (oracle trials, batch
-	// dispatches, WAL flushes, checkpoints, epoch refreshes).
+	// dispatches, WAL flushes, checkpoints).
 	Journal = telemetry.Journal
 )
 
@@ -41,7 +41,7 @@ func WithTelemetry(reg *Registry) Option {
 
 // WithJournal streams structured session events (JSON lines) to j: oracle
 // trial spans with instance hash, outcome, and duration; batch dispatches;
-// group-commit flushes; checkpoints; epoch refreshes. The journal is
+// group-commit flushes; checkpoints. The journal is
 // line-atomic under concurrency. Unlike WithTelemetry's counters, emitting
 // an event allocates, so journals record span-level events only — the
 // per-record hot paths stay untouched. Close the journal after the

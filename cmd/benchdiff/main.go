@@ -18,11 +18,6 @@
 // itself a failure, so coverage cannot silently rot. Improvements beyond
 // the threshold are reported as a hint to refresh the baseline.
 //
-// -keep-procs keeps the -GOMAXPROCS suffix in benchmark names instead.
-// Use it to gate `go test -cpu 1,4,8` sweeps, where the suffix is the
-// independent variable: without it the per-cpu samples of one benchmark
-// would collapse into a single meaningless median.
-//
 // Maintenance:
 //
 //	# refresh the medians of the existing gated set
@@ -61,11 +56,10 @@ func run() error {
 		threshold    = flag.Float64("threshold", 0.25, "fail when median ns/op regresses beyond this fraction")
 		update       = flag.Bool("update", false, "rewrite the baseline with the measured medians instead of gating")
 		gate         = flag.String("gate", "", "with -update: comma-separated benchmark names replacing the gated set")
-		keepProcs    = flag.Bool("keep-procs", false, "keep the -GOMAXPROCS suffix in names (gate -cpu sweeps per cpu count)")
 	)
 	flag.Parse()
 
-	medians, err := readMedians(*benchPath, *keepProcs)
+	medians, err := readMedians(*benchPath)
 	if err != nil {
 		return err
 	}
@@ -130,9 +124,8 @@ func stripProcs(name string) string {
 }
 
 // readMedians parses the bench output and reduces repeated counts of each
-// benchmark to the median ns/op. keepProcs preserves the -GOMAXPROCS
-// suffix, keeping the samples of a -cpu sweep apart.
-func readMedians(path string, keepProcs bool) (map[string]float64, error) {
+// benchmark to the median ns/op.
+func readMedians(path string) (map[string]float64, error) {
 	var r io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -154,10 +147,7 @@ func readMedians(path string, keepProcs bool) (map[string]float64, error) {
 		if err != nil {
 			continue
 		}
-		name := m[1]
-		if !keepProcs {
-			name = stripProcs(name)
-		}
+		name := stripProcs(m[1])
 		samples[name] = append(samples[name], ns)
 	}
 	if err := sc.Err(); err != nil {

@@ -16,11 +16,7 @@
 // (any minimal definitive root cause) or all, -budget caps new pipeline
 // executions (-1 = unlimited), -workers sizes the parallel dispatch pool,
 // -seed fixes the sampling randomness, and -latency simulates expensive
-// pipelines by delaying every oracle call. -shards splits the provenance
-// store across N instance-hash ranges (rounded up to a power of two) so
-// high -workers counts contend per hash range instead of on one store
-// lock; results are identical at every shard count, and a state directory
-// written at one count can be resumed at any other.
+// pipelines by delaying every oracle call.
 //
 // Durability flags: -state-dir write-ahead logs every execution so a
 // killed run resumes (with -resume requiring prior state) without
@@ -71,10 +67,10 @@
 //
 // Observability flags: -stats prints a runtime telemetry summary when the
 // session ends — including when it is interrupted with Ctrl-C — covering
-// memo hits, oracle latency percentiles, WAL flush and checkpoint costs,
-// and epoch staleness. -events appends a JSON-lines journal of session
-// events (oracle trial spans, batch dispatches, group-commit flushes,
-// checkpoints, epoch refreshes) to a file. -debug-addr serves the live
+// memo hits, oracle latency percentiles, and WAL flush and checkpoint
+// costs. -events appends a JSON-lines journal of session events (oracle
+// trial spans, batch dispatches, group-commit flushes, checkpoints) to a
+// file. -debug-addr serves the live
 // metric registry at /debug/vars (JSON) and the Go profiler at
 // /debug/pprof/ while the session runs; ":0" picks a free port and the
 // chosen address is printed to stderr:
@@ -143,10 +139,8 @@ func run() error {
 		compact  = flag.Bool("compact", false, "fold the -state-dir WAL into a checkpoint tier, collect superseded files, and exit")
 		ckptN    = flag.Int("checkpoint-every", 0, "compact the WAL in the background every N logged records (0 = only on -compact)")
 		mergePol = flag.String("merge-policy", "", "checkpoint tier merge policy as K:R — at most K tiers, each at least R times the one above (default 8:4; 1:1 = full rewrite)")
-		shards   = flag.Int("shards", 1, "shard the provenance store across N instance-hash ranges (rounded up to a power of two; 1 = unsharded)")
 		trials   = flag.String("trials", "", "flaky-oracle quorum as MIN:MAX:Q — dispatch each instance MIN..MAX times, resolve by majority once Q trials agree (empty = deterministic single-trial)")
 		flake    = flag.Float64("flake", 0, "corrupt each oracle verdict with this probability (deterministic per -seed; simulates a flaky pipeline)")
-		openPar  = flag.Int("open-parallel", 0, "decode the -state-dir checkpoint on N goroutines (0 = all cores; 1 = sequential)")
 		stats    = flag.Bool("stats", false, "print a runtime telemetry summary at exit (also on Ctrl-C)")
 		dbgAddr  = flag.String("debug-addr", "", "serve live /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:6060; :0 picks a port)")
 		events   = flag.String("events", "", "append a JSON-lines journal of session events to this file")
@@ -243,18 +237,6 @@ func run() error {
 	if *latency > 0 {
 		oracle = exec.LatencyOracle(oracle, *latency)
 	}
-	if *shards > 1 && *stateDir == "" {
-		// Volatile mode: re-home whatever the input mode loaded into a
-		// sharded store (demo stores are empty; historical CSVs carry their
-		// records over — the snapshot is already a dense validated log, so
-		// the bulk loader applies). In durable mode the sharded store is
-		// rebuilt by provlog.Open below instead.
-		sharded := provenance.NewStoreSharded(st.Space(), *shards)
-		if err := sharded.LoadRecords(st.Snapshot().Records()); err != nil {
-			return err
-		}
-		st = sharded
-	}
 	resumed := -1
 	if *resume && *stateDir == "" {
 		return fmt.Errorf("-resume requires -state-dir")
@@ -275,12 +257,6 @@ func run() error {
 		}
 		if merge != nil {
 			logOpts = append(logOpts, provlog.WithMergePolicy(*merge))
-		}
-		if *shards > 1 {
-			logOpts = append(logOpts, provlog.WithStoreShards(*shards))
-		}
-		if *openPar != 0 {
-			logOpts = append(logOpts, provlog.WithOpenParallelism(*openPar))
 		}
 		if reg != nil || journal != nil {
 			logOpts = append(logOpts, provlog.WithMetrics(provlog.NewMetrics(reg, journal)))

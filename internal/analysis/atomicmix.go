@@ -7,7 +7,7 @@ import (
 )
 
 // AtomicMix enforces the discipline behind every lock-free structure in the
-// repo (shard epochs, poisoning flags, sequence counters, telemetry): a
+// repo (telemetry counters, the WAL byte count, oracle call counts): a
 // variable or field that is ever accessed through sync/atomic must never be
 // read or written plainly elsewhere, and a typed atomic.* value may only be
 // used through its methods — never copied, compared, or assigned around.
@@ -113,8 +113,8 @@ func isTypedAtomic(t types.Type) bool {
 }
 
 // usedViaAtomicMethod reports whether the identifier's use is as the base
-// of an atomic method call — x in x.Load(), st.poisoned in
-// st.poisoned.Store(true) — or has its address taken to hand the atomic to
+// of an atomic method call — x in x.Load(), l.bytesSinceCkpt in
+// l.bytesSinceCkpt.Add(n) — or has its address taken to hand the atomic to
 // a helper (the pointee is still only reachable through methods).
 func usedViaAtomicMethod(info *types.Info, parents map[ast.Node]ast.Node, id *ast.Ident) bool {
 	// The value expression for the atomic: the ident itself, or the

@@ -8,7 +8,7 @@ import (
 // CrossSpace enforces the guard PR 5 added after a real panic: any exported
 // method that takes a pipeline.Instance and can reach per-space indexes —
 // i.e. its receiver holds a `space *pipeline.Space` field, directly or
-// through one same-package struct field (Epoch reaches Store's) — must
+// through one same-package struct field (a view over a Store) — must
 // compare the instance's Space() against that field before indexing.
 // Instances carry interned codes that are only meaningful within one space,
 // so an unguarded cross-space ref reads (or corrupts) another space's
@@ -42,8 +42,8 @@ func runCrossSpace(pass *Pass) error {
 
 // holdsSpaceField reports whether the defined struct type has a field
 // space *pipeline.Space, or (when indirect is true) a field whose
-// same-package struct type does — one level deep, which is how Epoch
-// reaches the Store's space. The one-level, same-package limit keeps
+// same-package struct type does — one level deep, which is how a view
+// type reaches its Store's space. The one-level, same-package limit keeps
 // consumers in other packages (e.g. the executor, which owns no index)
 // out of scope.
 func holdsSpaceField(n *types.Named, indirect bool) bool {

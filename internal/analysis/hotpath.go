@@ -7,7 +7,7 @@ import (
 
 // hotpathDirective marks a function as allocation-free hot path. The
 // annotated paths are the ones the PR 1/4 benchmarks hold to zero allocs:
-// memoized lookups, the shard commit core, and the epoch query surface.
+// memoized lookups and the store's per-record commit core.
 const hotpathDirective = "//bugdoc:hotpath"
 
 // HotPath enforces the zero-alloc contract on functions annotated

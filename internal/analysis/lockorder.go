@@ -3,52 +3,38 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// LockOrder enforces the provenance locking protocol from PR 5: the store's
-// writer mutex (a field named wmu) is acquired after the shard locks, never
-// before — so no shard lock may be taken while wmu is held — and every
-// Lock/RLock on a sync.Mutex or sync.RWMutex field must have a matching
-// Unlock/RUnlock somewhere in the same function (deferred, on an error
-// path, or inside a closure the function builds, as lockAll does).
+// LockOrder enforces lock pairing: every Lock/RLock on a sync.Mutex or
+// sync.RWMutex must have a matching Unlock/RUnlock somewhere in the same
+// function (deferred, on an error path, or inside a closure the function
+// builds). The check keeps its historic name from when it also ordered the
+// provenance store's two write locks; the store now has one.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "wmu is acquired after shard locks, and every Lock has a matching Unlock",
+	Doc:  "every Lock has a matching Unlock in the same function",
 	Run:  runLockOrder,
 }
 
 // lockEvent is one mutex operation found in source order.
 type lockEvent struct {
-	key      string // (receiver type, field) identity
-	method   string // Lock, RLock, Unlock, RUnlock
-	field    string // selector field or identifier name
-	recv     string // name of the defined type holding the mutex field, "" for locals
-	deferred bool   // the call sits in a defer statement
-	call     *ast.CallExpr
+	key    string // (receiver type, field) identity
+	method string // Lock, RLock, Unlock, RUnlock
+	call   *ast.CallExpr
 }
 
 func runLockOrder(pass *Pass) error {
 	info := pass.Pkg.Info
 	eachFuncDecl(pass.Pkg, func(fn *ast.FuncDecl) {
 		var events []lockEvent
-		deferredCalls := make(map[*ast.CallExpr]bool)
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			if d, ok := n.(*ast.DeferStmt); ok {
-				deferredCalls[d.Call] = true
-				return true
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if ev, ok := lockEventOf(info, call); ok {
-				ev.deferred = deferredCalls[call]
-				events = append(events, ev)
+			if call, ok := n.(*ast.CallExpr); ok {
+				if ev, ok := lockEventOf(info, call); ok {
+					events = append(events, ev)
+				}
 			}
 			return true
 		})
-		checkWmuOrder(pass, events)
 		checkPairing(pass, fn, events)
 	})
 	return nil
@@ -72,49 +58,21 @@ func lockEventOf(info *types.Info, call *ast.CallExpr) (lockEvent, bool) {
 	if !isPkgType(recvT, "sync", "Mutex") && !isPkgType(recvT, "sync", "RWMutex") {
 		return lockEvent{}, false
 	}
-	ev := lockEvent{method: method, call: call}
+	var field, recv string
 	switch x := ast.Unparen(sel.X).(type) {
 	case *ast.SelectorExpr:
-		ev.field = x.Sel.Name
-		// Key by (defined type of the base, field name) so sh.mu.Unlock
-		// pairs with st.shards[i].mu.Lock: both are (shard, mu).
+		field = x.Sel.Name
+		// Key by (defined type of the base, field name) so e.mu.Unlock
+		// pairs with st.items[i].mu.Lock: both are (item, mu).
 		if n := namedOf(info.TypeOf(x.X)); n != nil {
-			ev.recv = n.Obj().Name()
+			recv = n.Obj().Name()
 		}
 	case *ast.Ident:
-		ev.field = x.Name
+		field = x.Name
 	default:
 		return lockEvent{}, false
 	}
-	ev.key = ev.recv + "." + ev.field
-	return ev, true
-}
-
-// checkWmuOrder walks the events in source order and reports any shard
-// lock (a mutex field named mu on a type whose name ends in "shard")
-// acquired while wmu is held.
-func checkWmuOrder(pass *Pass, events []lockEvent) {
-	wmuHeld := false
-	for _, ev := range events {
-		switch {
-		case ev.field == "wmu" && ev.method == "Lock":
-			wmuHeld = true
-		case ev.field == "wmu" && ev.method == "Unlock":
-			// A deferred unlock runs at return, not here in source order;
-			// wmu stays held for everything after it.
-			if !ev.deferred {
-				wmuHeld = false
-			}
-		case wmuHeld && isShardLock(ev) && (ev.method == "Lock" || ev.method == "RLock"):
-			pass.Reportf(ev.call.Pos(),
-				"shard lock %s.%s acquired while holding wmu; the protocol is shard locks first, wmu last",
-				ev.recv, ev.field)
-		}
-	}
-}
-
-func isShardLock(ev lockEvent) bool {
-	return ev.field == "mu" && strings.HasSuffix(strings.ToLower(ev.recv), "shard")
+	return lockEvent{key: recv + "." + field, method: method, call: call}, true
 }
 
 // checkPairing requires at least one matching unlock per locked key. This

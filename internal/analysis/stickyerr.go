@@ -11,18 +11,17 @@ import (
 // field (stageErr, broken), every call to a committing function
 // (commitLocked, writeWindow) must be preceded — in the caller, or inside
 // a same-package function the caller invoked first — by a read of a
-// sticky field (stageErr, broken, or the poisoned mirror). Committing
-// without the check resurrects a poisoned structure and commits on top of
-// a half-applied failure.
+// sticky field (stageErr or broken). Committing without the check
+// resurrects a poisoned structure and commits on top of a half-applied
+// failure.
 var StickyErr = &Analyzer{
 	Name: "stickyerr",
-	Doc:  "commit paths must check stageErr/broken/poisoned before mutating committed state",
+	Doc:  "commit paths must check stageErr/broken before mutating committed state",
 	Run:  runStickyErr,
 }
 
-// stickyFields are the sticky-error field names the repo uses; poisoned is
-// the lock-free mirror of stageErr.
-var stickyFields = map[string]bool{"stageErr": true, "broken": true, "poisoned": true}
+// stickyFields are the sticky-error field names the repo uses.
+var stickyFields = map[string]bool{"stageErr": true, "broken": true}
 
 // committingFuncs mutate committed state and therefore require a prior
 // sticky check.
@@ -59,7 +58,7 @@ func runStickyErr(pass *Pass) error {
 				}
 				if committingFuncs[name] && (!checkedAt.IsValid() || n.Pos() < checkedAt) {
 					pass.Reportf(n.Pos(),
-						"%s calls %s without first checking a sticky error field (stageErr/broken/poisoned)",
+						"%s calls %s without first checking a sticky error field (stageErr/broken)",
 						fn.Name.Name, name)
 				}
 			}

@@ -34,21 +34,20 @@ func (st *Store) quiet(ref pipeline.Instance) int {
 	return st.n
 }
 
-// Epoch reaches the space through its Store field, like the real epoch
-// snapshots.
-type Epoch struct {
+// View reaches the space through its Store field, one hop away.
+type View struct {
 	st *Store
 }
 
 // GoodIndirect guards through the inner field.
-func (e *Epoch) GoodIndirect(ref pipeline.Instance) int {
+func (e *View) GoodIndirect(ref pipeline.Instance) int {
 	if ref.Space() != e.st.space {
 		return 0
 	}
 	return e.st.n
 }
 
-func (e *Epoch) BadIndirect(ref pipeline.Instance) int { // want "never compares ref.Space"
+func (e *View) BadIndirect(ref pipeline.Instance) int { // want "never compares ref.Space"
 	return e.st.n
 }
 

@@ -186,7 +186,7 @@ func verifySuspect(ctx context.Context, ex *exec.Executor, suspect predicate.Con
 		return verdictRefuted, nil
 	}
 	// A free counterexample may already exist in provenance.
-	if _, found := ex.Store().Epoch().AnySucceedingSatisfying(suspect); found {
+	if _, found := ex.Store().AnySucceedingSatisfying(suspect); found {
 		return verdictRefuted, nil
 	}
 

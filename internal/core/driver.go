@@ -48,7 +48,7 @@ func SeedHistory(ctx context.Context, ex *exec.Executor, r *rand.Rand, maxAttemp
 	if maxAttempts <= 0 {
 		maxAttempts = 200
 	}
-	succ, fail := ex.Store().Epoch().Outcomes()
+	succ, fail := ex.Store().Outcomes()
 	for attempts := 0; (succ == 0 || fail == 0) && attempts < maxAttempts; attempts++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -70,9 +70,9 @@ func SeedHistory(ctx context.Context, ex *exec.Executor, r *rand.Rand, maxAttemp
 	if succ == 0 || fail == 0 {
 		return fmt.Errorf("core: could not seed history with both outcomes (%d succeed, %d fail)", succ, fail)
 	}
-	ep := ex.Store().Epoch()
-	cpf, _ := ep.FirstFailing()
-	if len(ep.DisjointSucceeding(cpf)) > 0 {
+	st := ex.Store()
+	cpf, _ := st.FirstFailing()
+	if len(st.DisjointSucceeding(cpf)) > 0 {
 		return nil
 	}
 	for attempts := 0; attempts < maxAttempts; attempts++ {

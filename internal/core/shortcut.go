@@ -81,7 +81,7 @@ func Shortcut(ctx context.Context, ex *exec.Executor, cpf, cpg pipeline.Instance
 		}
 	}
 	// Sanity check: a successful execution containing D refutes it.
-	if _, found := ex.Store().Epoch().AnySucceedingSatisfying(d); found {
+	if _, found := ex.Store().AnySucceedingSatisfying(d); found {
 		return predicate.Conjunction{}, nil
 	}
 	return d.Canonical(), nil
@@ -89,7 +89,7 @@ func Shortcut(ctx context.Context, ex *exec.Executor, cpf, cpg pipeline.Instance
 
 // PickFailing selects CP_f from provenance: the earliest failing instance.
 func PickFailing(ex *exec.Executor) (pipeline.Instance, error) {
-	cpf, ok := ex.Store().Epoch().FirstFailing()
+	cpf, ok := ex.Store().FirstFailing()
 	if !ok {
 		return pipeline.Instance{}, fmt.Errorf("core: provenance has no failing instance")
 	}
@@ -101,11 +101,11 @@ func PickFailing(ex *exec.Executor) (pipeline.Instance, error) {
 // instance differing on the most parameters (the paper's heuristic fallback
 // when the Disjointness Condition does not hold).
 func PickDisjointGood(ex *exec.Executor, cpf pipeline.Instance) (cpg pipeline.Instance, disjoint bool, err error) {
-	ep := ex.Store().Epoch()
-	if ds := ep.DisjointSucceeding(cpf); len(ds) > 0 {
+	st := ex.Store()
+	if ds := st.DisjointSucceeding(cpf); len(ds) > 0 {
 		return ds[0], true, nil
 	}
-	md, ok := ep.MostDifferentSucceeding(cpf)
+	md, ok := st.MostDifferentSucceeding(cpf)
 	if !ok {
 		return pipeline.Instance{}, false, fmt.Errorf("core: provenance has no succeeding instance")
 	}

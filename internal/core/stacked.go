@@ -34,7 +34,7 @@ func StackedShortcut(ctx context.Context, ex *exec.Executor, k int) (predicate.C
 	if err != nil {
 		return nil, err
 	}
-	goods := ex.Store().Epoch().MutuallyDisjointSucceeding(cpf, k, true)
+	goods := ex.Store().MutuallyDisjointSucceeding(cpf, k, true)
 	if len(goods) == 0 {
 		return nil, fmt.Errorf("core: provenance has no succeeding instance")
 	}
@@ -67,7 +67,7 @@ func StackedShortcutWith(ctx context.Context, ex *exec.Executor, cpf pipeline.In
 	// Re-run the sanity check against the final provenance: later shortcut
 	// passes may have executed a succeeding instance that contains the
 	// union (which would make the assertion refuted, not definitive).
-	if _, found := ex.Store().Epoch().AnySucceedingSatisfying(union); found {
+	if _, found := ex.Store().AnySucceedingSatisfying(union); found {
 		return predicate.Conjunction{}, nil
 	}
 	return union, nil

@@ -84,23 +84,6 @@ func WithLogOptions(opts ...provlog.Option) Option {
 	return func(e *Executor) { e.logOpts = append(e.logOpts, opts...) }
 }
 
-// WithStoreShards shards the provenance store NewDurable rebuilds across n
-// hash-range shards (see provenance.NewStoreSharded), so high worker
-// counts contend per hash range instead of on one store lock. It only
-// shapes the store NewDurable creates; executors built by New adopt the
-// caller's store as-is and ignore it.
-func WithStoreShards(n int) Option {
-	return func(e *Executor) { e.storeShards = n }
-}
-
-// WithOpenParallelism sets how many goroutines NewDurable's log open uses
-// to decode a checkpoint (see provlog.WithOpenParallelism). The default is
-// GOMAXPROCS; 1 forces the sequential load. Executors built by New have no
-// log and ignore it.
-func WithOpenParallelism(n int) Option {
-	return func(e *Executor) { e.openParallel = n }
-}
-
 // WithMergePolicy sets the checkpoint tier-compaction policy of the
 // durability log NewDurable opens (see provlog.MergePolicy): how many
 // LSM-style checkpoint tiers may accumulate and how steeply their sizes
@@ -131,15 +114,13 @@ func WithFlakyPolicy(p FlakyPolicy) Option {
 // Executor mediates every instance execution for the debugging algorithms.
 // It is safe for concurrent use.
 type Executor struct {
-	oracle       Oracle
-	store        *provenance.Store
-	workers      int
-	log          *provlog.Log     // non-nil for durable executors (NewDurable)
-	logOpts      []provlog.Option // collected by WithLogOptions for NewDurable
-	storeShards  int              // hash-range shards of the store NewDurable rebuilds
-	openParallel int              // checkpoint-decode goroutines for NewDurable's open
-	tel          *Telemetry       // nil when uninstrumented (the fast path)
-	flaky        FlakyPolicy      // quorum policy; zero value = deterministic path
+	oracle  Oracle
+	store   *provenance.Store
+	workers int
+	log     *provlog.Log     // non-nil for durable executors (NewDurable)
+	logOpts []provlog.Option // collected by WithLogOptions for NewDurable
+	tel     *Telemetry       // nil when uninstrumented (the fast path)
+	flaky   FlakyPolicy      // quorum policy; zero value = deterministic path
 
 	mu     sync.Mutex
 	budget int // remaining new executions; negative = unlimited
@@ -165,11 +146,11 @@ func New(oracle Oracle, store *provenance.Store, opts ...Option) *Executor {
 		store.SetTrialPolicy(e.flaky)
 	}
 	if e.tel != nil {
-		// Extend the instrumentation down into the store: per-shard record
-		// gauges, epoch refresh/staleness, index-build timing. The executor
-		// owns the evaluation session, so attaching here keeps one
-		// WithTelemetry option the single switch for the whole stack.
-		store.SetMetrics(provenance.NewMetrics(e.tel.reg, e.tel.journal, store.Shards()))
+		// Extend the instrumentation down into the store: the record gauge
+		// and index-build timing. The executor owns the evaluation session,
+		// so attaching here keeps one WithTelemetry option the single
+		// switch for the whole stack.
+		store.SetMetrics(provenance.NewMetrics(e.tel.reg))
 	}
 	return e
 }
@@ -191,12 +172,6 @@ func NewDurable(oracle Oracle, space *pipeline.Space, dir string, opts ...Option
 		if err := cfg.flaky.Validate(); err != nil {
 			return nil, fmt.Errorf("exec: %w", err)
 		}
-	}
-	if cfg.storeShards > 1 {
-		cfg.logOpts = append(cfg.logOpts, provlog.WithStoreShards(cfg.storeShards))
-	}
-	if cfg.openParallel != 0 {
-		cfg.logOpts = append(cfg.logOpts, provlog.WithOpenParallelism(cfg.openParallel))
 	}
 	if cfg.tel != nil {
 		cfg.logOpts = append(cfg.logOpts, provlog.WithMetrics(provlog.NewMetrics(cfg.tel.reg, cfg.tel.journal)))

@@ -294,7 +294,7 @@ func TestFlakyQuorumRaceStress(t *testing.T) {
 		}
 		return pipeline.Fail, nil
 	})
-	ex := New(oracle, provenance.NewStoreSharded(s, 4), WithFlakyPolicy(policy))
+	ex := New(oracle, provenance.NewStore(s), WithFlakyPolicy(policy))
 
 	var ins []pipeline.Instance
 	for a := 1; a <= 4; a++ {

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -24,10 +23,9 @@ import (
 // order, and the budget spent. The two rand seeds are split so the twin
 // sessions sample identical instances regardless of oracle wrapping.
 func runFlakySession(t *testing.T, dir string, sp *synth.Pipeline, oracle exec.Oracle,
-	shards int, historySeed, algoSeed int64, opts ...exec.Option) (predicate.DNF, []provenance.Record, int) {
+	historySeed, algoSeed int64, opts ...exec.Option) (predicate.DNF, []provenance.Record, int) {
 	t.Helper()
 	ctx := context.Background()
-	opts = append(opts, exec.WithStoreShards(shards))
 	ex, err := exec.NewDurable(oracle, sp.Space, dir, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +43,7 @@ func runFlakySession(t *testing.T, dir string, sp *synth.Pipeline, oracle exec.O
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := ex.Store().Snapshot().Records()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	return got, recs, ex.Spent()
+	return got, ex.Store().Records(), ex.Spent()
 }
 
 // TestFlakyDifferentialNoiseZero is the differential guarantee of the
@@ -55,45 +51,43 @@ func runFlakySession(t *testing.T, dir string, sp *synth.Pipeline, oracle exec.O
 // minimal policy (one trial resolves), must produce exactly the
 // deterministic twin's provenance record stream — same instances, same
 // outcomes, same sequence numbers, same sources — and recover identical
-// root causes, across randomized pipeline seeds and store shard counts.
+// root causes, across randomized pipeline seeds.
 func TestFlakyDifferentialNoiseZero(t *testing.T) {
 	for _, seed := range []int64{11, 29} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
-				sp, err := synth.Generate(rand.New(rand.NewSource(seed)), smallSynth, synth.SingleTriple)
-				if err != nil {
-					t.Fatal(err)
-				}
-				detDNF, detRecs, detSpent := runFlakySession(t, t.TempDir(), sp,
-					sp.Oracle(), shards, seed*3+1, seed*5+2)
-				// Noise zero: the flaky oracle wrapper is attached but never
-				// corrupts; the policy resolves every instance on its first
-				// vote.
-				noiseless := sp.FlakyOracle(synth.FlakyConfig{Seed: uint64(seed)})
-				flakyDNF, flakyRecs, flakySpent := runFlakySession(t, t.TempDir(), sp,
-					noiseless, shards, seed*3+1, seed*5+2,
-					exec.WithFlakyPolicy(exec.FlakyPolicy{MinTrials: 1, MaxTrials: 3, Quorum: 1}))
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			sp, err := synth.Generate(rand.New(rand.NewSource(seed)), smallSynth, synth.SingleTriple)
+			if err != nil {
+				t.Fatal(err)
+			}
+			detDNF, detRecs, detSpent := runFlakySession(t, t.TempDir(), sp,
+				sp.Oracle(), seed*3+1, seed*5+2)
+			// Noise zero: the flaky oracle wrapper is attached but never
+			// corrupts; the policy resolves every instance on its first
+			// vote.
+			noiseless := sp.FlakyOracle(synth.FlakyConfig{Seed: uint64(seed)})
+			flakyDNF, flakyRecs, flakySpent := runFlakySession(t, t.TempDir(), sp,
+				noiseless, seed*3+1, seed*5+2,
+				exec.WithFlakyPolicy(exec.FlakyPolicy{MinTrials: 1, MaxTrials: 3, Quorum: 1}))
 
-				if detDNF.String() != flakyDNF.String() {
-					t.Fatalf("root causes diverged:\n det  %v\nflaky %v", detDNF, flakyDNF)
+			if detDNF.String() != flakyDNF.String() {
+				t.Fatalf("root causes diverged:\n det  %v\nflaky %v", detDNF, flakyDNF)
+			}
+			if detSpent != flakySpent {
+				t.Fatalf("budget diverged: det %d, flaky %d", detSpent, flakySpent)
+			}
+			if noiseless.Flips() != 0 {
+				t.Fatalf("noise-zero oracle flipped %d verdicts", noiseless.Flips())
+			}
+			if len(detRecs) != len(flakyRecs) {
+				t.Fatalf("record streams diverged: det %d records, flaky %d", len(detRecs), len(flakyRecs))
+			}
+			for i := range detRecs {
+				d, f := detRecs[i], flakyRecs[i]
+				if d.Seq != f.Seq || d.Outcome != f.Outcome || d.Source != f.Source || !d.Instance.Equal(f.Instance) {
+					t.Fatalf("record %d diverged:\n det  %+v\nflaky %+v", i, d, f)
 				}
-				if detSpent != flakySpent {
-					t.Fatalf("budget diverged: det %d, flaky %d", detSpent, flakySpent)
-				}
-				if noiseless.Flips() != 0 {
-					t.Fatalf("noise-zero oracle flipped %d verdicts", noiseless.Flips())
-				}
-				if len(detRecs) != len(flakyRecs) {
-					t.Fatalf("record streams diverged: det %d records, flaky %d", len(detRecs), len(flakyRecs))
-				}
-				for i := range detRecs {
-					d, f := detRecs[i], flakyRecs[i]
-					if d.Seq != f.Seq || d.Outcome != f.Outcome || d.Source != f.Source || !d.Instance.Equal(f.Instance) {
-						t.Fatalf("record %d diverged:\n det  %+v\nflaky %+v", i, d, f)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -107,8 +101,8 @@ func TestFlakyDisabledPolicyWALBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	plainDir, zeroDir := t.TempDir(), t.TempDir()
-	runFlakySession(t, plainDir, sp, sp.Oracle(), 1, 51, 52)
-	runFlakySession(t, zeroDir, sp, sp.Oracle(), 1, 51, 52,
+	runFlakySession(t, plainDir, sp, sp.Oracle(), 51, 52)
+	runFlakySession(t, zeroDir, sp, sp.Oracle(), 51, 52,
 		exec.WithFlakyPolicy(exec.FlakyPolicy{}))
 
 	plainSegs, err := filepath.Glob(filepath.Join(plainDir, "wal-*.seg"))

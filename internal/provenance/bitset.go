@@ -103,56 +103,3 @@ func (b bitset) forEach(f func(int) bool) {
 		}
 	}
 }
-
-// limitWords returns how many whole words of b lie below position limit and
-// a mask selecting the in-limit bits of the following partial word (zero
-// when limit falls on a word boundary or past b). The epoch queries use the
-// pair to evaluate bitset algebra against a horizon prefix without copying.
-func (b bitset) limitWords(limit int) (whole int, partial uint64) {
-	if limit >= len(b)<<6 {
-		return len(b), 0
-	}
-	if limit <= 0 {
-		return 0, 0
-	}
-	return limit >> 6, (1 << (uint(limit) & 63)) - 1
-}
-
-// andCountLimit returns the number of positions below limit set in both b
-// and o.
-func (b bitset) andCountLimit(o bitset, limit int) int {
-	n := len(b)
-	if len(o) < n {
-		n = len(o)
-	}
-	whole, partial := bitset(b[:n]).limitWords(limit)
-	c := 0
-	for i := 0; i < whole; i++ {
-		c += bits.OnesCount64(b[i] & o[i])
-	}
-	if partial != 0 && whole < n {
-		c += bits.OnesCount64(b[whole] & o[whole] & partial)
-	}
-	return c
-}
-
-// firstLimit returns the lowest set bit below limit, or ok=false when none
-// exists.
-func (b bitset) firstLimit(limit int) (int, bool) {
-	pos, ok := b.first()
-	if !ok || pos >= limit {
-		return 0, false
-	}
-	return pos, true
-}
-
-// forEachLimit calls f on every set bit below limit in ascending order
-// until f returns false.
-func (b bitset) forEachLimit(limit int, f func(int) bool) {
-	b.forEach(func(pos int) bool {
-		if pos >= limit {
-			return false
-		}
-		return f(pos)
-	})
-}

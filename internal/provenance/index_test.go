@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -98,6 +99,46 @@ func naiveMutuallyDisjointSucceeding(st *Store, ref pipeline.Instance, k int, pa
 	return chosen
 }
 
+func naiveOutcomes(st *Store) (succeed, fail int) {
+	return naiveCountSatisfying(st, nil)
+}
+
+func naiveByOutcome(st *Store, out pipeline.Outcome) []pipeline.Instance {
+	var res []pipeline.Instance
+	for _, r := range st.Records() {
+		if r.Outcome == out {
+			res = append(res, r.Instance)
+		}
+	}
+	return res
+}
+
+func naiveFirstFailing(st *Store) (pipeline.Instance, bool) {
+	if fs := naiveByOutcome(st, pipeline.Fail); len(fs) > 0 {
+		return fs[0], true
+	}
+	return pipeline.Instance{}, false
+}
+
+func naiveMostDifferentSucceeding(st *Store, ref pipeline.Instance) (pipeline.Instance, bool) {
+	best, bestDiff := pipeline.Instance{}, -1
+	for _, in := range naiveByOutcome(st, pipeline.Succeed) {
+		if d := in.DiffCount(ref); d > bestDiff {
+			best, bestDiff = in, d
+		}
+	}
+	return best, bestDiff >= 0
+}
+
+func naiveLookup(st *Store, in pipeline.Instance) (pipeline.Outcome, bool) {
+	for _, r := range st.Records() {
+		if r.Instance.Equal(in) {
+			return r.Outcome, true
+		}
+	}
+	return pipeline.OutcomeUnknown, false
+}
+
 // randomProvenanceSpace builds a small randomized mixed-kind space.
 func randomProvenanceSpace(t *testing.T, r *rand.Rand) *pipeline.Space {
 	t.Helper()
@@ -173,6 +214,57 @@ func randomConjunction(r *rand.Rand, s *pipeline.Space) predicate.Conjunction {
 	return c
 }
 
+// randomOutcome draws Succeed or Fail, and now and then an inconclusive
+// quorum tie, which joins neither outcome index.
+func randomOutcome(r *rand.Rand) pipeline.Outcome {
+	switch r.Intn(8) {
+	case 0:
+		return pipeline.OutcomeInconclusive
+	case 1, 2, 3:
+		return pipeline.Fail
+	}
+	return pipeline.Succeed
+}
+
+// fillMixedHistory drives a randomized history into st — a mix of single
+// Adds and AddBatches, with duplicates against history and within batches
+// sprinkled in — and returns the recorded instances in recording order.
+func fillMixedHistory(t *testing.T, r *rand.Rand, s *pipeline.Space, st *Store) []pipeline.Instance {
+	t.Helper()
+	var ins []pipeline.Instance
+	for step := 3 + r.Intn(6); step > 0; step-- {
+		if r.Intn(2) == 0 {
+			entries := make([]Entry, 1+r.Intn(12))
+			for j := range entries {
+				entries[j] = Entry{Instance: s.RandomInstance(r), Outcome: randomOutcome(r), Source: fmt.Sprintf("s%d", step)}
+			}
+			before := st.Len()
+			added, err := st.AddBatch(entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Len() != before+added {
+				t.Fatalf("AddBatch reported %d added, store grew by %d", added, st.Len()-before)
+			}
+			for _, rec := range st.Records()[before:] {
+				ins = append(ins, rec.Instance)
+			}
+			continue
+		}
+		for draws := 1 + r.Intn(8); draws > 0; draws-- {
+			in := s.RandomInstance(r)
+			_, dup := st.Lookup(in)
+			if err := st.Add(in, randomOutcome(r), "add"); (err == nil) == dup {
+				t.Fatalf("Add(%v) = %v with the instance recorded: %v", in, err, dup)
+			}
+			if !dup {
+				ins = append(ins, in)
+			}
+		}
+	}
+	return ins
+}
+
 func sameInstances(a, b []pipeline.Instance) bool {
 	if len(a) != len(b) {
 		return false
@@ -185,14 +277,45 @@ func sameInstances(a, b []pipeline.Instance) bool {
 	return true
 }
 
+// TestIndexedQueriesMatchLinearScans drives randomized histories of Adds
+// and AddBatches and requires every indexed query to match its linear-scan
+// reference over the log.
 func TestIndexedQueriesMatchLinearScans(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 150; trial++ {
 		s := randomProvenanceSpace(t, r)
 		st := NewStore(s)
-		ins := fillRandomStore(t, r, s, st, 5+r.Intn(40))
+		ins := fillMixedHistory(t, r, s, st)
 		if len(ins) == 0 {
 			continue
+		}
+		if st.Len() != len(ins) {
+			t.Fatalf("trial %d: Len = %d, recorded %d", trial, st.Len(), len(ins))
+		}
+
+		gs, gf := st.Outcomes()
+		if ws, wf := naiveOutcomes(st); gs != ws || gf != wf {
+			t.Fatalf("trial %d: Outcomes = (%d,%d), linear scan (%d,%d)", trial, gs, gf, ws, wf)
+		}
+		if !sameInstances(st.Failing(), naiveByOutcome(st, pipeline.Fail)) {
+			t.Fatalf("trial %d: Failing diverges from linear scan", trial)
+		}
+		if !sameInstances(st.Succeeding(), naiveByOutcome(st, pipeline.Succeed)) {
+			t.Fatalf("trial %d: Succeeding diverges from linear scan", trial)
+		}
+		gin, gok := st.FirstFailing()
+		if win, wok := naiveFirstFailing(st); gok != wok || (gok && !gin.Equal(win)) {
+			t.Fatalf("trial %d: FirstFailing = (%v,%v), linear scan (%v,%v)", trial, gin, gok, win, wok)
+		}
+		for probe := 0; probe < 10; probe++ {
+			in := ins[r.Intn(len(ins))]
+			if probe%2 == 1 {
+				in = s.RandomInstance(r) // recorded or not
+			}
+			gout, gok := st.Lookup(in)
+			if wout, wok := naiveLookup(st, in); gout != wout || gok != wok {
+				t.Fatalf("trial %d: Lookup(%v) = (%v,%v), linear scan (%v,%v)", trial, in, gout, gok, wout, wok)
+			}
 		}
 
 		for probe := 0; probe < 10; probe++ {
@@ -215,6 +338,11 @@ func TestIndexedQueriesMatchLinearScans(t *testing.T) {
 			ref := ins[r.Intn(len(ins))]
 			if !sameInstances(st.DisjointSucceeding(ref), naiveDisjointSucceeding(st, ref)) {
 				t.Fatalf("trial %d: DisjointSucceeding(%v) diverges from linear scan", trial, ref)
+			}
+			gin, gok := st.MostDifferentSucceeding(ref)
+			if win, wok := naiveMostDifferentSucceeding(st, ref); gok != wok || (gok && !gin.Equal(win)) {
+				t.Fatalf("trial %d: MostDifferentSucceeding(%v) = (%v,%v), linear scan (%v,%v)",
+					trial, ref, gin, gok, win, wok)
 			}
 			k := 1 + r.Intn(5)
 			pad := r.Intn(2) == 0

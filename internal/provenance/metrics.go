@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/telemetry"
@@ -12,90 +11,38 @@ import (
 // SetSink contract); a nil *Metrics — the default — is the uninstrumented
 // fast path.
 //
-// Per-shard record counts cost nothing on the write path: they are
-// callback gauges over the shards' existing committed counters, evaluated
-// only at snapshot time. The epoch instrumentation does touch the query
-// path — a staleness observation per Epoch capture and a refresh counter
-// per snapshot rebuild — but each is one or two atomic adds on an
-// already-lock-free path.
+// The record count costs nothing on the write path: it is a callback gauge
+// over the store's length, evaluated only at snapshot time. The one
+// histogram times the deferred base-index build, which runs at most once
+// per checkpoint load.
 type Metrics struct {
-	reg     *telemetry.Registry
-	journal *telemetry.Journal
-
-	epochRefreshes *telemetry.Counter
-	epochStaleness *telemetry.Histogram // records behind at query time, striped by shard
-	indexBuildNs   *telemetry.Histogram // deferred base-index build duration
+	reg          *telemetry.Registry
+	indexBuildNs *telemetry.Histogram // deferred base-index build duration
 }
 
 // NewMetrics registers the store's metrics in reg (under provenance_*
-// names) and emits epoch-refresh span events to journal. Either argument
-// may be nil; NewMetrics(nil, nil) returns nil, the uninstrumented store.
-// shards sizes the staleness histogram's stripe count.
-func NewMetrics(reg *telemetry.Registry, journal *telemetry.Journal, shards int) *Metrics {
-	if reg == nil && journal == nil {
+// names). NewMetrics(nil) returns nil, the uninstrumented store.
+func NewMetrics(reg *telemetry.Registry) *Metrics {
+	if reg == nil {
 		return nil
 	}
-	if shards < 1 {
-		shards = 1
-	}
 	return &Metrics{
-		reg:            reg,
-		journal:        journal,
-		epochRefreshes: reg.Counter("provenance_epoch_refreshes"),
-		epochStaleness: reg.HistogramStripes("provenance_epoch_staleness", shards),
-		indexBuildNs:   reg.Histogram("provenance_index_build_ns"),
+		reg:          reg,
+		indexBuildNs: reg.Histogram("provenance_index_build_ns"),
 	}
 }
 
-// SetMetrics attaches an instrumentation bundle and registers one callback
-// gauge per shard (provenance_shard<i>_records) plus the total record
-// count (provenance_records), all reading the shards' committed counters
-// lock-free at snapshot time. Like SetSink, SetMetrics is not meant to
-// race with Adds: attach before handing the store to the executor. Passing
-// nil detaches (already-registered gauges keep reporting).
+// SetMetrics attaches an instrumentation bundle and registers the record
+// count gauge (provenance_records), which reads the store's length at
+// snapshot time. Like SetSink, SetMetrics is not meant to race with Adds:
+// attach before handing the store to the executor. Passing nil detaches
+// (an already-registered gauge keeps reporting).
 func (st *Store) SetMetrics(m *Metrics) {
 	st.met = m
-	if m == nil || m.reg == nil {
-		return
-	}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		m.reg.GaugeFunc(fmt.Sprintf("provenance_shard%d_records", i), func() int64 {
-			return sh.committed.Load()
-		})
-	}
-	m.reg.GaugeFunc("provenance_records", func() int64 {
-		var n int64
-		for i := range st.shards {
-			n += st.shards[i].committed.Load()
-		}
-		return n
-	})
-}
-
-// epochServed records one epoch query serving a published snapshot that is
-// behind the shard's committed count by `stale` records (0 when current).
-func (m *Metrics) epochServed(shardIdx int, stale int64) {
 	if m == nil {
 		return
 	}
-	m.epochStaleness.ObserveAt(shardIdx, stale)
-}
-
-// epochRefreshed records one snapshot rebuild: counter, journal span.
-func (m *Metrics) epochRefreshed(shardIdx, from, to int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.epochRefreshes.Inc()
-	if m.journal != nil {
-		m.journal.Emit("epoch_refresh",
-			telemetry.Int("shard", int64(shardIdx)),
-			telemetry.Int("from", int64(from)),
-			telemetry.Int("to", int64(to)),
-			telemetry.Dur("dur_ns", d),
-		)
-	}
+	m.reg.GaugeFunc("provenance_records", func() int64 { return int64(st.Len()) })
 }
 
 // indexBuilt records one deferred base-index build.

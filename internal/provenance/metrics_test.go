@@ -1,7 +1,7 @@
 package provenance
 
 import (
-	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -21,69 +21,47 @@ func metricsTestSpace(t *testing.T) *pipeline.Space {
 	)
 }
 
-func TestStoreMetricsGaugesAndEpoch(t *testing.T) {
+func TestStoreMetricsGauges(t *testing.T) {
 	s := metricsTestSpace(t)
-	st := NewStoreSharded(s, 4)
+	st := NewStore(s)
 	reg := telemetry.NewRegistry()
-	st.SetMetrics(NewMetrics(reg, nil, st.Shards()))
+	st.SetMetrics(NewMetrics(reg))
 
 	n := 0
 	for _, av := range s.Domain("a") {
 		for _, bv := range s.Domain("b") {
-			in := pipeline.MustInstance(s, av, bv)
 			out := pipeline.Succeed
 			if n%3 == 0 {
 				out = pipeline.Fail
 			}
-			if err := st.Add(in, out, "test"); err != nil {
+			if err := st.Add(pipeline.MustInstance(s, av, bv), out, "test"); err != nil {
 				t.Fatal(err)
 			}
 			n++
 		}
 	}
-
-	// Per-shard gauges read the live committed counters and sum to Len.
-	snap := reg.Snapshot()
-	var sum int64
-	for i := 0; i < st.Shards(); i++ {
-		v, ok := snap.Gauges[fmt.Sprintf("provenance_shard%d_records", i)]
-		if !ok {
-			t.Fatalf("missing gauge for shard %d", i)
-		}
-		sum += v
+	// The record gauge reads the live log length.
+	if got := reg.Snapshot().Gauges["provenance_records"]; got != int64(st.Len()) {
+		t.Errorf("record gauge = %d, want %d", got, st.Len())
 	}
-	if sum != int64(st.Len()) {
-		t.Errorf("shard gauges sum to %d, store has %d", sum, st.Len())
-	}
-	if got := snap.Gauges["provenance_records"]; got != int64(st.Len()) {
-		t.Errorf("total gauge = %d, want %d", got, st.Len())
-	}
-
-	// First Epoch builds every non-empty shard's snapshot; a second over a
-	// quiescent store serves the published ones with zero staleness.
-	if st.Epoch().Len() != st.Len() {
-		t.Fatal("epoch misses records")
-	}
-	st.Epoch()
-	snap = reg.Snapshot()
-	if snap.Counters["provenance_epoch_refreshes"] == 0 {
-		t.Error("no epoch refreshes counted")
-	}
-	stale := snap.Histograms["provenance_epoch_staleness"]
-	if stale.Count == 0 {
-		t.Error("no staleness observations")
-	}
-
-	// More writes make the published epochs stale; refresh count grows.
-	before := snap.Counters["provenance_epoch_refreshes"]
 	if err := st.Add(pipeline.MustInstance(s, pipeline.Ord(100), pipeline.Ord(1)), pipeline.Succeed, "test"); err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch().Len() != st.Len() {
-		t.Fatal("refreshed epoch misses the new record")
+	if got := reg.Snapshot().Gauges["provenance_records"]; got != int64(n+1) {
+		t.Errorf("record gauge = %d after one more Add, want %d", got, n+1)
 	}
-	if after := reg.Snapshot().Counters["provenance_epoch_refreshes"]; after <= before {
-		t.Errorf("epoch refreshes did not grow: %d -> %d", before, after)
+
+	// A checkpoint-loaded store times its one deferred base-index build.
+	loaded := NewStore(s)
+	loaded.SetMetrics(NewMetrics(reg))
+	recs, runs := buildSortedRuns(rand.New(rand.NewSource(1)), st, 2)
+	if err := loaded.LoadSortedRuns(recs, runs); err != nil {
+		t.Fatal(err)
+	}
+	loaded.Outcomes()
+	loaded.Outcomes()
+	if got := reg.Snapshot().Histograms["provenance_index_build_ns"].Count; got != 1 {
+		t.Errorf("index builds observed = %d, want 1", got)
 	}
 }
 
@@ -91,18 +69,16 @@ func TestSetMetricsNilSafe(t *testing.T) {
 	s := metricsTestSpace(t)
 	st := NewStore(s)
 	st.SetMetrics(nil)
-	if NewMetrics(nil, nil, 1) != nil {
-		t.Fatal("NewMetrics(nil, nil) should return nil")
+	if NewMetrics(nil) != nil {
+		t.Fatal("NewMetrics(nil) should return nil")
 	}
 	var m *Metrics
-	m.epochServed(0, 1)
-	m.epochRefreshed(0, 0, 1, 0)
 	m.indexBuilt(0)
 	in := pipeline.MustInstance(s, pipeline.Ord(1), pipeline.Ord(1))
 	if err := st.Add(in, pipeline.Fail, "test"); err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch().Len() != 1 {
-		t.Fatal("epoch over uninstrumented store broken")
+	if succ, fail := st.Outcomes(); succ != 0 || fail != 1 {
+		t.Fatalf("Outcomes over uninstrumented store = (%d,%d)", succ, fail)
 	}
 }

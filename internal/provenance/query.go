@@ -1,33 +1,27 @@
 package provenance
 
 import (
-	"sort"
-
 	"repro/internal/pipeline"
 	"repro/internal/predicate"
 )
 
 // This file holds the store's read side: snapshots and the history queries
-// the BugDoc algorithms run. Per-shard work happens under each shard's
-// read lock with the indices the shard maintains over local positions;
-// cross-shard results are merged on the records' global sequence numbers,
-// so every query returns exactly what a single-shard store would.
+// the BugDoc algorithms run. Every query holds the store's read lock over
+// the indices it reads, so it answers over exactly the committed log.
 
 // Snapshot is a point-in-time, read-only view of a store's log. Because the
-// log is append-only and records are immutable, a single-shard snapshot is
-// just the log prefix at capture time — taking one copies nothing and later
-// Adds never disturb it. A sharded snapshot merges the shards' slices back
-// into sequence order, truncated to the dense committed prefix (a record
-// whose lower-sequence sibling on another shard is still in flight commits,
-// conceptually, after the capture point).
+// log is append-only and records are immutable, a snapshot is just the log
+// prefix at capture time — taking one copies nothing and later Adds never
+// disturb it.
 type Snapshot struct {
 	recs []Record
 }
 
-// Snapshot captures the current log as a read-only view (zero-copy on
-// single-shard stores).
+// Snapshot captures the current log as a read-only view, without copying.
 func (st *Store) Snapshot() Snapshot {
-	return Snapshot{recs: st.orderedLog()}
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return Snapshot{recs: st.recs[:len(st.recs):len(st.recs)]}
 }
 
 // Len returns the number of records in the snapshot.
@@ -41,130 +35,51 @@ func (sn Snapshot) At(i int) Record { return sn.recs[i] }
 func (sn Snapshot) Records() []Record { return sn.recs }
 
 // Records returns a copy of the log in execution order. Bulk read-only
-// consumers of single-shard stores should prefer Snapshot, which does not
-// copy.
+// consumers should prefer Snapshot, which does not copy.
 func (st *Store) Records() []Record {
-	if len(st.shards) == 1 {
-		sh := &st.shards[0]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		out := make([]Record, len(sh.recs))
-		copy(out, sh.recs)
-		return out
-	}
-	return st.orderedLog()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	out := make([]Record, len(st.recs))
+	copy(out, st.recs)
+	return out
 }
 
-// orderedLog returns the committed log in sequence order: the shard's own
-// slice (capped, zero-copy) on single-shard stores, a merged copy
-// truncated to the dense sequence prefix otherwise. Shard slices are
-// append-only, so aliasing them under the read lock is safe — records
-// already captured never move.
-func (st *Store) orderedLog() []Record {
-	if len(st.shards) == 1 {
-		sh := &st.shards[0]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.recs[:len(sh.recs):len(sh.recs)]
+// rlockIndexed read-locks the store with every index built: a deferred
+// base index still pending is built first, off-lock. Every query that
+// reads the outcome or posting indices takes its read lock through here.
+func (st *Store) rlockIndexed() {
+	st.mu.RLock()
+	for st.baseUnindexed > 0 {
+		st.mu.RUnlock()
+		st.ensureIndexed()
+		st.mu.RLock()
 	}
-	parts := make([][]Record, len(st.shards))
-	maxSeq := -1
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		parts[i] = sh.recs[:len(sh.recs):len(sh.recs)]
-		sh.mu.RUnlock()
-		if n := len(parts[i]); n > 0 && parts[i][n-1].Seq > maxSeq {
-			maxSeq = parts[i][n-1].Seq
-		}
-	}
-	out := make([]Record, maxSeq+1)
-	for _, p := range parts {
-		for _, r := range p {
-			out[r.Seq] = r
-		}
-	}
-	n := 0
-	for n < len(out) && out[n].Instance.IsValid() {
-		n++
-	}
-	return out[:n]
 }
 
 // Outcomes counts succeeding and failing records.
 func (st *Store) Outcomes() (succeed, fail int) {
-	st.ensureIndexed()
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		succeed += len(sh.succSeqs)
-		fail += len(sh.failSeqs)
-		sh.mu.RUnlock()
-	}
-	return succeed, fail
-}
-
-// seqInst pairs a global sequence number with its instance for the
-// cross-shard merges that restore execution order.
-type seqInst struct {
-	seq int
-	in  pipeline.Instance
-}
-
-// orderInstances sorts the gathered pairs by sequence and projects the
-// instances. Single-shard gathers arrive already ordered and skip the
-// sort.
-func (st *Store) orderInstances(pairs []seqInst) []pipeline.Instance {
-	if len(pairs) == 0 {
-		return nil
-	}
-	if len(st.shards) > 1 {
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].seq < pairs[b].seq })
-	}
-	out := make([]pipeline.Instance, len(pairs))
-	for i := range pairs {
-		out[i] = pairs[i].in
-	}
-	return out
+	st.rlockIndexed()
+	defer st.mu.RUnlock()
+	return len(st.succSeqs), len(st.failSeqs)
 }
 
 // byOutcome returns the instances with the given outcome in execution
-// order. The single-shard case projects the ordered position list
-// directly — one output allocation, like the historic store.
+// order, projected from the ordered position list.
 func (st *Store) byOutcome(out pipeline.Outcome) []pipeline.Instance {
-	st.ensureIndexed()
-	if len(st.shards) == 1 {
-		sh := &st.shards[0]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		list := sh.succSeqs
-		if out == pipeline.Fail {
-			list = sh.failSeqs
-		}
-		if len(list) == 0 {
-			return nil
-		}
-		res := make([]pipeline.Instance, len(list))
-		for i, pos := range list {
-			res[i] = sh.recs[pos].Instance
-		}
-		return res
+	st.rlockIndexed()
+	defer st.mu.RUnlock()
+	list := st.succSeqs
+	if out == pipeline.Fail {
+		list = st.failSeqs
 	}
-	var pairs []seqInst
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		list := sh.succSeqs
-		if out == pipeline.Fail {
-			list = sh.failSeqs
-		}
-		for _, pos := range list {
-			r := &sh.recs[pos]
-			pairs = append(pairs, seqInst{seq: r.Seq, in: r.Instance})
-		}
-		sh.mu.RUnlock()
+	if len(list) == 0 {
+		return nil
 	}
-	return st.orderInstances(pairs)
+	res := make([]pipeline.Instance, len(list))
+	for i, pos := range list {
+		res[i] = st.recs[pos].Instance
+	}
+	return res
 }
 
 // Failing returns the failing instances in execution order.
@@ -176,55 +91,35 @@ func (st *Store) Succeeding() []pipeline.Instance { return st.byOutcome(pipeline
 // FirstFailing returns the earliest failing instance, the natural CP_f for
 // the Shortcut algorithms.
 func (st *Store) FirstFailing() (pipeline.Instance, bool) {
-	st.ensureIndexed()
-	best, bestSeq := pipeline.Instance{}, -1
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		if len(sh.failSeqs) > 0 {
-			r := &sh.recs[sh.failSeqs[0]]
-			if bestSeq < 0 || r.Seq < bestSeq {
-				best, bestSeq = r.Instance, r.Seq
-			}
-		}
-		sh.mu.RUnlock()
+	st.rlockIndexed()
+	defer st.mu.RUnlock()
+	if len(st.failSeqs) == 0 {
+		return pipeline.Instance{}, false
 	}
-	return best, bestSeq >= 0
-}
-
-// disjointSucceedingBitsLocked computes the shard's succeeding records
-// sharing no parameter value with ref: the succeeding bitset minus the
-// union of ref's per-parameter posting lists. The caller holds the shard's
-// read lock.
-func (st *Store) disjointSucceedingBitsLocked(sh *shard, ref pipeline.Instance) bitset {
-	mask := sh.succBits.clone()
-	for i := 0; i < st.space.Len(); i++ {
-		if c := int(ref.Code(i)); c < len(sh.posting[i]) {
-			mask.andNotWith(sh.posting[i][c])
-		}
-	}
-	return mask
+	return st.recs[st.failSeqs[0]].Instance, true
 }
 
 // DisjointSucceeding returns the succeeding instances disjoint from ref
-// (Definition 6), in execution order.
+// (Definition 6), in execution order: the succeeding bitset minus the
+// union of ref's per-parameter posting lists.
 func (st *Store) DisjointSucceeding(ref pipeline.Instance) []pipeline.Instance {
 	if ref.Space() != st.space {
 		return nil // instances over different spaces are never disjoint
 	}
-	st.ensureIndexed()
-	var pairs []seqInst
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		st.disjointSucceedingBitsLocked(sh, ref).forEach(func(pos int) bool {
-			r := &sh.recs[pos]
-			pairs = append(pairs, seqInst{seq: r.Seq, in: r.Instance})
-			return true
-		})
-		sh.mu.RUnlock()
+	st.rlockIndexed()
+	defer st.mu.RUnlock()
+	mask := st.succBits.clone()
+	for i := 0; i < st.space.Len(); i++ {
+		if c := int(ref.Code(i)); c < len(st.posting[i]) {
+			mask.andNotWith(st.posting[i][c])
+		}
 	}
-	return st.orderInstances(pairs)
+	var out []pipeline.Instance
+	mask.forEach(func(pos int) bool {
+		out = append(out, st.recs[pos].Instance)
+		return true
+	})
+	return out
 }
 
 // MostDifferentSucceeding returns the succeeding instance differing from
@@ -237,18 +132,14 @@ func (st *Store) MostDifferentSucceeding(ref pipeline.Instance) (pipeline.Instan
 	if ref.Space() != st.space {
 		return pipeline.Instance{}, false
 	}
-	st.ensureIndexed()
-	best, bestDiff, bestSeq := pipeline.Instance{}, -1, -1
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, pos := range sh.succSeqs {
-			r := &sh.recs[pos]
-			if d := r.Instance.DiffCount(ref); d > bestDiff || (d == bestDiff && r.Seq < bestSeq) {
-				best, bestDiff, bestSeq = r.Instance, d, r.Seq
-			}
+	st.rlockIndexed()
+	defer st.mu.RUnlock()
+	best, bestDiff := pipeline.Instance{}, -1
+	for _, pos := range st.succSeqs {
+		in := st.recs[pos].Instance
+		if d := in.DiffCount(ref); d > bestDiff {
+			best, bestDiff = in, d
 		}
-		sh.mu.RUnlock()
 	}
 	return best, bestDiff >= 0
 }
@@ -264,13 +155,7 @@ func (st *Store) MutuallyDisjointSucceeding(ref pipeline.Instance, k int, pad bo
 	if ref.Space() != st.space {
 		return nil
 	}
-	return mutuallyDisjointFrom(st.Succeeding(), ref, k, pad)
-}
-
-// mutuallyDisjointFrom runs the greedy CP_G selection over an
-// execution-ordered succeeding set; the Store and Epoch variants of
-// MutuallyDisjointSucceeding differ only in where that set comes from.
-func mutuallyDisjointFrom(succ []pipeline.Instance, ref pipeline.Instance, k int, pad bool) []pipeline.Instance {
+	succ := st.Succeeding()
 	var chosen []pipeline.Instance
 	used := make(map[int]bool)
 	for idx, in := range succ {
@@ -322,50 +207,46 @@ func mutuallyDisjointFrom(succ []pipeline.Instance, ref pipeline.Instance, k int
 	return chosen
 }
 
-// tripleBitsLocked returns the shard's records satisfying t as a bitset:
-// the union of the posting lists of every interned value of t's parameter
-// that satisfies the comparison. Only O(distinct values) Holds evaluations
-// run, never O(records). ok=false means no record can satisfy t (unknown
+// tripleBitsLocked returns the records satisfying t as a bitset: the union
+// of the posting lists of every interned value of t's parameter that
+// satisfies the comparison. Only O(distinct values) Holds evaluations run,
+// never O(records). ok=false means no record can satisfy t (unknown
 // parameter), matching Triple.Satisfied on unknown parameters. The caller
-// holds the shard's read lock.
-func (st *Store) tripleBitsLocked(sh *shard, t predicate.Triple) (bitset, bool) {
-	return tripleBitsOver(st.space, sh.posting, t)
-}
-
-// tripleBitsOver is the posting-table core of tripleBitsLocked, shared
-// with the epoch read path: the caller supplies whichever posting table —
-// live shard indices under the read lock, or an immutable epoch's copy —
-// the query runs against.
-func tripleBitsOver(space *pipeline.Space, posting [][]bitset, t predicate.Triple) (bitset, bool) {
-	i, ok := space.Index(t.Param)
+// holds the read lock.
+func (st *Store) tripleBitsLocked(t predicate.Triple) (bitset, bool) {
+	i, ok := st.space.Index(t.Param)
 	if !ok {
 		return nil, false
 	}
 	var mask bitset
-	for c, post := range posting[i] {
+	for c, post := range st.posting[i] {
 		if len(post) == 0 {
 			continue
 		}
-		if t.Holds(space.InternedValue(i, uint32(c))) {
+		if t.Holds(st.space.InternedValue(i, uint32(c))) {
 			mask.orWith(post)
 		}
 	}
 	return mask, true
 }
 
-// conjunctionBitsLocked intersects the triple bitsets of c with base (an
-// outcome bitset of the same shard). The empty conjunction is satisfied by
-// every record. The caller holds the shard's read lock.
-func (st *Store) conjunctionBitsLocked(sh *shard, c predicate.Conjunction, base bitset) bitset {
-	mask := base.clone()
-	for _, t := range c {
-		tb, ok := st.tripleBitsLocked(sh, t)
+// conjunctionBitsLocked returns the records satisfying every triple of c,
+// or ok=false when a triple names an unknown parameter. The empty
+// conjunction returns a nil mask with ok=true; callers handle it before
+// intersecting. The caller holds the read lock.
+func (st *Store) conjunctionBitsLocked(c predicate.Conjunction) (mask bitset, ok bool) {
+	for j, t := range c {
+		tb, ok := st.tripleBitsLocked(t)
 		if !ok {
-			return nil
+			return nil, false
 		}
-		mask.andWith(tb)
+		if j == 0 {
+			mask = tb // tripleBitsLocked returns a fresh bitset; safe to own
+		} else {
+			mask.andWith(tb)
+		}
 	}
-	return mask
+	return mask, true
 }
 
 // AnySucceedingSatisfying returns the earliest succeeding instance whose
@@ -373,55 +254,36 @@ func (st *Store) conjunctionBitsLocked(sh *shard, c predicate.Conjunction, base 
 // sanity check ("whether any superset of the hypothetical root cause is in
 // an already executed successful execution").
 func (st *Store) AnySucceedingSatisfying(c predicate.Conjunction) (pipeline.Instance, bool) {
-	st.ensureIndexed()
-	best, bestSeq := pipeline.Instance{}, -1
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		if pos, ok := st.conjunctionBitsLocked(sh, c, sh.succBits).first(); ok {
-			r := &sh.recs[pos]
-			if bestSeq < 0 || r.Seq < bestSeq {
-				best, bestSeq = r.Instance, r.Seq
-			}
+	st.rlockIndexed()
+	defer st.mu.RUnlock()
+	mask := st.succBits // read-only unless replaced by an owned intersection
+	if len(c) > 0 {
+		sat, ok := st.conjunctionBitsLocked(c)
+		if !ok {
+			return pipeline.Instance{}, false
 		}
-		sh.mu.RUnlock()
+		sat.andWith(st.succBits)
+		mask = sat
 	}
-	return best, bestSeq >= 0
+	pos, ok := mask.first()
+	if !ok {
+		return pipeline.Instance{}, false
+	}
+	return st.recs[pos].Instance, true
 }
 
-// CountSatisfying counts recorded instances satisfying c, split by outcome.
-// Each shard materializes its satisfying set once and intersects it with
-// its outcome bitsets in place; the per-shard counts sum.
+// CountSatisfying counts recorded instances satisfying c, split by outcome:
+// the satisfying set materializes once and intersects the outcome bitsets
+// without copying them.
 func (st *Store) CountSatisfying(c predicate.Conjunction) (succeed, fail int) {
 	if len(c) == 0 {
 		return st.Outcomes()
 	}
-	st.ensureIndexed()
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		var mask bitset
-		known := true
-		for j, t := range c {
-			tb, ok := st.tripleBitsLocked(sh, t)
-			if !ok {
-				known = false
-				break
-			}
-			if j == 0 {
-				mask = tb // tripleBitsLocked returns a fresh bitset; safe to own
-			} else {
-				mask.andWith(tb)
-			}
-		}
-		if known {
-			succeed += mask.andCount(sh.succBits)
-			fail += mask.andCount(sh.failBits)
-		}
-		sh.mu.RUnlock()
-		if !known {
-			return 0, 0 // unknown parameter: no record anywhere can satisfy c
-		}
+	st.rlockIndexed()
+	defer st.mu.RUnlock()
+	mask, ok := st.conjunctionBitsLocked(c)
+	if !ok {
+		return 0, 0 // unknown parameter: no record can satisfy c
 	}
-	return succeed, fail
+	return mask.andCount(st.succBits), mask.andCount(st.failBits)
 }

@@ -12,50 +12,41 @@
 // as bitset intersections instead of whole-log scans, and Snapshot exposes
 // a read-only view of the log for bulk consumers.
 //
-// Internally the store is sharded by instance-hash range (NewStoreSharded;
-// NewStore builds a single shard, which behaves exactly like the historic
-// unsharded store). Each shard owns a lock, a slice of the log, both
-// identity tiers, and the outcome/posting indices, so concurrent writers
-// touching different shards proceed in parallel — the only global write
-// state is an atomic sequence counter and, when a sink is attached, a
-// small ordering mutex that keeps sink appends in sequence order.
-// Cross-shard queries merge per-shard results on the records' global
-// sequence numbers, so query results are identical at every shard count.
+// One read-write lock guards the log and every index. The algorithm
+// drivers are sequential — choose a hypothesis, execute one batch, commit
+// it, query — so a query never waits on a concurrent write in practice,
+// and the one lock gives every query an exact view of a dense log prefix.
 //
-// Identity is two-tiered, LSM-style: records added one by one live in each
-// shard's hash map, while a checkpoint bulk-load (LoadSortedRun) splits
-// its hash-sorted run at the shard boundaries (a binary search per
-// boundary — shards are hash ranges) and adopts each sub-run wholesale,
-// serving identity probes by binary search and deferring the outcome and
-// posting indices to the first query that needs them — so resuming a huge
-// session builds no per-record index at all. Either way the store behaves
-// identically; the deferral is never observable.
+// Identity is two-tiered, LSM-style: records added one by one live in the
+// hash map, while a checkpoint bulk-load (LoadSortedRuns) adopts the
+// hash-sorted checkpoint runs wholesale, serving identity probes by binary
+// search and deferring the outcome and posting indices to the first query
+// that needs them — so resuming a huge session builds no per-record index
+// at all. Either way the store behaves identically; the deferral is never
+// observable.
 //
 // The store itself is volatile; durability is delegated to a pluggable
-// Sink. A sink's Append runs inside Add, under the store's write-ordering
-// lock and before the in-memory indices are updated, so a durable sink
-// (the segmented write-ahead log in internal/provlog) gives write-ahead
-// semantics: no record becomes queryable unless its log append succeeded,
-// and rebuilding a store by replaying the log reproduces the indices
-// exactly.
+// Sink. A sink's Append runs inside Add, under the store's lock and before
+// the in-memory indices are updated, so a durable sink (the segmented
+// write-ahead log in internal/provlog) gives write-ahead semantics: no
+// record becomes queryable unless its log append succeeded, and rebuilding
+// a store by replaying the log reproduces the indices exactly.
 //
 // Sinks that also implement StagedSink split the append into a staging
-// phase (under the locks, cheap: frames are assembled into the sink's
-// pending commit group) and a durability wait (outside every lock), so
+// phase (under the lock, cheap: frames are assembled into the sink's
+// pending commit group) and a durability wait (outside the lock), so
 // concurrent Adds overlap in the expensive part — the sink's write+fsync —
-// instead of serializing it under a store lock. Records in flight are
+// instead of serializing it under the store lock. Records in flight are
 // tracked until durable and committed to the indices strictly in sequence
 // order; write-ahead semantics are preserved (a record is never queryable
-// before it is durable). AddBatch amortizes further: one pass over the
-// touched shards, one staged multi-record append, and one durability wait
-// for a whole hypothesis set.
+// before it is durable). AddBatch amortizes further: one lock acquisition,
+// one staged multi-record append, and one durability wait for a whole
+// hypothesis set.
 package provenance
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/pipeline"
@@ -71,22 +62,22 @@ type Record struct {
 }
 
 // Sink receives every record at the moment it is committed to a store.
-// Append is called with the store's write-ordering lock held, before the
-// record enters the in-memory log and indices: if Append fails, the Add
-// fails and the store is unchanged. Appends therefore arrive exactly in
-// sequence order, without duplicates, and a sink that persists them
-// (internal/provlog) is a write-ahead log of the store. Sinks that also
-// implement StagedSink take the staged path instead: Append is bypassed in
-// favor of Stage plus an out-of-lock durability wait.
+// Append is called with the store's lock held, before the record enters
+// the in-memory log and indices: if Append fails, the Add fails and the
+// store is unchanged. Appends therefore arrive exactly in sequence order,
+// without duplicates, and a sink that persists them (internal/provlog) is
+// a write-ahead log of the store. Sinks that also implement StagedSink
+// take the staged path instead: Append is bypassed in favor of Stage plus
+// an out-of-lock durability wait.
 type Sink interface {
 	Append(Record) error
 }
 
 // StagedSink is an optional Sink extension for group durability. Stage is
-// called under the store's write-ordering lock with a batch of records in
-// sequence order; it must buffer them cheaply and return a wait function.
-// The store releases its locks and then calls wait, which blocks until the
-// staged records are durable (typically coalesced with concurrently staged
+// called under the store's lock with a batch of records in sequence order;
+// it must buffer them cheaply and return a wait function. The store
+// releases its lock and then calls wait, which blocks until the staged
+// records are durable (typically coalesced with concurrently staged
 // records into one write and one fsync — see internal/provlog's
 // group-commit). A non-nil error from wait means none of the staged records
 // may be treated as durable; the store drops them without committing.
@@ -122,144 +113,107 @@ type stagedRec struct {
 }
 
 // Store is an append-only, thread-safe provenance log over a single
-// parameter space, sharded internally by instance-hash range. Duplicate
-// instances are rejected: the evaluation model is deterministic
-// (Definition 2), so one record per instance suffices.
+// parameter space. Duplicate instances are rejected: the evaluation model
+// is deterministic (Definition 2), so one record per instance suffices.
 //
-// Global sequence numbers come from a single atomic counter; every other
-// piece of write state is per shard, so the write path serializes only
-// within a hash range (plus the sink ordering when one is attached).
-// Cross-shard read queries merge per-shard results by sequence number.
-// Once writers quiesce, every query returns exactly what a single-shard
-// store would. WHILE multi-shard writes are in flight, Snapshot (and
-// Records) observe a consistent dense prefix of the log — they truncate
-// at the first not-yet-committed sequence — but the counting and
-// enumerating queries lock shards one at a time and may transiently count
-// a record whose lower-sequence sibling on another shard has not
-// committed yet; callers needing a frontier-exact view under concurrent
-// writes should query a Snapshot. The algorithm drivers never do
-// mid-round reads, so they always see the quiescent (exact) behavior.
+// mu guards every field below it. Writers hold it exclusively while they
+// check for duplicates, assign sequence numbers, hand records to the sink
+// and commit them; queries hold it shared, so every query answers over
+// exactly the committed log.
 type Store struct {
-	space  *pipeline.Space
-	shards []shard
-	shift  uint // shard s covers hashes [s << shift, (s+1) << shift); 64 when there is one shard
+	space *pipeline.Space
 
-	// seq is the next global sequence number to assign: committed records
-	// plus records in flight on the staged path. Assignment happens under
-	// the owning shard's lock (volatile stores) or under wmu (stores with
-	// a sink, whose append order must match sequence order).
-	seq atomic.Int64
+	mu   sync.RWMutex
+	recs []Record // the committed log, ascending sequence
 
-	// wmu orders the sink-facing write path: sequence assignment and sink
-	// Append/Stage calls happen under it, so the sink observes records
-	// exactly in sequence order — the WAL stream position is the implicit
-	// sequence number. It is acquired after the shard locks, never before,
-	// and is not taken at all on the sink-less fast path.
-	// trialPolicy is the FlakyPolicy AddTrial/ClaimTrial resolve votes
-	// under (see trials.go). The zero value — every deterministic
-	// session — is disabled and never resolves.
+	// byKey maps instance identity to log position (hash-bucketed with
+	// Equal confirmation; see pipeline.InstanceMap). Records adopted as
+	// base runs are not in byKey: identity probes for them binary-search
+	// the sorted runs instead, LSM-style, so a checkpoint load never pays
+	// to build a hash index.
+	byKey *pipeline.InstanceMap[int32]
+
+	// The base runs: the hash-sorted checkpoint tiers, newest tier first.
+	// Each run's hash column is ascending and pos[i] is the log position
+	// of the record whose instance hashes to hash[i] (ties ordered by
+	// seq). An identity probe binary-searches the runs newest-first, so
+	// when tiers could ever shadow one another the most recent write wins —
+	// though a store-fed log holds each instance exactly once, so in
+	// practice every probe hits at most one run. baseUnindexed is the
+	// length of the base prefix (all adopted records, across every run)
+	// whose outcome and posting indices have not been built yet; the first
+	// query that needs them triggers the deferred build. The memoization
+	// path (Lookup) never does.
+	baseRuns      []baseRun
+	baseUnindexed int
+
+	// Outcome partitions: position lists preserve execution order for
+	// O(matches) enumeration; bitsets drive the boolean-algebra queries.
+	// posting[i][c] holds the records whose parameter i has value-code c.
+	succSeqs, failSeqs []int32
+	succBits, failBits bitset
+	posting            [][]bitset
+
+	// seq is the next sequence number to assign: committed records plus
+	// records in flight on the staged path.
+	seq int
+
+	// Staged-commit state (StagedSink path): records whose sink append has
+	// been staged but whose durability is still pending, in sequence
+	// order. stagedByH buckets them by instance hash for the duplicate
+	// check. dropTail is set when a staged record is dropped without
+	// committing (its flush failed): later staged records would leave a
+	// sequence gap, so they drop too.
+	staged    []*stagedRec
+	stagedByH map[uint64][]*stagedRec
+	dropTail  bool
+
+	// Trial-vote state (flaky-oracle sessions only; see trials.go): maps
+	// instance identity to an index into trialRecs, whose entries hold the
+	// per-instance vote tallies accumulated across repeated oracle trials.
+	// Deterministic sessions never touch either field. trialPolicy is the
+	// FlakyPolicy AddTrial/ClaimTrial resolve votes under; the zero value —
+	// every deterministic session — is disabled and never resolves.
+	trialByKey  *pipeline.InstanceMap[int32]
+	trialRecs   []trialState
 	trialPolicy pipeline.FlakyPolicy
 
-	wmu      sync.Mutex
 	sink     Sink
-	met      *Metrics    // nil when uninstrumented; see SetMetrics
-	stageErr error       // set on staged-sink failure; poisons writes (reads stay valid)
-	poisoned atomic.Bool // mirrors stageErr != nil for the lock-free fast path
-	stageOne [1]Record   // single-record staging scratch, used under wmu
+	met      *Metrics  // nil when uninstrumented; see SetMetrics
+	stageErr error     // set on staged-sink failure; poisons writes (reads stay valid)
+	stageOne [1]Record // single-record staging scratch, used under mu
 
-	// one is the inline backing array of the single-shard case: shards
-	// aliases it, so the shard's lock and indices live in the Store's own
-	// allocation — the memoization Lookup pays no extra pointer chase over
-	// the historic unsharded layout. Sharded stores allocate instead.
-	one [1]shard
+	// indexMu single-flights the off-lock deferred base-index build. It is
+	// acquired before mu, never after.
+	indexMu sync.Mutex
 }
 
-// shardCount normalizes a requested shard count: at least one, rounded up
-// to a power of two, clamped to MaxShards.
-func shardCount(n int) int {
-	k := 1
-	for k < n && k < MaxShards {
-		k <<= 1
-	}
-	return k
-}
-
-// NewStore creates an empty single-shard store for instances of space s —
-// the historic unsharded store. Use NewStoreSharded when many workers
-// write concurrently.
+// NewStore creates an empty store for instances of space s.
 func NewStore(s *pipeline.Space) *Store {
-	return NewStoreSharded(s, 1)
+	return NewStoreWithCapacity(s, 0)
 }
 
-// NewStoreSharded creates an empty store for instances of space s, sharded
-// into the given number of hash ranges (rounded up to a power of two,
-// clamped to [1, MaxShards]). Sharding changes only contention: every
-// query returns exactly what the single-shard store would.
-func NewStoreSharded(s *pipeline.Space, shards int) *Store {
-	return newStore(s, shards, 0)
-}
-
-// NewStoreWithCapacity creates an empty single-shard store pre-sized for
-// about n records, so bulk loaders (log replay, codecs) skip the
-// incremental growth of the log, the identity map, and the outcome
-// indices.
+// NewStoreWithCapacity creates an empty store pre-sized for about n
+// records, so bulk loaders (log replay, codecs) skip the incremental
+// growth of the log, the identity map, and the outcome indices.
 func NewStoreWithCapacity(s *pipeline.Space, n int) *Store {
-	return newStore(s, 1, n)
-}
-
-// NewStoreShardedWithCapacity combines NewStoreSharded and
-// NewStoreWithCapacity: the capacity hint is split evenly across shards.
-func NewStoreShardedWithCapacity(s *pipeline.Space, shards, n int) *Store {
-	return newStore(s, shards, n)
-}
-
-func newStore(s *pipeline.Space, shards, n int) *Store {
-	k := shardCount(shards)
 	st := &Store{
-		space: s,
-		shift: uint(64 - bitsFor(k)),
+		space:   s,
+		byKey:   pipeline.NewInstanceMap[int32](n),
+		posting: make([][]bitset, s.Len()),
 	}
-	if k == 1 {
-		st.shards = st.one[:]
-	} else {
-		st.shards = make([]shard, k)
-	}
-	per := 0
 	if n > 0 {
-		per = n/k + 1
-	}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.posting = make([][]bitset, s.Len())
-		if per > 0 {
-			sh.recs = make([]Record, 0, per)
-			sh.byKey = pipeline.NewInstanceMap[int32](per)
-			sh.succSeqs = make([]int32, 0, per)
-			sh.failSeqs = make([]int32, 0, per)
-			sh.succBits = make(bitset, 0, per/64+1)
-			sh.failBits = make(bitset, 0, per/64+1)
-		} else {
-			sh.byKey = pipeline.NewInstanceMap[int32](0)
-		}
+		st.recs = make([]Record, 0, n)
+		st.succSeqs = make([]int32, 0, n)
+		st.failSeqs = make([]int32, 0, n)
+		st.succBits = make(bitset, 0, n/64+1)
+		st.failBits = make(bitset, 0, n/64+1)
 	}
 	return st
 }
 
-// bitsFor returns log2 of a power-of-two shard count.
-func bitsFor(k int) int {
-	b := 0
-	for 1<<b < k {
-		b++
-	}
-	return b
-}
-
 // Space returns the parameter space the store records instances of.
 func (st *Store) Space() *pipeline.Space { return st.space }
-
-// Shards returns the store's shard count (a power of two; 1 for stores
-// built by NewStore).
-func (st *Store) Shards() int { return len(st.shards) }
 
 // SetSink attaches a durability sink; every subsequent Add appends to it
 // before committing to memory. Passing nil detaches the current sink.
@@ -268,8 +222,8 @@ func (st *Store) Shards() int { return len(st.shards) }
 // left by a staged-sink failure — the burned sequence numbers make later
 // writes uncommittable regardless of the sink.
 func (st *Store) SetSink(sink Sink) {
-	st.wmu.Lock()
-	defer st.wmu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.sink = sink
 }
 
@@ -277,19 +231,11 @@ func (st *Store) SetSink(sink Sink) {
 // the failed records' sequence numbers are burned (later staged records may
 // already hold higher ones), so no later record could ever commit at its
 // assigned position. Reads and already-committed records stay valid. The
-// caller holds wmu.
+// caller holds mu.
 func (st *Store) poisonLocked(cause error) {
 	if st.stageErr == nil {
 		st.stageErr = fmt.Errorf("provenance: store write-poisoned by sink failure: %w", cause)
-		st.poisoned.Store(true)
 	}
-}
-
-// poisonErr returns the poison error, if any.
-func (st *Store) poisonErr() error {
-	st.wmu.Lock()
-	defer st.wmu.Unlock()
-	return st.stageErr
 }
 
 // Add appends a record and updates every index. It fails for instances of
@@ -298,10 +244,9 @@ func (st *Store) poisonErr() error {
 // sink configuration, including none — for stores write-poisoned by an
 // earlier staged-sink failure.
 //
-// With a StagedSink attached, the durability wait happens outside every
+// With a StagedSink attached, the durability wait happens outside the
 // lock, so concurrent Adds coalesce into the sink's commit groups instead
-// of serializing one fsync each under a lock. Without a sink, Adds to
-// different hash-range shards share nothing but one atomic increment.
+// of serializing one fsync each under the lock.
 func (st *Store) Add(in pipeline.Instance, out pipeline.Outcome, source string) error {
 	if in.Space() != st.space {
 		return fmt.Errorf("provenance: instance belongs to a different space")
@@ -309,113 +254,103 @@ func (st *Store) Add(in pipeline.Instance, out pipeline.Outcome, source string) 
 	if !recordableOutcome(out) {
 		return fmt.Errorf("provenance: cannot record outcome %v", out)
 	}
-	sh := st.shardOf(in.Hash())
-	sh.mu.Lock()
-	if _, dup := sh.lookupPosLocked(in); dup {
-		sh.mu.Unlock()
+	st.mu.Lock()
+	if _, dup := st.lookupPosLocked(in); dup {
+		st.mu.Unlock()
 		return fmt.Errorf("provenance: instance %v already recorded", in)
-	}
-	if st.sink == nil {
-		// Sink-less fast path: no global lock, just the sequence counter.
-		if st.poisoned.Load() {
-			sh.mu.Unlock()
-			return st.poisonErr()
-		}
-		seq := int(st.seq.Add(1)) - 1
-		st.commitLocked(sh, Record{Seq: seq, Instance: in, Outcome: out, Source: source})
-		sh.mu.Unlock()
-		return nil
 	}
 	ss, staged := st.sink.(StagedSink)
-	if !staged {
-		st.wmu.Lock()
-		if err := st.stageErr; err != nil {
-			st.wmu.Unlock()
-			sh.mu.Unlock()
-			return err
-		}
-		rec := Record{Seq: int(st.seq.Load()), Instance: in, Outcome: out, Source: source}
-		// Write-ahead: the record must be durable before it is queryable.
-		if err := st.sink.Append(rec); err != nil {
-			st.wmu.Unlock()
-			sh.mu.Unlock()
-			return fmt.Errorf("provenance: sink: %w", err)
-		}
-		st.seq.Add(1)
-		st.wmu.Unlock()
-		st.commitLocked(sh, rec)
-		sh.mu.Unlock()
-		return nil
-	}
-	if e := sh.stagedLookupLocked(in); e != nil {
-		// The same instance is in flight on another goroutine; wait for its
-		// fate so the caller's follow-up Lookup sees the committed record.
-		// (e's fields are settled before done closes, so the unlocked reads
-		// below are safe.)
-		done := e.done
-		sh.mu.Unlock()
-		<-done
-		if e.failed {
-			err := st.poisonErr()
-			if err == nil {
-				err = fmt.Errorf("provenance: concurrent write of %v failed", in)
+	if staged {
+		if e := st.stagedLookupLocked(in); e != nil {
+			// The same instance is in flight on another goroutine; wait for
+			// its fate so the caller's follow-up Lookup sees the committed
+			// record. (e's fields are settled before done closes, so the
+			// unlocked reads below are safe.)
+			done := e.done
+			st.mu.Unlock()
+			<-done
+			if e.failed {
+				st.mu.RLock()
+				err := st.stageErr
+				st.mu.RUnlock()
+				if err == nil {
+					err = fmt.Errorf("provenance: concurrent write of %v failed", in)
+				}
+				return err
 			}
-			return err
+			return fmt.Errorf("provenance: instance %v already recorded", in)
 		}
-		return fmt.Errorf("provenance: instance %v already recorded", in)
 	}
-	st.wmu.Lock()
 	if err := st.stageErr; err != nil {
-		st.wmu.Unlock()
-		sh.mu.Unlock()
+		st.mu.Unlock()
 		return err
 	}
-	st.stageOne[0] = Record{Seq: int(st.seq.Load()), Instance: in, Outcome: out, Source: source}
-	wait, err := ss.Stage(st.stageOne[:1])
+	rec := Record{Seq: st.seq, Instance: in, Outcome: out, Source: source}
+	if !staged {
+		// Write-ahead: a plain sink's append must succeed before the record
+		// is queryable.
+		if st.sink != nil {
+			if err := st.sink.Append(rec); err != nil {
+				st.mu.Unlock()
+				return fmt.Errorf("provenance: sink: %w", err)
+			}
+		}
+		st.seq++
+		st.commitLocked(rec)
+		st.mu.Unlock()
+		return nil
+	}
+	st.stageOne[0] = rec
+	return st.commitStagedUnlock(ss, st.stageOne[:1])
+}
+
+// commitStagedUnlock stages recs — survivors of the duplicate checks, with
+// sequence numbers continuing st.seq — with the sink, waits for their
+// durability outside the lock, and commits them in sequence order. A
+// failed wait drops them and write-poisons the store. The caller holds
+// mu; it is released on return.
+func (st *Store) commitStagedUnlock(ss StagedSink, recs []Record) error {
+	wait, err := ss.Stage(recs)
 	if err != nil {
-		st.wmu.Unlock()
-		sh.mu.Unlock()
+		st.mu.Unlock()
 		return fmt.Errorf("provenance: sink: %w", err)
 	}
-	e := &stagedRec{rec: st.stageOne[0], done: make(chan struct{})}
-	st.seq.Add(1)
-	st.wmu.Unlock()
-	sh.stagePushLocked(e)
-	sh.mu.Unlock()
+	st.seq += len(recs)
+	es := make([]*stagedRec, len(recs))
+	for i, rec := range recs {
+		es[i] = &stagedRec{rec: rec, done: make(chan struct{})}
+		st.stagePushLocked(es[i])
+	}
+	st.mu.Unlock()
 
 	werr := wait()
 
+	st.mu.Lock()
 	if werr != nil {
-		st.wmu.Lock()
 		st.poisonLocked(werr)
-		st.wmu.Unlock()
 	}
-	sh.mu.Lock()
-	if werr != nil {
-		e.failed = true
-	} else {
-		e.durable = true
+	for _, e := range es {
+		e.durable, e.failed = werr == nil, werr != nil
 	}
-	st.drainStagedLocked(sh)
-	sh.mu.Unlock()
+	st.drainStagedLocked()
+	st.mu.Unlock()
 	if werr != nil {
 		return fmt.Errorf("provenance: sink: %w", werr)
 	}
 	return nil
 }
 
-// AddBatch records a batch of evaluations with one pass over the touched
-// shards and — when the sink supports staging — one multi-record sink
-// append and one durability wait for the whole batch. Entries whose
-// instance is already recorded (or duplicated within the batch, or in
-// flight on another goroutine) are skipped, not errors: batch callers
-// dedupe against memoized history up front, but races with concurrent
-// evaluations of the same instance are benign and the earlier record is
-// authoritative. An entry skipped as in flight counts on its winner:
-// should the winner's commit window then fail, that record is lost — but
-// every such failure write-poisons the store, so the session is already
-// terminal and no later write can silently diverge. It returns how many
-// entries were added.
+// AddBatch records a batch of evaluations under one lock acquisition and —
+// when the sink supports staging — with one multi-record sink append and
+// one durability wait for the whole batch. Entries whose instance is
+// already recorded (or duplicated within the batch, or in flight on
+// another goroutine) are skipped, not errors: batch callers dedupe against
+// memoized history up front, but races with concurrent evaluations of the
+// same instance are benign and the earlier record is authoritative. An
+// entry skipped as in flight counts on its winner: should the winner's
+// commit window then fail, that record is lost — but every such failure
+// write-poisons the store, so the session is already terminal and no later
+// write can silently diverge. It returns how many entries were added.
 //
 // Sequence numbers are assigned to the surviving entries in input order.
 // Validation errors (wrong space, unknown outcome) reject the whole batch
@@ -433,239 +368,80 @@ func (st *Store) AddBatch(entries []Entry) (added int, err error) {
 			return 0, fmt.Errorf("provenance: entry %d: cannot record outcome %v", i, o)
 		}
 	}
-	// Single-shard volatile fast path: one lock, one pass, commits dedupe
-	// the batch as they land — no grouping scaffolding. This is the
-	// default store's hot batch path (BenchmarkStoreAddBatch) and keeps
-	// its historic cost.
-	if len(st.shards) == 1 && st.sink == nil {
-		sh := &st.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if st.poisoned.Load() {
-			return 0, st.poisonErr()
-		}
-		for i := range entries {
-			in := entries[i].Instance
-			if _, dup := sh.lookupPosLocked(in); dup {
-				continue
-			}
-			if sh.stagedLookupLocked(in) != nil {
-				continue
-			}
-			st.commitLocked(sh, Record{
-				Seq: int(st.seq.Add(1)) - 1, Instance: in,
-				Outcome: entries[i].Outcome, Source: entries[i].Source,
-			})
-			added++
-		}
-		return added, nil
-	}
-
-	// Group entries by shard, preserving input order within each group,
-	// and lock the touched shards in index order (the global lock order)
-	// for the duplicate checks. The locks stay held until the entries are
-	// committed or staged, so no concurrent writer can slip a duplicate in
-	// between check and commit.
-	groups := make([][]int, len(st.shards))
-	for i := range entries {
-		s := st.shardIndex(entries[i].Instance.Hash())
-		groups[s] = append(groups[s], i)
-	}
-	touched := make([]int, 0, len(st.shards))
-	for s := range groups {
-		if len(groups[s]) > 0 {
-			touched = append(touched, s)
-		}
-	}
-	for _, s := range touched {
-		st.shards[s].mu.Lock()
-	}
-	unlockAll := func() {
-		for _, s := range touched {
-			st.shards[s].mu.Unlock()
-		}
-	}
-
-	seen := pipeline.NewInstanceMap[struct{}](len(entries))
-	keep := make([]bool, len(entries))
-	survivors := 0
-	for _, s := range touched {
-		sh := &st.shards[s]
-		for _, i := range groups[s] {
-			in := entries[i].Instance
-			if _, dup := sh.lookupPosLocked(in); dup {
-				continue
-			}
-			if sh.stagedLookupLocked(in) != nil {
-				continue
-			}
-			if !seen.Put(in, struct{}{}) {
-				continue
-			}
-			keep[i] = true
-			survivors++
-		}
-	}
-
-	if st.sink == nil {
-		if st.poisoned.Load() {
-			unlockAll()
-			return 0, st.poisonErr()
-		}
-		if survivors == 0 {
-			unlockAll()
-			return 0, nil
-		}
-		// Assign sequences in input order, then commit shard by shard,
-		// releasing each shard as its commits finish so concurrent batches
-		// pipeline across the shards instead of serializing end to end.
-		base := int(st.seq.Add(int64(survivors))) - survivors
-		seqOf := make([]int, len(entries))
-		n := base
-		for i := range entries {
-			if keep[i] {
-				seqOf[i] = n
-				n++
-			}
-		}
-		for _, s := range touched {
-			sh := &st.shards[s]
-			for _, i := range groups[s] {
-				if keep[i] {
-					st.commitLocked(sh, Record{
-						Seq: seqOf[i], Instance: entries[i].Instance,
-						Outcome: entries[i].Outcome, Source: entries[i].Source,
-					})
-				}
-			}
-			sh.mu.Unlock()
-		}
-		return survivors, nil
-	}
-
-	ss, staged := st.sink.(StagedSink)
-	if !staged {
-		st.wmu.Lock()
-		if err := st.stageErr; err != nil {
-			st.wmu.Unlock()
-			unlockAll()
-			return 0, err
-		}
-		for i := range entries {
-			if !keep[i] {
-				continue
-			}
-			rec := Record{
-				Seq: int(st.seq.Load()), Instance: entries[i].Instance,
-				Outcome: entries[i].Outcome, Source: entries[i].Source,
-			}
-			if err := st.sink.Append(rec); err != nil {
-				st.wmu.Unlock()
-				unlockAll()
-				return added, fmt.Errorf("provenance: sink: %w", err)
-			}
-			st.seq.Add(1)
-			st.commitLocked(st.shardOf(rec.Instance.Hash()), rec)
-			added++
-		}
-		st.wmu.Unlock()
-		unlockAll()
-		return added, nil
-	}
-
-	st.wmu.Lock()
+	st.mu.Lock()
 	if err := st.stageErr; err != nil {
-		st.wmu.Unlock()
-		unlockAll()
+		st.mu.Unlock()
 		return 0, err
 	}
-	if survivors == 0 {
-		st.wmu.Unlock()
-		unlockAll()
-		return 0, nil
+	ss, staged := st.sink.(StagedSink)
+	if !staged {
+		// Volatile or plain-sink store: one pass, commits dedupe the batch
+		// as they land. This is the default store's hot batch path
+		// (BenchmarkStoreAddBatch).
+		defer st.mu.Unlock()
+		for i := range entries {
+			in := entries[i].Instance
+			if _, dup := st.lookupPosLocked(in); dup {
+				continue
+			}
+			if st.stagedLookupLocked(in) != nil {
+				continue
+			}
+			rec := Record{Seq: st.seq, Instance: in, Outcome: entries[i].Outcome, Source: entries[i].Source}
+			if st.sink != nil {
+				if err := st.sink.Append(rec); err != nil {
+					return added, fmt.Errorf("provenance: sink: %w", err)
+				}
+			}
+			st.seq++
+			st.commitLocked(rec)
+			added++
+		}
+		return added, nil
 	}
-	recs := make([]Record, 0, survivors)
-	base := int(st.seq.Load())
+
+	// Staged path: nothing commits until the batch is durable, so
+	// duplicates within the batch are caught by a batch-local set.
+	seen := pipeline.NewInstanceMap[struct{}](len(entries))
+	recs := make([]Record, 0, len(entries))
 	for i := range entries {
-		if !keep[i] {
+		in := entries[i].Instance
+		if _, dup := st.lookupPosLocked(in); dup {
+			continue
+		}
+		if st.stagedLookupLocked(in) != nil {
+			continue
+		}
+		if !seen.Put(in, struct{}{}) {
 			continue
 		}
 		recs = append(recs, Record{
-			Seq: base + len(recs), Instance: entries[i].Instance,
+			Seq: st.seq + len(recs), Instance: in,
 			Outcome: entries[i].Outcome, Source: entries[i].Source,
 		})
 	}
-	wait, err := ss.Stage(recs)
-	if err != nil {
-		st.wmu.Unlock()
-		unlockAll()
-		return 0, fmt.Errorf("provenance: sink: %w", err)
+	if len(recs) == 0 {
+		st.mu.Unlock()
+		return 0, nil
 	}
-	st.seq.Add(int64(survivors))
-	esByShard := make([][]*stagedRec, len(st.shards))
-	for _, rec := range recs {
-		e := &stagedRec{rec: rec, done: make(chan struct{})}
-		s := st.shardIndex(rec.Instance.Hash())
-		st.shards[s].stagePushLocked(e)
-		esByShard[s] = append(esByShard[s], e)
-	}
-	st.wmu.Unlock()
-	unlockAll()
-
-	werr := wait()
-
-	if werr != nil {
-		st.wmu.Lock()
-		st.poisonLocked(werr)
-		st.wmu.Unlock()
-	}
-	for _, s := range touched {
-		sh := &st.shards[s]
-		sh.mu.Lock()
-		for _, e := range esByShard[s] {
-			if werr != nil {
-				e.failed = true
-			} else {
-				e.durable = true
-			}
-		}
-		st.drainStagedLocked(sh)
-		sh.mu.Unlock()
-	}
-	if werr != nil {
-		return 0, fmt.Errorf("provenance: sink: %w", werr)
+	if err := st.commitStagedUnlock(ss, recs); err != nil {
+		return 0, err
 	}
 	return len(recs), nil
 }
 
-// lockAll acquires every shard lock in index order (the global lock order)
-// and returns the matching unlock.
-func (st *Store) lockAll() (unlock func()) {
-	for i := range st.shards {
-		st.shards[i].mu.Lock()
-	}
-	return func() {
-		for i := range st.shards {
-			st.shards[i].mu.Unlock()
-		}
-	}
-}
-
 // loadValidateLocked shares the up-front checks of the two bulk loaders.
-// The caller holds every shard lock.
+// The caller holds mu.
 func (st *Store) loadValidateLocked(recs []Record) error {
 	if st.sink != nil {
 		return fmt.Errorf("provenance: bulk load on a store with a sink attached")
 	}
-	if st.poisoned.Load() {
-		return st.poisonErr()
+	if st.stageErr != nil {
+		return st.stageErr
 	}
-	for i := range st.shards {
-		if len(st.shards[i].staged) > 0 {
-			return fmt.Errorf("provenance: bulk load with staged writes in flight")
-		}
+	if len(st.staged) > 0 {
+		return fmt.Errorf("provenance: bulk load with staged writes in flight")
 	}
-	base := int(st.seq.Load())
 	for i := range recs {
 		r := &recs[i]
 		if r.Instance.Space() != st.space {
@@ -674,8 +450,8 @@ func (st *Store) loadValidateLocked(recs []Record) error {
 		if !recordableOutcome(r.Outcome) {
 			return fmt.Errorf("provenance: record %d: cannot record outcome %v", i, r.Outcome)
 		}
-		if r.Seq != base+i {
-			return fmt.Errorf("provenance: record %d has sequence %d, want %d", i, r.Seq, base+i)
+		if r.Seq != st.seq+i {
+			return fmt.Errorf("provenance: record %d has sequence %d, want %d", i, r.Seq, st.seq+i)
 		}
 	}
 	return nil
@@ -693,19 +469,18 @@ func (st *Store) loadValidateLocked(recs []Record) error {
 // store may be partially loaded and must be discarded; bulk loaders open a
 // fresh store per attempt.
 func (st *Store) LoadRecords(recs []Record) error {
-	unlock := st.lockAll()
-	defer unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if err := st.loadValidateLocked(recs); err != nil {
 		return err
 	}
 	for i := range recs {
-		sh := st.shardOf(recs[i].Instance.Hash())
-		if _, dup := sh.lookupPosLocked(recs[i].Instance); dup {
+		if _, dup := st.lookupPosLocked(recs[i].Instance); dup {
 			return fmt.Errorf("provenance: record %d: instance %v already recorded", i, recs[i].Instance)
 		}
-		st.commitLocked(sh, recs[i])
+		st.seq++
+		st.commitLocked(recs[i])
 	}
-	st.seq.Add(int64(len(recs)))
 	return nil
 }
 
@@ -738,28 +513,20 @@ func (st *Store) LoadSortedRun(recs []Record, hashes []uint64, seqs []int32) err
 // incrementally as usual; the deferred base build merges in front of them
 // (base sequences all precede post-load ones, and bitsets are positional).
 //
-// On a sharded store every run splits at the shard boundaries — shards
-// are hash ranges and the runs are hash-sorted, so each boundary is one
-// binary search per tier — and every shard adopts its sub-runs
-// independently and in parallel, re-sorted into one sequence-ordered
-// record slice. Single-shard stores adopt the tiers' columns wholesale,
-// copying nothing.
-//
-// The store takes ownership of every slice. The caller vouches that the
-// hashes are the records' instance hashes (internal/provlog verifies them
-// against the CRC-protected rows); sortedness and sequence coverage are
-// verified here, and duplicate instances within a tier surface as a
-// verification error since equal instances hash adjacently.
+// The store adopts the tiers' columns wholesale, copying nothing, and
+// takes ownership of every slice. The caller vouches that the hashes are
+// the records' instance hashes (internal/provlog verifies them against the
+// CRC-protected rows); sortedness and sequence coverage are verified here,
+// and duplicate instances within a tier surface as a verification error
+// since equal instances hash adjacently.
 func (st *Store) LoadSortedRuns(recs []Record, runs []SortedRun) error {
-	unlock := st.lockAll()
-	defer unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if err := st.loadValidateLocked(recs); err != nil {
 		return err
 	}
-	for i := range st.shards {
-		if len(st.shards[i].recs) != 0 || len(st.shards[i].baseRuns) != 0 {
-			return fmt.Errorf("provenance: LoadSortedRuns into a non-empty store")
-		}
+	if len(st.recs) != 0 || len(st.baseRuns) != 0 {
+		return fmt.Errorf("provenance: LoadSortedRuns into a non-empty store")
 	}
 	total := 0
 	for _, run := range runs {
@@ -793,96 +560,43 @@ func (st *Store) LoadSortedRuns(recs []Record, runs []SortedRun) error {
 			}
 		}
 	}
-	if len(st.shards) == 1 {
-		sh := &st.shards[0]
-		sh.recs = recs
-		sh.baseRuns = make([]baseRun, 0, len(runs))
-		for _, run := range runs {
-			if len(run.Hashes) == 0 {
-				continue
-			}
-			// Local position equals global sequence on a single shard, so
-			// the tier's seq column is the pos column, adopted as-is.
-			sh.baseRuns = append(sh.baseRuns, baseRun{hash: run.Hashes, pos: run.Seqs})
-		}
-		sh.baseUnindexed = len(recs)
-		sh.committed.Store(int64(len(recs)))
-		st.seq.Store(int64(len(recs)))
-		return nil
-	}
-	// Split every run at the hash-range boundaries (one binary search per
-	// boundary per tier) and adopt each shard's sub-runs in parallel; the
-	// shards' sequence sets are disjoint, so one scratch array serves every
-	// adoption.
-	k := len(st.shards)
-	subs := make([][]subRun, k)
+	st.recs = recs
+	st.baseRuns = make([]baseRun, 0, len(runs))
 	for _, run := range runs {
-		bounds := make([]int, k+1)
-		for s := 1; s < k; s++ {
-			limit := uint64(s) << st.shift
-			hashes := run.Hashes
-			bounds[s] = sort.Search(len(hashes), func(i int) bool { return hashes[i] >= limit })
-		}
-		bounds[k] = len(run.Hashes)
-		for s := 0; s < k; s++ {
-			subs[s] = append(subs[s], subRun{
-				hashes: run.Hashes[bounds[s]:bounds[s+1]],
-				seqs:   run.Seqs[bounds[s]:bounds[s+1]],
-			})
-		}
-	}
-	scratch := make([]int32, len(recs))
-	var wg sync.WaitGroup
-	for s := 0; s < k; s++ {
-		n := 0
-		for _, sub := range subs[s] {
-			n += len(sub.seqs)
-		}
-		if n == 0 {
+		if len(run.Hashes) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(sh *shard, subs []subRun) {
-			defer wg.Done()
-			sh.adoptRuns(recs, subs, scratch)
-		}(&st.shards[s], subs[s])
+		// Log position equals global sequence, so the tier's seq column is
+		// the pos column, adopted as-is.
+		st.baseRuns = append(st.baseRuns, baseRun{hash: run.Hashes, pos: run.Seqs})
 	}
-	wg.Wait()
-	st.seq.Store(int64(len(recs)))
+	st.baseUnindexed = len(recs)
+	st.seq = len(recs)
 	return nil
 }
 
-// ensureIndexed builds the deferred base-run indices on every shard that
-// still has some. Every query that reads the outcome or posting indices
-// calls it before taking the read locks.
+// ensureIndexed builds the deferred base-run index, if one is pending. The
+// build itself runs without the store lock — the base prefix is immutable
+// once adopted — serialized by indexMu, and installs under a brief write
+// lock (see buildBaseIndex). Concurrent callers past the first either wait
+// on indexMu for the same build or see baseUnindexed already zero and
+// return immediately.
 func (st *Store) ensureIndexed() {
-	for i := range st.shards {
-		st.ensureShardIndexed(&st.shards[i])
-	}
-}
-
-// ensureShardIndexed builds one shard's deferred base-run index. The build
-// itself runs without the shard lock — the base prefix is immutable once
-// adopted — serialized per shard by indexMu, and installs under a brief
-// write lock (see buildBaseIndex). Concurrent callers past the first
-// either wait on indexMu for the same build or see baseUnindexed already
-// zero and return immediately.
-func (st *Store) ensureShardIndexed(sh *shard) {
-	sh.mu.RLock()
-	n := sh.baseUnindexed
+	st.mu.RLock()
+	n := st.baseUnindexed
 	var base []Record
 	if n > 0 {
-		base = sh.recs[:n:n]
+		base = st.recs[:n:n]
 	}
-	sh.mu.RUnlock()
+	st.mu.RUnlock()
 	if n == 0 {
 		return
 	}
-	sh.indexMu.Lock()
-	defer sh.indexMu.Unlock()
-	sh.mu.RLock()
-	pending := sh.baseUnindexed > 0
-	sh.mu.RUnlock()
+	st.indexMu.Lock()
+	defer st.indexMu.Unlock()
+	st.mu.RLock()
+	pending := st.baseUnindexed > 0
+	st.mu.RUnlock()
 	if !pending {
 		return
 	}
@@ -891,54 +605,47 @@ func (st *Store) ensureShardIndexed(sh *shard) {
 		start = time.Now()
 	}
 	bi := st.buildBaseIndex(base)
-	sh.mu.Lock()
-	st.installBaseIndexLocked(sh, bi)
-	sh.mu.Unlock()
+	st.mu.Lock()
+	st.installBaseIndexLocked(bi)
+	st.mu.Unlock()
 	if st.met != nil {
 		st.met.indexBuilt(time.Since(start))
 	}
 }
 
 // Lookup returns the recorded outcome for the instance, if any. Hits
-// perform no allocations: the probe routes to the instance's shard by its
-// precomputed hash, through the shard's identity map (and, for
-// checkpoint-loaded stores, a binary search of the sorted base run),
+// perform no allocations: the probe goes through the identity map (and,
+// for checkpoint-loaded stores, a binary search of the sorted base runs),
 // followed by an integer code-vector compare.
 //
 //buglint:ignore crossspace read-only hash+Equal probe: a foreign instance can only miss (Equal compares spaces), and the guard's pointer load is measurable on the hottest path
 //bugdoc:hotpath
 func (st *Store) Lookup(in pipeline.Instance) (pipeline.Outcome, bool) {
-	sh := st.shardOf(in.Hash())
 	// Manual unlocks, not defer: the memoization hit is the hottest
 	// operation in the system and the defer bookkeeping (plus the extra
 	// argument spills it forces) is measurable there.
-	sh.mu.RLock()
+	st.mu.RLock()
 	// The map probe is open-coded ahead of the base-run fallback so the
 	// common hit costs exactly what it did before the base tier existed.
-	if i, ok := sh.byKey.Get(in); ok {
-		out := sh.recs[i].Outcome
-		sh.mu.RUnlock()
+	if i, ok := st.byKey.Get(in); ok {
+		out := st.recs[i].Outcome
+		st.mu.RUnlock()
 		return out, true
 	}
-	if len(sh.baseRuns) > 0 {
-		if i, ok := sh.baseLookupLocked(in); ok {
-			out := sh.recs[i].Outcome
-			sh.mu.RUnlock()
+	if len(st.baseRuns) > 0 {
+		if i, ok := st.baseLookupLocked(in); ok {
+			out := st.recs[i].Outcome
+			st.mu.RUnlock()
 			return out, true
 		}
 	}
-	sh.mu.RUnlock()
+	st.mu.RUnlock()
 	return pipeline.OutcomeUnknown, false
 }
 
 // Len returns the number of records.
 func (st *Store) Len() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.recs)
-		sh.mu.RUnlock()
-	}
-	return n
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return len(st.recs)
 }

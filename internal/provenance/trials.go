@@ -8,12 +8,11 @@ import (
 
 // TrialSink is an optional Sink extension for flaky-oracle sessions: a
 // sink that also persists individual trial votes. AppendTrial is called
-// with the owning shard's write lock held, before the vote is counted in
-// memory, and must not return until the vote is durable — write-ahead
-// semantics for votes, mirroring Append for records. Trial votes carry no
-// global sequence number (they are idempotent, keyed by instance and
-// trial index), so AppendTrial is not ordered by the store's
-// write-ordering lock and may interleave freely with record appends.
+// with the store's write lock held, before the vote is counted in memory,
+// and must not return until the vote is durable — write-ahead semantics
+// for votes, mirroring Append for records. Trial votes carry no sequence
+// number (they are idempotent, keyed by instance and trial index), so the
+// sink may interleave them freely with record appends in its stream.
 type TrialSink interface {
 	AppendTrial(in pipeline.Instance, trial int, out pipeline.Outcome, source string) error
 }
@@ -105,24 +104,24 @@ func (ts *trialState) notifyLocked() {
 	}
 }
 
-// trialStateLocked returns the shard's vote ledger for in, creating it
-// when create is set. The caller holds the shard's write lock (read lock
-// suffices when create is false and only reads follow).
-func (sh *shard) trialStateLocked(in pipeline.Instance, create bool) *trialState {
-	if sh.trialByKey != nil {
-		if i, ok := sh.trialByKey.Get(in); ok {
-			return &sh.trialRecs[i]
+// trialStateLocked returns the vote ledger for in, creating it when create
+// is set. The caller holds the write lock (read lock suffices when create
+// is false and only reads follow).
+func (st *Store) trialStateLocked(in pipeline.Instance, create bool) *trialState {
+	if st.trialByKey != nil {
+		if i, ok := st.trialByKey.Get(in); ok {
+			return &st.trialRecs[i]
 		}
 	}
 	if !create {
 		return nil
 	}
-	if sh.trialByKey == nil {
-		sh.trialByKey = pipeline.NewInstanceMap[int32](0)
+	if st.trialByKey == nil {
+		st.trialByKey = pipeline.NewInstanceMap[int32](0)
 	}
-	sh.trialByKey.Put(in, int32(len(sh.trialRecs)))
-	sh.trialRecs = append(sh.trialRecs, trialState{in: in})
-	return &sh.trialRecs[len(sh.trialRecs)-1]
+	st.trialByKey.Put(in, int32(len(st.trialRecs)))
+	st.trialRecs = append(st.trialRecs, trialState{in: in})
+	return &st.trialRecs[len(st.trialRecs)-1]
 }
 
 // SetTrialPolicy installs the FlakyPolicy that AddTrial and ClaimTrial
@@ -150,13 +149,12 @@ func (st *Store) ClaimTrial(in pipeline.Instance) TrialClaim {
 		// re-validates the space) surfaces the error.
 		return TrialClaim{Resolved: true, Outcome: pipeline.OutcomeUnknown}
 	}
-	sh := st.shardOf(in.Hash())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if pos, ok := sh.lookupPosLocked(in); ok {
-		return TrialClaim{Resolved: true, Outcome: sh.recs[pos].Outcome}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if pos, ok := st.lookupPosLocked(in); ok {
+		return TrialClaim{Resolved: true, Outcome: st.recs[pos].Outcome}
 	}
-	ts := sh.trialStateLocked(in, true)
+	ts := st.trialStateLocked(in, true)
 	if out, done := st.trialPolicy.Resolve(ts.tally()); done {
 		return TrialClaim{Resolved: true, Outcome: out}
 	}
@@ -177,10 +175,9 @@ func (st *Store) ReleaseTrial(in pipeline.Instance) {
 	if in.Space() != st.space {
 		return
 	}
-	sh := st.shardOf(in.Hash())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ts := sh.trialStateLocked(in, false)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	ts := st.trialStateLocked(in, false)
 	if ts == nil || ts.claimed <= len(ts.votes) {
 		return
 	}
@@ -190,7 +187,7 @@ func (st *Store) ReleaseTrial(in pipeline.Instance) {
 
 // AddTrial records one oracle trial's raw outcome as a vote. Votes are
 // durable before they count: with a TrialSink attached the vote's WAL
-// append (including its group-commit fsync) completes under the shard
+// append (including its group-commit fsync) completes under the store
 // lock, so a vote visible to any reader survives a crash. A vote arriving
 // after the tallies already resolve — or after the instance's record
 // committed — is discarded, never persisted, and never counted: the
@@ -204,21 +201,20 @@ func (st *Store) AddTrial(in pipeline.Instance, out pipeline.Outcome, source str
 	if out != pipeline.Succeed && out != pipeline.Fail {
 		return TrialResult{}, fmt.Errorf("provenance: cannot record trial outcome %v", out)
 	}
-	sh := st.shardOf(in.Hash())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if pos, ok := sh.lookupPosLocked(in); ok {
-		return TrialResult{Trial: -1, Discarded: true, Resolved: true, Outcome: sh.recs[pos].Outcome}, nil
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if pos, ok := st.lookupPosLocked(in); ok {
+		return TrialResult{Trial: -1, Discarded: true, Resolved: true, Outcome: st.recs[pos].Outcome}, nil
 	}
-	ts := sh.trialStateLocked(in, true)
+	ts := st.trialStateLocked(in, true)
 	succ, fail := ts.tally()
 	if res, done := st.trialPolicy.Resolve(succ, fail); done {
 		return TrialResult{Trial: -1, Succ: succ, Fail: fail, Discarded: true, Resolved: true, Outcome: res}, nil
 	}
 	idx := len(ts.votes)
 	if tsink, ok := st.sink.(TrialSink); ok {
-		if st.poisoned.Load() {
-			return TrialResult{}, st.poisonErr()
+		if st.stageErr != nil {
+			return TrialResult{}, st.stageErr
 		}
 		if err := tsink.AppendTrial(in, idx, out, source); err != nil {
 			return TrialResult{}, fmt.Errorf("provenance: trial sink: %w", err)
@@ -254,10 +250,9 @@ func (st *Store) LoadTrialVote(in pipeline.Instance, trial int, out pipeline.Out
 	if out != pipeline.Succeed && out != pipeline.Fail {
 		return fmt.Errorf("provenance: cannot load trial outcome %v", out)
 	}
-	sh := st.shardOf(in.Hash())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ts := sh.trialStateLocked(in, true)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	ts := st.trialStateLocked(in, true)
 	for trial >= len(ts.votes) {
 		ts.votes = append(ts.votes, TrialVote{})
 	}
@@ -282,10 +277,9 @@ func (st *Store) TrialVotes(in pipeline.Instance) []TrialVote {
 	if in.Space() != st.space {
 		return nil
 	}
-	sh := st.shardOf(in.Hash())
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ts := sh.trialStateLocked(in, false)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	ts := st.trialStateLocked(in, false)
 	if ts == nil || len(ts.votes) == 0 {
 		return nil
 	}
@@ -299,10 +293,9 @@ func (st *Store) TrialCount(in pipeline.Instance) int {
 	if in.Space() != st.space {
 		return 0
 	}
-	sh := st.shardOf(in.Hash())
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ts := sh.trialStateLocked(in, false)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	ts := st.trialStateLocked(in, false)
 	if ts == nil {
 		return 0
 	}
@@ -317,10 +310,9 @@ func (st *Store) TrialMargin(in pipeline.Instance) int {
 	if in.Space() != st.space {
 		return 0
 	}
-	sh := st.shardOf(in.Hash())
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ts := sh.trialStateLocked(in, false)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	ts := st.trialStateLocked(in, false)
 	if ts == nil {
 		return 0
 	}
@@ -336,22 +328,17 @@ func (st *Store) TrialMargin(in pipeline.Instance) int {
 // post-rotation WAL segment before superseded segments are collected, so
 // votes survive segment GC.
 func (st *Store) TrialVotesAll() []TrialRecord {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	var all []TrialRecord
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		if sh.trialByKey != nil {
-			for j := range sh.trialRecs {
-				ts := &sh.trialRecs[j]
-				if len(ts.votes) == 0 {
-					continue
-				}
-				votes := make([]TrialVote, len(ts.votes))
-				copy(votes, ts.votes)
-				all = append(all, TrialRecord{Instance: ts.in, Votes: votes})
-			}
+	for j := range st.trialRecs {
+		ts := &st.trialRecs[j]
+		if len(ts.votes) == 0 {
+			continue
 		}
-		sh.mu.RUnlock()
+		votes := make([]TrialVote, len(ts.votes))
+		copy(votes, ts.votes)
+		all = append(all, TrialRecord{Instance: ts.in, Votes: votes})
 	}
 	return all
 }

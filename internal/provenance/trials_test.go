@@ -188,7 +188,7 @@ func TestLoadTrialVoteHolesAndIdempotence(t *testing.T) {
 
 func TestTrialVotesAllSnapshots(t *testing.T) {
 	s := testSpace(t)
-	st := NewStoreSharded(s, 4)
+	st := NewStore(s)
 	st.SetTrialPolicy(trialPolicy())
 	want := map[uint64]int{}
 	for a := 1; a <= 3; a++ {

@@ -362,8 +362,8 @@ type ckptState struct {
 }
 
 // minRowsPerDecoder bounds the decode fan-out: a range smaller than this
-// is not worth a goroutine, so small checkpoints decode sequentially no
-// matter the requested parallelism.
+// is not worth a goroutine, so small checkpoints decode sequentially
+// however many cores are available.
 const minRowsPerDecoder = 4096
 
 // tierLoad is one decoded tier's contribution to a plan load: its sorted
@@ -582,16 +582,14 @@ func decodeTierInto(path string, ref tierRef, space *pipeline.Space, par int, re
 // through decodeTierInto, records land in their global sequence slots,
 // and the per-tier sorted runs are adopted as the store's base runs
 // (provenance.Store.LoadSortedRuns) — no hash index is built; identity
-// probes binary-search each run, newest first. The store is sharded
-// across shards hash ranges (1 = unsharded); each run is hash-sorted, so
-// LoadSortedRuns splits it at the shard boundaries and each shard adopts
-// its sub-runs in parallel.
+// probes binary-search each run, newest first. Each tier's rows decode on
+// up to par goroutines (see decodeTierInto).
 //
 // The newest tier decodes first, so its cumulative dictionary tables
 // seed the space and become the replay state; every older tier's tables
 // must then be a prefix of them — older entries re-verify against the
 // space, and counts may only shrink going back in time.
-func loadTierPlan(dir string, plan []tierRef, space *pipeline.Space, shards, par int) (*provenance.Store, *ckptState, error) {
+func loadTierPlan(dir string, plan []tierRef, space *pipeline.Space, par int) (*provenance.Store, *ckptState, error) {
 	if len(plan) == 0 {
 		return nil, nil, fmt.Errorf("%w: empty tier plan", errCkptInvalid)
 	}
@@ -637,7 +635,7 @@ func loadTierPlan(dir string, plan []tierRef, space *pipeline.Space, shards, par
 		cs.tiers = append(cs.tiers, bound)
 		runs = append(runs, tl.run)
 	}
-	st := provenance.NewStoreSharded(space, shards)
+	st := provenance.NewStore(space)
 	if err := st.LoadSortedRuns(recs, runs); err != nil {
 		return nil, nil, fmt.Errorf("provlog: tier plan ending at %s: %w", filepath.Base(plan[0].name), err)
 	}

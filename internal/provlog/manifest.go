@@ -119,6 +119,10 @@ func encodeManifest(fingerprint uint64, tiers []tierRef) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, ckptCRC))
 }
 
+// minManifestEntry is the smallest encoded manifest entry: the name length,
+// a one-byte name, three uint64 fields and the tier's CRC.
+const minManifestEntry = 2 + 1 + 3*8 + 4
+
 // decodeManifest parses and verifies manifest bytes: checksum, magic,
 // fingerprint, and that the tier entries form a contiguous recency chain
 // partitioning [0, watermark) — newest first, each tier beginning exactly
@@ -139,6 +143,11 @@ func decodeManifest(data []byte, fingerprint uint64) ([]tierRef, error) {
 	n := int(binary.LittleEndian.Uint32(data[16:20]))
 	off := 20
 	body := data[:len(data)-4]
+	// Size nothing from the header's count before the body proves it: an
+	// entry is at least minManifestEntry bytes.
+	if n < 0 || n > (len(body)-off)/minManifestEntry {
+		return nil, fmt.Errorf("manifest names %d tiers in %d bytes of entries", n, len(body)-off)
+	}
 	tiers := make([]tierRef, 0, n)
 	for i := 0; i < n; i++ {
 		if off+2 > len(body) {

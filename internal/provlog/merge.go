@@ -149,13 +149,18 @@ func parseTierStructure(path string, data []byte) (*tierInfo, error) {
 		ti.watermark = int(binary.LittleEndian.Uint64(footer[24:32]))
 		ti.fingerprint = binary.LittleEndian.Uint64(footer[32:40])
 	}
-	if ti.count != ti.watermark-ti.firstSeq {
+	if ti.firstSeq < 0 || ti.count != ti.watermark-ti.firstSeq {
 		return nil, ckptInvalid(path, "%d records for range [%d, %d) (sparse runs are not loadable)",
 			ti.count, ti.firstSeq, ti.watermark)
 	}
 	// Walk the dictionary tables to find where the rows begin.
 	body := data[:len(data)-footerSize]
 	off := ckptHeaderSize
+	// Every parameter's table opens with a 4-byte entry count, so the body
+	// bounds the parameter count before anything is sized from it.
+	if ti.p < 0 || ti.p > (len(body)-off)/4 {
+		return nil, ckptInvalid(path, "%d parameters in a %d-byte file", ti.p, len(data))
+	}
 	need := func(n int) ([]byte, error) {
 		if n < 0 || off+n > len(body) {
 			return nil, ckptInvalid(path, "truncated at offset %d", off)
@@ -197,8 +202,10 @@ func parseTierStructure(path string, data []byte) (*tierInfo, error) {
 	}
 	ti.dict = body[dictStart:off]
 	ti.rows = body[off:]
+	// Bound the row count by the bytes present before multiplying: a
+	// footer count near 2^64 would otherwise wrap onto the section length.
 	rowSize := 4*ti.p + 19
-	if len(ti.rows) != ti.count*rowSize {
+	if ti.count < 0 || ti.count > len(ti.rows)/rowSize || len(ti.rows) != ti.count*rowSize {
 		return nil, ckptInvalid(path, "record section is %d bytes, want %d rows of %d",
 			len(ti.rows), ti.count, rowSize)
 	}

@@ -16,8 +16,8 @@ import (
 
 // loadCheckpoint loads one base checkpoint file as an unbound single-tier
 // plan — the historic single-checkpoint load path the decode tests drive
-// directly.
-func loadCheckpoint(path string, space *pipeline.Space, shards, par int) (*provenance.Store, *ckptState, error) {
+// directly — decoding on par goroutines.
+func loadCheckpoint(path string, space *pipeline.Space, par int) (*provenance.Store, *ckptState, error) {
 	base := filepath.Base(path)
 	num, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(base, "ckpt-"), ".ckpt"), 10, 63)
 	if err != nil {
@@ -25,7 +25,7 @@ func loadCheckpoint(path string, space *pipeline.Space, shards, par int) (*prove
 	}
 	w := int(num)
 	plan := []tierRef{{name: base, watermark: w, count: w}}
-	return loadTierPlan(filepath.Dir(path), plan, space, shards, par)
+	return loadTierPlan(filepath.Dir(path), plan, space, par)
 }
 
 // This file tests the range-parallel checkpoint decode against the
@@ -87,30 +87,32 @@ func bigCheckpoint(t *testing.T, dir string, n int) ([]pipeline.Instance, []pipe
 	return ins, outs, srcs
 }
 
-// TestOpenParallelDecodeDifferential opens the same checkpoint dir
+// TestOpenParallelDecodeDifferential rebuilds the same checkpoint dir
 // sequentially and with decode fan-out — 8192 rows, enough for two ranges
 // past minRowsPerDecoder — and requires identical stores on every query
-// surface, across shard counts.
+// surface. Open sizes its fan-out from GOMAXPROCS; the test reaches each
+// case through replayDir's par argument.
 func TestOpenParallelDecodeDifferential(t *testing.T) {
 	dir := t.TempDir()
 	ins, outs, srcs := bigCheckpoint(t, dir, 2*minRowsPerDecoder)
-	for _, shards := range []int{1, 8} {
-		open := func(par int) *provenance.Store {
-			l, st, err := Open(dir, bigSpace(t), WithStoreShards(shards), WithOpenParallelism(par))
-			if err != nil {
-				t.Fatalf("Open(par=%d): %v", par, err)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return st
+	load := func(par int) *provenance.Store {
+		rs, _, _, err := replayDir(dir, bigSpace(t), par)
+		if err != nil {
+			t.Fatalf("replayDir(par=%d): %v", par, err)
 		}
-		seq := open(1)
-		assertStoreMatches(t, seq, ins, outs, srcs)
-		for _, par := range []int{2, 8} {
-			assertStoresEqual(t, seq, open(par))
-		}
+		return rs.st
 	}
+	seq := load(1)
+	assertStoreMatches(t, seq, ins, outs, srcs)
+	for _, par := range []int{2, 8} {
+		assertStoresEqual(t, seq, load(par))
+	}
+	l, st, err := Open(dir, bigSpace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	assertStoresEqual(t, seq, st)
 }
 
 // corruptRow rewrites one byte inside a checkpoint row and fixes up the
@@ -153,7 +155,7 @@ func TestParallelDecodeReportsSequentialError(t *testing.T) {
 		}
 		want := fmt.Sprintf("row %d has outcome 77", rows[0])
 		for _, par := range []int{1, 8} {
-			_, _, err := loadCheckpoint(cks[0].path, bigSpace(t), 1, par)
+			_, _, err := loadCheckpoint(cks[0].path, bigSpace(t), par)
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("par=%d: error = %v, want %q", par, err, want)
 			}
@@ -185,7 +187,7 @@ func TestDecodeRejectsDuplicateSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 8} {
-		_, _, err := loadCheckpoint(cks[0].path, bigSpace(t), 1, par)
+		_, _, err := loadCheckpoint(cks[0].path, bigSpace(t), par)
 		if err == nil || !strings.Contains(err.Error(), "duplicate seq") {
 			t.Fatalf("par=%d: error = %v, want duplicate seq", par, err)
 		}

@@ -96,35 +96,6 @@ func WithSyncPolicy(p SyncPolicy) Option {
 	return func(l *Log) { l.policy = p }
 }
 
-// WithStoreShards shards the provenance store Open rebuilds across n
-// hash-range shards (rounded up to a power of two; see
-// provenance.NewStoreSharded), so concurrent workers contend per hash
-// range instead of on one store lock. Checkpoint runs are hash-sorted, so
-// a sharded Open splits the run at the shard boundaries and each shard
-// adopts its sub-run in parallel. The shard count is a property of the
-// rebuilt in-memory store only — nothing on disk depends on it, and the
-// same directory can be opened with any value.
-func WithStoreShards(n int) Option {
-	return func(l *Log) {
-		if n < 1 {
-			n = 1
-		}
-		l.storeShards = n
-	}
-}
-
-// WithOpenParallelism sets how many goroutines Open uses to decode a
-// checkpoint's row region: the rows are fixed-width and independently
-// verifiable, so the region splits into n contiguous ranges decoded and
-// adopted concurrently (see the checkpoint format notes in docs/ONDISK.md).
-// The default, and any n < 1, is GOMAXPROCS at Open time; 1 forces the
-// sequential single-core load. Like the shard count, parallelism is a
-// property of the load only — nothing on disk depends on it, and every
-// value rebuilds an identical store.
-func WithOpenParallelism(n int) Option {
-	return func(l *Log) { l.openParallel = n }
-}
-
 // commitGroup is one commit window: the set of records staged between two
 // flushes. Followers park on the leader's done channel (Log.flushDone);
 // flushed/err record the window's fate for them to read on wake-up.
@@ -150,14 +121,12 @@ type Log struct {
 	sync        bool
 	policy      SyncPolicy
 
-	f            *os.File
-	lock         *os.File // flock-held lock file; nil where unsupported
-	segIndex     uint32
-	size         int64 // flusher-owned once open; serialized by flushing
-	nextSeq      int
-	storeShards  int      // hash-range shards of the store Open rebuilds (0/1 = unsharded)
-	openParallel int      // checkpoint-decode goroutines for Open (< 1 = GOMAXPROCS)
-	met          *Metrics // nil when uninstrumented; see WithMetrics
+	f        *os.File
+	lock     *os.File // flock-held lock file; nil where unsupported
+	segIndex uint32
+	size     int64 // flusher-owned once open; serialized by flushing
+	nextSeq  int
+	met      *Metrics // nil when uninstrumented; see WithMetrics
 
 	// Compaction state: the store Open attached (checkpoints snapshot it),
 	// the newest checkpoint's watermark, the WAL bytes written since, and
@@ -267,11 +236,7 @@ func Open(dir string, space *pipeline.Space, opts ...Option) (*Log, *provenance.
 	// Sweep up temp files a killed compaction left behind; the directory
 	// lock guarantees no live compactor owns them.
 	removeStrayTmp(dir)
-	par := l.openParallel
-	if par < 1 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	rs, segs, lastGood, err := replayDir(dir, space, l.storeShards, par)
+	rs, segs, lastGood, err := replayDir(dir, space, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -13,7 +13,7 @@ import (
 
 // testSpace declares the reference space; every test constructs it fresh,
 // the way a resumed process would.
-func testSpace(t *testing.T) *pipeline.Space {
+func testSpace(t testing.TB) *pipeline.Space {
 	t.Helper()
 	return pipeline.MustSpace(
 		pipeline.Parameter{Name: "alpha", Kind: pipeline.Ordinal,
@@ -28,7 +28,7 @@ func testSpace(t *testing.T) *pipeline.Space {
 // testRecords yields n distinct instances over s, cycling outcomes and
 // sources; every 5th instance carries an out-of-domain value so dictionary
 // frames keep appearing mid-log, and one instance carries NaN.
-func testRecords(t *testing.T, s *pipeline.Space, n int) ([]pipeline.Instance, []pipeline.Outcome, []string) {
+func testRecords(t testing.TB, s *pipeline.Space, n int) ([]pipeline.Instance, []pipeline.Outcome, []string) {
 	t.Helper()
 	sources := []string{"executor", "seed", "csv"}
 	var ins []pipeline.Instance

@@ -431,10 +431,9 @@ func replaySegment(sf segFile, rs *replayState, isFinal bool) (lastGood int64, e
 // already-covered records in a partially collected segment — and returns
 // the replay state, the segment list, and the intact byte length of the
 // final segment (the recovery point a writer must truncate to before
-// appending). The rebuilt store is sharded across shards hash ranges (1 =
-// unsharded); each loaded tier run splits at the shard boundaries and
-// decodes on up to par goroutines (<= 1 = sequential).
-func replayDir(dir string, space *pipeline.Space, shards, par int) (*replayState, []segFile, int64, error) {
+// appending). Each loaded tier decodes on up to par goroutines (<= 1 =
+// sequential); Open and Replay pass GOMAXPROCS.
+func replayDir(dir string, space *pipeline.Space, par int) (*replayState, []segFile, int64, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, nil, 0, err
@@ -457,7 +456,7 @@ func replayDir(dir string, space *pipeline.Space, shards, par int) (*replayState
 	var rs *replayState
 	var ckErr error
 	for _, plan := range plans {
-		st, cs, err := loadTierPlan(dir, plan, space, shards, par)
+		st, cs, err := loadTierPlan(dir, plan, space, par)
 		if err != nil {
 			// An unloadable plan falls back to the next one — a shallower
 			// chain, or the full WAL — unless a tier provably belongs to a
@@ -492,7 +491,7 @@ func replayDir(dir string, space *pipeline.Space, shards, par int) (*replayState
 			}
 			return nil, nil, 0, err
 		}
-		rs = newReplayState(space, provenance.NewStoreShardedWithCapacity(space, shards, int(capEstimate)))
+		rs = newReplayState(space, provenance.NewStoreWithCapacity(space, int(capEstimate)))
 	}
 
 	start, startSeq, err := pickStartSegment(segs, rs.skipBelow)
@@ -567,7 +566,7 @@ func pickStartSegment(segs []segFile, watermark int) (int, int, error) {
 // record — the signature of a crash mid-append — is skipped; the returned
 // store holds exactly the intact prefix.
 func Replay(dir string, space *pipeline.Space) (*provenance.Store, error) {
-	rs, segs, _, err := replayDir(dir, space, 1, runtime.GOMAXPROCS(0))
+	rs, segs, _, err := replayDir(dir, space, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,8 @@ import (
 // driver interleaves whole events, never partial ones. A nil *Journal is a
 // valid no-op target, which is the disabled path; emitting to an enabled
 // journal allocates (it formats JSON), so journals belong on span-level
-// events — oracle trials, batch dispatches, flushes, checkpoints, epoch
-// refreshes — not per-record hot paths.
+// events — oracle trials, batch dispatches, flushes, checkpoints — not
+// per-record hot paths.
 type Journal struct {
 	mu  sync.Mutex
 	w   io.Writer

@@ -72,7 +72,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // GaugeFunc registers a callback gauge: fn is evaluated at snapshot time,
-// so live state (a shard's committed count, a queue length) can be exposed
+// so live state (a store's record count, a queue length) can be exposed
 // with zero write-path cost. Re-registering a name replaces the callback.
 // fn must be safe to call concurrently with anything. No-op on a nil
 // registry.
@@ -190,7 +190,7 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	// Collect the handles under the lock, read the values outside it:
-	// gauge callbacks may themselves take locks (a store shard's counter)
+	// gauge callbacks may themselves take locks (a store's record count)
 	// and must not run under the registry mutex.
 	r.mu.Lock()
 	counters := make(map[string]*Counter, len(r.counters))

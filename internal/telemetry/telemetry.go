@@ -99,7 +99,7 @@ const histBuckets = 48
 
 // histStripe is one writer lane of a histogram. The trailing pad rounds
 // the struct to a multiple of the cache line size so adjacent stripes of a
-// striped histogram never share a line — per-shard padding for the
+// striped histogram never share a line — per-lane padding for the
 // contended-writer case.
 type histStripe struct {
 	buckets [histBuckets]atomic.Int64
@@ -111,7 +111,7 @@ type histStripe struct {
 // bits.Len64, one atomic bucket add, and one atomic sum add — no
 // allocation, no lock. A histogram built by NewHistogramStripes spreads
 // concurrent writers across cache-line-padded stripes keyed by a caller
-// hint (a shard or worker index), so hot multi-writer paths do not false-
+// hint (a worker index), so hot multi-writer paths do not false-
 // share one cell; snapshots fold the stripes back together. The zero
 // value is NOT ready to use — construct with NewHistogram — but a nil
 // *Histogram is a valid no-op target like the other metric types.
@@ -127,8 +127,8 @@ func NewHistogram() *Histogram {
 }
 
 // NewHistogramStripes builds a histogram with n writer stripes (rounded up
-// to a power of two, minimum 1). Writers that know their lane — a shard
-// index, a worker index — should call ObserveAt with it so contending
+// to a power of two, minimum 1). Writers that know their lane — a worker
+// index — should call ObserveAt with it so contending
 // writers land on distinct cache-line-padded stripes.
 func NewHistogramStripes(n int) *Histogram {
 	k := 1
