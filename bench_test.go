@@ -421,7 +421,8 @@ func benchLogSpace(b *testing.B) *pipeline.Space {
 }
 
 // BenchmarkProvlogAppend measures the write-ahead append path of the
-// durable provenance log: frame assembly plus one write syscall per record.
+// durable provenance log as Store.Add takes it: a one-record batch, frame
+// assembly plus one write syscall.
 func BenchmarkProvlogAppend(b *testing.B) {
 	space := benchLogSpace(b)
 	l, _, err := provlog.Open(b.TempDir(), space)
@@ -438,7 +439,7 @@ func BenchmarkProvlogAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := provenance.Record{Seq: i, Instance: ins[i%len(ins)], Outcome: pipeline.Succeed, Source: "bench"}
-		if err := l.Append(rec); err != nil {
+		if err := l.Append([]provenance.Record{rec}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -833,7 +834,7 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// --- Batched dispatch and group commit -------------------------------------
+// --- Batched dispatch ------------------------------------------------------
 
 // distinctInstances enumerates n distinct instances of s by mixed-radix
 // counting over the domains, starting at index start — collision-free as
@@ -858,11 +859,10 @@ func distinctInstances(b *testing.B, s *pipeline.Space, start, n int) []pipeline
 	return ins
 }
 
-// benchEvaluateDurable measures one round of 256 fresh hypotheses through
-// a durable executor with fsync enabled at 8 workers — batched (one commit
-// window, one fsync per round) against per-instance commits (one commit
-// window per record, coalesced only by whatever workers happen to overlap).
-func benchEvaluateDurable(b *testing.B, batch bool) {
+// BenchmarkEvaluateBatchDurable is the headline batched-dispatch number:
+// one round of 256 fresh hypotheses through a durable executor with fsync
+// enabled at 8 workers — one hypothesis round = one WAL write = one fsync.
+func BenchmarkEvaluateBatchDurable(b *testing.B) {
 	space := benchLogSpace(b)
 	oracle := exec.OracleFunc(func(_ context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
 		if in.Hash()&1 == 0 {
@@ -881,13 +881,7 @@ func benchEvaluateDurable(b *testing.B, batch bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ins := distinctInstances(b, space, i*round, round)
-		var results []exec.Result
-		if batch {
-			results = ex.EvaluateBatch(ctx, ins)
-		} else {
-			results = ex.EvaluateAll(ctx, ins)
-		}
-		for _, r := range results {
+		for _, r := range ex.EvaluateBatch(ctx, ins) {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}
@@ -895,14 +889,6 @@ func benchEvaluateDurable(b *testing.B, batch bool) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/round, "ns/record")
 }
-
-// BenchmarkEvaluateBatchDurable is the headline batched-dispatch number:
-// one hypothesis round = one WAL commit window = one fsync.
-func BenchmarkEvaluateBatchDurable(b *testing.B) { benchEvaluateDurable(b, true) }
-
-// BenchmarkEvaluateDurablePerInstance is the contrast: identical rounds
-// committed record by record.
-func BenchmarkEvaluateDurablePerInstance(b *testing.B) { benchEvaluateDurable(b, false) }
 
 // BenchmarkEvaluateFlakyQuorum measures the quorum state machine on the
 // batched in-memory path: a deterministic oracle under a 3-of-5 policy
@@ -965,8 +951,8 @@ func BenchmarkStoreAddBatch(b *testing.B) {
 
 // BenchmarkStoreAddParallel measures Add throughput into a fresh volatile
 // store from 8 concurrent workers, each committing its own slice of
-// distinct instances — the shape of EvaluateAll's per-worker commits
-// extending shared provenance. Every commit serializes on the store lock.
+// distinct instances — the shape of flaky quorums committing as they
+// resolve on the worker pool. Every commit serializes on the store lock.
 func BenchmarkStoreAddParallel(b *testing.B) {
 	space := benchLogSpace(b)
 	const workers, per = 8, 512

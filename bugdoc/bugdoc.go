@@ -71,10 +71,6 @@ type (
 	Store = provenance.Store
 	// Record is one provenance entry.
 	Record = provenance.Record
-	// SyncPolicy tunes the durable log's group commit: how concurrent
-	// appends coalesce into commit windows (one buffered write, and — with
-	// WithFsync — one fsync, per window).
-	SyncPolicy = provlog.SyncPolicy
 	// MergePolicy schedules the durable log's checkpoint tier compaction:
 	// how many LSM-style tiers may accumulate and how steeply their sizes
 	// must grow before adjacent tiers merge.
@@ -178,16 +174,8 @@ func WithDurability(dir string) Option {
 	return func(s *Session) { s.stateDir = dir }
 }
 
-// WithSyncPolicy tunes group commit for a durable session's write-ahead
-// log: concurrent executions coalesce their log appends into commit
-// windows of at most MaxBatch records, each flushed with one buffered
-// write after at most Interval of accumulation. It has no effect without
-// WithDurability.
-func WithSyncPolicy(p SyncPolicy) Option {
-	return func(s *Session) { s.syncPolicy = &p }
-}
-
-// WithFsync makes the durable session fsync every commit window, trading
+// WithFsync makes the durable session fsync every log write — one per
+// algorithm round, history record, or flaky-oracle vote — trading
 // throughput for zero loss on a machine crash (the default leaves flushing
 // to the OS; a process kill alone loses nothing either way). It has no
 // effect without WithDurability.
@@ -241,7 +229,6 @@ type Session struct {
 	workers      int
 	history      []Record
 	stateDir     string
-	syncPolicy   *SyncPolicy
 	fsync        bool
 	compactEvery int
 	mergePolicy  *MergePolicy
@@ -281,12 +268,8 @@ func NewSession(space *Space, oracle Oracle, opts ...Option) (*Session, error) {
 		if s.fsync {
 			logOpts = append(logOpts, provlog.WithSync(true))
 		}
-		if s.syncPolicy != nil {
-			logOpts = append(logOpts, provlog.WithSyncPolicy(*s.syncPolicy))
-		}
 		if s.compactEvery > 0 {
-			logOpts = append(logOpts, provlog.WithCompactPolicy(
-				provlog.CompactPolicy{EveryRecords: s.compactEvery}))
+			logOpts = append(logOpts, provlog.WithCompactEvery(s.compactEvery))
 		}
 		if s.mergePolicy != nil {
 			logOpts = append(logOpts, provlog.WithMergePolicy(*s.mergePolicy))

@@ -41,11 +41,11 @@ func WithTelemetry(reg *Registry) Option {
 
 // WithJournal streams structured session events (JSON lines) to j: oracle
 // trial spans with instance hash, outcome, and duration; batch dispatches;
-// group-commit flushes; checkpoints. The journal is
-// line-atomic under concurrency. Unlike WithTelemetry's counters, emitting
-// an event allocates, so journals record span-level events only — the
-// per-record hot paths stay untouched. Close the journal after the
-// session when it owns a file (OpenJournal).
+// WAL writes; checkpoints. The journal is line-atomic under concurrency.
+// Unlike WithTelemetry's counters, emitting an event allocates, so
+// journals record span-level events only — the per-record hot paths stay
+// untouched. Close the journal after the session when it owns a file
+// (OpenJournal).
 func WithJournal(j *Journal) Option {
 	return func(s *Session) { s.journal = j }
 }

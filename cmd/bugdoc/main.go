@@ -25,14 +25,12 @@
 //	bugdoc -demo polygamy -algo ddt -goal all -state-dir ./state
 //	bugdoc -demo polygamy -algo ddt -goal all -state-dir ./state -resume
 //
-//	# Crash-safe durable mode: -sync enables fsync with the given
-//	# group-commit window. Concurrent workers (and each algorithm round's
-//	# batched hypothesis set) coalesce their log appends into one write
-//	# and one fsync per window, so durability costs per round, not per
-//	# instance. -sync 0 still fsyncs every window (natural batching);
-//	# omit the flag to leave flushing to the OS.
+//	# Crash-safe durable mode: -fsync fsyncs every log write. Each
+//	# algorithm round commits its batched hypothesis set with one write,
+//	# so durability costs per round, not per instance; omit the flag to
+//	# leave flushing to the OS.
 //	bugdoc -demo polygamy -algo ddt -goal all -state-dir ./state \
-//	    -workers 8 -sync 2ms
+//	    -workers 8 -fsync
 //
 // Compaction flags: long sessions accumulate a WAL whose replay cost grows
 // with the whole past. -checkpoint-every N folds the records past the
@@ -69,11 +67,10 @@
 // session ends — including when it is interrupted with Ctrl-C — covering
 // memo hits, oracle latency percentiles, and WAL flush and checkpoint
 // costs. -events appends a JSON-lines journal of session events (oracle
-// trial spans, batch dispatches, group-commit flushes, checkpoints) to a
-// file. -debug-addr serves the live
-// metric registry at /debug/vars (JSON) and the Go profiler at
-// /debug/pprof/ while the session runs; ":0" picks a free port and the
-// chosen address is printed to stderr:
+// trial spans, batch dispatches, WAL writes, checkpoints) to a file.
+// -debug-addr serves the live metric registry at /debug/vars (JSON) and
+// the Go profiler at /debug/pprof/ while the session runs; ":0" picks a
+// free port and the chosen address is printed to stderr:
 //
 //	bugdoc -demo polygamy -algo ddt -goal all -workers 8 \
 //	    -stats -debug-addr 127.0.0.1:6060 -events events.jsonl
@@ -135,7 +132,7 @@ func run() error {
 		stateDir = flag.String("state-dir", "", "write-ahead log provenance here; reopening resumes it")
 		resume   = flag.Bool("resume", false, "require existing state in -state-dir and continue it")
 		latency  = flag.Duration("latency", 0, "simulated per-execution latency (e.g. 50ms)")
-		syncWin  = flag.Duration("sync", -1, "fsync the WAL with this group-commit window (e.g. 2ms; 0 = every window; < 0 = no fsync)")
+		fsync    = flag.Bool("fsync", false, "fsync every WAL write (default: leave flushing to the OS)")
 		compact  = flag.Bool("compact", false, "fold the -state-dir WAL into a checkpoint tier, collect superseded files, and exit")
 		ckptN    = flag.Int("checkpoint-every", 0, "compact the WAL in the background every N logged records (0 = only on -compact)")
 		mergePol = flag.String("merge-policy", "", "checkpoint tier merge policy as K:R — at most K tiers, each at least R times the one above (default 8:4; 1:1 = full rewrite)")
@@ -246,14 +243,11 @@ func run() error {
 			return fmt.Errorf("-resume: no session state in %s", *stateDir)
 		}
 		var logOpts []provlog.Option
-		if *syncWin >= 0 {
-			logOpts = append(logOpts,
-				provlog.WithSync(true),
-				provlog.WithSyncPolicy(provlog.SyncPolicy{Interval: *syncWin}))
+		if *fsync {
+			logOpts = append(logOpts, provlog.WithSync(true))
 		}
 		if *ckptN > 0 {
-			logOpts = append(logOpts,
-				provlog.WithCompactPolicy(provlog.CompactPolicy{EveryRecords: *ckptN}))
+			logOpts = append(logOpts, provlog.WithCompactEvery(*ckptN))
 		}
 		if merge != nil {
 			logOpts = append(logOpts, provlog.WithMergePolicy(*merge))

@@ -8,8 +8,8 @@
 //
 // Deeper documentation lives under docs/: docs/ARCHITECTURE.md maps the
 // layers (pipeline → provenance → provlog → exec → bugdoc → cmd), the
-// group-commit and compaction lifecycles, and the invariants each layer
-// owns; docs/ONDISK.md specifies the write-ahead log and checkpoint binary
+// write and compaction lifecycles, and the invariants each layer owns;
+// docs/ONDISK.md specifies the write-ahead log and checkpoint binary
 // formats byte by byte, with the crash-recovery rules; docs/CLI.md is the
 // cmd/bugdoc reference with a worked kill → resume → compact session.
 //
@@ -72,7 +72,7 @@
 //     -state-dir/-resume flags. A killed run resumes where it left off
 //     with zero repeated oracle calls for already-logged instances.
 //
-// # Batched hypothesis dispatch and WAL group commit
+// # Batched hypothesis dispatch: one WAL write per round
 //
 // BugDoc's algorithms emit sets of candidate instances per round — DDT
 // suspect verifications, stacked-shortcut candidate pools, group-testing
@@ -81,28 +81,22 @@
 //
 //   - exec.Executor.EvaluateBatch dedupes a hypothesis set against
 //     memoized history (and against itself), claims budget in input order
-//     (the deterministic partial-result contract EvaluateAll documents),
-//     dispatches the misses across the worker pool, and commits every
-//     result through one provenance.Store.AddBatch.
+//     (a deterministic partial-result contract), dispatches the misses
+//     across the worker pool, and commits every result through one
+//     provenance.Store.AddBatch.
 //   - provenance.Store.AddBatch takes the write lock once and hands the
-//     sink a single multi-record append. Sinks implementing StagedSink
-//     split every append into a staging phase under the lock and a
-//     durability wait outside it, so concurrent Adds overlap in the
-//     expensive flush; in-flight records are tracked until durable and
-//     committed to the indices strictly in sequence order, preserving
-//     write-ahead semantics.
-//   - internal/provlog group-commits: staged appends accumulate in a
-//     pending commit window, and the first waiter becomes the leader that
-//     writes (and, with fsync enabled, syncs) everything staged in one
-//     call while followers park on its done channel. SyncPolicy{Interval,
-//     MaxBatch} tunes the window; it threads through exec.NewDurable
-//     (exec.WithLogOptions), bugdoc.WithSyncPolicy/WithFsync, and the
-//     cmd/bugdoc -sync flag. A durable batched round costs one fsync per
-//     commit window instead of one per record (BenchmarkEvaluateBatchDurable
-//     vs BenchmarkEvaluateDurablePerInstance, >20x at 8 workers).
+//     sink the whole deduplicated batch in one Append, all or nothing;
+//     Store.Add hands it one record. The sink runs under the store lock,
+//     before the records are committed, so a record is never queryable
+//     before it is durable, and a failed append leaves the store unchanged.
+//   - internal/provlog.Log.Append frames the batch's records (dictionary
+//     entries first) and writes them with one write call — and, with fsync
+//     enabled (provlog.WithSync, bugdoc.WithFsync, cmd/bugdoc -fsync), one
+//     fsync. A durable round therefore costs one write and one fsync, not
+//     one per record (BenchmarkEvaluateBatchDurable).
 //   - Recovery is unchanged by batching: a batch is a contiguous run of
-//     CRC-framed records, so a crash mid-group-commit truncates to the
-//     intact frame prefix — torture-tested at every byte offset of a
+//     CRC-framed records, so a crash mid-write truncates to the intact
+//     frame prefix — torture-tested at every byte offset of a
 //     multi-record batch (internal/provlog).
 //
 // # Segment compaction and checkpointed resume
@@ -110,7 +104,7 @@
 // Long sessions accumulate WAL segments, and replaying the whole past on
 // every Open would make resume cost grow without bound. Compaction
 // (provlog.Log.Checkpoint, bugdoc.Session.Checkpoint, the
-// provlog.CompactPolicy auto-trigger, cmd/bugdoc -compact and
+// provlog.WithCompactEvery auto-trigger, cmd/bugdoc -compact and
 // -checkpoint-every) folds the committed history into a checkpoint file:
 // a sorted run keyed by instance hash, deduplicated last-write-wins, with
 // the value and source dictionaries consolidated into dense tables and a

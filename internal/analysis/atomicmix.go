@@ -113,9 +113,9 @@ func isTypedAtomic(t types.Type) bool {
 }
 
 // usedViaAtomicMethod reports whether the identifier's use is as the base
-// of an atomic method call — x in x.Load(), l.bytesSinceCkpt in
-// l.bytesSinceCkpt.Add(n) — or has its address taken to hand the atomic to
-// a helper (the pointee is still only reachable through methods).
+// of an atomic method call — x in x.Load(), c.v in c.v.Add(n) — or has
+// its address taken to hand the atomic to a helper (the pointee is still
+// only reachable through methods).
 func usedViaAtomicMethod(info *types.Info, parents map[ast.Node]ast.Node, id *ast.Ident) bool {
 	// The value expression for the atomic: the ident itself, or the
 	// selector that selects it as a field (possibly at the end of a

@@ -5,35 +5,33 @@ import (
 	"go/token"
 )
 
-// StickyErr enforces the poisoning protocol from PR 3/5: once a staged
-// write fails, the store/log is broken and nothing may mutate committed
-// state again. Mechanically: in any package that declares a sticky-error
-// field (stageErr, broken), every call to a committing function
-// (commitLocked, writeWindow) must be preceded — in the caller, or inside
-// a same-package function the caller invoked first — by a read of a
-// sticky field (stageErr or broken). Committing without the check
-// resurrects a poisoned structure and commits on top of a half-applied
-// failure.
+// StickyErr enforces the poisoning protocol from PR 3/5: once a write
+// fails in a way that leaves the on-disk state unknown, the log is broken
+// and nothing may write to it again. Mechanically: in any package that
+// declares a sticky-error field (broken), every call to a committing
+// function (writeLocked) must be preceded — in the caller, or inside a
+// same-package function the caller invoked first — by a read of the
+// sticky field. Writing without the check resurrects a poisoned log and
+// writes on top of a half-applied failure.
 var StickyErr = &Analyzer{
 	Name: "stickyerr",
-	Doc:  "commit paths must check stageErr/broken before mutating committed state",
+	Doc:  "commit paths must check broken before writing",
 	Run:  runStickyErr,
 }
 
 // stickyFields are the sticky-error field names the repo uses.
-var stickyFields = map[string]bool{"stageErr": true, "broken": true}
+var stickyFields = map[string]bool{"broken": true}
 
 // committingFuncs mutate committed state and therefore require a prior
 // sticky check.
-var committingFuncs = map[string]bool{"commitLocked": true, "writeWindow": true}
+var committingFuncs = map[string]bool{"writeLocked": true}
 
 func runStickyErr(pass *Pass) error {
 	if !declaresStickyField(pass.Pkg) {
 		return nil
 	}
 	// First pass: which functions read a sticky field anywhere? A call to
-	// one of these counts as a check (LoadRecords checks through
-	// loadValidateLocked).
+	// one of these counts as a check (Append checks through beginLocked).
 	checking := make(map[string]bool)
 	eachFuncDecl(pass.Pkg, func(fn *ast.FuncDecl) {
 		if mentionsSticky(fn.Body) {
@@ -58,7 +56,7 @@ func runStickyErr(pass *Pass) error {
 				}
 				if committingFuncs[name] && (!checkedAt.IsValid() || n.Pos() < checkedAt) {
 					pass.Reportf(n.Pos(),
-						"%s calls %s without first checking a sticky error field (stageErr/broken)",
+						"%s calls %s without first checking a sticky error field (broken)",
 						fn.Name.Name, name)
 				}
 			}

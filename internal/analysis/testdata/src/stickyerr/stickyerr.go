@@ -1,43 +1,43 @@
 package stickyerr
 
 type wal struct {
-	stageErr error
-	data     []int
+	broken error
+	data   []int
 }
 
-// commitLocked is the committing function; the checks live in its callers.
-func (l *wal) commitLocked(v int) {
+// writeLocked is the committing function; the checks live in its callers.
+func (l *wal) writeLocked(v int) {
 	l.data = append(l.data, v)
 }
 
-// goodCommit checks the sticky field first.
-func (l *wal) goodCommit(v int) error {
-	if l.stageErr != nil {
-		return l.stageErr
+// goodWrite checks the sticky field first.
+func (l *wal) goodWrite(v int) error {
+	if l.broken != nil {
+		return l.broken
 	}
-	l.commitLocked(v)
+	l.writeLocked(v)
 	return nil
 }
 
-func (l *wal) badCommit(v int) {
-	l.commitLocked(v) // want "without first checking a sticky error"
+func (l *wal) badWrite(v int) {
+	l.writeLocked(v) // want "without first checking a sticky error"
 }
 
-// validate reads the sticky field, so calling it counts as a check.
-func (l *wal) validate() error {
-	return l.stageErr
+// begin reads the sticky field, so calling it counts as a check.
+func (l *wal) begin() error {
+	return l.broken
 }
 
-// goodIndirect checks through validate, LoadRecords-style.
+// goodIndirect checks through begin, the way Append does.
 func (l *wal) goodIndirect(v int) error {
-	if err := l.validate(); err != nil {
+	if err := l.begin(); err != nil {
 		return err
 	}
-	l.commitLocked(v)
+	l.writeLocked(v)
 	return nil
 }
 
 func (l *wal) badLate(v int) error {
-	l.commitLocked(v) // want "without first checking a sticky error"
-	return l.stageErr
+	l.writeLocked(v) // want "without first checking a sticky error"
+	return l.broken
 }

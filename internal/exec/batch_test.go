@@ -60,7 +60,7 @@ func TestEvaluateBatchDedupes(t *testing.T) {
 
 // budgetPositions runs a 4-instance set against a budget of 2 and returns
 // which positions got funded.
-func budgetPositions(t *testing.T, batch bool) [4]bool {
+func budgetPositions(t *testing.T) [4]bool {
 	t.Helper()
 	s := testSpace(t)
 	ex := New(OracleFunc(failIfA1), provenance.NewStore(s), WithBudget(2), WithWorkers(4))
@@ -68,14 +68,8 @@ func budgetPositions(t *testing.T, batch bool) [4]bool {
 	for a := 1.0; a <= 4; a++ {
 		ins = append(ins, pipeline.MustInstance(s, pipeline.Ord(a), pipeline.Ord(a)))
 	}
-	var results []Result
-	if batch {
-		results = ex.EvaluateBatch(context.Background(), ins)
-	} else {
-		results = ex.EvaluateAll(context.Background(), ins)
-	}
 	var funded [4]bool
-	for i, r := range results {
+	for i, r := range ex.EvaluateBatch(context.Background(), ins) {
 		switch {
 		case r.Err == nil:
 			funded[i] = true
@@ -89,15 +83,13 @@ func budgetPositions(t *testing.T, batch bool) [4]bool {
 
 // TestEvaluateSetBudgetDeterministic asserts the documented contract:
 // budget is claimed in input order, so under exhaustion exactly the first
-// k un-memoized instances run — on every repetition, for both the
-// per-instance and the batched dispatch path.
+// k un-memoized instances run — on every repetition, however the workers
+// are scheduled.
 func TestEvaluateSetBudgetDeterministic(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		for rep := 0; rep < 20; rep++ {
-			funded := budgetPositions(t, batch)
-			if funded != [4]bool{true, true, false, false} {
-				t.Fatalf("batch=%v rep %d: funded = %v, want first two only", batch, rep, funded)
-			}
+	for rep := 0; rep < 20; rep++ {
+		funded := budgetPositions(t)
+		if funded != [4]bool{true, true, false, false} {
+			t.Fatalf("rep %d: funded = %v, want first two only", rep, funded)
 		}
 	}
 }
@@ -141,7 +133,7 @@ func TestEvaluateBatchDurableResume(t *testing.T) {
 	dir := t.TempDir()
 	c := &callCounter{calls: map[string]int{}}
 	ex, err := NewDurable(c.oracle(), durableSpace(), dir,
-		WithWorkers(4), WithLogOptions(provlog.WithSyncPolicy(provlog.SyncPolicy{MaxBatch: 8})))
+		WithWorkers(4), WithLogOptions(provlog.WithSync(true)))
 	if err != nil {
 		t.Fatal(err)
 	}

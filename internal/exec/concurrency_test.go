@@ -100,7 +100,7 @@ func TestConcurrentStoreReadsDuringWrites(t *testing.T) {
 			_, _ = ex.Store().Outcomes()
 		}
 	}()
-	results := ex.EvaluateAll(context.Background(), ins)
+	results := ex.EvaluateBatch(context.Background(), ins)
 	<-done
 	for _, r := range results {
 		if r.Err != nil {

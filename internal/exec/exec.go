@@ -12,11 +12,10 @@
 // which compacts the log so resume cost stays bounded by the live history
 // (see docs/ARCHITECTURE.md for how the layers fit together).
 //
-// EvaluateAll and EvaluateBatch dispatch whole hypothesis sets: both
-// dedupe against memoized history and claim budget deterministically in
-// input order; EvaluateBatch additionally commits every result through
-// one provenance batch append, so a durable round costs one commit window
-// (one fsync) instead of one per record.
+// EvaluateBatch dispatches a whole hypothesis set: it dedupes against
+// memoized history, claims budget deterministically in input order, and
+// commits every result through one provenance batch append, so a durable
+// round costs one log write (one fsync) instead of one per record.
 package exec
 
 import (
@@ -78,19 +77,10 @@ func WithWorkers(n int) Option {
 }
 
 // WithLogOptions forwards options to the durability log that NewDurable
-// opens (segment size, fsync, group-commit sync policy). Executors built
-// by New have no log and ignore them.
+// opens (segment size, fsync, compaction and tier-merge policy). Executors
+// built by New have no log and ignore them.
 func WithLogOptions(opts ...provlog.Option) Option {
 	return func(e *Executor) { e.logOpts = append(e.logOpts, opts...) }
-}
-
-// WithMergePolicy sets the checkpoint tier-compaction policy of the
-// durability log NewDurable opens (see provlog.MergePolicy): how many
-// LSM-style checkpoint tiers may accumulate and how steeply their sizes
-// must grow before adjacent tiers merge. Zero fields take the provlog
-// defaults. Executors built by New have no log and ignore it.
-func WithMergePolicy(p provlog.MergePolicy) Option {
-	return func(e *Executor) { e.logOpts = append(e.logOpts, provlog.WithMergePolicy(p)) }
 }
 
 // FlakyPolicy configures quorum outcome resolution for non-deterministic
@@ -200,7 +190,7 @@ func (e *Executor) Close() error {
 // provlog.Log.Checkpoint). The executor stays live: evaluations continue
 // while the compaction runs. It fails for executors built by New, which
 // have no log. For periodic compaction, thread
-// provlog.WithCompactPolicy through WithLogOptions instead.
+// provlog.WithCompactEvery through WithLogOptions instead.
 func (e *Executor) Checkpoint() error {
 	if e.log == nil {
 		return fmt.Errorf("exec: executor has no durability log to checkpoint")
@@ -438,19 +428,25 @@ func (e *Executor) commitOne(in pipeline.Instance, out pipeline.Outcome) (pipeli
 	return out, nil
 }
 
-// Result pairs an instance with its evaluation or error from EvaluateAll
-// and EvaluateBatch.
+// Result pairs an instance with its evaluation or error from
+// EvaluateBatch.
 type Result struct {
 	Instance pipeline.Instance
 	Outcome  pipeline.Outcome
 	Err      error
 }
 
-// EvaluateAll evaluates the instances concurrently on the worker pool and
-// returns results in input order, committing each result to provenance as
-// it lands (use EvaluateBatch to amortize commits instead). Individual
-// failures (budget exhaustion, unknown historical instances, oracle
-// errors) are reported per-result so callers can use partial information.
+// EvaluateBatch evaluates a hypothesis set concurrently on the worker
+// pool and returns results in input order. It dedupes the set against
+// memoized history (and against itself) up front, claims budget in input
+// order, dispatches the misses across the workers, and commits all results
+// through a single provenance.Store.AddBatch — one store write-lock
+// acquisition and one sink append, so a durable executor pays one log
+// write (one fsync) per round instead of one per record. Results become
+// queryable, and durable, together at the end of the batch, so a crash
+// mid-batch re-executes the whole round. Individual failures (budget
+// exhaustion, unknown historical instances, oracle errors) are reported
+// per-result so callers can use partial information.
 //
 // Partial results under budget exhaustion are deterministic: memoized
 // instances are free, and the remaining budget is claimed in input order
@@ -460,32 +456,13 @@ type Result struct {
 // a failing run funds later calls, not later instances of this set. A
 // duplicate of an earlier instance in the set reports that instance's
 // result instead of being dispatched twice.
-func (e *Executor) EvaluateAll(ctx context.Context, ins []pipeline.Instance) []Result {
-	return e.evaluateSet(ctx, ins, false)
-}
-
-// EvaluateBatch evaluates a hypothesis set as one batch: it dedupes the
-// set against memoized history (and against itself) up front, claims
-// budget in input order per the EvaluateAll contract, dispatches the
-// misses across the worker pool, and commits all results through a single
-// provenance.Store.AddBatch — one store write-lock acquisition and one
-// multi-record sink append, so a durable executor pays one commit window
-// (one fsync) per round instead of one per record.
 //
-// The tradeoff against EvaluateAll is commit granularity: results become
-// queryable (and durable) together at the end of the batch, so a crash
-// mid-batch re-executes the whole round, while EvaluateAll persists each
-// instance as it completes.
+// Under a flaky policy each instance resolves its quorum and commits its
+// record as soon as it resolves, instead of at the end of the batch.
 func (e *Executor) EvaluateBatch(ctx context.Context, ins []pipeline.Instance) []Result {
-	return e.evaluateSet(ctx, ins, true)
-}
-
-// evaluateSet implements EvaluateAll (batch=false: per-instance commits)
-// and EvaluateBatch (batch=true: one AddBatch at the end).
-func (e *Executor) evaluateSet(ctx context.Context, ins []pipeline.Instance, batch bool) []Result {
 	results := make([]Result, len(ins))
 	run, dupOf := e.planSet(ctx, ins, results)
-	e.tel.batchDispatch(len(ins), len(run), len(dupOf), batch)
+	e.tel.batchDispatch(len(ins), len(run), len(dupOf), !e.flaky.Enabled())
 
 	if len(run) > 0 {
 		jobs := make(chan int)
@@ -507,16 +484,12 @@ func (e *Executor) evaluateSet(ctx context.Context, ins []pipeline.Instance, bat
 					var out pipeline.Outcome
 					var err error
 					if e.flaky.Enabled() {
-						// Quorum resolution commits per instance: votes from
-						// concurrent workers already share group-commit fsync
-						// windows, so batching the final records would only
-						// delay resolution visibility.
+						// Quorum resolution commits per instance: every vote
+						// is already its own log write, so batching the final
+						// records would only delay resolution visibility.
 						out, err = e.evaluateFlaky(ctx, ins[i], lane)
 					} else {
 						out, err = e.runReserved(ctx, ins[i], lane)
-						if err == nil && !batch {
-							out, err = e.commitOne(ins[i], out)
-						}
 					}
 					results[i].Outcome, results[i].Err = out, err
 				}
@@ -530,7 +503,7 @@ func (e *Executor) evaluateSet(ctx context.Context, ins []pipeline.Instance, bat
 		wg.Wait()
 	}
 
-	if batch && !e.flaky.Enabled() {
+	if !e.flaky.Enabled() {
 		e.commitBatch(ins, run, results)
 	}
 	for i, j := range dupOf {

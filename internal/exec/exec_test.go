@@ -145,6 +145,9 @@ func TestEvaluateContextCancelled(t *testing.T) {
 	}
 }
 
+// TestEvaluateAllParallelAndOrdered evaluates all of a set through
+// EvaluateBatch: the oracle runs concurrently and the results come back in
+// input order.
 func TestEvaluateAllParallelAndOrdered(t *testing.T) {
 	s := testSpace(t)
 	var inFlight, peak int32
@@ -167,7 +170,7 @@ func TestEvaluateAllParallelAndOrdered(t *testing.T) {
 			ins = append(ins, pipeline.MustInstance(s, pipeline.Ord(a), pipeline.Ord(b)))
 		}
 	}
-	results := ex.EvaluateAll(context.Background(), ins)
+	results := ex.EvaluateBatch(context.Background(), ins)
 	if len(results) != len(ins) {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -191,6 +194,9 @@ func TestEvaluateAllParallelAndOrdered(t *testing.T) {
 	}
 }
 
+// TestEvaluateAllPartialBudget evaluates all of a set on a budget that
+// covers half of it: the funded half succeeds and the rest reports
+// ErrBudgetExhausted.
 func TestEvaluateAllPartialBudget(t *testing.T) {
 	s := testSpace(t)
 	ex := New(OracleFunc(failIfA1), provenance.NewStore(s), WithBudget(2), WithWorkers(2))
@@ -198,7 +204,7 @@ func TestEvaluateAllPartialBudget(t *testing.T) {
 	for a := 1.0; a <= 4; a++ {
 		ins = append(ins, pipeline.MustInstance(s, pipeline.Ord(a), pipeline.Ord(a)))
 	}
-	results := ex.EvaluateAll(context.Background(), ins)
+	results := ex.EvaluateBatch(context.Background(), ins)
 	okCount, budgetErrs := 0, 0
 	for _, r := range results {
 		switch {
@@ -284,7 +290,7 @@ func TestLatencySpeedupWithWorkers(t *testing.T) {
 		ex := New(LatencyOracle(OracleFunc(failIfA1), 10*time.Millisecond),
 			provenance.NewStore(s), WithWorkers(workers))
 		start := time.Now()
-		ex.EvaluateAll(context.Background(), makeIns())
+		ex.EvaluateBatch(context.Background(), makeIns())
 		return time.Since(start)
 	}
 	serial := run(1)

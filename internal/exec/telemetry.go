@@ -165,7 +165,9 @@ func (t *Telemetry) budget(spent, remaining int, bounded bool) {
 }
 
 // batchDispatch journals one worker-pool round: how many instances were
-// requested, memoized, deduped, and dispatched.
+// requested, memoized, deduped, and dispatched, and how the results
+// commit — "batch" through one AddBatch, or "per-record" under a flaky
+// policy, whose quorums commit as they resolve.
 func (t *Telemetry) batchDispatch(total, dispatched, dups int, batch bool) {
 	if t == nil || t.journal == nil {
 		return

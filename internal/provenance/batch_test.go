@@ -7,46 +7,20 @@ import (
 	"repro/internal/pipeline"
 )
 
-// recordingSink captures plain Appends.
+// recordingSink captures every batch appended to it; fail makes the next
+// Append fail, recording nothing.
 type recordingSink struct {
-	recs []Record
-	fail bool
+	batches [][]Record
+	fail    bool
 }
 
-func (s *recordingSink) Append(r Record) error {
+func (s *recordingSink) Append(recs []Record) error {
 	if s.fail {
+		s.fail = false
 		return fmt.Errorf("sink down")
 	}
-	s.recs = append(s.recs, r)
+	s.batches = append(s.batches, append([]Record(nil), recs...))
 	return nil
-}
-
-// stagingSink implements StagedSink, recording how records arrive in
-// staged groups; failNext makes the next wait report a flush failure.
-type stagingSink struct {
-	groups   [][]Record
-	failNext bool
-}
-
-func (s *stagingSink) Append(r Record) error {
-	wait, err := s.Stage([]Record{r})
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-func (s *stagingSink) Stage(recs []Record) (func() error, error) {
-	staged := append([]Record(nil), recs...)
-	fail := s.failNext
-	s.failNext = false
-	return func() error {
-		if fail {
-			return fmt.Errorf("flush failed")
-		}
-		s.groups = append(s.groups, staged)
-		return nil
-	}, nil
 }
 
 func batchEntries(t *testing.T, s *pipeline.Space, n int) []Entry {
@@ -69,11 +43,11 @@ func batchEntries(t *testing.T, s *pipeline.Space, n int) []Entry {
 }
 
 // TestAddBatchCommitsAndSkipsDuplicates covers the core semantics: one
-// multi-record staged append, duplicate skipping against the store and
+// multi-record sink append, duplicate skipping against the store and
 // within the batch, and index integrity afterwards.
 func TestAddBatchCommitsAndSkipsDuplicates(t *testing.T) {
 	s := testSpace(t)
-	sink := &stagingSink{}
+	sink := &recordingSink{}
 	st := NewStore(s)
 	st.SetSink(sink)
 	entries := batchEntries(t, s, 6)
@@ -91,8 +65,8 @@ func TestAddBatchCommitsAndSkipsDuplicates(t *testing.T) {
 	if st.Len() != 6 {
 		t.Fatalf("store has %d records, want 6", st.Len())
 	}
-	if len(sink.groups) != 2 || len(sink.groups[1]) != 5 {
-		t.Fatalf("sink saw groups %v, want the batch as one 5-record group", sink.groups)
+	if len(sink.batches) != 2 || len(sink.batches[1]) != 5 {
+		t.Fatalf("sink saw batches %v, want the batch as one 5-record append", sink.batches)
 	}
 	for i, r := range st.Snapshot().Records() {
 		if r.Seq != i {
@@ -111,63 +85,56 @@ func TestAddBatchCommitsAndSkipsDuplicates(t *testing.T) {
 	}
 }
 
-// TestAddBatchFlushFailurePoisons asserts the all-or-nothing staged
-// contract: a failed flush commits nothing, and the store refuses later
-// writes (the burned sequence numbers make them uncommittable) while
-// reads keep working.
-func TestAddBatchFlushFailurePoisons(t *testing.T) {
-	s := testSpace(t)
-	sink := &stagingSink{}
-	st := NewStore(s)
-	st.SetSink(sink)
-	pre := batchEntries(t, s, 2)
-	if _, err := st.AddBatch(pre[:1]); err != nil {
-		t.Fatal(err)
-	}
-	sink.failNext = true
-	if _, err := st.AddBatch(batchEntries(t, s, 4)[1:]); err == nil {
-		t.Fatal("AddBatch must surface the flush failure")
-	}
-	if st.Len() != 1 {
-		t.Fatalf("failed batch committed: store has %d records", st.Len())
-	}
-	if err := st.Add(pre[1].Instance, pre[1].Outcome, "late"); err == nil {
-		t.Fatal("poisoned store accepted a write")
-	}
-	if _, err := st.AddBatch(pre[1:]); err == nil {
-		t.Fatal("poisoned store accepted a batch")
-	}
-	if out, ok := st.Lookup(pre[0].Instance); !ok || out != pre[0].Outcome {
-		t.Fatalf("reads broken after poison: %v, %v", out, ok)
-	}
-}
-
-// TestAddBatchPlainSinkPartialFailure covers the legacy-sink path: entries
-// append one by one, and a mid-batch sink failure reports the committed
-// prefix in added.
-func TestAddBatchPlainSinkPartialFailure(t *testing.T) {
+// TestSinkFailureCommitsNothing pins the write contract: a failing sink
+// append makes Add and AddBatch return the error and commit nothing — no
+// record, no index entry, no sequence number — and the next write
+// succeeds, continuing the log densely.
+func TestSinkFailureCommitsNothing(t *testing.T) {
 	s := testSpace(t)
 	sink := &recordingSink{}
 	st := NewStore(s)
 	st.SetSink(sink)
-	entries := batchEntries(t, s, 3)
-	if added, err := st.AddBatch(entries); err != nil || added != 3 {
-		t.Fatalf("AddBatch = %d, %v", added, err)
-	}
-	if len(sink.recs) != 3 {
-		t.Fatalf("plain sink saw %d appends", len(sink.recs))
+	entries := batchEntries(t, s, 6)
+	if _, err := st.AddBatch(entries[:1]); err != nil {
+		t.Fatal(err)
 	}
 	sink.fail = true
-	more := batchEntries(t, s, 6)[3:]
-	added, err := st.AddBatch(more)
-	if err == nil {
-		t.Fatal("AddBatch must surface the sink failure")
+	if err := st.Add(entries[1].Instance, entries[1].Outcome, "one"); err == nil {
+		t.Fatal("Add must surface the sink failure")
 	}
-	if added != 0 || st.Len() != 3 {
-		t.Fatalf("added = %d, Len = %d; want 0 and 3", added, st.Len())
+	sink.fail = true
+	if added, err := st.AddBatch(entries[1:4]); err == nil || added != 0 {
+		t.Fatalf("AddBatch over a failing sink = %d, %v; want 0 and the error", added, err)
 	}
-	sink.fail = false
-	if added, err := st.AddBatch(more); err != nil || added != 3 {
-		t.Fatalf("retry AddBatch = %d, %v", added, err)
+	if st.Len() != 1 {
+		t.Fatalf("failed writes committed: store has %d records", st.Len())
+	}
+	for _, e := range entries[1:4] {
+		if _, ok := st.Lookup(e.Instance); ok {
+			t.Fatalf("failed write left %v queryable", e.Instance)
+		}
+	}
+	if succ, fail := st.Outcomes(); succ+fail != 1 {
+		t.Fatalf("failed writes reached the outcome indices: %d+%d", succ, fail)
+	}
+	// The next writes succeed and continue the sequence without a gap.
+	if err := st.Add(entries[1].Instance, entries[1].Outcome, "one"); err != nil {
+		t.Fatal(err)
+	}
+	if added, err := st.AddBatch(entries[2:]); err != nil || added != 4 {
+		t.Fatalf("AddBatch after the failure = %d, %v", added, err)
+	}
+	var appended []Record
+	for _, b := range sink.batches {
+		appended = append(appended, b...)
+	}
+	recs := st.Records()
+	if len(recs) != 6 || len(appended) != 6 {
+		t.Fatalf("store has %d records, sink saw %d; want 6 and 6", len(recs), len(appended))
+	}
+	for i, r := range recs {
+		if r.Seq != i || appended[i].Seq != i || !appended[i].Instance.Equal(r.Instance) {
+			t.Fatalf("record %d: store {seq %d %v}, sink {seq %d %v}", i, r.Seq, r.Instance, appended[i].Seq, appended[i].Instance)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/predicate"
@@ -252,24 +251,15 @@ func TestConcurrentAdds(t *testing.T) {
 	}
 }
 
-// orderedStagingSink is a goroutine-safe StagedSink that checks records
-// arrive in dense sequence order and holds every commit window open
-// briefly, so concurrent batches overlap while in flight.
-type orderedStagingSink struct {
+// orderedSink is a goroutine-safe Sink that checks records arrive in
+// dense sequence order.
+type orderedSink struct {
 	mu   sync.Mutex
 	next int
 	err  error
 }
 
-func (s *orderedStagingSink) Append(r Record) error {
-	wait, err := s.Stage([]Record{r})
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-func (s *orderedStagingSink) Stage(recs []Record) (func() error, error) {
+func (s *orderedSink) Append(recs []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, r := range recs {
@@ -278,23 +268,22 @@ func (s *orderedStagingSink) Stage(recs []Record) (func() error, error) {
 		}
 		s.next = r.Seq + 1
 	}
-	return func() error {
-		time.Sleep(200 * time.Microsecond)
-		return nil
-	}, nil
+	return nil
 }
 
 // TestConcurrentAddBatches drives concurrent batches over overlapping
 // instance sets and checks the store ends dense and complete, with each
-// instance committed exactly once. With a staging sink attached the
-// batches overlap in flight, exercising the in-flight duplicate skip.
+// instance committed exactly once. staged=true attaches a sink, so every
+// batch is deduplicated whole and appended before it commits, and the
+// sink checks the appends arrive in sequence order; staged=false is the
+// sink-less store's commit-as-you-go path.
 func TestConcurrentAddBatches(t *testing.T) {
 	for _, staged := range []bool{false, true} {
 		t.Run(fmt.Sprintf("staged=%v", staged), func(t *testing.T) {
 			s := concurrentSpace()
 			const workers = 6
 			st := NewStore(s)
-			sink := &orderedStagingSink{}
+			sink := &orderedSink{}
 			if staged {
 				st.SetSink(sink)
 			}

@@ -5,9 +5,9 @@ import (
 )
 
 // This file holds the store's index maintenance: the per-record commit,
-// both identity tiers, the deferred base-run index, and the staged-commit
-// drain. Every function here runs with the store lock held, except
-// buildBaseIndex, which reads only the immutable base prefix.
+// both identity tiers, and the deferred base-run index. Every function
+// here runs with the store lock held, except buildBaseIndex, which reads
+// only the immutable base prefix.
 
 // commitLocked appends a record to the log (continuing the ascending
 // sequence order) and updates every index. The caller holds the write
@@ -173,66 +173,5 @@ func (st *Store) installBaseIndexLocked(bi *baseIndex) {
 			lp[c] = bp
 		}
 		st.posting[i] = lp
-	}
-}
-
-// stagedLookupLocked returns the in-flight staged record for in, if any.
-func (st *Store) stagedLookupLocked(in pipeline.Instance) *stagedRec {
-	for _, e := range st.stagedByH[in.Hash()] {
-		if e.rec.Instance.Equal(in) {
-			return e
-		}
-	}
-	return nil
-}
-
-// stagePushLocked registers a staged record for the duplicate check and
-// the sequence-ordered drain.
-func (st *Store) stagePushLocked(e *stagedRec) {
-	if st.stagedByH == nil {
-		st.stagedByH = make(map[uint64][]*stagedRec)
-	}
-	st.staged = append(st.staged, e)
-	h := e.rec.Instance.Hash()
-	st.stagedByH[h] = append(st.stagedByH[h], e)
-}
-
-// drainStagedLocked commits the resolved prefix of the staged set.
-// Records become durable strictly in sequence order (commit groups flush
-// the sink's pending buffer wholesale), but the goroutines observing the
-// flush reach the store lock in any order, so each marks its own records
-// and drains whatever contiguous prefix has been resolved — later records
-// wait for their predecessors' (already awake) goroutines. Failed records
-// drop without committing and set dropTail: nothing behind a failure can
-// be durable (a group flush failure poisons the sink and every later wait
-// fails too), and dropping a record burns its sequence, so any later
-// staged record drops as well rather than commit out of order.
-//
-//buglint:ignore stickyerr staged entries were validated against stageErr when staged; failures arrive as e.failed/dropTail here, after the sticky error is already set under the lock
-func (st *Store) drainStagedLocked() {
-	for len(st.staged) > 0 {
-		e := st.staged[0]
-		if !e.durable && !e.failed {
-			return
-		}
-		st.staged = st.staged[1:]
-		h := e.rec.Instance.Hash()
-		bucket := st.stagedByH[h]
-		for i := range bucket {
-			if bucket[i] == e {
-				st.stagedByH[h] = append(bucket[:i], bucket[i+1:]...)
-				break
-			}
-		}
-		if len(st.stagedByH[h]) == 0 {
-			delete(st.stagedByH, h)
-		}
-		if e.failed {
-			st.dropTail = true
-		}
-		if e.durable && !st.dropTail {
-			st.commitLocked(e.rec)
-		}
-		close(e.done)
 	}
 }

@@ -26,22 +26,14 @@
 // observable.
 //
 // The store itself is volatile; durability is delegated to a pluggable
-// Sink. A sink's Append runs inside Add, under the store's lock and before
-// the in-memory indices are updated, so a durable sink (the segmented
-// write-ahead log in internal/provlog) gives write-ahead semantics: no
-// record becomes queryable unless its log append succeeded, and rebuilding
-// a store by replaying the log reproduces the indices exactly.
-//
-// Sinks that also implement StagedSink split the append into a staging
-// phase (under the lock, cheap: frames are assembled into the sink's
-// pending commit group) and a durability wait (outside the lock), so
-// concurrent Adds overlap in the expensive part — the sink's write+fsync —
-// instead of serializing it under the store lock. Records in flight are
-// tracked until durable and committed to the indices strictly in sequence
-// order; write-ahead semantics are preserved (a record is never queryable
-// before it is durable). AddBatch amortizes further: one lock acquisition,
-// one staged multi-record append, and one durability wait for a whole
-// hypothesis set.
+// Sink. A sink's Append runs inside Add and AddBatch, under the store's
+// lock and before the in-memory indices are updated, so a durable sink
+// (the segmented write-ahead log in internal/provlog) gives write-ahead
+// semantics: no record becomes queryable unless its log append succeeded,
+// and rebuilding a store by replaying the log reproduces the indices
+// exactly. Each write is one Append call — one record for Add, the whole
+// deduplicated batch for AddBatch — and a failed Append leaves the store
+// unchanged.
 package provenance
 
 import (
@@ -61,29 +53,17 @@ type Record struct {
 	Source   string
 }
 
-// Sink receives every record at the moment it is committed to a store.
-// Append is called with the store's lock held, before the record enters
-// the in-memory log and indices: if Append fails, the Add fails and the
-// store is unchanged. Appends therefore arrive exactly in sequence order,
-// without duplicates, and a sink that persists them (internal/provlog) is
-// a write-ahead log of the store. Sinks that also implement StagedSink
-// take the staged path instead: Append is bypassed in favor of Stage plus
-// an out-of-lock durability wait.
+// Sink receives the records of every write at the moment they are
+// committed to a store. Append is called with the store's lock held,
+// before the records enter the in-memory log and indices, with one record
+// for Add and the whole deduplicated batch for AddBatch: if Append fails,
+// the write fails and the store is unchanged, so a sink must persist
+// either all of recs or none. Records therefore arrive exactly in
+// sequence order, without gaps or duplicates, and a sink that persists
+// them (internal/provlog) is a write-ahead log of the store. Append must
+// not retain recs, which the store reuses.
 type Sink interface {
-	Append(Record) error
-}
-
-// StagedSink is an optional Sink extension for group durability. Stage is
-// called under the store's lock with a batch of records in sequence order;
-// it must buffer them cheaply and return a wait function. The store
-// releases its lock and then calls wait, which blocks until the staged
-// records are durable (typically coalesced with concurrently staged
-// records into one write and one fsync — see internal/provlog's
-// group-commit). A non-nil error from wait means none of the staged records
-// may be treated as durable; the store drops them without committing.
-type StagedSink interface {
-	Sink
-	Stage(recs []Record) (wait func() error, err error)
+	Append(recs []Record) error
 }
 
 // recordableOutcome reports whether an outcome may be committed as a
@@ -99,17 +79,6 @@ type Entry struct {
 	Instance pipeline.Instance
 	Outcome  pipeline.Outcome
 	Source   string
-}
-
-// stagedRec tracks one record between staging and commit. done is closed
-// when the record leaves the staged set (committed or dropped), so a
-// concurrent Add of the same instance can wait for the outcome instead of
-// racing it.
-type stagedRec struct {
-	rec     Record
-	done    chan struct{}
-	durable bool
-	failed  bool
 }
 
 // Store is an append-only, thread-safe provenance log over a single
@@ -154,20 +123,6 @@ type Store struct {
 	succBits, failBits bitset
 	posting            [][]bitset
 
-	// seq is the next sequence number to assign: committed records plus
-	// records in flight on the staged path.
-	seq int
-
-	// Staged-commit state (StagedSink path): records whose sink append has
-	// been staged but whose durability is still pending, in sequence
-	// order. stagedByH buckets them by instance hash for the duplicate
-	// check. dropTail is set when a staged record is dropped without
-	// committing (its flush failed): later staged records would leave a
-	// sequence gap, so they drop too.
-	staged    []*stagedRec
-	stagedByH map[uint64][]*stagedRec
-	dropTail  bool
-
 	// Trial-vote state (flaky-oracle sessions only; see trials.go): maps
 	// instance identity to an index into trialRecs, whose entries hold the
 	// per-instance vote tallies accumulated across repeated oracle trials.
@@ -180,8 +135,7 @@ type Store struct {
 
 	sink     Sink
 	met      *Metrics  // nil when uninstrumented; see SetMetrics
-	stageErr error     // set on staged-sink failure; poisons writes (reads stay valid)
-	stageOne [1]Record // single-record staging scratch, used under mu
+	stageOne [1]Record // Add's one-record sink batch, used under mu
 
 	// indexMu single-flights the off-lock deferred base-index build. It is
 	// acquired before mu, never after.
@@ -215,38 +169,20 @@ func NewStoreWithCapacity(s *pipeline.Space, n int) *Store {
 // Space returns the parameter space the store records instances of.
 func (st *Store) Space() *pipeline.Space { return st.space }
 
-// SetSink attaches a durability sink; every subsequent Add appends to it
+// SetSink attaches a durability sink; every subsequent write appends to it
 // before committing to memory. Passing nil detaches the current sink.
 // SetSink is not meant to race with Adds: attach the sink before handing
-// the store to the executor. Detaching a sink does not lift a write poison
-// left by a staged-sink failure — the burned sequence numbers make later
-// writes uncommittable regardless of the sink.
+// the store to the executor.
 func (st *Store) SetSink(sink Sink) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.sink = sink
 }
 
-// poisonLocked marks the store write-poisoned after a staged-sink failure:
-// the failed records' sequence numbers are burned (later staged records may
-// already hold higher ones), so no later record could ever commit at its
-// assigned position. Reads and already-committed records stay valid. The
-// caller holds mu.
-func (st *Store) poisonLocked(cause error) {
-	if st.stageErr == nil {
-		st.stageErr = fmt.Errorf("provenance: store write-poisoned by sink failure: %w", cause)
-	}
-}
-
 // Add appends a record and updates every index. It fails for instances of
 // a different space, for unknown outcomes, for instances already recorded
-// (deterministic evaluation makes duplicates meaningless), and — on every
-// sink configuration, including none — for stores write-poisoned by an
-// earlier staged-sink failure.
-//
-// With a StagedSink attached, the durability wait happens outside the
-// lock, so concurrent Adds coalesce into the sink's commit groups instead
-// of serializing one fsync each under the lock.
+// (deterministic evaluation makes duplicates meaningless), and when the
+// sink's append fails, which leaves the store unchanged.
 func (st *Store) Add(in pipeline.Instance, out pipeline.Outcome, source string) error {
 	if in.Space() != st.space {
 		return fmt.Errorf("provenance: instance belongs to a different space")
@@ -255,110 +191,32 @@ func (st *Store) Add(in pipeline.Instance, out pipeline.Outcome, source string) 
 		return fmt.Errorf("provenance: cannot record outcome %v", out)
 	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if _, dup := st.lookupPosLocked(in); dup {
-		st.mu.Unlock()
 		return fmt.Errorf("provenance: instance %v already recorded", in)
 	}
-	ss, staged := st.sink.(StagedSink)
-	if staged {
-		if e := st.stagedLookupLocked(in); e != nil {
-			// The same instance is in flight on another goroutine; wait for
-			// its fate so the caller's follow-up Lookup sees the committed
-			// record. (e's fields are settled before done closes, so the
-			// unlocked reads below are safe.)
-			done := e.done
-			st.mu.Unlock()
-			<-done
-			if e.failed {
-				st.mu.RLock()
-				err := st.stageErr
-				st.mu.RUnlock()
-				if err == nil {
-					err = fmt.Errorf("provenance: concurrent write of %v failed", in)
-				}
-				return err
-			}
-			return fmt.Errorf("provenance: instance %v already recorded", in)
+	rec := Record{Seq: len(st.recs), Instance: in, Outcome: out, Source: source}
+	if st.sink != nil {
+		st.stageOne[0] = rec
+		if err := st.sink.Append(st.stageOne[:]); err != nil {
+			return fmt.Errorf("provenance: sink: %w", err)
 		}
 	}
-	if err := st.stageErr; err != nil {
-		st.mu.Unlock()
-		return err
-	}
-	rec := Record{Seq: st.seq, Instance: in, Outcome: out, Source: source}
-	if !staged {
-		// Write-ahead: a plain sink's append must succeed before the record
-		// is queryable.
-		if st.sink != nil {
-			if err := st.sink.Append(rec); err != nil {
-				st.mu.Unlock()
-				return fmt.Errorf("provenance: sink: %w", err)
-			}
-		}
-		st.seq++
-		st.commitLocked(rec)
-		st.mu.Unlock()
-		return nil
-	}
-	st.stageOne[0] = rec
-	return st.commitStagedUnlock(ss, st.stageOne[:1])
-}
-
-// commitStagedUnlock stages recs — survivors of the duplicate checks, with
-// sequence numbers continuing st.seq — with the sink, waits for their
-// durability outside the lock, and commits them in sequence order. A
-// failed wait drops them and write-poisons the store. The caller holds
-// mu; it is released on return.
-func (st *Store) commitStagedUnlock(ss StagedSink, recs []Record) error {
-	wait, err := ss.Stage(recs)
-	if err != nil {
-		st.mu.Unlock()
-		return fmt.Errorf("provenance: sink: %w", err)
-	}
-	st.seq += len(recs)
-	es := make([]*stagedRec, len(recs))
-	for i, rec := range recs {
-		es[i] = &stagedRec{rec: rec, done: make(chan struct{})}
-		st.stagePushLocked(es[i])
-	}
-	st.mu.Unlock()
-
-	werr := wait()
-
-	st.mu.Lock()
-	if werr != nil {
-		st.poisonLocked(werr)
-	}
-	for _, e := range es {
-		e.durable, e.failed = werr == nil, werr != nil
-	}
-	st.drainStagedLocked()
-	st.mu.Unlock()
-	if werr != nil {
-		return fmt.Errorf("provenance: sink: %w", werr)
-	}
+	st.commitLocked(rec)
 	return nil
 }
 
-// AddBatch records a batch of evaluations under one lock acquisition and —
-// when the sink supports staging — with one multi-record sink append and
-// one durability wait for the whole batch. Entries whose instance is
-// already recorded (or duplicated within the batch, or in flight on
-// another goroutine) are skipped, not errors: batch callers dedupe against
-// memoized history up front, but races with concurrent evaluations of the
-// same instance are benign and the earlier record is authoritative. An
-// entry skipped as in flight counts on its winner: should the winner's
-// commit window then fail, that record is lost — but every such failure
-// write-poisons the store, so the session is already terminal and no later
-// write can silently diverge. It returns how many entries were added.
+// AddBatch records a batch of evaluations under one lock acquisition and
+// with one sink append for the whole batch. Entries whose instance is
+// already recorded (or duplicated within the batch) are skipped, not
+// errors: batch callers dedupe against memoized history up front, but
+// races with concurrent evaluations of the same instance are benign and
+// the earlier record is authoritative. It returns how many entries were
+// added.
 //
 // Sequence numbers are assigned to the surviving entries in input order.
 // Validation errors (wrong space, unknown outcome) reject the whole batch
-// before anything is staged, as does a store write-poisoned by an earlier
-// staged-sink failure. A sink failure on the staged path commits nothing;
-// on the plain-Sink path entries are appended one by one and a failure
-// stops the batch, with the already-appended prefix committed — added
-// reports exactly how many.
+// before anything is appended, and a sink failure commits nothing.
 func (st *Store) AddBatch(entries []Entry) (added int, err error) {
 	for i := range entries {
 		if entries[i].Instance.Space() != st.space {
@@ -369,38 +227,26 @@ func (st *Store) AddBatch(entries []Entry) (added int, err error) {
 		}
 	}
 	st.mu.Lock()
-	if err := st.stageErr; err != nil {
-		st.mu.Unlock()
-		return 0, err
-	}
-	ss, staged := st.sink.(StagedSink)
-	if !staged {
-		// Volatile or plain-sink store: one pass, commits dedupe the batch
-		// as they land. This is the default store's hot batch path
+	defer st.mu.Unlock()
+	if st.sink == nil {
+		// Volatile store: one pass, commits dedupe the batch as they land.
+		// This is the default store's hot batch path
 		// (BenchmarkStoreAddBatch).
-		defer st.mu.Unlock()
 		for i := range entries {
 			in := entries[i].Instance
 			if _, dup := st.lookupPosLocked(in); dup {
 				continue
 			}
-			if st.stagedLookupLocked(in) != nil {
-				continue
-			}
-			rec := Record{Seq: st.seq, Instance: in, Outcome: entries[i].Outcome, Source: entries[i].Source}
-			if st.sink != nil {
-				if err := st.sink.Append(rec); err != nil {
-					return added, fmt.Errorf("provenance: sink: %w", err)
-				}
-			}
-			st.seq++
-			st.commitLocked(rec)
+			st.commitLocked(Record{
+				Seq: len(st.recs), Instance: in,
+				Outcome: entries[i].Outcome, Source: entries[i].Source,
+			})
 			added++
 		}
 		return added, nil
 	}
 
-	// Staged path: nothing commits until the batch is durable, so
+	// With a sink nothing commits until the batch is durable, so
 	// duplicates within the batch are caught by a batch-local set.
 	seen := pipeline.NewInstanceMap[struct{}](len(entries))
 	recs := make([]Record, 0, len(entries))
@@ -409,79 +255,24 @@ func (st *Store) AddBatch(entries []Entry) (added int, err error) {
 		if _, dup := st.lookupPosLocked(in); dup {
 			continue
 		}
-		if st.stagedLookupLocked(in) != nil {
-			continue
-		}
 		if !seen.Put(in, struct{}{}) {
 			continue
 		}
 		recs = append(recs, Record{
-			Seq: st.seq + len(recs), Instance: in,
+			Seq: len(st.recs) + len(recs), Instance: in,
 			Outcome: entries[i].Outcome, Source: entries[i].Source,
 		})
 	}
 	if len(recs) == 0 {
-		st.mu.Unlock()
 		return 0, nil
 	}
-	if err := st.commitStagedUnlock(ss, recs); err != nil {
-		return 0, err
+	if err := st.sink.Append(recs); err != nil {
+		return 0, fmt.Errorf("provenance: sink: %w", err)
+	}
+	for _, rec := range recs {
+		st.commitLocked(rec)
 	}
 	return len(recs), nil
-}
-
-// loadValidateLocked shares the up-front checks of the two bulk loaders.
-// The caller holds mu.
-func (st *Store) loadValidateLocked(recs []Record) error {
-	if st.sink != nil {
-		return fmt.Errorf("provenance: bulk load on a store with a sink attached")
-	}
-	if st.stageErr != nil {
-		return st.stageErr
-	}
-	if len(st.staged) > 0 {
-		return fmt.Errorf("provenance: bulk load with staged writes in flight")
-	}
-	for i := range recs {
-		r := &recs[i]
-		if r.Instance.Space() != st.space {
-			return fmt.Errorf("provenance: record %d: instance belongs to a different space", i)
-		}
-		if !recordableOutcome(r.Outcome) {
-			return fmt.Errorf("provenance: record %d: cannot record outcome %v", i, r.Outcome)
-		}
-		if r.Seq != st.seq+i {
-			return fmt.Errorf("provenance: record %d has sequence %d, want %d", i, r.Seq, st.seq+i)
-		}
-	}
-	return nil
-}
-
-// LoadRecords bulk-commits a batch of already-durable records into the
-// store without touching the sink. The records must continue the log
-// exactly: sequence numbers dense from Len() in slice order, instances of
-// the store's space, no duplicates, known outcomes. Loading is equivalent
-// to Add-ing the records in order (the indices come out identical), minus
-// the sink staging.
-//
-// LoadRecords refuses stores with a sink attached (the records would
-// silently skip durability) or with staged writes in flight. On error the
-// store may be partially loaded and must be discarded; bulk loaders open a
-// fresh store per attempt.
-func (st *Store) LoadRecords(recs []Record) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.loadValidateLocked(recs); err != nil {
-		return err
-	}
-	for i := range recs {
-		if _, dup := st.lookupPosLocked(recs[i].Instance); dup {
-			return fmt.Errorf("provenance: record %d: instance %v already recorded", i, recs[i].Instance)
-		}
-		st.seq++
-		st.commitLocked(recs[i])
-	}
-	return nil
 }
 
 // SortedRun is one hash-sorted checkpoint tier handed to LoadSortedRuns:
@@ -493,22 +284,15 @@ type SortedRun struct {
 	Seqs   []int32
 }
 
-// LoadSortedRun adopts one decoded checkpoint run as the store's base
-// tier. It is LoadSortedRuns with a single tier; see there for the full
-// contract.
-func (st *Store) LoadSortedRun(recs []Record, hashes []uint64, seqs []int32) error {
-	return st.LoadSortedRuns(recs, []SortedRun{{Hashes: hashes, Seqs: seqs}})
-}
-
 // LoadSortedRuns adopts a set of decoded checkpoint tiers as the store's
 // base runs: recs in sequence order (dense from 0 — the store must be
 // empty), plus one SortedRun per tier, newest tier first, whose sequence
-// sets partition [0, len(recs)). Unlike LoadRecords, no hash index is
-// built — identity probes binary-search each tier's sorted hash column,
-// newest first, so the most recent tier wins a probe (recency dedup) —
-// and the outcome and posting indices are deferred to the first query that
-// needs them, so loading checkpoints of any size costs O(records)
-// decode-adjacent work and the memoization path is ready immediately.
+// sets partition [0, len(recs)). No hash index is built — identity probes
+// binary-search each tier's sorted hash column, newest first, so the most
+// recent tier wins a probe (recency dedup) — and the outcome and posting
+// indices are deferred to the first query that needs them, so loading
+// checkpoints of any size costs O(records) decode-adjacent work and the
+// memoization path is ready immediately.
 // Records added after the load go to the hash-map tier and index
 // incrementally as usual; the deferred base build merges in front of them
 // (base sequences all precede post-load ones, and bitsets are positional).
@@ -522,11 +306,23 @@ func (st *Store) LoadSortedRun(recs []Record, hashes []uint64, seqs []int32) err
 func (st *Store) LoadSortedRuns(recs []Record, runs []SortedRun) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.loadValidateLocked(recs); err != nil {
-		return err
+	if st.sink != nil {
+		return fmt.Errorf("provenance: bulk load on a store with a sink attached")
 	}
-	if len(st.recs) != 0 || len(st.baseRuns) != 0 {
+	if len(st.recs) != 0 {
 		return fmt.Errorf("provenance: LoadSortedRuns into a non-empty store")
+	}
+	for i := range recs {
+		r := &recs[i]
+		if r.Instance.Space() != st.space {
+			return fmt.Errorf("provenance: record %d: instance belongs to a different space", i)
+		}
+		if !recordableOutcome(r.Outcome) {
+			return fmt.Errorf("provenance: record %d: cannot record outcome %v", i, r.Outcome)
+		}
+		if r.Seq != i {
+			return fmt.Errorf("provenance: record %d has sequence %d, want %d", i, r.Seq, i)
+		}
 	}
 	total := 0
 	for _, run := range runs {
@@ -571,7 +367,6 @@ func (st *Store) LoadSortedRuns(recs []Record, runs []SortedRun) error {
 		st.baseRuns = append(st.baseRuns, baseRun{hash: run.Hashes, pos: run.Seqs})
 	}
 	st.baseUnindexed = len(recs)
-	st.seq = len(recs)
 	return nil
 }
 

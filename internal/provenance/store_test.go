@@ -140,54 +140,6 @@ func TestCrossSpaceQueriesDoNotPanic(t *testing.T) {
 	}
 }
 
-// TestPoisonedStoreRejectsPlainWrites pins the sequence-corruption fix: a
-// staged-sink failure burns sequence numbers, so after the failure the
-// store must reject writes on EVERY sink configuration — staged, plain,
-// and detached — or a later commit would land at the wrong log position.
-func TestPoisonedStoreRejectsPlainWrites(t *testing.T) {
-	s := testSpace(t)
-	sink := &stagingSink{}
-	st := NewStore(s)
-	st.SetSink(sink)
-	entries := batchEntries(t, s, 4)
-	if _, err := st.AddBatch(entries[:1]); err != nil {
-		t.Fatal(err)
-	}
-	sink.failNext = true
-	if _, err := st.AddBatch(entries[1:3]); err == nil {
-		t.Fatal("failed flush must surface")
-	}
-	// Detach the sink: plain Adds used to bypass the poison check and
-	// commit a record whose seq no longer continues the log.
-	st.SetSink(nil)
-	if err := st.Add(entries[3].Instance, entries[3].Outcome, "late"); err == nil {
-		t.Fatal("poisoned store accepted a sink-less Add")
-	}
-	if added, err := st.AddBatch(entries[3:]); err == nil || added != 0 {
-		t.Fatalf("poisoned store accepted a sink-less AddBatch (%d, %v)", added, err)
-	}
-	// A plain (non-staged) sink must be refused too.
-	st.SetSink(&recordingSink{})
-	if err := st.Add(entries[3].Instance, entries[3].Outcome, "late"); err == nil {
-		t.Fatal("poisoned store accepted a plain-sink Add")
-	}
-	if added, err := st.AddBatch(entries[3:]); err == nil || added != 0 {
-		t.Fatalf("poisoned store accepted a plain-sink AddBatch (%d, %v)", added, err)
-	}
-	// Reads and the committed prefix stay valid throughout.
-	if st.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", st.Len())
-	}
-	if out, ok := st.Lookup(entries[0].Instance); !ok || out != entries[0].Outcome {
-		t.Fatalf("reads broken after poison: %v, %v", out, ok)
-	}
-	for i, r := range st.Records() {
-		if r.Seq != i {
-			t.Fatalf("record %d has seq %d", i, r.Seq)
-		}
-	}
-}
-
 func TestMutuallyDisjointSucceeding(t *testing.T) {
 	s := testSpace(t)
 	st := seedStore(t, s)

@@ -82,7 +82,7 @@ type trialState struct {
 	waiters chan struct{} // closed and cleared on every state change
 }
 
-// tally counts the succeed and fail votes. Replay holes (see
+// tally counts the succeed and fail votes. Holes (see
 // LoadTrialVote) carry OutcomeUnknown and count as nothing.
 func (ts *trialState) tally() (succ, fail int) {
 	for _, v := range ts.votes {
@@ -187,7 +187,7 @@ func (st *Store) ReleaseTrial(in pipeline.Instance) {
 
 // AddTrial records one oracle trial's raw outcome as a vote. Votes are
 // durable before they count: with a TrialSink attached the vote's WAL
-// append (including its group-commit fsync) completes under the store
+// write (and its fsync, when the log syncs) completes under the store
 // lock, so a vote visible to any reader survives a crash. A vote arriving
 // after the tallies already resolve — or after the instance's record
 // committed — is discarded, never persisted, and never counted: the
@@ -213,9 +213,6 @@ func (st *Store) AddTrial(in pipeline.Instance, out pipeline.Outcome, source str
 	}
 	idx := len(ts.votes)
 	if tsink, ok := st.sink.(TrialSink); ok {
-		if st.stageErr != nil {
-			return TrialResult{}, st.stageErr
-		}
 		if err := tsink.AppendTrial(in, idx, out, source); err != nil {
 			return TrialResult{}, fmt.Errorf("provenance: trial sink: %w", err)
 		}
@@ -235,14 +232,14 @@ func (st *Store) AddTrial(in pipeline.Instance, out pipeline.Outcome, source str
 }
 
 // LoadTrialVote applies one replayed trial vote without touching the
-// sink. Replay is idempotent and order-tolerant: a vote at an index
-// already loaded must agree with the loaded vote (checkpoint re-emission
-// duplicates the vote stream) and is otherwise ignored, and a vote past
-// the next free index leaves OutcomeUnknown holes that later frames fill
-// — a checkpoint's re-emitted votes can trail a concurrently appended
-// higher-index vote in the stream. Whenever the superseded originals were
-// collected, the re-emitted copies follow in the same stream, so a
-// completed replay always ends hole-free.
+// sink. It is idempotent: a vote at an index already loaded must agree
+// with the loaded vote (checkpoint re-emission duplicates the vote
+// stream) and is otherwise ignored. A vote past the next free index
+// leaves OutcomeUnknown holes that later calls fill. Log replay
+// (internal/provlog) never leaves one: it holds a vote read ahead of its
+// predecessors aside until they arrive — a checkpoint's re-emitted votes
+// can trail a concurrently appended higher-index vote in the stream — and
+// fails a replay that ends with votes still held.
 func (st *Store) LoadTrialVote(in pipeline.Instance, trial int, out pipeline.Outcome, source string) error {
 	if in.Space() != st.space {
 		return fmt.Errorf("provenance: trial vote instance belongs to a different space")

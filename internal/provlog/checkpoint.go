@@ -84,26 +84,14 @@ const (
 // polynomial — a checkpoint validates tens of megabytes in one pass.
 var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// CompactPolicy schedules automatic compaction: when either threshold is
-// crossed by freshly logged data, the log folds its sealed history into a
-// new checkpoint in the background (one compaction at a time; a busy
-// trigger is skipped and retried at the next commit window).
-type CompactPolicy struct {
-	// EveryRecords triggers a checkpoint when at least this many records
-	// have been logged past the newest checkpoint's watermark. <= 0
-	// disables the record trigger.
-	EveryRecords int
-	// EveryBytes triggers a checkpoint when at least this many WAL bytes
-	// have been written since the newest checkpoint. <= 0 disables the
-	// size trigger.
-	EveryBytes int64
-}
-
-// WithCompactPolicy enables automatic background compaction (see
-// CompactPolicy). Without it the log only compacts on explicit Checkpoint
-// calls.
-func WithCompactPolicy(p CompactPolicy) Option {
-	return func(l *Log) { l.compact = p }
+// WithCompactEvery enables automatic background compaction: whenever n
+// records have been logged past the newest checkpoint's watermark, the
+// log folds its sealed history into a new checkpoint in the background
+// (one compaction at a time; a busy trigger is skipped and retried at the
+// next write). n <= 0, the default, leaves compaction to explicit
+// Checkpoint calls.
+func WithCompactEvery(n int) Option {
+	return func(l *Log) { l.compactEvery = n }
 }
 
 // ckptTestHook, when set, runs at the named stages of a compaction —
@@ -171,10 +159,10 @@ func removeStrayTmp(dir string) {
 // base tier (the historic single-checkpoint file, byte-identical). The
 // dictionary tables are derived from the record prefix itself: the WAL
 // emits a dict frame for every code up to the largest one a record
-// references, immediately before that record and in the same commit
-// window, so the codes 0..max(code) per parameter — and the sources in
-// first-use order — are exactly the dictionary state at the watermark's
-// position in the stream.
+// references, immediately before that record and in the same write, so
+// the codes 0..max(code) per parameter — and the sources in first-use
+// order — are exactly the dictionary state at the watermark's position in
+// the stream.
 func encodeCheckpoint(space *pipeline.Space, fingerprint uint64, sn provenance.Snapshot, w int) ([]byte, error) {
 	p := space.Len()
 	persisted := make([]int, p)
@@ -725,7 +713,7 @@ func (l *Log) Checkpoint() error {
 	l.mu.Unlock()
 
 	// Re-emit the store's trial votes now that the active segment has
-	// rotated: every vote staged from here on lands at or past the
+	// rotated: every vote written from here on lands at or past the
 	// rotation point, which gcLocked never collects, so partial quorums
 	// survive the checkpoint no matter where a crash lands. Flaky
 	// sessions only — the ledger is empty otherwise and this is free.
@@ -796,7 +784,6 @@ func (l *Log) Checkpoint() error {
 	}
 	l.tiers = tiers
 	l.met.tierCount(len(tiers))
-	l.bytesSinceCkpt.Store(0)
 	if mergeErr == nil {
 		l.compactFailures = 0
 	}
@@ -810,38 +797,20 @@ func (l *Log) Checkpoint() error {
 }
 
 // ckptBeginLocked prepares the log for a compaction covering records below
-// w: it refuses closed/poisoned logs, waits out any in-flight flush, and
-// seals the active segment so the compactor only ever reads immutable
-// files. The caller holds l.mu.
+// w: it refuses closed/poisoned logs and seals the active segment so the
+// compactor only ever reads immutable files. The caller holds l.mu.
 func (l *Log) ckptBeginLocked(w int) error {
-	for {
-		if l.closed {
-			return fmt.Errorf("provlog: log is closed")
-		}
-		if l.broken != nil {
-			return l.broken
-		}
-		if w <= l.lastCkptSeq {
-			return nil // caller no-ops
-		}
-		if !l.flushing {
-			break
-		}
-		ch := l.flushDone
-		l.mu.Unlock()
-		<-ch
-		l.mu.Lock()
+	if l.closed {
+		return fmt.Errorf("provlog: log is closed")
+	}
+	if l.broken != nil {
+		return l.broken
+	}
+	if w <= l.lastCkptSeq {
+		return nil // caller no-ops
 	}
 	if l.size > headerSize {
-		first := l.nextSeq
-		if l.pendingRecs > 0 {
-			// The pending commit window flushes after rotation, into the
-			// new segment: its header must name the window's first record.
-			first = l.pendingFirst
-		}
-		if err := l.rotate(first); err != nil {
-			return err
-		}
+		return l.rotate(l.nextSeq)
 	}
 	return nil
 }
@@ -921,21 +890,18 @@ func readSegmentFirstSeq(path string) (uint64, error) {
 	return h.firstSeq, nil
 }
 
-// maybeCompactLocked spawns a background compaction when the policy's
-// thresholds are crossed. At most one compaction runs at a time; a trigger
-// that finds one in flight is dropped and re-evaluated at the next commit
-// window. The caller holds l.mu.
+// maybeCompactLocked spawns a background compaction when WithCompactEvery's
+// threshold is crossed. At most one compaction runs at a time; a trigger
+// that finds one in flight is dropped and re-evaluated at the next write.
+// The caller holds l.mu.
 func (l *Log) maybeCompactLocked() {
-	if l.compact.EveryRecords <= 0 && l.compact.EveryBytes <= 0 {
-		return
-	}
-	if l.closed || l.broken != nil || l.compacting {
+	if l.compactEvery <= 0 || l.closed || l.broken != nil || l.compacting {
 		return
 	}
 	// Consecutive background failures back the trigger off exponentially
 	// (in units of the configured period), so a persistently failing
 	// compaction — a full disk, say — does not re-encode the whole
-	// history on every commit window. Any success resets the backoff.
+	// history on every write. Any success resets the backoff.
 	scale := 1
 	if f := l.compactFailures; f > 0 {
 		if f > 16 {
@@ -943,11 +909,7 @@ func (l *Log) maybeCompactLocked() {
 		}
 		scale = 1 << f
 	}
-	due := l.compact.EveryRecords > 0 && l.nextSeq-l.lastCkptSeq >= l.compact.EveryRecords*scale
-	if !due {
-		due = l.compact.EveryBytes > 0 && l.bytesSinceCkpt.Load() >= l.compact.EveryBytes*int64(scale)
-	}
-	if !due {
+	if l.nextSeq-l.lastCkptSeq < l.compactEvery*scale {
 		return
 	}
 	l.compacting = true

@@ -574,8 +574,7 @@ func TestCheckpointNoop(t *testing.T) {
 func TestAutoCompactPolicy(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSegmentSize(256),
-		WithCompactPolicy(CompactPolicy{EveryRecords: 8}))
+	l, st, err := Open(dir, s, WithSegmentSize(256), WithCompactEvery(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,8 +606,7 @@ func TestAutoCompactPolicy(t *testing.T) {
 }
 
 // TestCheckpointConcurrentAppends compacts while writers keep appending
-// through the store's staged group-commit path; every record must survive
-// into the reopened store.
+// through the store; every record must survive into the reopened store.
 func TestCheckpointConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)

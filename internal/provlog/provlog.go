@@ -6,7 +6,8 @@
 // resumed debugging session replays history instead of re-executing.
 //
 // The Log implements provenance.Sink, so attaching it to a store (which
-// Open does) makes every Store.Add durable before it is queryable. Records
+// Open does) makes every Store.Add and Store.AddBatch durable before it is
+// queryable, each with one write of its frames. Records
 // are fixed-width — the instance's interned code vector plus an outcome
 // byte and a source id — interleaved with the dictionary frames that define
 // the code and source assignments (see format.go). Segments rotate at a
@@ -14,7 +15,7 @@
 // final segment back to its intact prefix.
 //
 // Resume cost stays bounded by compaction: Checkpoint (explicit, or
-// automatic under a CompactPolicy) folds the committed history into a
+// automatic under WithCompactEvery) folds the committed history into a
 // sorted, self-contained checkpoint file and garbage-collects the
 // segments it supersedes, all while appends continue. Open then loads the
 // newest valid checkpoint with one index-free sequential pass and replays
@@ -32,7 +33,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/pipeline"
@@ -44,26 +44,6 @@ import (
 // given. At roughly 4·P+8 bytes per record it holds on the order of 100k
 // records per segment for a ten-parameter pipeline.
 const DefaultSegmentSize = 4 << 20
-
-// DefaultMaxBatch is the commit-window record cap when SyncPolicy.MaxBatch
-// is not set.
-const DefaultMaxBatch = 4096
-
-// SyncPolicy tunes group commit: how appends staged by concurrent writers
-// coalesce into commit windows, each flushed with one buffered write (and,
-// under WithSync, one fsync).
-type SyncPolicy struct {
-	// Interval is how long a flush leader waits for more appends to join
-	// the window before writing. Zero flushes immediately — natural
-	// batching still coalesces everything staged while the previous flush
-	// was in flight, which is where the group-commit win comes from under
-	// load; a positive interval trades latency for larger windows.
-	Interval time.Duration
-	// MaxBatch caps the records in one commit window: a window that
-	// reaches it flushes without waiting out the Interval. <= 0 takes
-	// DefaultMaxBatch.
-	MaxBatch int
-}
 
 // spaceFile is the JSON spec of the space, written into the log directory
 // so a session can be resumed without re-declaring the space (ReadSpace).
@@ -83,35 +63,18 @@ func WithSegmentSize(n int64) Option {
 	}
 }
 
-// WithSync makes every commit-window flush (and segment creation) fsync
-// before completing. Off by default: appends are still synchronous write
+// WithSync makes every write (and segment creation) fsync before
+// completing. Off by default: appends are still synchronous write
 // syscalls, but leave flushing to the OS, which loses at most the tail of
 // the log on a machine crash — exactly what recovery truncates anyway.
 func WithSync(on bool) Option {
 	return func(l *Log) { l.sync = on }
 }
 
-// WithSyncPolicy sets the group-commit windowing policy (see SyncPolicy).
-func WithSyncPolicy(p SyncPolicy) Option {
-	return func(l *Log) { l.policy = p }
-}
-
-// commitGroup is one commit window: the set of records staged between two
-// flushes. Followers park on the leader's done channel (Log.flushDone);
-// flushed/err record the window's fate for them to read on wake-up.
-type commitGroup struct {
-	recs    int
-	full    chan struct{} // closed when recs reaches MaxBatch, cutting the Interval short
-	fullSet bool
-	flushed bool
-	err     error
-}
-
-// Log is an open write-ahead log. It is safe for concurrent use: appends
-// are staged under the log's mutex and made durable by group commit —
-// concurrent writers coalesce into one buffered write (and one fsync under
-// WithSync) per commit window, a leader/follower pattern where the first
-// waiter flushes everything staged and the rest park on its done channel.
+// Log is an open write-ahead log. It is safe for concurrent use: one mutex
+// serializes the writers, and each write — one Append, one AppendTrial,
+// or one checkpoint's vote re-emission — reaches the file as a single
+// write syscall of all its frames, plus one fsync under WithSync.
 type Log struct {
 	mu          sync.Mutex
 	dir         string
@@ -119,25 +82,22 @@ type Log struct {
 	fingerprint uint64
 	segSize     int64
 	sync        bool
-	policy      SyncPolicy
 
 	f        *os.File
 	lock     *os.File // flock-held lock file; nil where unsupported
 	segIndex uint32
-	size     int64 // flusher-owned once open; serialized by flushing
+	size     int64
 	nextSeq  int
 	met      *Metrics // nil when uninstrumented; see WithMetrics
 
 	// Compaction state: the store Open attached (checkpoints snapshot it),
-	// the newest checkpoint's watermark, the WAL bytes written since, and
-	// the policy's background-trigger bookkeeping. compactMu serializes
-	// whole compactions and is never held together with mu; compactWG
-	// tracks every in-flight compaction (background and explicit) so Close
-	// can drain them before releasing the directory lock. bytesSinceCkpt
-	// is atomic because writeWindow increments it from the flush leader,
-	// which runs with mu released.
+	// the newest checkpoint's watermark, and the automatic trigger's
+	// bookkeeping. compactMu serializes whole compactions and is never
+	// held together with mu; compactWG tracks every in-flight compaction
+	// (background and explicit) so Close can drain them before releasing
+	// the directory lock.
 	store           *provenance.Store
-	compact         CompactPolicy
+	compactEvery    int         // records past the watermark that trigger a background compaction; <= 0 disables
 	merge           MergePolicy // tier-compaction policy; zero fields take defaults
 	compactMu       sync.Mutex
 	compactWG       sync.WaitGroup
@@ -145,27 +105,20 @@ type Log struct {
 	compactFailures int // consecutive failed auto-compactions; backs off the trigger
 	lastCkptSeq     int
 	tiers           []tierRef // live checkpoint tiers, newest first; guarded by mu
-	bytesSinceCkpt  atomic.Int64
 
 	// persisted counts, per parameter, the codes already written as dict
 	// frames; sourceID interns source strings to their frame ids.
 	persisted []int
 	sourceID  map[string]uint16
 
-	// Group-commit state: staged frames accumulate in pending (sequence
-	// order — staging happens under mu) until a leader swaps the buffer out
-	// and flushes it, recycling it afterwards when no stager replaced it.
-	pending       []byte
-	pendingRecs   int
-	pendingTrials int // trial frames staged in the window (no sequence numbers)
-	pendingFirst  int // seq of the first pending record (segment rotation header)
-	cur           *commitGroup
-	flushing      bool
-	flushDone     chan struct{} // the active leader's done channel
-
-	undo     []int                // persisted snapshot for rollback on a failed stage
-	addedSrc []string             // sources interned by the stage in progress, for rollback
-	fastOne  [1]provenance.Record // Append fast-path scratch, used under mu
+	// Write scratch, used under mu: frames is the buffer every write
+	// assembles its frames in, kept for reuse; undo, undoSeq and addedSrc
+	// snapshot the dictionaries and sequence the write began from, so a
+	// failed write rolls back (see beginLocked).
+	frames   []byte
+	undo     []int
+	undoSeq  int
+	addedSrc []string
 
 	broken error // set when the on-disk state is unknown; poisons the log
 	closed bool
@@ -211,7 +164,6 @@ func Open(dir string, space *pipeline.Space, opts ...Option) (*Log, *provenance.
 		segSize:     DefaultSegmentSize,
 		persisted:   make([]int, space.Len()),
 		sourceID:    make(map[string]uint16),
-		undo:        make([]int, space.Len()),
 	}
 	for _, o := range opts {
 		o(l)
@@ -392,266 +344,137 @@ func (l *Log) SegmentCount() int {
 	return int(l.segIndex) + 1
 }
 
-// Append implements provenance.Sink: it durably logs one record, emitting
-// dictionary frames first for any value codes or source strings the log has
-// not seen. Records must arrive in sequence order without gaps. An
-// uncontended Append stages and writes inline (allocation-free after
-// warm-up, like the pre-group-commit path); when other appends are staged
-// or a flush is in flight it degrades to Stage plus the durability wait,
-// coalescing into the commit window.
-//
-// A failed inline write rolls back — the stage snapshot restores the
-// dictionaries and the partial write is trimmed — so a transient error
-// (say, a full disk) fails only this append and the log stays usable;
-// only a failed trim poisons it. Commit windows with multiple writers
-// cannot roll back (their waiters have interleaved dictionary state), so
-// group-path flush failures always poison.
-func (l *Log) Append(r provenance.Record) error {
-	l.mu.Lock()
-	if l.cur == nil && !l.flushing && l.pendingRecs == 0 && l.pendingTrials == 0 {
-		defer l.mu.Unlock()
-		l.fastOne[0] = r
-		if err := l.stageLocked(l.fastOne[:1]); err != nil {
-			return err
-		}
-		frames, firstSeq := l.pending, l.pendingFirst
-		l.pending = frames[:0]
-		l.pendingRecs = 0
-		if err := l.writeWindow(frames, firstSeq, 1, true); err != nil {
-			var fe *flushError
-			if errors.As(err, &fe) && !fe.dirty {
-				// The file is back at its pre-append state; undo the stage
-				// (the snapshot from stageLocked is still current — we have
-				// held the mutex throughout).
-				copy(l.persisted, l.undo)
-				for _, s := range l.addedSrc {
-					delete(l.sourceID, s)
-				}
-				l.nextSeq--
-				return fmt.Errorf("provlog: append: %w", err)
-			}
-			if l.broken == nil {
-				l.broken = fmt.Errorf("provlog: log state unknown after failed flush: %w", err)
-			}
-			return l.broken
-		}
-		l.maybeCompactLocked()
-		return nil
-	}
-	l.mu.Unlock()
-	wait, err := l.Stage([]provenance.Record{r})
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-// Stage implements provenance.StagedSink: it assembles the records' frames
-// into the pending commit window and returns a wait function that blocks
-// until the window is durable. Records must arrive in sequence order
-// without gaps — exactly how the store produces them under its write lock.
-// A staging error (wrong space or sequence, oversized value or source)
-// rolls the window back to its pre-call state and stages nothing; a flush
-// error fails every record of the window and poisons the log, because the
-// on-disk tail is no longer known to match the staged dictionaries.
-func (l *Log) Stage(recs []provenance.Record) (wait func() error, err error) {
+// Append implements provenance.Sink: it durably logs a batch of records
+// with one write, emitting dictionary frames first for any value codes or
+// source strings the log has not seen. Records must arrive in sequence
+// order without gaps — exactly how the store hands them over under its
+// write lock. A record the log cannot frame (wrong space or sequence,
+// oversized value or source) fails the whole batch before anything is
+// written. A failed write fails the whole batch too, but rolls back (see
+// writeLocked): the log stays usable unless the partial write could not
+// be trimmed. Allocation-free after warm-up.
+func (l *Log) Append(recs []provenance.Record) error {
 	if len(recs) == 0 {
-		return func() error { return nil }, nil
+		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.stageLocked(recs); err != nil {
-		return nil, err
+	if err := l.beginLocked(); err != nil {
+		return err
 	}
-	if l.cur == nil {
-		l.cur = &commitGroup{full: make(chan struct{})}
+	buf := l.frames[:0]
+	for _, r := range recs {
+		var err error
+		switch {
+		case r.Instance.Space() != l.space:
+			err = fmt.Errorf("provlog: record belongs to a different space")
+		case r.Seq != l.nextSeq:
+			err = fmt.Errorf("provlog: append of record %d, want %d", r.Seq, l.nextSeq)
+		case isTrialSource(r.Source):
+			// The prefix is how replay tells trial frames from records;
+			// a record wearing it would be mistaken for a vote.
+			err = fmt.Errorf("provlog: source %q uses the reserved trial prefix", r.Source)
+		default:
+			buf, err = l.appendFramesLocked(buf, r.Instance, r.Outcome, r.Source)
+		}
+		if err != nil {
+			l.rollbackLocked()
+			return err
+		}
+		l.nextSeq++
 	}
-	g := l.cur
-	g.recs += len(recs)
-	if max := l.maxBatch(); g.recs >= max && !g.fullSet {
-		g.fullSet = true
-		close(g.full)
-	}
-	return func() error { return l.waitDurable(g) }, nil
+	return l.writeLocked(buf, len(recs))
 }
 
-// stageLocked validates the records and appends their frames (dictionary
-// entries first) to the pending buffer. On error the dictionaries and the
-// buffer roll back; nothing of the batch is staged.
-func (l *Log) stageLocked(recs []provenance.Record) error {
+// beginLocked opens a write: it refuses a closed or broken log and
+// snapshots the dictionaries and the sequence for rollbackLocked. The
+// caller holds l.mu.
+func (l *Log) beginLocked() error {
 	if l.closed {
 		return fmt.Errorf("provlog: log is closed")
 	}
 	if l.broken != nil {
 		return l.broken
 	}
-	undo := append(l.undo[:0], l.persisted...)
-	l.undo = undo // keep the field aliased even if append reallocated
+	l.undo = append(l.undo[:0], l.persisted...)
+	l.undoSeq = l.nextSeq
 	l.addedSrc = l.addedSrc[:0]
-	rollback := func(reason error) error {
-		copy(l.persisted, undo)
-		for _, s := range l.addedSrc {
-			delete(l.sourceID, s)
-		}
-		return reason
-	}
-	buf := l.pending
-	want := l.nextSeq
-	for _, r := range recs {
-		if r.Instance.Space() != l.space {
-			return rollback(fmt.Errorf("provlog: record belongs to a different space"))
-		}
-		if r.Seq != want {
-			return rollback(fmt.Errorf("provlog: append of record %d, want %d", r.Seq, want))
-		}
-		if len(r.Source) > math.MaxUint16 {
-			return rollback(fmt.Errorf("provlog: source %.32q... is %d bytes, limit %d",
-				r.Source, len(r.Source), math.MaxUint16))
-		}
-		if isTrialSource(r.Source) {
-			// The prefix is how replay tells trial frames from records;
-			// a record wearing it would be mistaken for a vote.
-			return rollback(fmt.Errorf("provlog: source %q uses the reserved trial prefix", r.Source))
-		}
-		for i := 0; i < l.space.Len(); i++ {
-			c := int(r.Instance.Code(i))
-			for l.persisted[i] <= c {
-				code := uint32(l.persisted[i])
-				v := l.space.InternedValue(i, code)
-				// Reject what the scanner would refuse to read back: an
-				// oversized label would pass the write and poison the log.
-				if v.Kind() == pipeline.Categorical && len(v.Str()) > maxBlob {
-					return rollback(fmt.Errorf("provlog: categorical value of parameter %q is %d bytes, limit %d",
-						l.space.At(i).Name, len(v.Str()), maxBlob))
-				}
-				buf = appendDictFrame(buf, uint16(i), code, v)
-				l.persisted[i]++
-			}
-		}
-		id, ok := l.sourceID[r.Source]
-		if !ok {
-			if len(l.sourceID) > math.MaxUint16 {
-				return rollback(fmt.Errorf("provlog: too many distinct sources"))
-			}
-			id = uint16(len(l.sourceID))
-			buf = appendSourceFrame(buf, id, r.Source)
-			l.sourceID[r.Source] = id
-			l.addedSrc = append(l.addedSrc, r.Source)
-		}
-		buf = appendExecFrame(buf, r.Instance, r.Outcome, id)
-		want++
-	}
-	if l.pendingRecs == 0 {
-		l.pendingFirst = recs[0].Seq
-	}
-	l.pending = buf
-	l.pendingRecs += len(recs)
-	l.nextSeq = want
 	return nil
 }
 
-func (l *Log) maxBatch() int {
-	if l.policy.MaxBatch > 0 {
-		return l.policy.MaxBatch
+// rollbackLocked restores the dictionaries and the sequence to the state
+// the write began from: none of its frames reached the file.
+func (l *Log) rollbackLocked() {
+	copy(l.persisted, l.undo)
+	for _, s := range l.addedSrc {
+		delete(l.sourceID, s)
 	}
-	return DefaultMaxBatch
+	l.nextSeq = l.undoSeq
 }
 
-// waitDurable blocks until g's commit window has been flushed and returns
-// its fate. The first waiter to find no flush in progress becomes the
-// leader: it waits out the sync policy's window, swaps the pending buffer,
-// and performs the single write (+fsync) for everything staged; followers
-// park on the leader's done channel and re-check on wake-up.
-func (l *Log) waitDurable(g *commitGroup) error {
-	l.mu.Lock()
-	for {
-		if g.flushed {
-			err := g.err
-			l.mu.Unlock()
-			return err
-		}
-		if l.flushing {
-			ch := l.flushDone
-			l.mu.Unlock()
-			<-ch
-			l.mu.Lock()
-			continue
-		}
-		l.leaderFlushLocked(g, true)
+// appendFramesLocked appends one exec frame to buf, preceded by the dict
+// frames of any codes of in, and the source frame of source, that the log
+// has not framed yet. On error buf may hold a partial frame sequence and
+// the dictionaries may have advanced; the caller rolls back.
+func (l *Log) appendFramesLocked(buf []byte, in pipeline.Instance, out pipeline.Outcome, source string) ([]byte, error) {
+	if len(source) > math.MaxUint16 {
+		return buf, fmt.Errorf("provlog: source %.32q... is %d bytes, limit %d",
+			source, len(source), math.MaxUint16)
 	}
+	for i := 0; i < l.space.Len(); i++ {
+		c := int(in.Code(i))
+		for l.persisted[i] <= c {
+			code := uint32(l.persisted[i])
+			v := l.space.InternedValue(i, code)
+			// Reject what the scanner would refuse to read back: an
+			// oversized label would pass the write and poison the log.
+			if v.Kind() == pipeline.Categorical && len(v.Str()) > maxBlob {
+				return buf, fmt.Errorf("provlog: categorical value of parameter %q is %d bytes, limit %d",
+					l.space.At(i).Name, len(v.Str()), maxBlob)
+			}
+			buf = appendDictFrame(buf, uint16(i), code, v)
+			l.persisted[i]++
+		}
+	}
+	id, ok := l.sourceID[source]
+	if !ok {
+		if len(l.sourceID) > math.MaxUint16 {
+			return buf, fmt.Errorf("provlog: too many distinct sources")
+		}
+		id = uint16(len(l.sourceID))
+		buf = appendSourceFrame(buf, id, source)
+		l.sourceID[source] = id
+		l.addedSrc = append(l.addedSrc, source)
+	}
+	return appendExecFrame(buf, in, out, id), nil
 }
 
-// leaderFlushLocked runs one flush cycle: optionally waits out the commit
-// window, takes the pending buffer, writes it outside the lock, marks the
-// flushed group, and wakes the followers. The caller holds l.mu with
-// l.flushing false; it returns with l.mu held again.
-func (l *Log) leaderFlushLocked(g *commitGroup, window bool) {
-	l.flushing = true
-	done := make(chan struct{})
-	l.flushDone = done
-	if window && g != nil && l.policy.Interval > 0 && !g.fullSet {
-		l.mu.Unlock()
-		t := time.NewTimer(l.policy.Interval)
-		select {
-		case <-t.C:
-		case <-g.full:
-			t.Stop()
-		}
-		l.mu.Lock()
-	}
-	frames := l.pending
-	firstSeq := l.pendingFirst
-	flushedGroup := l.cur
-	broken := l.broken
-	recs := l.pendingRecs
-	l.cur = nil
-	l.pending = nil
-	l.pendingRecs = 0
-	l.pendingTrials = 0
-	l.mu.Unlock()
-
-	var err error
-	switch {
-	case broken != nil:
-		// A window staged before an earlier flush failed: the on-disk tail
-		// is unknown, so fail it without touching the file — writing after
-		// the failure point would corrupt the segment beyond what torn-tail
-		// recovery repairs.
-		err = broken
-	case len(frames) > 0:
-		err = l.writeWindow(frames, firstSeq, recs, false)
-	}
-
-	// Any failure here poisons the log, even one that provably wrote
-	// nothing (a failed rotation): the window's stage already advanced the
-	// dictionary counters for several interleaved writers, and discarding
-	// the window leaves them claiming dict frames that never reached disk —
-	// unlike the single-writer Append fast path, there is no snapshot that
-	// can roll a multi-writer window back.
-
-	l.mu.Lock()
-	if l.pending == nil {
-		l.pending = frames[:0] // recycle the flushed buffer
-	}
-	if flushedGroup != nil {
-		flushedGroup.flushed = true
-		flushedGroup.err = err
-	}
-	if err != nil && l.broken == nil {
-		// The on-disk tail no longer matches the staged dictionaries and
-		// sequence numbers; no later append can be written consistently.
-		l.broken = fmt.Errorf("provlog: log state unknown after failed flush: %w", err)
-	}
-	l.flushing = false
+// writeLocked ends a write begun by beginLocked: it writes the frames
+// with writeFrames and, on success, gives the compaction trigger a look.
+// A failed write rolls the dictionaries and the sequence back, so a
+// transient error (say, a full disk) fails only this write; only a write
+// whose partial frames could not be trimmed breaks the log, because the
+// on-disk tail no longer matches the dictionaries. recs is the number of
+// records among the frames. The caller holds l.mu.
+func (l *Log) writeLocked(frames []byte, recs int) error {
+	l.frames = frames[:0] // keep the grown buffer for the next write
+	err := l.writeFrames(frames, l.undoSeq, recs)
 	if err == nil {
 		l.maybeCompactLocked()
+		return nil
 	}
-	close(done)
+	var fe *flushError
+	if errors.As(err, &fe) && !fe.dirty {
+		l.rollbackLocked()
+		return fmt.Errorf("provlog: append: %w", err)
+	}
+	l.broken = fmt.Errorf("provlog: log state unknown after failed write: %w", err)
+	return l.broken
 }
 
-// flushError reports a failed commit-window write. dirty means the
-// partial write could not be trimmed back to the pre-window boundary, so
-// the on-disk tail no longer matches the in-memory state.
+// flushError reports a failed write. dirty means the partial write could
+// not be trimmed back to the boundary the write began at, so the on-disk
+// tail no longer matches the in-memory state.
 type flushError struct {
 	cause error
 	dirty bool
@@ -666,24 +489,16 @@ func (e *flushError) Error() string {
 
 func (e *flushError) Unwrap() error { return e.cause }
 
-// writeWindow writes one commit window to the active segment, rotating
-// first if the segment is over its size threshold. Callers either hold
-// l.mu (the Append fast path) or own the flush (l.flushing, which
-// serializes every other toucher of l.f and l.size); rotation updates
-// l.segIndex, which SegmentCount reads, so it always runs under the mutex.
-// Write and fsync failures come back as *flushError, trimming the partial
-// write back to the window boundary when possible. recs is the number of
-// records in the window, reported to telemetry.
-func (l *Log) writeWindow(frames []byte, firstSeq, recs int, muHeld bool) error {
+// writeFrames writes one write's frames to the active segment, rotating
+// first if the segment is over its size threshold; the new segment's
+// header names firstSeq, the sequence of the write's first record (or of
+// the next record, for a write of votes only). Write and fsync failures
+// come back as *flushError, trimming the partial write back to the
+// boundary when possible. recs is the number of records among the frames,
+// reported to telemetry. The caller holds l.mu.
+func (l *Log) writeFrames(frames []byte, firstSeq, recs int) error {
 	if l.size >= l.segSize {
-		if !muHeld {
-			l.mu.Lock()
-		}
-		err := l.rotate(firstSeq)
-		if !muHeld {
-			l.mu.Unlock()
-		}
-		if err != nil {
+		if err := l.rotate(firstSeq); err != nil {
 			return &flushError{cause: err}
 		}
 	}
@@ -714,15 +529,14 @@ func (l *Log) writeWindow(frames []byte, firstSeq, recs int, muHeld bool) error 
 		}
 	}
 	l.size += int64(len(frames))
-	l.bytesSinceCkpt.Add(int64(len(frames)))
 	l.met.flushed(recs, len(frames), fsyncDur, l.sync)
 	return nil
 }
 
 // rotate seals the active segment and starts the next one, whose header
 // names firstSeq as its first record. If creating the next segment fails,
-// the current one stays active and the flush that triggered rotation
-// fails; a later flush retries.
+// the current one stays active and the write that triggered rotation
+// fails; a later write retries.
 func (l *Log) rotate(firstSeq int) error {
 	old, oldIndex, oldSize := l.f, l.segIndex, l.size
 	if err := l.createSegment(l.segIndex+1, firstSeq); err != nil {
@@ -739,10 +553,9 @@ func (l *Log) rotate(firstSeq int) error {
 	return nil
 }
 
-// Close drains any in-flight commit window, flushes pending frames, waits
-// out a background compaction, and closes the active segment. Further
-// appends fail, so a store still holding the log as its sink rejects new
-// records rather than silently dropping durability.
+// Close waits out a background compaction and closes the active segment.
+// Further appends fail, so a store still holding the log as its sink
+// rejects new records rather than silently dropping durability.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -750,17 +563,6 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	for l.flushing {
-		ch := l.flushDone
-		l.mu.Unlock()
-		<-ch
-		l.mu.Lock()
-	}
-	if l.pendingRecs > 0 || l.pendingTrials > 0 {
-		// Staged records (or trial votes) whose waiters have not flushed
-		// yet: write them out and wake the waiters with the window's fate.
-		l.leaderFlushLocked(nil, false)
-	}
 	var err error
 	if l.f != nil {
 		err = l.f.Sync()

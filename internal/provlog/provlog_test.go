@@ -220,7 +220,7 @@ func TestAppendOutOfOrder(t *testing.T) {
 	defer l.Close()
 	ins, outs, srcs := testRecords(t, s, 1)
 	rec := provenance.Record{Seq: 5, Instance: ins[0], Outcome: outs[0], Source: srcs[0]}
-	if err := l.Append(rec); err == nil {
+	if err := l.Append([]provenance.Record{rec}); err == nil {
 		t.Fatal("out-of-order append succeeded")
 	}
 }

@@ -92,6 +92,17 @@ type replayState struct {
 
 	trialCodes []uint32             // one-row scratch for trial-vote frames
 	trialIns   [1]pipeline.Instance // trial-vote materialization scratch
+
+	// held keeps, per instance (by Key), the trial votes read ahead of
+	// their predecessors, until those arrive (see applyTrialVote).
+	held map[string]*heldVotes
+}
+
+// heldVotes is one instance's trial votes that replay has read but not
+// yet loaded, keyed by trial index.
+type heldVotes struct {
+	in    pipeline.Instance
+	votes map[int]provenance.TrialVote
 }
 
 func newReplayState(space *pipeline.Space, st *provenance.Store) *replayState {
@@ -336,6 +347,11 @@ func (rs *replayState) apply(typ byte, payload []byte) error {
 // applyTrialVote decodes one trial-vote exec frame and loads it into the
 // store's vote ledger. Votes are idempotent by (instance, trial index), so
 // the duplicates a checkpoint re-emission leaves in the stream are safe.
+// They are loaded in trial order: a vote whose predecessors have not been
+// read yet — a checkpoint's re-emitted votes can trail a concurrently
+// appended higher-index vote — is held aside until they arrive, so the
+// memory replay spends on votes tracks the frames it has read, never an
+// index a frame names.
 func (rs *replayState) applyTrialVote(payload []byte, trial int, src string) error {
 	p := rs.space.Len()
 	if cap(rs.trialCodes) < p {
@@ -356,7 +372,76 @@ func (rs *replayState) applyTrialVote(payload []byte, trial int, src string) err
 	if err := rs.space.InstancesFromCodes(codes, rs.trialIns[:]); err != nil {
 		return fmt.Errorf("provlog: %w", err)
 	}
-	return rs.st.LoadTrialVote(rs.trialIns[0], trial, out, src)
+	in := rs.trialIns[0]
+	if trial > rs.st.TrialCount(in) {
+		return rs.holdVote(in, trial, provenance.TrialVote{Outcome: out, Source: src})
+	}
+	if err := rs.st.LoadTrialVote(in, trial, out, src); err != nil {
+		return err
+	}
+	if len(rs.held) == 0 {
+		return nil
+	}
+	key := in.Key()
+	h := rs.held[key]
+	if h == nil {
+		return nil
+	}
+	for {
+		next := rs.st.TrialCount(in)
+		v, ok := h.votes[next]
+		if !ok {
+			break
+		}
+		if err := rs.st.LoadTrialVote(in, next, v.Outcome, v.Source); err != nil {
+			return err
+		}
+		delete(h.votes, next)
+	}
+	if len(h.votes) == 0 {
+		delete(rs.held, key)
+	}
+	return nil
+}
+
+// holdVote sets aside a trial vote read ahead of its predecessors. A
+// repeat of a held vote must agree with it, as LoadTrialVote demands of
+// loaded ones.
+func (rs *replayState) holdVote(in pipeline.Instance, trial int, v provenance.TrialVote) error {
+	if rs.held == nil {
+		rs.held = make(map[string]*heldVotes)
+	}
+	key := in.Key()
+	h := rs.held[key]
+	if h == nil {
+		h = &heldVotes{in: in, votes: make(map[int]provenance.TrialVote)}
+		rs.held[key] = h
+	}
+	if prev, ok := h.votes[trial]; ok {
+		if prev.Outcome != v.Outcome {
+			return fmt.Errorf("provlog: replayed trial %d of %v disagrees: %v vs %v", trial, in, prev.Outcome, v.Outcome)
+		}
+		return nil
+	}
+	h.votes[trial] = v
+	return nil
+}
+
+// checkHeld fails a replay that ends with trial votes still held: their
+// predecessors never appeared in the stream, so the vote ledger would have
+// holes.
+func (rs *replayState) checkHeld() error {
+	for _, h := range rs.held {
+		first := -1
+		for trial := range h.votes {
+			if first < 0 || trial < first {
+				first = trial
+			}
+		}
+		return fmt.Errorf("provlog: replay ended with trial %d of %v logged but trial %d missing",
+			first, h.in, rs.st.TrialCount(h.in))
+	}
+	return nil
 }
 
 // replaySegment replays one segment into rs and returns the number of
@@ -506,6 +591,9 @@ func replayDir(dir string, space *pipeline.Space, par int) (*replayState, []segF
 		rs.seen = rs.skipBelow
 		if len(segs) > 0 {
 			lastGood, err := replaySegment(segs[len(segs)-1], rs, true)
+			if err == nil {
+				err = rs.checkHeld()
+			}
 			return rs, segs, lastGood, err
 		}
 		return rs, segs, 0, nil
@@ -517,6 +605,9 @@ func replayDir(dir string, space *pipeline.Space, par int) (*replayState, []segF
 		if err != nil {
 			return nil, nil, 0, err
 		}
+	}
+	if err := rs.checkHeld(); err != nil {
+		return nil, nil, 0, err
 	}
 	return rs, segs, lastGood, nil
 }

@@ -6,18 +6,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Metrics is the log's instrumentation bundle: commit-window size
-// distribution, fsync latency, bytes appended, segments garbage-collected,
-// and checkpoint duration/bytes, plus group-commit-flush and checkpoint
-// span events in the session journal. Build one with NewMetrics and attach
+// Metrics is the log's instrumentation bundle: records per write, fsync
+// latency, bytes appended, segments garbage-collected, and checkpoint
+// duration/bytes, plus write and checkpoint span events in the session
+// journal. Build one with NewMetrics and attach
 // it with WithMetrics; a nil *Metrics — the default — is the
 // uninstrumented fast path.
 type Metrics struct {
 	reg     *telemetry.Registry
 	journal *telemetry.Journal
 
-	windowRecs    *telemetry.Histogram // records per commit window
-	fsyncNs       *telemetry.Histogram // fsync latency per flushed window
+	writeRecs     *telemetry.Histogram // records per write
+	fsyncNs       *telemetry.Histogram // fsync latency per write
 	bytesAppended *telemetry.Counter
 	flushes       *telemetry.Counter
 	segmentsGCd   *telemetry.Counter
@@ -40,7 +40,7 @@ func NewMetrics(reg *telemetry.Registry, journal *telemetry.Journal) *Metrics {
 	return &Metrics{
 		reg:           reg,
 		journal:       journal,
-		windowRecs:    reg.Histogram("provlog_commit_window_recs"),
+		writeRecs:     reg.Histogram("provlog_write_recs"),
 		fsyncNs:       reg.Histogram("provlog_fsync_ns"),
 		bytesAppended: reg.Counter("provlog_bytes_appended"),
 		flushes:       reg.Counter("provlog_flushes"),
@@ -61,15 +61,15 @@ func WithMetrics(m *Metrics) Option {
 	return func(l *Log) { l.met = m }
 }
 
-// flushed records one durable commit window: size distribution, byte
-// counter, fsync latency (synced is false when the sync policy skipped the
-// fsync), and the group-commit-flush journal span.
+// flushed records one durable write: records in it, byte counter, fsync
+// latency (synced is false when the log does not fsync), and the
+// wal_flush journal span.
 func (m *Metrics) flushed(recs, bytes int, fsync time.Duration, synced bool) {
 	if m == nil {
 		return
 	}
 	m.flushes.Inc()
-	m.windowRecs.Observe(int64(recs))
+	m.writeRecs.Observe(int64(recs))
 	m.bytesAppended.Add(int64(bytes))
 	if synced {
 		m.fsyncNs.Observe(int64(fsync))

@@ -29,12 +29,12 @@ func TestMetricsFlushAndCheckpoint(t *testing.T) {
 	if flushes == 0 {
 		t.Fatal("no flushes counted")
 	}
-	wr := snap.Histograms["provlog_commit_window_recs"]
+	wr := snap.Histograms["provlog_write_recs"]
 	if wr.Count != flushes {
-		t.Errorf("window histogram count %d != flushes %d", wr.Count, flushes)
+		t.Errorf("write histogram count %d != flushes %d", wr.Count, flushes)
 	}
 	if wr.Sum != int64(len(ins)) {
-		t.Errorf("window record sum %d != records appended %d", wr.Sum, len(ins))
+		t.Errorf("write record sum %d != records appended %d", wr.Sum, len(ins))
 	}
 	if snap.Counters["provlog_bytes_appended"] == 0 {
 		t.Error("no bytes counted")

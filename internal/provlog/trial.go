@@ -2,7 +2,6 @@ package provlog
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -50,95 +49,29 @@ func parseTrialSource(s string) (trial int, source string, ok bool) {
 }
 
 // AppendTrial implements provenance.TrialSink: it durably logs one trial
-// vote as an exec frame under the vote's repeat-source name, joining the
-// pending commit window exactly like a staged record (one buffered write,
-// one fsync per window) and returning once the window is durable.
-//
-//buglint:ignore crossspace the space guard lives in stageTrialLocked, shared by every staging path; nothing is staged for a foreign instance
+// vote as an exec frame under the vote's repeat-source name, with one
+// write (and one fsync under WithSync), and returns once the vote is
+// written. A failed write rolls back exactly as Append's does.
 func (l *Log) AppendTrial(in pipeline.Instance, trial int, out pipeline.Outcome, source string) error {
-	l.mu.Lock()
-	if err := l.stageTrialLocked(in, out, trialSourceName(trial, source)); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	if l.cur == nil {
-		l.cur = &commitGroup{full: make(chan struct{})}
-	}
-	g := l.cur
-	g.recs++
-	if max := l.maxBatch(); g.recs >= max && !g.fullSet {
-		g.fullSet = true
-		close(g.full)
-	}
-	l.mu.Unlock()
-	return l.waitDurable(g)
-}
-
-// stageTrialLocked assembles one vote's frames (dictionary entries first)
-// into the pending commit window. Votes carry no sequence number, so
-// nextSeq does not advance; a window opened by a vote anchors its
-// rotation header at nextSeq — the sequence any record staged behind it
-// will carry. On error the dictionaries roll back and nothing is staged.
-func (l *Log) stageTrialLocked(in pipeline.Instance, out pipeline.Outcome, name string) error {
-	if l.closed {
-		return fmt.Errorf("provlog: log is closed")
-	}
-	if l.broken != nil {
-		return l.broken
-	}
 	if in.Space() != l.space {
 		return fmt.Errorf("provlog: trial vote belongs to a different space")
 	}
-	if len(name) > math.MaxUint16 {
-		return fmt.Errorf("provlog: trial source %.32q... is %d bytes, limit %d",
-			name, len(name), math.MaxUint16)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.beginLocked(); err != nil {
+		return err
 	}
-	undo := append(l.undo[:0], l.persisted...)
-	l.undo = undo
-	l.addedSrc = l.addedSrc[:0]
-	rollback := func(reason error) error {
-		copy(l.persisted, undo)
-		for _, s := range l.addedSrc {
-			delete(l.sourceID, s)
-		}
-		return reason
+	buf, err := l.appendFramesLocked(l.frames[:0], in, out, trialSourceName(trial, source))
+	if err != nil {
+		l.rollbackLocked()
+		return err
 	}
-	buf := l.pending
-	for i := 0; i < l.space.Len(); i++ {
-		c := int(in.Code(i))
-		for l.persisted[i] <= c {
-			code := uint32(l.persisted[i])
-			v := l.space.InternedValue(i, code)
-			if v.Kind() == pipeline.Categorical && len(v.Str()) > maxBlob {
-				return rollback(fmt.Errorf("provlog: categorical value of parameter %q is %d bytes, limit %d",
-					l.space.At(i).Name, len(v.Str()), maxBlob))
-			}
-			buf = appendDictFrame(buf, uint16(i), code, v)
-			l.persisted[i]++
-		}
-	}
-	id, ok := l.sourceID[name]
-	if !ok {
-		if len(l.sourceID) > math.MaxUint16 {
-			return rollback(fmt.Errorf("provlog: too many distinct sources"))
-		}
-		id = uint16(len(l.sourceID))
-		buf = appendSourceFrame(buf, id, name)
-		l.sourceID[name] = id
-		l.addedSrc = append(l.addedSrc, name)
-	}
-	buf = appendExecFrame(buf, in, out, id)
-	if l.pendingRecs == 0 && l.pendingTrials == 0 {
-		l.pendingFirst = l.nextSeq
-	}
-	l.pending = buf
-	l.pendingTrials++
-	return nil
+	return l.writeLocked(buf, 0)
 }
 
-// reemitTrials stages the store's entire vote ledger into the pending
-// commit window and flushes it. Checkpoint calls it after the manifest
-// publishes and before superseded segments are collected: votes recorded
+// reemitTrials writes the store's entire vote ledger to the active
+// segment with one write. Checkpoint calls it after sealing the active
+// segment and before superseded segments are collected: votes recorded
 // before the checkpoint's rotation live only in segments about to be
 // GC'd, so re-emitting every vote into the post-rotation segment is what
 // lets partial quorums survive compaction. Replay absorbs the duplicates
@@ -148,25 +81,26 @@ func (l *Log) reemitTrials(trials []provenance.TrialRecord) error {
 		return nil
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.beginLocked(); err != nil {
+		return err
+	}
+	buf := l.frames[:0]
 	for _, tr := range trials {
+		if tr.Instance.Space() != l.space {
+			l.rollbackLocked()
+			return fmt.Errorf("provlog: trial vote belongs to a different space")
+		}
 		for idx, v := range tr.Votes {
 			if v.Outcome == pipeline.OutcomeUnknown {
-				continue // unfilled replay hole; its vote is nowhere to re-emit
+				continue // a ledger hole (see LoadTrialVote); there is no vote to re-emit
 			}
-			if err := l.stageTrialLocked(tr.Instance, v.Outcome, trialSourceName(idx, v.Source)); err != nil {
-				l.mu.Unlock()
+			var err error
+			if buf, err = l.appendFramesLocked(buf, tr.Instance, v.Outcome, trialSourceName(idx, v.Source)); err != nil {
+				l.rollbackLocked()
 				return err
 			}
 		}
 	}
-	if l.cur == nil {
-		l.cur = &commitGroup{full: make(chan struct{})}
-	}
-	g := l.cur
-	if !g.fullSet {
-		g.fullSet = true
-		close(g.full)
-	}
-	l.mu.Unlock()
-	return l.waitDurable(g)
+	return l.writeLocked(buf, 0)
 }

@@ -2,15 +2,16 @@ package provlog
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/provenance"
+	"repro/internal/telemetry"
 )
 
 // writerInstance builds a distinct instance per (writer, i) pair using
@@ -35,18 +36,16 @@ func outcomeFor(in pipeline.Instance) pipeline.Outcome {
 	return pipeline.Succeed
 }
 
-// TestGroupCommitConcurrentAppends hammers a durable store with N writers
-// × M appends each, under a fsync-per-window policy, and asserts every
-// record is durable after Close and that each writer's records replay in
-// its submission order (appends are acknowledged durable in order, so a
-// writer's k-th record must precede its (k+1)-th in the log).
-func TestGroupCommitConcurrentAppends(t *testing.T) {
+// TestConcurrentAppends hammers a durable store with N writers × M
+// appends each, fsyncing every write, and asserts every record is durable
+// after Close and that each writer's records replay in its submission
+// order (appends are acknowledged durable in order, so a writer's k-th
+// record must precede its (k+1)-th in the log).
+func TestConcurrentAppends(t *testing.T) {
 	const writers, perWriter = 8, 40
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s,
-		WithSync(true),
-		WithSyncPolicy(SyncPolicy{Interval: 200 * time.Microsecond, MaxBatch: 16}))
+	l, st, err := Open(dir, s, WithSync(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +108,15 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestGroupCommitMixedBatchesAndAppends races AddBatch rounds against
-// single Adds, with instances shared across goroutines (the loser of each
-// race must skip, not fail), and asserts the live store and the replayed
-// log agree exactly.
-func TestGroupCommitMixedBatchesAndAppends(t *testing.T) {
+// TestConcurrentBatchesAndAppends races AddBatch rounds against single
+// Adds, with instances shared across goroutines (the loser of each race
+// must skip, not fail), and asserts the live store and the replayed log
+// agree exactly.
+func TestConcurrentBatchesAndAppends(t *testing.T) {
 	const batchers, batchSize, adders, adds = 4, 32, 4, 24
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSyncPolicy(SyncPolicy{MaxBatch: 8}))
+	l, st, err := Open(dir, s, WithSync(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +174,8 @@ func TestGroupCommitMixedBatchesAndAppends(t *testing.T) {
 	assertStoresEqual(t, st, replayed)
 }
 
-// buildBatchLog writes one multi-record commit window (a single AddBatch)
-// into a fresh log and returns the byte offset at which each record's exec
+// buildBatchLog writes one multi-record batch (a single AddBatch, one
+// write) into a fresh log and returns the byte offset at which each record's exec
 // frame ends, computed by re-scanning the segment with the package's own
 // frame reader.
 func buildBatchLog(t *testing.T, dir string, n int) (recEnds []int64, ins []pipeline.Instance, outs []pipeline.Outcome, srcs []string) {
@@ -229,7 +228,7 @@ func buildBatchLog(t *testing.T, dir string, n int) (recEnds []int64, ins []pipe
 
 // TestBatchCommitTornTailTorture truncates a log whose records were
 // written as one multi-record batch frame sequence at every byte offset —
-// every position inside the group-committed write — and asserts recovery
+// every position inside the batch's single write — and asserts recovery
 // yields exactly the records whose frames are fully intact: a torn batch
 // never replays garbage, never drops an intact prefix record, and the
 // repaired log accepts appends again.
@@ -307,5 +306,145 @@ func TestBatchCommitTornTailTorture(t *testing.T) {
 			t.Fatalf("offset %d: replay after repair: %v", off, err)
 		}
 		assertStoresEqual(t, st2, re)
+	}
+}
+
+// TestFailedWriteBreaksLog forces the segment write itself to fail, with a
+// file that cannot be trimmed either: the Add must fail and leave the
+// store unchanged, every later Add and AddTrial must return the log's
+// sticky error, and the directory must replay to exactly the records
+// committed before the failure.
+func TestFailedWriteBreaksLog(t *testing.T) {
+	dir := t.TempDir()
+	s := testSpace(t)
+	l, st, err := Open(dir, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, outs, srcs := testRecords(t, s, 6)
+	fillStore(t, st, ins[:3], outs[:3], srcs[:3])
+	l.f.Close() // the next write, and the trim after it, fail
+	if err := st.Add(ins[3], outs[3], srcs[3]); err == nil {
+		t.Fatal("Add through a failed write succeeded")
+	}
+	if st.Len() != 3 {
+		t.Fatalf("store holds %d records after the failed write, want 3", st.Len())
+	}
+	if _, ok := st.Lookup(ins[3]); ok {
+		t.Fatal("the failed record is queryable")
+	}
+	if l.broken == nil {
+		t.Fatal("an untrimmable write did not break the log")
+	}
+	if err := st.Add(ins[4], outs[4], srcs[4]); err == nil || !errors.Is(err, l.broken) {
+		t.Fatalf("Add after the failure = %v, want the sticky error", err)
+	}
+	if _, err := st.AddBatch([]provenance.Entry{{Instance: ins[5], Outcome: outs[5], Source: srcs[5]}}); err == nil || !errors.Is(err, l.broken) {
+		t.Fatalf("AddBatch after the failure = %v, want the sticky error", err)
+	}
+	st.SetTrialPolicy(pipeline.FlakyPolicy{MinTrials: 3, MaxTrials: 5, Quorum: 3})
+	if _, err := st.AddTrial(ins[5], pipeline.Fail, "executor"); err == nil || !errors.Is(err, l.broken) {
+		t.Fatalf("AddTrial after the failure = %v, want the sticky error", err)
+	}
+	if st.Len() != 3 || st.TrialCount(ins[5]) != 0 {
+		t.Fatalf("store changed after the failure: %d records, %d votes", st.Len(), st.TrialCount(ins[5]))
+	}
+	l.Close() // reports the closed file; the directory lock is released regardless
+	got, err := Replay(dir, testSpace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStoreMatches(t, got, ins[:3], outs[:3], srcs[:3])
+}
+
+// TestFailedRotationRollsBack makes the rotation that precedes a write
+// fail while the active segment stays intact: the Add fails, the log rolls
+// its dictionaries and sequence back and stays usable, and once the
+// obstacle is gone the next writes re-emit every dictionary frame the
+// failed write had claimed, so the directory replays exactly.
+func TestFailedRotationRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	s := testSpace(t)
+	l, st, err := Open(dir, s, WithSegmentSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, outs, srcs := testRecords(t, s, 12)
+	// Fill the active segment to its threshold, so the next write rotates.
+	k := 0
+	for ; k < len(ins) && l.size < l.segSize; k++ {
+		if err := st.Add(ins[k], outs[k], srcs[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.size < l.segSize {
+		t.Fatal("the records never filled a segment")
+	}
+	// A file already holding the next segment's name makes its O_EXCL
+	// create, and so the rotation, fail. The failing record brings a new
+	// dictionary code and a new source, whose frames must not be counted
+	// as written.
+	next := segPath(dir, l.segIndex+1)
+	if err := os.WriteFile(next, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := pipeline.MustInstance(s, pipeline.Ord(999), pipeline.Cat("saga"), pipeline.Ord(1))
+	if err := st.Add(fresh, pipeline.Fail, "retry"); err == nil {
+		t.Fatal("Add through a failed rotation succeeded")
+	}
+	if st.Len() != k || l.broken != nil {
+		t.Fatalf("after the failed rotation: %d records, broken = %v; want %d and nil", st.Len(), l.broken, k)
+	}
+	if err := os.Remove(next); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Add(fresh, pipeline.Fail, "retry"); err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, st, ins[k:], outs[k:], srcs[k:])
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Replay(dir, testSpace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStoresEqual(t, st, got)
+}
+
+// TestOneWritePerStoreWrite pins the write granularity through the
+// provlog_flushes counter: every Add and every AddTrial is one write, and
+// one AddBatch is one write however many records it carries.
+func TestOneWritePerStoreWrite(t *testing.T) {
+	s := testSpace(t)
+	reg := telemetry.NewRegistry()
+	l, st, err := Open(t.TempDir(), s, WithMetrics(NewMetrics(reg, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	flushes := func() int64 { return reg.Snapshot().Counters["provlog_flushes"] }
+	ins, outs, srcs := testRecords(t, s, 24)
+	fillStore(t, st, ins[:8], outs[:8], srcs[:8])
+	if got := flushes(); got != 8 {
+		t.Fatalf("8 Adds made %d writes", got)
+	}
+	entries := make([]provenance.Entry, 0, 16)
+	for i := 8; i < 24; i++ {
+		entries = append(entries, provenance.Entry{Instance: ins[i], Outcome: outs[i], Source: srcs[i]})
+	}
+	if added, err := st.AddBatch(entries); err != nil || added != 16 {
+		t.Fatalf("AddBatch = %d, %v", added, err)
+	}
+	if got := flushes(); got != 9 {
+		t.Fatalf("one AddBatch of 16 records made %d writes", got-8)
+	}
+	st.SetTrialPolicy(pipeline.FlakyPolicy{MinTrials: 3, MaxTrials: 5, Quorum: 3})
+	flaky := pipeline.MustInstance(s, pipeline.Ord(42), pipeline.Cat("saga"), pipeline.Ord(4))
+	if res, err := st.AddTrial(flaky, pipeline.Fail, "executor"); err != nil || res.Discarded {
+		t.Fatalf("AddTrial = %+v, %v", res, err)
+	}
+	if got := flushes(); got != 10 {
+		t.Fatalf("one AddTrial made %d writes", got-9)
 	}
 }
