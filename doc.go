@@ -105,21 +105,23 @@
 // every Open would make resume cost grow without bound. Compaction
 // (provlog.Log.Checkpoint, bugdoc.Session.Checkpoint, the
 // provlog.WithCompactEvery auto-trigger, cmd/bugdoc -compact and
-// -checkpoint-every) folds the committed history into a checkpoint file:
-// a sorted run keyed by instance hash, deduplicated last-write-wins, with
-// the value and source dictionaries consolidated into dense tables and a
-// footer carrying record count, sequence watermark, space fingerprint,
-// and a whole-file CRC-32C. The checkpoint becomes visible only by
-// fsync+rename, and only then are the segments it covers deleted, so a
-// crash at any point of a compaction recovers (torture-tested stage by
-// stage).
+// -checkpoint-every) folds the records logged since the last checkpoint
+// into a checkpoint tier, all tiers in one format: a sorted run keyed by
+// instance hash, with the value and source dictionaries consolidated into
+// dense tables and a footer carrying the sequence range, record count,
+// space fingerprint, and a whole-file CRC-32C. A tier becomes live only
+// when the MANIFEST that names it is published by fsync+rename, and only
+// then are the segments it covers deleted, so a crash at any point of a
+// compaction recovers (torture-tested stage by stage).
 //
-//   - Open loads the newest valid checkpoint with one index-free
-//     sequential (mmap-backed) pass: rows adopt wholesale into the store
-//     as its base run — code-only instances over the shared decoded
-//     matrix, identity served by binary search over the stored hash
-//     order, outcome/posting indices built lazily on first query — and
-//     only the WAL suffix past the watermark replays frame by frame.
+//   - Open loads the tiers the MANIFEST names, index-free, from
+//     mmap-backed files decoded on every core: rows adopt wholesale into
+//     the store as its base runs — code-only instances over the shared
+//     decoded matrix, identity served by binary search over the stored
+//     hash order, outcome/posting indices built lazily on first query —
+//     and only the WAL suffix past the watermark replays frame by frame.
+//     Without a loadable MANIFEST, Open replays the whole WAL, or fails
+//     when its prefix has been collected.
 //   - Resume cost is bounded by live history, not total history:
 //     BenchmarkOpenCheckpointed1M opens a 1M-record session several times
 //     faster than BenchmarkOpenFullReplay1M replays the identical records

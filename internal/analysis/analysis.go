@@ -3,9 +3,9 @@
 // finding/suppression model, a golden-test harness, and the project-specific
 // analyzers run by cmd/buglint. The analyzers mechanically enforce
 // invariants that earlier PRs established in prose — lock ordering,
-// cross-space guards, atomic-field discipline, hot-path allocation rules,
-// atomic file publication, and sticky-error checks — so regressions surface
-// in CI rather than in review. docs/ANALYZERS.md describes each check.
+// cross-space guards, hot-path allocation rules, and atomic file
+// publication — so regressions surface in CI rather than in review.
+// docs/ANALYZERS.md describes each check.
 package analysis
 
 import (

@@ -12,10 +12,8 @@ func TestCrossSpaceGolden(t *testing.T) { RunGolden(t, CrossSpace, "crossspace")
 // TestCrossSpaceFieldForm covers the in-package `in.space != other.space`
 // guard spelling used by pipeline's own Instance methods.
 func TestCrossSpaceFieldForm(t *testing.T) { RunGolden(t, CrossSpace, "pipeline") }
-func TestAtomicMixGolden(t *testing.T)     { RunGolden(t, AtomicMix, "atomicmix") }
 func TestHotPathGolden(t *testing.T)       { RunGolden(t, HotPath, "hotpath") }
 func TestRenameSyncGolden(t *testing.T)    { RunGolden(t, RenameSync, "renamesync") }
-func TestStickyErrGolden(t *testing.T)     { RunGolden(t, StickyErr, "stickyerr") }
 
 // TestSuppressionRespected expects zero findings from a fixture whose
 // violations all carry documented suppressions (line-above, trailing, and

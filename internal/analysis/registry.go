@@ -5,9 +5,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LockOrder,
 		CrossSpace,
-		AtomicMix,
 		HotPath,
 		RenameSync,
-		StickyErr,
 	}
 }

@@ -18,9 +18,9 @@ import (
 // must commit.
 func TestEvaluateBatchDedupes(t *testing.T) {
 	s := testSpace(t)
-	var calls int32
+	var calls atomic.Int32
 	oracle := OracleFunc(func(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
-		atomic.AddInt32(&calls, 1)
+		calls.Add(1)
 		return failIfA1(ctx, in)
 	})
 	ex := New(oracle, provenance.NewStore(s), WithWorkers(4))
@@ -47,8 +47,8 @@ func TestEvaluateBatchDedupes(t *testing.T) {
 			t.Fatalf("result %d = %v, want %v", i, r.Outcome, wants[i])
 		}
 	}
-	if calls != 3 { // memo seeding + two distinct misses
-		t.Fatalf("oracle called %d times, want 3", calls)
+	if n := calls.Load(); n != 3 { // memo seeding + two distinct misses
+		t.Fatalf("oracle called %d times, want 3", n)
 	}
 	if ex.Store().Len() != 3 {
 		t.Fatalf("store has %d records, want 3", ex.Store().Len())

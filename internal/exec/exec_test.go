@@ -33,9 +33,9 @@ func failIfA1(_ context.Context, in pipeline.Instance) (pipeline.Outcome, error)
 
 func TestEvaluateMemoizes(t *testing.T) {
 	s := testSpace(t)
-	var calls int32
+	var calls atomic.Int32
 	oracle := OracleFunc(func(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
-		atomic.AddInt32(&calls, 1)
+		calls.Add(1)
 		return failIfA1(ctx, in)
 	})
 	ex := New(oracle, provenance.NewStore(s))
@@ -46,8 +46,8 @@ func TestEvaluateMemoizes(t *testing.T) {
 			t.Fatalf("Evaluate = %v, %v", out, err)
 		}
 	}
-	if calls != 1 {
-		t.Fatalf("oracle called %d times, want 1", calls)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("oracle called %d times, want 1", n)
 	}
 	if ex.Spent() != 1 {
 		t.Fatalf("Spent = %d, want 1", ex.Spent())
@@ -150,17 +150,17 @@ func TestEvaluateContextCancelled(t *testing.T) {
 // input order.
 func TestEvaluateAllParallelAndOrdered(t *testing.T) {
 	s := testSpace(t)
-	var inFlight, peak int32
+	var inFlight, peak atomic.Int32
 	oracle := OracleFunc(func(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
-		cur := atomic.AddInt32(&inFlight, 1)
+		cur := inFlight.Add(1)
 		for {
-			p := atomic.LoadInt32(&peak)
-			if cur <= p || atomic.CompareAndSwapInt32(&peak, p, cur) {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
 				break
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
-		atomic.AddInt32(&inFlight, -1)
+		inFlight.Add(-1)
 		return failIfA1(ctx, in)
 	})
 	ex := New(oracle, provenance.NewStore(s), WithWorkers(4))
@@ -189,8 +189,8 @@ func TestEvaluateAllParallelAndOrdered(t *testing.T) {
 			t.Fatalf("result %d = %v, want %v", i, r.Outcome, want)
 		}
 	}
-	if peak < 2 {
-		t.Fatalf("peak concurrency = %d, want >= 2", peak)
+	if p := peak.Load(); p < 2 {
+		t.Fatalf("peak concurrency = %d, want >= 2", p)
 	}
 }
 

@@ -117,9 +117,9 @@ func TestFindDefectivesParallelBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var calls int64
+	var calls atomic.Int64
 	base := TesterFunc(func(_ context.Context, elements []int) (bool, error) {
-		atomic.AddInt64(&calls, 1)
+		calls.Add(1)
 		for _, e := range elements {
 			if def[e] {
 				return true, nil
@@ -139,8 +139,8 @@ func TestFindDefectivesParallelBatches(t *testing.T) {
 			t.Fatalf("false positive %d", e)
 		}
 	}
-	if par.Tests != seq.Tests || int64(par.Tests) != atomic.LoadInt64(&calls) {
-		t.Fatalf("parallel used %d tests (%d calls), sequential %d", par.Tests, calls, seq.Tests)
+	if n := calls.Load(); par.Tests != seq.Tests || int64(par.Tests) != n {
+		t.Fatalf("parallel used %d tests (%d calls), sequential %d", par.Tests, n, seq.Tests)
 	}
 }
 

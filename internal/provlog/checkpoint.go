@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,17 +23,17 @@ import (
 // sealed prefix [0, W) contiguously, LSM-style — the newest tier is the
 // small delta of the last checkpoint, older tiers grow geometrically under
 // the MergePolicy — and the MANIFEST names them in recency order. Open
-// loads every tier of the best plan and replays only the WAL suffix past
+// loads every tier the MANIFEST names and replays only the WAL suffix past
 // the newest watermark, so both checkpointing and resuming cost is bounded
 // by the delta, not the whole past (see docs/ONDISK.md for the byte-level
 // format and the crash-recovery rules).
 //
-// Base-tier layout — firstSeq 0, file ckpt-<watermark>.ckpt, byte-identical
-// to the historic single-checkpoint format (all integers little-endian;
-// the trailing CRC-32C covers every byte before it, so one pass over the
-// file validates everything):
+// Every tier, the base (firstSeq 0) included, is written in one format
+// under one name, tier-<firstSeq>-<watermark>.tier (all integers
+// little-endian; the trailing CRC-32C covers every byte before it, so one
+// pass over the file validates everything):
 //
-//	header  (16)  magic "BDCKPv01", parameter count (uint32), reserved
+//	header  (16)  magic "BDCKPv02", parameter count (uint32), reserved
 //	              uint32 (zero)
 //	dict          per parameter, in space order: entry count (uint32),
 //	              then one entry per code in code order — kind byte, then
@@ -45,15 +43,6 @@ import (
 //	records       recordCount fixed-width rows sorted by (instance hash,
 //	              seq): instance hash (uint64), interned codes (params ×
 //	              uint32), outcome byte, source id (uint16), seq (uint64)
-//	footer  (36)  magic "BDCKPend", record count (uint64), seq watermark
-//	              (uint64), space fingerprint (uint64), CRC-32C (uint32)
-//	              of bytes [0, size-4)
-//
-// Delta-tier layout — firstSeq > 0, file tier-<firstSeq>-<watermark>.tier —
-// differs only in the magics and the footer, which adds the range's lower
-// bound:
-//
-//	header  (16)  magic "BDCKPv02", parameter count (uint32), reserved
 //	footer  (44)  magic "BDCK2end", firstSeq (uint64), record count
 //	              (uint64), seq watermark (uint64), space fingerprint
 //	              (uint64), CRC-32C (uint32) of bytes [0, size-4)
@@ -69,6 +58,16 @@ import (
 // watermark-firstSeq records with dense sequences — the loader verifies
 // this and a compactor that would have to drop a sequence refuses to write
 // the run instead.
+//
+// Directories checkpointed by older versions name a legacy base tier,
+// ckpt-<watermark>.ckpt, in their MANIFEST. It differs only in the magics
+// and the footer, which lacks firstSeq (always 0); parseTierStructure still
+// reads it, nothing writes it, and the next checkpoint's GC collects it
+// once a merge to sequence 0 supersedes it:
+//
+//	header  (16)  magic "BDCKPv01", parameter count (uint32), reserved
+//	footer  (36)  magic "BDCKPend", record count (uint64), seq watermark
+//	              (uint64), space fingerprint (uint64), CRC-32C (uint32)
 const (
 	ckptMagic       = "BDCKPv01"
 	ckptFooterMagic = "BDCKPend"
@@ -110,38 +109,6 @@ func ckptStage(stage string) error {
 	return nil
 }
 
-// ckptFile is one discovered checkpoint file.
-type ckptFile struct {
-	path      string
-	watermark int
-}
-
-func ckptPath(dir string, watermark int) string {
-	return filepath.Join(dir, fmt.Sprintf("ckpt-%016d.ckpt", watermark))
-}
-
-// listCheckpoints returns the directory's checkpoint files ordered newest
-// (highest watermark) first. Only the name is parsed here; validity is
-// decided by loadCheckpoint.
-func listCheckpoints(dir string) ([]ckptFile, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt"))
-	if err != nil {
-		return nil, err
-	}
-	cks := make([]ckptFile, 0, len(names))
-	for _, p := range names {
-		base := filepath.Base(p)
-		numStr := strings.TrimSuffix(strings.TrimPrefix(base, "ckpt-"), ".ckpt")
-		n, err := strconv.ParseUint(numStr, 10, 63)
-		if err != nil {
-			return nil, fmt.Errorf("provlog: unrecognized checkpoint file %q", base)
-		}
-		cks = append(cks, ckptFile{path: p, watermark: int(n)})
-	}
-	sort.Slice(cks, func(i, j int) bool { return cks[i].watermark > cks[j].watermark })
-	return cks, nil
-}
-
 // removeStrayTmp deletes leftover temp files — the debris of a crash
 // between writing and renaming a checkpoint tier or a manifest. Called
 // with the directory lock held, so no live compactor owns them.
@@ -155,40 +122,8 @@ func removeStrayTmp(dir string) {
 	}
 }
 
-// encodeCheckpoint renders the first w records of the snapshot as one
-// base tier (the historic single-checkpoint file, byte-identical). The
-// dictionary tables are derived from the record prefix itself: the WAL
-// emits a dict frame for every code up to the largest one a record
-// references, immediately before that record and in the same write, so
-// the codes 0..max(code) per parameter — and the sources in first-use
-// order — are exactly the dictionary state at the watermark's position in
-// the stream.
-func encodeCheckpoint(space *pipeline.Space, fingerprint uint64, sn provenance.Snapshot, w int) ([]byte, error) {
-	p := space.Len()
-	persisted := make([]int, p)
-	var sources []string
-	seen := make(map[string]bool)
-	for i := 0; i < w; i++ {
-		rec := sn.At(i)
-		for j := 0; j < p; j++ {
-			if c := int(rec.Instance.Code(j)) + 1; c > persisted[j] {
-				persisted[j] = c
-			}
-		}
-		if !seen[rec.Source] {
-			if len(sources) > math.MaxUint16 {
-				return nil, fmt.Errorf("provlog: checkpoint: too many distinct sources")
-			}
-			seen[rec.Source] = true
-			sources = append(sources, rec.Source)
-		}
-	}
-	return encodeTierRange(space, fingerprint, sn, 0, w, persisted, sources)
-}
-
 // encodeTierRange renders the snapshot's records with sequences in
-// [firstSeq, w) as one tier file: base-tier format when firstSeq is 0,
-// delta-tier format otherwise. The dictionary tables written are the
+// [firstSeq, w) as one tier file. The dictionary tables written are the
 // given cumulative state — every code below persisted[i] per parameter
 // and the sources in WAL id order — which must cover every code and
 // source the range's records reference, and must be table-prefix
@@ -236,11 +171,7 @@ func encodeTierRange(space *pipeline.Space, fingerprint uint64, sn provenance.Sn
 
 	rowSize := 4*p + 19
 	buf := make([]byte, 0, ckptHeaderSize+n*rowSize+tierFooterSize+4096)
-	if firstSeq == 0 {
-		buf = append(buf, ckptMagic...)
-	} else {
-		buf = append(buf, tierMagic...)
-	}
+	buf = append(buf, tierMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
 	buf = binary.LittleEndian.AppendUint32(buf, 0)
 	for i := 0; i < p; i++ {
@@ -286,25 +217,18 @@ func encodeTierRange(space *pipeline.Space, fingerprint uint64, sn provenance.Sn
 		buf = binary.LittleEndian.AppendUint16(buf, id)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Seq))
 	}
-	if firstSeq == 0 {
-		buf = append(buf, ckptFooterMagic...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(kept)))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
-	} else {
-		buf = append(buf, tierFooterMagic...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(firstSeq))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(kept)))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, fingerprint)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, ckptCRC))
-	return buf, nil
+	return appendTierFooter(buf, firstSeq, len(kept), w, fingerprint), nil
 }
 
-// writeCheckpointFile makes an encoded base tier durable under the
-// historic checkpoint name. It is writeTierFile anchored at sequence 0.
-func writeCheckpointFile(dir string, buf []byte, watermark int) error {
-	return writeTierFile(dir, buf, 0, watermark)
+// appendTierFooter seals an encoded tier: the footer fields, then the
+// CRC-32C of every byte before it.
+func appendTierFooter(buf []byte, firstSeq, count, watermark int, fingerprint uint64) []byte {
+	buf = append(buf, tierFooterMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(firstSeq))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(count))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(watermark))
+	buf = binary.LittleEndian.AppendUint64(buf, fingerprint)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, ckptCRC))
 }
 
 // writeTierFile makes an encoded tier durable through atomicPublish (temp
@@ -313,11 +237,7 @@ func writeCheckpointFile(dir string, buf []byte, watermark int) error {
 // up) or a complete valid one — never a partial file under the real name.
 // The tier becomes live only when a later manifest references it.
 func writeTierFile(dir string, buf []byte, firstSeq, watermark int) error {
-	pattern := "ckpt-*.tmp"
-	if firstSeq > 0 {
-		pattern = "tier-*.tmp"
-	}
-	err := atomicPublish(dir, pattern, tierPath(dir, firstSeq, watermark),
+	err := atomicPublish(dir, "tier-*.tmp", filepath.Join(dir, tierName(firstSeq, watermark)),
 		func(tmp *os.File) error {
 			_, err := tmp.Write(buf)
 			return err
@@ -330,7 +250,7 @@ func writeTierFile(dir string, buf []byte, firstSeq, watermark int) error {
 }
 
 // errCkptInvalid marks a checkpoint file that fails validation; Open falls
-// back to an older checkpoint or a full WAL replay.
+// back to a full WAL replay when the log's first segment survives.
 var errCkptInvalid = errors.New("provlog: invalid checkpoint")
 
 func ckptInvalid(path, format string, args ...any) error {
@@ -340,7 +260,7 @@ func ckptInvalid(path, format string, args ...any) error {
 // ckptState is what a loaded tier plan seeds the suffix replay with: the
 // watermark below which records are already in the store, the dictionary
 // state at that point in the stream, and the live tiers (newest first,
-// with their CRCs bound) the log continues to build on.
+// as the MANIFEST names them) the log continues to build on.
 type ckptState struct {
 	watermark int
 	persisted []int
@@ -355,40 +275,51 @@ type ckptState struct {
 const minRowsPerDecoder = 4096
 
 // tierLoad is one decoded tier's contribution to a plan load: its sorted
-// (hash, seq) columns, its cumulative dictionary state, and the file's
-// CRC (bound into the republished manifest).
+// (hash, seq) columns and its cumulative dictionary state.
 type tierLoad struct {
 	run       provenance.SortedRun
 	persisted []int
 	sources   []string
-	crc       uint32
 }
 
-// decodeTierInto reads, validates, and decodes one tier file, placing
-// each record into its sequence slot of the shared recs slice and marking
-// its slot in the covered bitmap (which spans the whole plan, so a row
-// claiming a sequence another tier owns is caught here). The whole file
-// is verified by its trailing CRC-32C before any byte is interpreted;
-// dictionary entries replay through Space.Intern with the same
-// code-agreement check the WAL replay performs, so a tier cut against a
-// different space cannot silently remap codes.
+// openTier maps one tier file and checks it against the MANIFEST entry
+// naming it: its structure (parseTierStructure, which verifies the
+// trailing CRC-32C before any byte is interpreted), its range and its
+// checksum. release unmaps the file once nothing references its bytes.
+func openTier(dir string, ref tierRef) (ti *tierInfo, release func(), err error) {
+	data, release, err := mapFile(filepath.Join(dir, ref.name))
+	if err != nil {
+		return nil, nil, err
+	}
+	ti, err = parseTierStructure(ref.name, data)
+	if err == nil && (ti.firstSeq != ref.firstSeq || ti.watermark != ref.watermark) {
+		err = ckptInvalid(ref.name, "covers [%d, %d), its MANIFEST entry says [%d, %d)",
+			ti.firstSeq, ti.watermark, ref.firstSeq, ref.watermark)
+	}
+	if err == nil && ti.crc != ref.crc {
+		err = ckptInvalid(ref.name, "checksum does not match its MANIFEST entry")
+	}
+	if err != nil {
+		release()
+		return nil, nil, err
+	}
+	return ti, release, nil
+}
+
+// decodeTierInto decodes one opened tier, placing each record into its
+// sequence slot of the shared recs slice and marking its slot in the
+// covered bitmap (which spans the whole plan, so a row claiming a sequence
+// another tier owns is caught here). Dictionary entries replay through
+// Space.Intern with the same code-agreement check the WAL replay performs,
+// so a tier cut against a different space cannot silently remap codes.
 //
 // The row region is fixed-width and every row validates independently, so
 // decode splits into par contiguous row ranges, one goroutine each,
 // writing disjoint index ranges of the shared column arrays; adoption
 // fans out over the same ranges (Space.AdoptInstancesRange), and each
 // record lands in its disjoint sequence slot. par <= 1 is the sequential
-// degenerate case, byte-for-byte the historic single-core load.
-func decodeTierInto(path string, ref tierRef, space *pipeline.Space, par int, recs []provenance.Record, covered []uint64) (*tierLoad, error) {
-	data, release, err := mapFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	ti, err := parseTierStructure(path, data)
-	if err != nil {
-		return nil, err
-	}
+// degenerate case.
+func decodeTierInto(path string, ti *tierInfo, space *pipeline.Space, par int, recs []provenance.Record, covered []uint64) (*tierLoad, error) {
 	p := space.Len()
 	if ti.p != p {
 		return nil, ckptInvalid(path, "tier has %d parameters, space has %d", ti.p, p)
@@ -396,13 +327,6 @@ func decodeTierInto(path string, ref tierRef, space *pipeline.Space, par int, re
 	if ti.fingerprint != space.Fingerprint() {
 		return nil, fmt.Errorf("provlog: %s: tier fingerprint %016x does not match space fingerprint %016x (different space?)",
 			filepath.Base(path), ti.fingerprint, space.Fingerprint())
-	}
-	if ti.firstSeq != ref.firstSeq || ti.watermark != ref.watermark {
-		return nil, ckptInvalid(path, "covers [%d, %d), plan says [%d, %d)",
-			ti.firstSeq, ti.watermark, ref.firstSeq, ref.watermark)
-	}
-	if ref.crc != 0 && ti.crc != ref.crc {
-		return nil, ckptInvalid(path, "checksum does not match its manifest entry")
 	}
 	count := ti.count
 
@@ -561,17 +485,20 @@ func decodeTierInto(path string, ref tierRef, space *pipeline.Space, par int, re
 		run:       provenance.SortedRun{Hashes: hashes, Seqs: seqs},
 		persisted: persisted,
 		sources:   sources,
-		crc:       ti.crc,
 	}, nil
 }
 
-// loadTierPlan loads one candidate tier plan (newest first, partitioning
+// loadTierPlan loads a MANIFEST's tier plan (newest first, partitioning
 // [0, watermark) contiguously) into a fresh store: every tier decodes
 // through decodeTierInto, records land in their global sequence slots,
 // and the per-tier sorted runs are adopted as the store's base runs
 // (provenance.Store.LoadSortedRuns) — no hash index is built; identity
 // probes binary-search each run, newest first. Each tier's rows decode on
 // up to par goroutines (see decodeTierInto).
+//
+// Nothing is sized from the plan until every tier file has matched its
+// entry: a footer's row count is bounded by the file's bytes, so only
+// then does the plan's watermark stand for records that exist.
 //
 // The newest tier decodes first, so its cumulative dictionary tables
 // seed the space and become the replay state; every older tier's tables
@@ -584,13 +511,22 @@ func loadTierPlan(dir string, plan []tierRef, space *pipeline.Space, par int) (*
 	if err := checkTierChain(plan); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", errCkptInvalid, err)
 	}
+	tis := make([]*tierInfo, len(plan))
+	for i, ref := range plan {
+		ti, release, err := openTier(dir, ref)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer release()
+		tis[i] = ti
+	}
 	w := plan[0].watermark
 	recs := make([]provenance.Record, w)
 	covered := make([]uint64, (w+63)/64)
 	runs := make([]provenance.SortedRun, 0, len(plan))
-	cs := &ckptState{watermark: w, tiers: make([]tierRef, 0, len(plan))}
+	cs := &ckptState{watermark: w, tiers: plan}
 	for i, ref := range plan {
-		tl, err := decodeTierInto(filepath.Join(dir, ref.name), ref, space, par, recs, covered)
+		tl, err := decodeTierInto(ref.name, tis[i], space, par, recs, covered)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -618,9 +554,6 @@ func loadTierPlan(dir string, plan []tierRef, space *pipeline.Space, par int) (*
 				}
 			}
 		}
-		bound := ref
-		bound.crc = tl.crc
-		cs.tiers = append(cs.tiers, bound)
 		runs = append(runs, tl.run)
 	}
 	st := provenance.NewStore(space)
@@ -747,7 +680,7 @@ func (l *Log) Checkpoint() error {
 	// checkpoint: the unmerged tiers are all valid, so they publish as-is
 	// and the error surfaces after the state is safe.
 	tiers = append([]tierRef{{
-		name:      filepath.Base(tierPath(l.dir, firstSeq, w)),
+		name:      tierName(firstSeq, w),
 		firstSeq:  firstSeq,
 		watermark: w,
 		count:     w - firstSeq,
@@ -817,13 +750,13 @@ func (l *Log) ckptBeginLocked(w int) error {
 
 // gcLocked removes WAL segments whose every record lies below the
 // watermark w and tier files the live tier list does not reference —
-// superseded checkpoints, merged-away inputs, and the debris of crashed
-// compactions. Segments are deleted oldest-first and only while their
-// successor's header proves full coverage (a segment's records end where
-// the next segment's begin); the active segment never qualifies. Tier
-// files are judged purely by name against l.tiers, which the manifest
-// already names durably — everything else is unreachable by the loader's
-// manifest plan. The caller holds l.mu.
+// superseded tiers (legacy ckpt-*.ckpt bases included), merged-away
+// inputs, and the debris of crashed compactions. Segments are deleted
+// oldest-first and only while their successor's header proves full
+// coverage (a segment's records end where the next segment's begin); the
+// active segment never qualifies. Tier files are judged by name alone
+// against l.tiers, which the manifest already names durably — everything
+// else is unreachable by the loader. The caller holds l.mu.
 func (l *Log) gcLocked(w int) error {
 	segs, err := listSegments(l.dir)
 	if err != nil {
@@ -852,18 +785,18 @@ func (l *Log) gcLocked(w int) error {
 	for _, t := range l.tiers {
 		live[t.name] = true
 	}
-	refs, err := listTierFiles(l.dir)
+	names, err := listTierFiles(l.dir)
 	if err != nil {
 		return err
 	}
-	for _, r := range refs {
-		if live[r.name] {
+	for _, name := range names {
+		if live[name] {
 			continue
 		}
 		if err := ckptStage("gc"); err != nil {
 			return err
 		}
-		if err := os.Remove(filepath.Join(l.dir, r.name)); err != nil {
+		if err := os.Remove(filepath.Join(l.dir, name)); err != nil {
 			return err
 		}
 		l.met.segmentGCd()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -132,18 +133,100 @@ func buildCheckpointed(t *testing.T, dir string, n int, opts ...Option) ([]pipel
 	return ins, outs, srcs
 }
 
+// prefixTables returns the dictionary state the WAL had reached after the
+// snapshot's first w records: the WAL frames every code up to the largest
+// one a record references, immediately before that record, so per
+// parameter it is the codes 0..max(code), and the sources in first-use
+// order.
+func prefixTables(sn provenance.Snapshot, p, w int) (persisted []int, sources []string) {
+	persisted = make([]int, p)
+	for i := 0; i < w; i++ {
+		rec := sn.At(i)
+		for j := 0; j < p; j++ {
+			persisted[j] = max(persisted[j], int(rec.Instance.Code(j))+1)
+		}
+		if !slices.Contains(sources, rec.Source) {
+			sources = append(sources, rec.Source)
+		}
+	}
+	return persisted, sources
+}
+
+// publishTiers checkpoints the store's records by hand as the tier stack
+// cut at the given watermarks — [0, ws[0]), [ws[0], ws[1]), … — the way a
+// compaction that died before collecting would have left them: every tier
+// written and named by a freshly published MANIFEST, over an untouched
+// WAL. It returns the newest tier's path.
+func publishTiers(t *testing.T, dir string, st *provenance.Store, ws ...int) string {
+	t.Helper()
+	s := st.Space()
+	sn := st.Snapshot()
+	var tiers []tierRef
+	first := 0
+	for _, w := range ws {
+		persisted, sources := prefixTables(sn, s.Len(), w)
+		buf, err := encodeTierRange(s, s.Fingerprint(), sn, first, w, persisted, sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeTierFile(dir, buf, first, w); err != nil {
+			t.Fatal(err)
+		}
+		ref := tierRef{name: tierName(first, w), firstSeq: first, watermark: w, count: w - first, crc: tierCRC(buf)}
+		tiers = append([]tierRef{ref}, tiers...)
+		first = w
+	}
+	if err := publishManifest(dir, s.Fingerprint(), tiers); err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(dir, tiers[0].name)
+}
+
+// loadedWatermark returns the watermark of the checkpoint replayDir loads
+// from dir: 0 when it replays the WAL alone.
+func loadedWatermark(t *testing.T, dir string, s *pipeline.Space) int {
+	t.Helper()
+	rs, _, _, err := replayDir(dir, s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs.ckptSeq
+}
+
+// manifestTiers returns the MANIFEST's tiers as "firstSeq-watermark"
+// strings, newest first, and fails unless the directory holds exactly the
+// tier files they name.
+func manifestTiers(t *testing.T, dir string, s *pipeline.Space) []string {
+	t.Helper()
+	tiers, err := readManifest(dir, s.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, names []string
+	for _, tier := range tiers {
+		got = append(got, fmt.Sprintf("%d-%d", tier.firstSeq, tier.watermark))
+		names = append(names, tier.name)
+	}
+	files, err := listTierFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(names)
+	slices.Sort(files)
+	if !slices.Equal(names, files) {
+		t.Fatalf("directory holds tier files %v, MANIFEST names %v", files, names)
+	}
+	return got
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ins, outs, srcs := buildCheckpointed(t, dir, 20)
 
-	// The sealed history must be folded: one checkpoint, and only the
+	// The sealed history must be folded: one tier, and only the
 	// post-rotation active segment left.
-	cks, err := listCheckpoints(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cks) != 1 || cks[0].watermark != len(ins) {
-		t.Fatalf("checkpoints = %+v, want one at watermark %d", cks, len(ins))
+	if got := manifestTiers(t, dir, testSpace(t)); !slices.Equal(got, []string{"0-20"}) {
+		t.Fatalf("tiers = %v, want [0-20]", got)
 	}
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -180,7 +263,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointSuffixReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSegmentSize(256))
+	l, st, err := Open(dir, s, withSegmentSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +279,7 @@ func TestCheckpointSuffixReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, st2, err := Open(dir, testSpace(t), WithSegmentSize(256))
+	l2, st2, err := Open(dir, testSpace(t), withSegmentSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +290,8 @@ func TestCheckpointSuffixReplay(t *testing.T) {
 // TestCheckpointPartialCoverage exercises a watermark that falls inside a
 // live segment (the shape a checkpoint taken under concurrent appends, or
 // a crash before collection, leaves): the fully-written WAL stays, a
-// checkpoint covers only a prefix, and Open must skip-replay the covered
-// region without duplicating records.
+// checkpoint covers only a prefix, and Open must load it and skip-replay
+// the covered region without duplicating records.
 func TestCheckpointPartialCoverage(t *testing.T) {
 	for _, w := range []int{1, 7, 19, 20} {
 		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
@@ -220,16 +303,12 @@ func TestCheckpointPartialCoverage(t *testing.T) {
 			}
 			ins, outs, srcs := testRecords(t, s, 20)
 			fillStore(t, st, ins, outs, srcs)
-			sn := st.Snapshot()
-			buf, err := encodeCheckpoint(s, s.Fingerprint(), sn, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := writeCheckpointFile(dir, buf, w); err != nil {
-				t.Fatal(err)
-			}
+			publishTiers(t, dir, st, w)
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
+			}
+			if got := loadedWatermark(t, dir, testSpace(t)); got != w {
+				t.Fatalf("loaded checkpoint at %d, want %d", got, w)
 			}
 
 			l2, st2, err := Open(dir, testSpace(t))
@@ -258,27 +337,24 @@ func TestCheckpointDifferential(t *testing.T) {
 
 			dir := t.TempDir()
 			s := testSpace(t)
-			l, st, err := Open(dir, s, WithSegmentSize(segSize))
+			l, st, err := Open(dir, s, withSegmentSize(segSize))
 			if err != nil {
 				t.Fatal(err)
 			}
 			ins, outs, srcs := testRecords(t, s, n)
 			fillStore(t, st, ins, outs, srcs)
-			buf, err := encodeCheckpoint(s, s.Fingerprint(), st.Snapshot(), w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := writeCheckpointFile(dir, buf, w); err != nil {
-				t.Fatal(err)
-			}
+			publishTiers(t, dir, st, w)
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
+			}
+			if got := loadedWatermark(t, dir, testSpace(t)); got != w {
+				t.Fatalf("loaded checkpoint at %d, want %d", got, w)
 			}
 
 			// The WAL-only twin: same segments, checkpoint removed.
 			walDir := t.TempDir()
 			copyDir(t, dir, walDir, func(name string) bool {
-				return !strings.HasSuffix(name, ".ckpt")
+				return !strings.HasSuffix(name, ".tier") && name != manifestName
 			})
 
 			viaCkpt, err := Replay(dir, testSpace(t))
@@ -328,7 +404,7 @@ func TestCompactionCrashTorture(t *testing.T) {
 			s := testSpace(t)
 			// Small segments so compaction has several sealed segments to
 			// collect, making the "gc" stage abort mid-way meaningful.
-			l, st, err := Open(dir, s, WithSegmentSize(256))
+			l, st, err := Open(dir, s, withSegmentSize(256))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +431,7 @@ func TestCompactionCrashTorture(t *testing.T) {
 
 			// Open must recover the full history regardless of where the
 			// compaction died.
-			l2, st2, err := Open(dir, testSpace(t), WithSegmentSize(256))
+			l2, st2, err := Open(dir, testSpace(t), withSegmentSize(256))
 			if err != nil {
 				t.Fatalf("Open after crash at %s: %v", stage, err)
 			}
@@ -375,12 +451,8 @@ func TestCompactionCrashTorture(t *testing.T) {
 			if err := l2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			cks, err := listCheckpoints(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(cks) != 1 || cks[0].watermark != len(more) {
-				t.Fatalf("checkpoints after recovery compaction = %+v, want one at %d", cks, len(more))
+			if got, want := manifestTiers(t, dir, testSpace(t)), fmt.Sprintf("0-%d", len(more)); !slices.Equal(got, []string{want}) {
+				t.Fatalf("tiers after recovery compaction = %v, want [%s]", got, want)
 			}
 			got, err := Replay(dir, testSpace(t))
 			if err != nil {
@@ -391,9 +463,10 @@ func TestCompactionCrashTorture(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruptFallsBack flips and truncates checkpoint bytes: as
-// long as the full WAL survives, Open must detect the damage via the
-// trailing CRC and rebuild from the segments alone.
+// TestCheckpointCorruptFallsBack flips and truncates the bytes of a
+// checkpoint the MANIFEST names: as long as the full WAL survives, Open
+// must detect the damage via the trailing CRC and rebuild from the
+// segments alone.
 func TestCheckpointCorruptFallsBack(t *testing.T) {
 	build := func(t *testing.T) (string, []pipeline.Instance, []pipeline.Outcome, []string, string) {
 		dir := t.TempDir()
@@ -404,21 +477,25 @@ func TestCheckpointCorruptFallsBack(t *testing.T) {
 		}
 		ins, outs, srcs := testRecords(t, s, 15)
 		fillStore(t, st, ins, outs, srcs)
-		buf, err := encodeCheckpoint(s, s.Fingerprint(), st.Snapshot(), len(ins))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeCheckpointFile(dir, buf, len(ins)); err != nil {
-			t.Fatal(err)
-		}
+		ck := publishTiers(t, dir, st, len(ins))
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		cks, err := listCheckpoints(dir)
-		if err != nil || len(cks) != 1 {
-			t.Fatalf("checkpoints = %v, %v", cks, err)
+		if got := loadedWatermark(t, dir, testSpace(t)); got != len(ins) {
+			t.Fatalf("intact checkpoint loaded at %d, want %d", got, len(ins))
 		}
-		return dir, ins, outs, srcs, cks[0].path
+		return dir, ins, outs, srcs, ck
+	}
+	reopen := func(t *testing.T, dir string, ins []pipeline.Instance, outs []pipeline.Outcome, srcs []string) {
+		if got := loadedWatermark(t, dir, testSpace(t)); got != 0 {
+			t.Fatalf("corrupt checkpoint loaded at %d", got)
+		}
+		l, st, err := Open(dir, testSpace(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		assertStoreMatches(t, st, ins, outs, srcs)
 	}
 
 	t.Run("bitflip", func(t *testing.T) {
@@ -431,12 +508,7 @@ func TestCheckpointCorruptFallsBack(t *testing.T) {
 		if err := os.WriteFile(ck, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, st, err := Open(dir, testSpace(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		assertStoreMatches(t, st, ins, outs, srcs)
+		reopen(t, dir, ins, outs, srcs)
 	})
 
 	t.Run("truncated", func(t *testing.T) {
@@ -448,12 +520,7 @@ func TestCheckpointCorruptFallsBack(t *testing.T) {
 		if err := os.Truncate(ck, fi.Size()/2); err != nil {
 			t.Fatal(err)
 		}
-		l, st, err := Open(dir, testSpace(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		assertStoreMatches(t, st, ins, outs, srcs)
+		reopen(t, dir, ins, outs, srcs)
 	})
 
 	// With the covered segments already collected, a corrupt checkpoint is
@@ -462,16 +529,13 @@ func TestCheckpointCorruptFallsBack(t *testing.T) {
 	t.Run("collected", func(t *testing.T) {
 		dir := t.TempDir()
 		buildCheckpointed(t, dir, 15)
-		cks, err := listCheckpoints(dir)
-		if err != nil || len(cks) != 1 {
-			t.Fatalf("checkpoints = %v, %v", cks, err)
-		}
-		data, err := os.ReadFile(cks[0].path)
+		ck := filepath.Join(dir, tierName(0, 15))
+		data, err := os.ReadFile(ck)
 		if err != nil {
 			t.Fatal(err)
 		}
 		data[len(data)/2] ^= 0xff
-		if err := os.WriteFile(cks[0].path, data, 0o644); err != nil {
+		if err := os.WriteFile(ck, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := Open(dir, testSpace(t)); err == nil {
@@ -493,13 +557,7 @@ func TestCheckpointLostTail(t *testing.T) {
 	}
 	ins, outs, srcs := testRecords(t, s, 20)
 	fillStore(t, st, ins, outs, srcs)
-	buf, err := encodeCheckpoint(s, s.Fingerprint(), st.Snapshot(), len(ins))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeCheckpointFile(dir, buf, len(ins)); err != nil {
-		t.Fatal(err)
-	}
+	publishTiers(t, dir, st, len(ins))
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -507,6 +565,9 @@ func TestCheckpointLostTail(t *testing.T) {
 	seg := filepath.Join(dir, "wal-000000.seg")
 	if err := os.Truncate(seg, headerSize+10); err != nil {
 		t.Fatal(err)
+	}
+	if got := loadedWatermark(t, dir, testSpace(t)); got != len(ins) {
+		t.Fatalf("loaded checkpoint at %d, want %d", got, len(ins))
 	}
 
 	l2, st2, err := Open(dir, testSpace(t))
@@ -542,8 +603,8 @@ func TestCheckpointNoop(t *testing.T) {
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if cks, _ := listCheckpoints(dir); len(cks) != 0 {
-		t.Fatalf("empty-log checkpoint wrote %v", cks)
+	if names, _ := listTierFiles(dir); len(names) != 0 {
+		t.Fatalf("empty-log checkpoint wrote %v", names)
 	}
 	ins, outs, srcs := testRecords(t, s, 5)
 	fillStore(t, st, ins, outs, srcs)
@@ -553,12 +614,8 @@ func TestCheckpointNoop(t *testing.T) {
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	cks, err := listCheckpoints(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cks) != 1 || cks[0].watermark != len(ins) {
-		t.Fatalf("checkpoints = %+v, want exactly one at %d", cks, len(ins))
+	if got := manifestTiers(t, dir, s); !slices.Equal(got, []string{"0-5"}) {
+		t.Fatalf("tiers = %v, want exactly [0-5]", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -574,7 +631,7 @@ func TestCheckpointNoop(t *testing.T) {
 func TestAutoCompactPolicy(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSegmentSize(256), WithCompactEvery(8))
+	l, st, err := Open(dir, s, withSegmentSize(256), WithCompactEvery(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,11 +639,7 @@ func TestAutoCompactPolicy(t *testing.T) {
 	fillStore(t, st, ins, outs, srcs)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		cks, err := listCheckpoints(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cks) > 0 {
+		if _, err := readManifest(dir, s.Fingerprint()); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -610,7 +663,7 @@ func TestAutoCompactPolicy(t *testing.T) {
 func TestCheckpointConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSegmentSize(512))
+	l, st, err := Open(dir, s, withSegmentSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -14,10 +16,10 @@ import (
 )
 
 // This file holds the decoders' defences against hostile bytes: the
-// MANIFEST and tier-file parsers must reject any count their input cannot
-// hold before sizing an allocation from it. The fuzz targets re-seal the
-// trailing CRC-32C of every input, so mutations reach the parsers proper
-// instead of dying at the checksum.
+// MANIFEST and tier-file parsers, and the tier-stack loader, must reject
+// any count their input cannot hold before sizing an allocation from it.
+// The fuzz targets re-seal the trailing CRC-32C of every input, so
+// mutations reach the parsers proper instead of dying at the checksum.
 
 // resealCRC returns a copy of data whose trailing four bytes are the
 // CRC-32C of everything before them, as every MANIFEST and tier file ends.
@@ -29,9 +31,10 @@ func resealCRC(data []byte) []byte {
 	return out
 }
 
-// baseTierFile assembles a base-format tier file around the given body
+// baseTierFile assembles a legacy v01 base tier file around the given body
 // (dictionary tables and rows): header with p parameters, footer with the
-// given row count and watermark, sealed CRC.
+// given row count and watermark, sealed CRC. Only older versions wrote
+// this format; the loader still reads it.
 func baseTierFile(p uint32, body []byte, count, watermark, fingerprint uint64) []byte {
 	b := []byte(ckptMagic)
 	b = binary.LittleEndian.AppendUint32(b, p)
@@ -77,8 +80,9 @@ func decoderReproducers(fingerprint uint64) []decoderReproducer {
 	}
 }
 
-// validDecoderSeeds returns a well-formed base tier, delta tier and
-// MANIFEST cut from a small real history.
+// validDecoderSeeds returns a well-formed base tier covering [0, 8), a
+// delta tier covering [8, 12) and a MANIFEST naming them, cut from a small
+// real history.
 func validDecoderSeeds(tb testing.TB) (base, delta, manifest []byte, fingerprint uint64) {
 	tb.Helper()
 	s := testSpace(tb)
@@ -90,21 +94,20 @@ func validDecoderSeeds(tb testing.TB) (base, delta, manifest []byte, fingerprint
 		}
 	}
 	fingerprint = s.Fingerprint()
-	base, err := encodeCheckpoint(s, fingerprint, st.Snapshot(), 8)
+	sn := st.Snapshot()
+	persisted, sources := prefixTables(sn, s.Len(), 8)
+	base, err := encodeTierRange(s, fingerprint, sn, 0, 8, persisted, sources)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	persisted := make([]int, s.Len())
-	for i := range persisted {
-		persisted[i] = s.NumCodes(i)
-	}
-	delta, err = encodeTierRange(s, fingerprint, st.Snapshot(), 8, 12, persisted, []string{"executor", "seed", "csv"})
+	persisted, sources = prefixTables(sn, s.Len(), 12)
+	delta, err = encodeTierRange(s, fingerprint, sn, 8, 12, persisted, sources)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	manifest = encodeManifest(fingerprint, []tierRef{
-		{name: "tier-8-12.tier", firstSeq: 8, watermark: 12, count: 4, crc: 7},
-		{name: "ckpt-8.ckpt", firstSeq: 0, watermark: 8, count: 8, crc: 9},
+		{name: tierName(8, 12), firstSeq: 8, watermark: 12, count: 4, crc: tierCRC(delta)},
+		{name: tierName(0, 8), firstSeq: 0, watermark: 8, count: 8, crc: tierCRC(base)},
 	})
 	// The seeds are only worth fuzzing from if they decode.
 	for _, tier := range [][]byte{base, delta} {
@@ -118,28 +121,89 @@ func validDecoderSeeds(tb testing.TB) (base, delta, manifest []byte, fingerprint
 	return base, delta, manifest, fingerprint
 }
 
+// tierCRC returns a tier file's trailing CRC-32C, the checksum its MANIFEST
+// entry binds.
+func tierCRC(tier []byte) uint32 {
+	if len(tier) < 4 {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(tier[len(tier)-4:])
+}
+
+// v01Base re-frames a tier covering [0, w) in the legacy v01 base format:
+// the same dictionary tables and rows under the v01 magics and footer.
+func v01Base(tier []byte, p, w int, fingerprint uint64) []byte {
+	body := tier[ckptHeaderSize : len(tier)-tierFooterSize]
+	return baseTierFile(uint32(p), body, uint64(w), uint64(w), fingerprint)
+}
+
+// watermarkReproducer checkpoints a real 20-record session, then re-seals
+// its MANIFEST with the base tier's watermark and count set to claim,
+// returning the directory and the MANIFEST's size. The MANIFEST is
+// CRC-valid and its chain checks out, but no file backs the claim, so the
+// loader must reject it without sizing record slots from it (sized from
+// the entry, they are 96 MiB at 2^20 and exhaust memory at 2^30).
+func watermarkReproducer(t *testing.T, claim int) (string, int) {
+	t.Helper()
+	dir := t.TempDir()
+	buildCheckpointed(t, dir, 20)
+	s := testSpace(t)
+	tiers, err := readManifest(dir, s.Fingerprint())
+	if err != nil || len(tiers) != 1 {
+		t.Fatalf("MANIFEST = %v, %v; want one tier", tiers, err)
+	}
+	tiers[0].watermark, tiers[0].count = claim, claim
+	data := encodeManifest(s.Fingerprint(), tiers)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, len(data)
+}
+
 // TestDecodersRejectUnbackedCounts feeds each reproducer to its decoder:
 // it must be rejected, and the attempt must allocate no more than a small
 // constant — never an amount read from the hostile header.
 func TestDecodersRejectUnbackedCounts(t *testing.T) {
 	_, _, _, fp := validDecoderSeeds(t)
+	reject := func(t *testing.T, size int, decode func() error) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("decoder accepted the input")
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("decoder allocated %d bytes rejecting a %d-byte input", got, size)
+		}
+	}
 	for _, rep := range decoderReproducers(fp) {
 		t.Run(rep.name, func(t *testing.T) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			var err error
-			if rep.manifest {
-				_, err = decodeManifest(rep.data, fp)
-			} else {
-				_, err = parseTierStructure("repro.tier", rep.data)
-			}
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Fatal("decoder accepted the input")
-			}
-			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-				t.Fatalf("decoder allocated %d bytes rejecting a %d-byte input", got, len(rep.data))
-			}
+			reject(t, len(rep.data), func() error {
+				if rep.manifest {
+					_, err := decodeManifest(rep.data, fp)
+					return err
+				}
+				_, err := parseTierStructure("repro.tier", rep.data)
+				return err
+			})
+		})
+	}
+	// A CRC-valid MANIFEST whose entry claims more records than its tier
+	// file holds.
+	for _, k := range []int{20, 26, 30} {
+		t.Run(fmt.Sprintf("manifest watermark 2^%d", k), func(t *testing.T) {
+			dir, size := watermarkReproducer(t, 1<<k)
+			s := testSpace(t)
+			reject(t, size, func() error {
+				tiers, err := readManifest(dir, s.Fingerprint())
+				if err != nil || tiers[0].watermark != 1<<k {
+					t.Fatalf("the reproducer MANIFEST must decode to its claim: %+v, %v", tiers, err)
+				}
+				_, _, err = loadTierPlan(dir, tiers, s, 1)
+				return err
+			})
 		})
 	}
 }
@@ -188,6 +252,40 @@ func FuzzParseTierStructure(f *testing.F) {
 		}
 		if ti.count < 0 || len(ti.rows) != ti.count*(4*ti.p+19) {
 			t.Fatalf("parsed %d rows from a %d-byte row section", ti.count, len(ti.rows))
+		}
+	})
+}
+
+func FuzzLoadTierPlan(f *testing.F) {
+	base, _, _, fp := validDecoderSeeds(f)
+	p := testSpace(f).Len()
+	f.Add(base, uint64(0), uint64(8), uint64(8))
+	f.Add(v01Base(base, p, 8, fp), uint64(0), uint64(8), uint64(8))
+	f.Add(base, uint64(0), uint64(1<<30), uint64(1<<30))
+	f.Fuzz(func(t *testing.T, tier []byte, firstSeq, watermark, count uint64) {
+		// One MANIFEST entry naming one tier file, its CRC bound to the
+		// re-sealed bytes so mutations reach the dictionary and row decode.
+		data := resealCRC(tier)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "fuzz.tier"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ref := tierRef{name: "fuzz.tier", firstSeq: int(firstSeq), watermark: int(watermark), count: int(count), crc: tierCRC(data)}
+		s := testSpace(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, cs, err := loadTierPlan(dir, []tierRef{ref}, s, runtime.GOMAXPROCS(0))
+		runtime.ReadMemStats(&after)
+		// The loader sizes nothing from the entry: its memory tracks the
+		// bytes of the file it matched.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20+1024*uint64(len(data)) {
+			t.Fatalf("loader allocated %d bytes for a %d-byte tier", got, len(data))
+		}
+		if err != nil {
+			return
+		}
+		if st.Len() != ref.watermark || cs.watermark != ref.watermark {
+			t.Fatalf("loaded %d records (watermark %d) from an entry claiming %d", st.Len(), cs.watermark, ref.watermark)
 		}
 	})
 }

@@ -6,9 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // The tier manifest. MANIFEST is the single source of truth for which
@@ -16,11 +13,10 @@ import (
 // recency order (newest first), each entry binding a tier file by name,
 // sequence range, row count, and the tier file's own trailing CRC-32C.
 // It is published atomically (temp file, fsync, rename, directory fsync)
-// after every checkpoint and merge, replacing the historic "newest valid
-// checkpoint wins" directory scan; a directory without a MANIFEST — a
-// pre-tiering state dir, or disaster recovery after manifest loss — falls
-// back to reconstructing tier chains from the files' names (see
-// tierPlans).
+// after every checkpoint and merge, and garbage collection runs only after
+// the publish, so it is the one way Open finds a checkpoint: a directory
+// whose MANIFEST is missing or corrupt replays its WAL in full, or, when
+// the WAL's prefix has been collected, fails to open (see replayDir).
 //
 // Layout (all integers little-endian):
 //
@@ -39,9 +35,7 @@ const (
 // tierRef names one live checkpoint tier: the file (relative to the log
 // directory) holding the sorted run of records with sequences in
 // [firstSeq, watermark), its row count (always watermark-firstSeq — runs
-// are dense), and the file's trailing CRC-32C. crc 0 means "unknown":
-// references reconstructed from file names rather than a manifest carry
-// no binding and the file's own checksum is the only integrity check.
+// are dense), and the file's trailing CRC-32C.
 type tierRef struct {
 	name      string
 	firstSeq  int
@@ -50,55 +44,26 @@ type tierRef struct {
 	crc       uint32
 }
 
-// tierPath names a tier file. Base tiers — firstSeq 0, covering the whole
-// prefix — keep the historic single-checkpoint name (ckpt-<watermark>.ckpt,
-// byte-compatible with pre-tiering readers); delta tiers carry both range
-// bounds in the name so a chain is reconstructible without opening a file.
-func tierPath(dir string, firstSeq, watermark int) string {
-	if firstSeq == 0 {
-		return ckptPath(dir, watermark)
-	}
-	return filepath.Join(dir, fmt.Sprintf("tier-%016d-%016d.tier", firstSeq, watermark))
+// tierName names the tier file covering [firstSeq, watermark).
+func tierName(firstSeq, watermark int) string {
+	return fmt.Sprintf("tier-%016d-%016d.tier", firstSeq, watermark)
 }
 
-// listTierFiles returns every tier-shaped file in the directory — legacy
-// ckpt-*.ckpt base tiers and tier-*.tier delta tiers — as unbound
-// tierRefs (crc 0), unordered. Only names are parsed; validity is decided
-// at load time.
-func listTierFiles(dir string) ([]tierRef, error) {
-	cks, err := listCheckpoints(dir)
-	if err != nil {
-		return nil, err
-	}
-	refs := make([]tierRef, 0, len(cks))
-	for _, ck := range cks {
-		refs = append(refs, tierRef{
-			name: filepath.Base(ck.path), firstSeq: 0,
-			watermark: ck.watermark, count: ck.watermark,
-		})
-	}
-	names, err := filepath.Glob(filepath.Join(dir, "tier-*.tier"))
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range names {
-		base := filepath.Base(p)
-		body := strings.TrimSuffix(strings.TrimPrefix(base, "tier-"), ".tier")
-		lo, hi, ok := strings.Cut(body, "-")
-		if !ok {
-			return nil, fmt.Errorf("provlog: unrecognized tier file %q", base)
+// listTierFiles returns the names of every tier file in the directory —
+// tier-*.tier, and the legacy ckpt-*.ckpt bases older versions wrote —
+// unordered. Nothing is parsed; the caller judges files by name.
+func listTierFiles(dir string) ([]string, error) {
+	var names []string
+	for _, pat := range []string{"tier-*.tier", "ckpt-*.ckpt"} {
+		paths, err := filepath.Glob(filepath.Join(dir, pat))
+		if err != nil {
+			return nil, err
 		}
-		first, err1 := strconv.ParseUint(lo, 10, 63)
-		wm, err2 := strconv.ParseUint(hi, 10, 63)
-		if err1 != nil || err2 != nil || first >= wm {
-			return nil, fmt.Errorf("provlog: unrecognized tier file %q", base)
+		for _, p := range paths {
+			names = append(names, filepath.Base(p))
 		}
-		refs = append(refs, tierRef{
-			name: base, firstSeq: int(first),
-			watermark: int(wm), count: int(wm - first),
-		})
 	}
-	return refs, nil
+	return names, nil
 }
 
 // encodeManifest renders the manifest bytes for the given tier list
@@ -201,17 +166,14 @@ func checkTierChain(tiers []tierRef) error {
 	return nil
 }
 
-// readManifest loads and verifies the directory's MANIFEST, returning nil
-// tiers (no error) when the file does not exist.
+// readManifest loads and verifies the directory's MANIFEST. A missing file
+// is an error wrapping fs.ErrNotExist.
 func readManifest(dir string, fingerprint uint64) ([]tierRef, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if os.IsNotExist(err) {
-		return nil, nil
+	var tiers []tierRef
+	if err == nil {
+		tiers, err = decodeManifest(data, fingerprint)
 	}
-	if err != nil {
-		return nil, err
-	}
-	tiers, err := decodeManifest(data, fingerprint)
 	if err != nil {
 		return nil, fmt.Errorf("provlog: %s: %w", manifestName, err)
 	}
@@ -233,99 +195,4 @@ func publishManifest(dir string, fingerprint uint64, tiers []tierRef) error {
 		return err
 	}
 	return ckptStage("manifest")
-}
-
-// tierPlans returns the candidate tier plans for opening dir, in the
-// order they should be attempted: the MANIFEST's plan first (when present
-// and valid), then chains reconstructed from tier file names — for every
-// achievable watermark, descending, a coarse chain (preferring the widest
-// tier at each boundary) and, when different, a fine chain (preferring
-// the narrowest) — so a corrupted merge output still falls back to its
-// surviving inputs, and a legacy directory of bare ckpt files degrades to
-// exactly the historic newest-valid-checkpoint-wins scan. Tier files not
-// referenced by the manifest are crash debris from an unpublished
-// checkpoint; they only participate in the name-derived fallbacks.
-func tierPlans(dir string, fingerprint uint64) ([][]tierRef, error) {
-	var plans [][]tierRef
-	manifest, err := readManifest(dir, fingerprint)
-	if err != nil {
-		// A corrupt manifest is a disk-level fault (publication is atomic);
-		// fall through to the name-derived chains rather than refusing to
-		// open.
-		manifest = nil
-	}
-	if len(manifest) > 0 {
-		plans = append(plans, manifest)
-	}
-	refs, lerr := listTierFiles(dir)
-	if lerr != nil {
-		return nil, lerr
-	}
-	seen := map[string]bool{}
-	if len(manifest) > 0 {
-		seen[planKey(manifest)] = true
-	}
-	for _, w := range tierWatermarks(refs) {
-		for _, widest := range []bool{true, false} {
-			chain := chainFor(refs, w, widest)
-			if chain == nil {
-				continue
-			}
-			if k := planKey(chain); !seen[k] {
-				seen[k] = true
-				plans = append(plans, chain)
-			}
-		}
-	}
-	return plans, nil
-}
-
-// tierWatermarks returns the distinct watermarks present in refs,
-// descending.
-func tierWatermarks(refs []tierRef) []int {
-	set := map[int]bool{}
-	for _, r := range refs {
-		set[r.watermark] = true
-	}
-	ws := make([]int, 0, len(set))
-	for w := range set {
-		ws = append(ws, w)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(ws)))
-	return ws
-}
-
-// chainFor greedily builds a newest-first tier chain ending at watermark
-// w and anchored at sequence 0, or nil when no complete chain exists. At
-// each boundary it prefers the widest (smallest firstSeq) or narrowest
-// (largest firstSeq) candidate tier.
-func chainFor(refs []tierRef, w int, widest bool) []tierRef {
-	var chain []tierRef
-	for w > 0 {
-		best := -1
-		for i, r := range refs {
-			if r.watermark != w {
-				continue
-			}
-			if best < 0 ||
-				(widest && r.firstSeq < refs[best].firstSeq) ||
-				(!widest && r.firstSeq > refs[best].firstSeq) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		chain = append(chain, refs[best])
-		w = refs[best].firstSeq
-	}
-	return chain
-}
-
-func planKey(tiers []tierRef) string {
-	names := make([]string, len(tiers))
-	for i, t := range tiers {
-		names[i] = t.name
-	}
-	return strings.Join(names, "|")
 }

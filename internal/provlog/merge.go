@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"path/filepath"
 	"time"
 
 	"repro/internal/pipeline"
@@ -109,7 +108,7 @@ type tierInfo struct {
 }
 
 // parseTierStructure validates a tier file's envelope — checksum, magic
-// (v01 base or v02 delta), footer, section lengths — and locates its
+// (v02, or the legacy v01 base), footer, section lengths — and locates its
 // regions. Row contents are not inspected; the CRC vouches for them.
 func parseTierStructure(path string, data []byte) (*tierInfo, error) {
 	if len(data) < ckptHeaderSize+ckptFooterSize {
@@ -309,36 +308,16 @@ func mergeTierFiles(dir string, older, newer tierRef) (tierRef, int, error) {
 		return tierRef{}, 0, fmt.Errorf("provlog: merging non-adjacent tiers [%d, %d) and [%d, %d)",
 			older.firstSeq, older.watermark, newer.firstSeq, newer.watermark)
 	}
-	oData, oRelease, err := mapFile(filepath.Join(dir, older.name))
+	o, oRelease, err := openTier(dir, older)
 	if err != nil {
 		return tierRef{}, 0, err
 	}
 	defer oRelease()
-	nData, nRelease, err := mapFile(filepath.Join(dir, newer.name))
+	n, nRelease, err := openTier(dir, newer)
 	if err != nil {
 		return tierRef{}, 0, err
 	}
 	defer nRelease()
-	o, err := parseTierStructure(older.name, oData)
-	if err != nil {
-		return tierRef{}, 0, err
-	}
-	n, err := parseTierStructure(newer.name, nData)
-	if err != nil {
-		return tierRef{}, 0, err
-	}
-	for _, pair := range []struct {
-		ti  *tierInfo
-		ref tierRef
-	}{{o, older}, {n, newer}} {
-		if pair.ti.firstSeq != pair.ref.firstSeq || pair.ti.watermark != pair.ref.watermark {
-			return tierRef{}, 0, ckptInvalid(pair.ref.name, "covers [%d, %d), manifest says [%d, %d)",
-				pair.ti.firstSeq, pair.ti.watermark, pair.ref.firstSeq, pair.ref.watermark)
-		}
-		if pair.ref.crc != 0 && pair.ti.crc != pair.ref.crc {
-			return tierRef{}, 0, ckptInvalid(pair.ref.name, "checksum does not match manifest")
-		}
-	}
 	if o.fingerprint != n.fingerprint {
 		return tierRef{}, 0, fmt.Errorf("provlog: merging %s and %s: fingerprints %016x and %016x differ",
 			older.name, newer.name, o.fingerprint, n.fingerprint)
@@ -351,11 +330,7 @@ func mergeTierFiles(dir string, older, newer tierRef) (tierRef, int, error) {
 	count := o.count + n.count
 	rowSize := 4*o.p + 19
 	buf := make([]byte, 0, ckptHeaderSize+len(n.dict)+len(o.rows)+len(n.rows)+tierFooterSize)
-	if firstSeq == 0 {
-		buf = append(buf, ckptMagic...)
-	} else {
-		buf = append(buf, tierMagic...)
-	}
+	buf = append(buf, tierMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(o.p))
 	buf = binary.LittleEndian.AppendUint32(buf, 0)
 	buf = append(buf, n.dict...)
@@ -398,24 +373,13 @@ func mergeTierFiles(dir string, older, newer tierRef) (tierRef, int, error) {
 		}
 	}
 
-	if firstSeq == 0 {
-		buf = append(buf, ckptFooterMagic...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(count))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(watermark))
-	} else {
-		buf = append(buf, tierFooterMagic...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(firstSeq))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(count))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(watermark))
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, n.fingerprint)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, ckptCRC))
+	buf = appendTierFooter(buf, firstSeq, count, watermark, n.fingerprint)
 
 	if err := writeTierFile(dir, buf, firstSeq, watermark); err != nil {
 		return tierRef{}, 0, fmt.Errorf("provlog: merge: %w", err)
 	}
 	return tierRef{
-		name:     filepath.Base(tierPath(dir, firstSeq, watermark)),
+		name:     tierName(firstSeq, watermark),
 		firstSeq: firstSeq, watermark: watermark, count: count,
 		crc: binary.LittleEndian.Uint32(buf[len(buf)-4:]),
 	}, len(buf), nil

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -14,18 +13,14 @@ import (
 	"repro/internal/provenance"
 )
 
-// loadCheckpoint loads one base checkpoint file as an unbound single-tier
-// plan — the historic single-checkpoint load path the decode tests drive
-// directly — decoding on par goroutines.
-func loadCheckpoint(path string, space *pipeline.Space, par int) (*provenance.Store, *ckptState, error) {
-	base := filepath.Base(path)
-	num, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(base, "ckpt-"), ".ckpt"), 10, 63)
+// loadCheckpoint loads the tier stack the directory's MANIFEST names,
+// decoding on par goroutines.
+func loadCheckpoint(dir string, space *pipeline.Space, par int) (*provenance.Store, *ckptState, error) {
+	tiers, err := readManifest(dir, space.Fingerprint())
 	if err != nil {
 		return nil, nil, err
 	}
-	w := int(num)
-	plan := []tierRef{{name: base, watermark: w, count: w}}
-	return loadTierPlan(filepath.Dir(path), plan, space, par)
+	return loadTierPlan(dir, tiers, space, par)
 }
 
 // This file tests the range-parallel checkpoint decode against the
@@ -115,21 +110,37 @@ func TestOpenParallelDecodeDifferential(t *testing.T) {
 	assertStoresEqual(t, seq, st)
 }
 
-// corruptRow rewrites one byte inside a checkpoint row and fixes up the
-// trailing CRC so only the row-level validation can catch it.
-func corruptRow(t *testing.T, path string, p, w, row, fieldOff int, b byte) {
+// rewriteTier replaces the single tier of dir's MANIFEST with data,
+// re-sealing its CRC and re-binding its MANIFEST entry, so only the
+// row-level validation can catch a corrupted row.
+func rewriteTier(t *testing.T, dir string, space *pipeline.Space, data []byte) {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	tiers, err := readManifest(dir, space.Fingerprint())
+	if err != nil || len(tiers) != 1 {
+		t.Fatalf("MANIFEST = %v, %v; want one tier", tiers, err)
+	}
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(data[:len(data)-4], ckptCRC))
+	if err := os.WriteFile(filepath.Join(dir, tiers[0].name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tiers[0].crc = tierCRC(data)
+	if err := publishManifest(dir, space.Fingerprint(), tiers); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// corruptRow rewrites one byte inside a row of dir's base tier covering
+// [0, w).
+func corruptRow(t *testing.T, dir string, p, w, row, fieldOff int, b byte) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, tierName(0, w)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rowSize := 4*p + 19
-	rowsOff := len(data) - ckptFooterSize - w*rowSize
+	rowsOff := len(data) - tierFooterSize - w*rowSize
 	data[rowsOff+row*rowSize+fieldOff] = b
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(data[:len(data)-4], ckptCRC))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteTier(t, dir, bigSpace(t), data)
 }
 
 // TestParallelDecodeReportsSequentialError corrupts rows in both halves of
@@ -146,16 +157,12 @@ func TestParallelDecodeReportsSequentialError(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		bigCheckpoint(t, dir, w)
-		cks, err := listCheckpoints(dir)
-		if err != nil || len(cks) != 1 {
-			t.Fatalf("checkpoints = %v, %v", cks, err)
-		}
 		for _, row := range rows {
-			corruptRow(t, cks[0].path, p, w, row, outcomeOff, 77)
+			corruptRow(t, dir, p, w, row, outcomeOff, 77)
 		}
 		want := fmt.Sprintf("row %d has outcome 77", rows[0])
 		for _, par := range []int{1, 8} {
-			_, _, err := loadCheckpoint(cks[0].path, bigSpace(t), par)
+			_, _, err := loadCheckpoint(dir, bigSpace(t), par)
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("par=%d: error = %v, want %q", par, err, want)
 			}
@@ -170,24 +177,17 @@ func TestDecodeRejectsDuplicateSeq(t *testing.T) {
 	p := bigSpace(t).Len()
 	dir := t.TempDir()
 	bigCheckpoint(t, dir, w)
-	cks, err := listCheckpoints(dir)
-	if err != nil || len(cks) != 1 {
-		t.Fatalf("checkpoints = %v, %v", cks, err)
-	}
-	data, err := os.ReadFile(cks[0].path)
+	data, err := os.ReadFile(filepath.Join(dir, tierName(0, w)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rowSize := 4*p + 19
-	rowsOff := len(data) - ckptFooterSize - w*rowSize
+	rowsOff := len(data) - tierFooterSize - w*rowSize
 	seqOff := 8 + 4*p + 3 // hash, codes, outcome byte, source u16, then seq
 	copy(data[rowsOff+rowSize+seqOff:], data[rowsOff+seqOff:rowsOff+seqOff+8])
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(data[:len(data)-4], ckptCRC))
-	if err := os.WriteFile(cks[0].path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteTier(t, dir, bigSpace(t), data)
 	for _, par := range []int{1, 8} {
-		_, _, err := loadCheckpoint(cks[0].path, bigSpace(t), par)
+		_, _, err := loadCheckpoint(dir, bigSpace(t), par)
 		if err == nil || !strings.Contains(err.Error(), "duplicate seq") {
 			t.Fatalf("par=%d: error = %v, want duplicate seq", par, err)
 		}

@@ -18,9 +18,9 @@
 // automatic under WithCompactEvery) folds the committed history into a
 // sorted, self-contained checkpoint file and garbage-collects the
 // segments it supersedes, all while appends continue. Open then loads the
-// newest valid checkpoint with one index-free sequential pass and replays
-// only the WAL suffix past its watermark, recovering cleanly from a crash
-// at any stage of a compaction. The byte-level formats and the full crash
+// checkpoint tiers the MANIFEST names, index-free, and replays only the
+// WAL suffix past their watermark, recovering cleanly from a crash at any
+// stage of a compaction. The byte-level formats and the full crash
 // matrix are specified in docs/ONDISK.md.
 package provlog
 
@@ -40,10 +40,10 @@ import (
 	"repro/internal/spec"
 )
 
-// DefaultSegmentSize is the rotation threshold when WithSegmentSize is not
-// given. At roughly 4·P+8 bytes per record it holds on the order of 100k
-// records per segment for a ten-parameter pipeline.
-const DefaultSegmentSize = 4 << 20
+// defaultSegmentSize is the rotation threshold. At roughly 4·P+8 bytes
+// per record it holds on the order of 100k records per segment for a
+// ten-parameter pipeline.
+const defaultSegmentSize = 4 << 20
 
 // spaceFile is the JSON spec of the space, written into the log directory
 // so a session can be resumed without re-declaring the space (ReadSpace).
@@ -51,17 +51,6 @@ const spaceFile = "space.json"
 
 // Option configures a Log.
 type Option func(*Log)
-
-// WithSegmentSize sets the rotation threshold in bytes; a segment whose
-// size has reached it is sealed before the next append.
-func WithSegmentSize(n int64) Option {
-	return func(l *Log) {
-		if n < headerSize+64 {
-			n = headerSize + 64
-		}
-		l.segSize = n
-	}
-}
 
 // WithSync makes every write (and segment creation) fsync before
 // completing. Off by default: appends are still synchronous write
@@ -161,7 +150,7 @@ func Open(dir string, space *pipeline.Space, opts ...Option) (*Log, *provenance.
 		dir:         dir,
 		space:       space,
 		fingerprint: space.Fingerprint(),
-		segSize:     DefaultSegmentSize,
+		segSize:     defaultSegmentSize,
 		persisted:   make([]int, space.Len()),
 		sourceID:    make(map[string]uint16),
 	}
@@ -205,9 +194,7 @@ func Open(dir string, space *pipeline.Space, opts ...Option) (*Log, *provenance.
 	l.nextSeq = total
 	l.lastCkptSeq = rs.ckptSeq
 	if rs.ckpt != nil {
-		// Future checkpoints stack on the tiers this open loaded; their
-		// CRCs were bound during the load, so the next manifest republishes
-		// them with full integrity bindings.
+		// Future checkpoints stack on the tiers this open loaded.
 		l.tiers = append([]tierRef(nil), rs.ckpt.tiers...)
 	}
 	l.met.tierCount(len(l.tiers))
@@ -332,16 +319,6 @@ func syncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
-}
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
-// SegmentCount returns the number of segments, counting the active one.
-func (l *Log) SegmentCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return int(l.segIndex) + 1
 }
 
 // Append implements provenance.Sink: it durably logs a batch of records

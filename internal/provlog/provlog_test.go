@@ -85,6 +85,21 @@ func fillStore(t *testing.T, st *provenance.Store, ins []pipeline.Instance, outs
 	}
 }
 
+// withSegmentSize sets the log's rotation threshold in bytes, clamped to
+// a header plus one small write, so a test can force rotation with a few
+// records.
+func withSegmentSize(n int64) Option {
+	return func(l *Log) { l.segSize = max(n, headerSize+64) }
+}
+
+// segmentCount returns the log's number of segments, counting the active
+// one.
+func segmentCount(l *Log) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return int(l.segIndex) + 1
+}
+
 // assertStoresEqual lives in checkpoint_test.go: it compares two stores
 // over independently constructed spaces by records, dictionaries, and
 // every indexed query surface.
@@ -111,14 +126,14 @@ func TestRoundtrip(t *testing.T) {
 func TestRotation(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSegmentSize(1)) // clamps to the minimum
+	l, st, err := Open(dir, s, withSegmentSize(1)) // clamps to the minimum
 	if err != nil {
 		t.Fatal(err)
 	}
 	ins, outs, srcs := testRecords(t, s, 24)
 	fillStore(t, st, ins, outs, srcs)
-	if l.SegmentCount() < 3 {
-		t.Fatalf("segments = %d, want rotation to produce several", l.SegmentCount())
+	if segmentCount(l) < 3 {
+		t.Fatalf("segments = %d, want rotation to produce several", segmentCount(l))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -137,7 +152,7 @@ func TestReopenResume(t *testing.T) {
 	dir := t.TempDir()
 	s1 := testSpace(t)
 	ins, outs, srcs := testRecords(t, s1, 24)
-	l1, st1, err := Open(dir, s1, WithSegmentSize(200))
+	l1, st1, err := Open(dir, s1, withSegmentSize(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +162,7 @@ func TestReopenResume(t *testing.T) {
 	}
 
 	s2 := testSpace(t)
-	l2, st2, err := Open(dir, s2, WithSegmentSize(200))
+	l2, st2, err := Open(dir, s2, withSegmentSize(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,14 +360,14 @@ func TestOpenExcludesSecondWriter(t *testing.T) {
 func TestSealedSegmentCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSegmentSize(150))
+	l, st, err := Open(dir, s, withSegmentSize(150))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ins, outs, srcs := testRecords(t, s, 24)
 	fillStore(t, st, ins, outs, srcs)
-	if l.SegmentCount() < 2 {
-		t.Fatalf("need rotation for this test, got %d segments", l.SegmentCount())
+	if segmentCount(l) < 2 {
+		t.Fatalf("need rotation for this test, got %d segments", segmentCount(l))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -206,13 +206,13 @@ func TestRecoveryTornHeader(t *testing.T) {
 func TestRecoveryTornTailInFinalOfManySegments(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSegmentSize(200))
+	l, st, err := Open(dir, s, withSegmentSize(200))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ins, outs, srcs := testRecords(t, s, 24)
 	fillStore(t, st, ins, outs, srcs)
-	segN := l.SegmentCount()
+	segN := segmentCount(l)
 	if segN < 2 {
 		t.Fatalf("need rotation, got %d segments", segN)
 	}

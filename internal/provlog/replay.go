@@ -509,14 +509,15 @@ func replaySegment(sf segFile, rs *replayState, isFinal bool) (lastGood int64, e
 	}
 }
 
-// replayDir rebuilds the store recorded under dir: it loads the best
-// checkpoint tier plan — the manifest's, falling back to chains
-// reconstructed from tier file names, then to a full WAL replay — replays
-// the segments holding records past the plan's watermark — skipping over
-// already-covered records in a partially collected segment — and returns
-// the replay state, the segment list, and the intact byte length of the
-// final segment (the recovery point a writer must truncate to before
-// appending). Each loaded tier decodes on up to par goroutines (<= 1 =
+// replayDir rebuilds the store recorded under dir: it loads the tier
+// stack the MANIFEST names, replays the segments holding records past its
+// watermark — skipping over already-covered records in a partially
+// collected segment — and returns the replay state, the segment list, and
+// the intact byte length of the final segment (the recovery point a writer
+// must truncate to before appending). A missing or unloadable MANIFEST
+// stack means a full WAL replay when the log's first segment survives, and
+// an error naming the MANIFEST's fault when it does not — never a partial
+// store. Each loaded tier decodes on up to par goroutines (<= 1 =
 // sequential); Open and Replay pass GOMAXPROCS.
 func replayDir(dir string, space *pipeline.Space, par int) (*replayState, []segFile, int64, error) {
 	segs, err := listSegments(dir)
@@ -534,47 +535,35 @@ func replayDir(dir string, space *pipeline.Space, par int) (*replayState, []segF
 		}
 	}
 
-	plans, err := tierPlans(dir, space.Fingerprint())
-	if err != nil {
-		return nil, nil, 0, err
-	}
 	var rs *replayState
-	var ckErr error
-	for _, plan := range plans {
-		st, cs, err := loadTierPlan(dir, plan, space, par)
-		if err != nil {
-			// An unloadable plan falls back to the next one — a shallower
-			// chain, or the full WAL — unless a tier provably belongs to a
-			// different space, which no fallback can paper over.
-			if ckErr == nil {
-				ckErr = err
-			}
-			if !errors.Is(err, errCkptInvalid) && !errors.Is(err, fs.ErrNotExist) {
-				return nil, nil, 0, err
-			}
-			continue
+	tiers, ckErr := readManifest(dir, space.Fingerprint())
+	if ckErr == nil {
+		st, cs, err := loadTierPlan(dir, tiers, space, par)
+		if err != nil && !errors.Is(err, errCkptInvalid) && !errors.Is(err, fs.ErrNotExist) {
+			// A tier that provably belongs to a different space: no replay
+			// can paper over that.
+			return nil, nil, 0, err
 		}
-		rs = newReplayState(space, st)
-		// The replay mutates its tables as it scans the suffix; the
-		// plan's own stay pristine in rs.ckpt, the authoritative
-		// fallback when the WAL's tail turns out to be lost.
-		copy(rs.persisted, cs.persisted)
-		rs.sources = append(rs.sources, cs.sources...)
-		for s, id := range cs.sourceID {
-			rs.sourceID[s] = id
+		ckErr = err
+		if err == nil {
+			rs = newReplayState(space, st)
+			// The replay mutates its tables as it scans the suffix; the
+			// stack's own stay pristine in rs.ckpt, the authoritative
+			// fallback when the WAL's tail turns out to be lost.
+			copy(rs.persisted, cs.persisted)
+			rs.sources = append(rs.sources, cs.sources...)
+			for s, id := range cs.sourceID {
+				rs.sourceID[s] = id
+			}
+			rs.skipBelow = cs.watermark
+			rs.ckptSeq = cs.watermark
+			rs.ckpt = cs
 		}
-		rs.skipBelow = cs.watermark
-		rs.ckptSeq = cs.watermark
-		rs.ckpt = cs
-		break
 	}
 	if rs == nil {
 		if len(segs) > 0 && segs[0].index != 0 {
-			err := fmt.Errorf("provlog: log starts at segment %d with no loadable checkpoint covering the collected prefix", segs[0].index)
-			if ckErr != nil {
-				err = fmt.Errorf("%w (%v)", err, ckErr)
-			}
-			return nil, nil, 0, err
+			return nil, nil, 0, fmt.Errorf("provlog: log starts at segment %d with no loadable checkpoint covering the collected prefix (%v)",
+				segs[0].index, ckErr)
 		}
 		rs = newReplayState(space, provenance.NewStoreWithCapacity(space, int(capEstimate)))
 	}

@@ -17,7 +17,7 @@ func TestMetricsFlushAndCheckpoint(t *testing.T) {
 	met := NewMetrics(reg, telemetry.NewJournal(&jbuf))
 	// A tiny segment forces rotations so the checkpoint has segments to GC;
 	// WithSync exercises the fsync-latency histogram.
-	l, st, err := Open(dir, s, WithSegmentSize(256), WithSync(true), WithMetrics(met))
+	l, st, err := Open(dir, s, withSegmentSize(256), WithSync(true), WithMetrics(met))
 	if err != nil {
 		t.Fatal(err)
 	}

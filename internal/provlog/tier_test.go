@@ -1,17 +1,22 @@
 package provlog
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/pipeline"
+	"repro/internal/provenance"
 )
 
 // This file tests the LSM-tiered checkpoint path: delta tiers, the
-// manifest, the merge policy, crash recovery at every merge stage, and
-// compatibility with pre-tiering single-checkpoint directories.
+// manifest, the merge policy, crash recovery at every merge stage, manifest
+// loss, and state directories older versions wrote.
 
 // tierNames returns the log's live tier list as "firstSeq-watermark"
 // strings, newest first.
@@ -27,14 +32,14 @@ func tierNames(l *Log) []string {
 
 // TestTieredCheckpointsAccumulate takes three checkpoints with shrinking
 // deltas under a no-merge-inducing policy and verifies each one writes
-// only its delta: one base checkpoint plus two delta tiers, all named by
-// the manifest, with the reopened log seeing the same tier list.
+// only its delta: one base tier plus two delta tiers, all named by the
+// manifest, with the reopened log seeing the same tier list.
 func TestTieredCheckpointsAccumulate(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
 	// SizeRatio 1 merges only when an older tier is smaller than a newer
 	// one; shrinking deltas never trip it.
-	l, st, err := Open(dir, s, WithSegmentSize(256),
+	l, st, err := Open(dir, s, withSegmentSize(256),
 		WithMergePolicy(MergePolicy{MaxTiers: 8, SizeRatio: 1}))
 	if err != nil {
 		t.Fatal(err)
@@ -59,28 +64,12 @@ func TestTieredCheckpointsAccumulate(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// On disk: the base tier under the legacy checkpoint name, the two
-	// delta tiers, and a manifest binding all three.
-	cks, err := listCheckpoints(dir)
-	if err != nil || len(cks) != 1 || cks[0].watermark != 30 {
-		t.Fatalf("base checkpoints = %+v, %v, want one at 30", cks, err)
-	}
-	for _, name := range []string{
-		fmt.Sprintf("tier-%016d-%016d.tier", 30, 42),
-		fmt.Sprintf("tier-%016d-%016d.tier", 42, 47),
-		manifestName,
-	} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatalf("missing %s: %v", name, err)
-		}
-	}
-	manifest, err := readManifest(dir, s.Fingerprint())
-	if err != nil || len(manifest) != 3 {
-		t.Fatalf("manifest = %+v, %v, want 3 tiers", manifest, err)
+	// On disk: exactly the three tiers, and a manifest binding them.
+	if got := manifestTiers(t, dir, s); !slices.Equal(got, want) {
+		t.Fatalf("MANIFEST tiers = %v, want %v", got, want)
 	}
 
-	l2, st2, err := Open(dir, testSpace(t), WithSegmentSize(256))
+	l2, st2, err := Open(dir, testSpace(t), withSegmentSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +83,12 @@ func TestTieredCheckpointsAccumulate(t *testing.T) {
 }
 
 // TestTierMergeFullRewrite pins MaxTiers to 1: every checkpoint must
-// settle back to a single base tier under the legacy checkpoint name,
-// reproducing the historic rewrite-everything behavior file for file.
+// settle back to a single base tier, rewriting the whole history, with no
+// delta tier left behind.
 func TestTierMergeFullRewrite(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSegmentSize(256),
+	l, st, err := Open(dir, s, withSegmentSize(256),
 		WithMergePolicy(MergePolicy{MaxTiers: 1, SizeRatio: 1}))
 	if err != nil {
 		t.Fatal(err)
@@ -119,12 +108,8 @@ func TestTierMergeFullRewrite(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cks, err := listCheckpoints(dir)
-	if err != nil || len(cks) != 1 || cks[0].watermark != 40 {
-		t.Fatalf("checkpoints = %+v, %v, want exactly one at 40", cks, err)
-	}
-	if names, _ := filepath.Glob(filepath.Join(dir, "tier-*.tier")); len(names) != 0 {
-		t.Fatalf("delta tiers left behind: %v", names)
+	if got := manifestTiers(t, dir, s); !slices.Equal(got, []string{"0-40"}) {
+		t.Fatalf("MANIFEST tiers = %v, want exactly [0-40]", got)
 	}
 	l2, st2, err := Open(dir, testSpace(t))
 	if err != nil {
@@ -165,11 +150,11 @@ func TestTieredDifferential(t *testing.T) {
 			sW := testSpace(t)
 			insW, _, _ := testRecords(t, sW, n)
 			tieredDir, walDir := t.TempDir(), t.TempDir()
-			lt, stT, err := Open(tieredDir, s, WithSegmentSize(segSize), WithMergePolicy(policy))
+			lt, stT, err := Open(tieredDir, s, withSegmentSize(segSize), WithMergePolicy(policy))
 			if err != nil {
 				t.Fatal(err)
 			}
-			lw, stW, err := Open(walDir, sW, WithSegmentSize(segSize))
+			lw, stW, err := Open(walDir, sW, withSegmentSize(segSize))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +220,7 @@ func TestTierMergeCrashTorture(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-%d", tc.stage, tc.nth), func(t *testing.T) {
 			dir := t.TempDir()
 			s := testSpace(t)
-			l, st, err := Open(dir, s, WithSegmentSize(256),
+			l, st, err := Open(dir, s, withSegmentSize(256),
 				WithMergePolicy(MergePolicy{MaxTiers: 2, SizeRatio: 1}))
 			if err != nil {
 				t.Fatal(err)
@@ -276,7 +261,7 @@ func TestTierMergeCrashTorture(t *testing.T) {
 
 			// Open must recover the full history regardless of which file
 			// operations landed before the crash.
-			l2, st2, err := Open(dir, testSpace(t), WithSegmentSize(256),
+			l2, st2, err := Open(dir, testSpace(t), withSegmentSize(256),
 				WithMergePolicy(MergePolicy{MaxTiers: 2, SizeRatio: 1}))
 			if err != nil {
 				t.Fatalf("Open after crash at %s #%d: %v", tc.stage, tc.nth, err)
@@ -305,142 +290,249 @@ func TestTierMergeCrashTorture(t *testing.T) {
 
 			// After the clean checkpoint, the directory holds no debris: every
 			// tier file on disk is named by the manifest.
-			manifest, err := readManifest(dir, s.Fingerprint())
-			if err != nil || len(manifest) == 0 {
-				t.Fatalf("manifest after recovery = %+v, %v", manifest, err)
-			}
-			live := map[string]bool{}
-			for _, tier := range manifest {
-				live[tier.name] = true
-			}
-			refs, err := listTierFiles(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ref := range refs {
-				if !live[ref.name] {
-					t.Fatalf("debris tier %s survived the recovery checkpoint", ref.name)
-				}
+			if got := manifestTiers(t, dir, s); len(got) == 0 {
+				t.Fatal("no tiers after the recovery checkpoint")
 			}
 		})
 	}
 }
 
-// TestSingleTierBackwardCompat opens a pre-tiering state directory — one
-// v01 checkpoint written without any manifest, exactly what an older
-// process leaves — and requires the identical store, then verifies the
-// first tiered checkpoint upgrades the directory in place.
-func TestSingleTierBackwardCompat(t *testing.T) {
-	dir := t.TempDir()
-	s := testSpace(t)
-	l, st, err := Open(dir, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins, outs, srcs := testRecords(t, s, 20)
-	fillStore(t, st, ins, outs, srcs)
-	buf, err := encodeCheckpoint(s, s.Fingerprint(), st.Snapshot(), len(ins))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeCheckpointFile(dir, buf, len(ins)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); !os.IsNotExist(err) {
-		t.Fatalf("pre-tiering fixture has a manifest (err = %v)", err)
-	}
-
-	l2, st2, err := Open(dir, testSpace(t), WithMergePolicy(MergePolicy{MaxTiers: 8, SizeRatio: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStoreMatches(t, st2, ins, outs, srcs)
-	if got := tierNames(l2); len(got) != 1 || got[0] != "0-20" {
-		t.Fatalf("tiers from legacy dir = %v, want [0-20]", got)
-	}
-	more, mouts, msrcs := testRecords(t, st2.Space(), len(ins)+7)
-	for i := len(ins); i < len(more); i++ {
-		if err := st2.Add(more[i], mouts[i], msrcs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tierNames(l2); strings.Join(got, " ") != "20-27 0-20" {
-		t.Fatalf("tiers after upgrade checkpoint = %v, want [20-27 0-20]", got)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("upgrade checkpoint wrote no manifest: %v", err)
-	}
-	got, err := Replay(dir, testSpace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStoreMatches(t, got, more, mouts, msrcs)
-}
-
-// TestManifestLossFallback deletes (and separately corrupts) the MANIFEST
-// of a multi-tier directory whose covered segments are already collected:
-// Open must reconstruct the tier chain from the file names alone.
+// TestManifestLossFallback deletes, and separately corrupts, the MANIFEST
+// of a multi-tier directory. With the WAL intact, Open replays it to the
+// identical store, and the next checkpoint writes a fresh base and
+// collects every stale tier file. With the WAL's prefix collected, Open
+// fails with an error that names the MANIFEST, never a partial store.
 func TestManifestLossFallback(t *testing.T) {
-	build := func(t *testing.T) (string, []int) {
+	const n = 47
+	build := func(t *testing.T, collect bool) string {
 		dir := t.TempDir()
 		s := testSpace(t)
-		l, st, err := Open(dir, s, WithSegmentSize(256),
+		l, st, err := Open(dir, s, withSegmentSize(256),
 			WithMergePolicy(MergePolicy{MaxTiers: 8, SizeRatio: 1}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ins, outs, srcs := testRecords(t, s, 47)
+		ins, outs, srcs := testRecords(t, s, n)
 		for _, w := range [][2]int{{0, 30}, {30, 42}, {42, 47}} {
 			fillStore(t, st, ins[w[0]:w[1]], outs[w[0]:w[1]], srcs[w[0]:w[1]])
-			if err := l.Checkpoint(); err != nil {
-				t.Fatal(err)
+			if collect {
+				if err := l.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
 			}
+		}
+		if !collect {
+			// The same three tiers, published by hand so no segment is
+			// collected: the shape a crash between a MANIFEST publish and
+			// its GC leaves.
+			publishTiers(t, dir, st, 30, 42, 47)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return dir, []int{47}
-	}
-	check := func(t *testing.T, dir string) {
-		s := testSpace(t)
-		ins, outs, srcs := testRecords(t, s, 47)
-		l, st, err := Open(dir, s)
-		if err != nil {
-			t.Fatal(err)
+		if got := loadedWatermark(t, dir, testSpace(t)); got != n {
+			t.Fatalf("intact MANIFEST loaded at %d, want %d", got, n)
 		}
-		defer l.Close()
-		assertStoreMatches(t, st, ins, outs, srcs)
+		if segs, _ := listSegments(dir); (segs[0].index != 0) != collect {
+			t.Fatalf("first segment is %d, want the prefix collected = %v", segs[0].index, collect)
+		}
+		return dir
 	}
+	lose := map[string]func(t *testing.T, path string){
+		"deleted": func(t *testing.T, path string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"corrupt": func(t *testing.T, path string) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0xff
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for _, how := range []string{"deleted", "corrupt"} {
+		t.Run(how, func(t *testing.T) {
+			t.Run("wal-intact", func(t *testing.T) {
+				dir := build(t, false)
+				want, err := Replay(dir, testSpace(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lose[how](t, filepath.Join(dir, manifestName))
+				if got := loadedWatermark(t, dir, testSpace(t)); got != 0 {
+					t.Fatalf("loaded a checkpoint at %d without a MANIFEST", got)
+				}
+				s := testSpace(t)
+				l, st, err := Open(dir, s, WithMergePolicy(MergePolicy{MaxTiers: 8, SizeRatio: 1}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertStoresEqual(t, want, st)
+				ins, outs, srcs := testRecords(t, s, n+5)
+				fillStore(t, st, ins[n:], outs[n:], srcs[n:])
+				if err := l.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				// A fresh base, and no tier of the lost MANIFEST left.
+				if got := manifestTiers(t, dir, s); !slices.Equal(got, []string{fmt.Sprintf("0-%d", n+5)}) {
+					t.Fatalf("tiers after the next checkpoint = %v, want [0-%d]", got, n+5)
+				}
+				got, err := Replay(dir, testSpace(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertStoreMatches(t, got, ins, outs, srcs)
+			})
+			t.Run("prefix-collected", func(t *testing.T) {
+				dir := build(t, true)
+				lose[how](t, filepath.Join(dir, manifestName))
+				l, st, err := Open(dir, testSpace(t))
+				if err == nil {
+					l.Close()
+					t.Fatalf("Open without a MANIFEST over a collected WAL returned %d records", st.Len())
+				}
+				if !strings.Contains(err.Error(), "no loadable checkpoint") || !strings.Contains(err.Error(), manifestName) {
+					t.Fatalf("error = %v, want the collected-prefix error naming the %s", err, manifestName)
+				}
+				if _, err := Replay(dir, testSpace(t)); err == nil {
+					t.Fatal("Replay without a MANIFEST over a collected WAL succeeded")
+				}
+			})
+		})
+	}
+}
 
-	t.Run("deleted", func(t *testing.T) {
-		dir, _ := build(t)
-		if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-			t.Fatal(err)
-		}
-		check(t, dir)
-	})
-	t.Run("corrupt", func(t *testing.T) {
-		dir, _ := build(t)
-		path := filepath.Join(dir, manifestName)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0xff
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(t, dir)
-	})
+// legacyDir assembles a state directory the previous on-disk layout wrote
+// (committed under testdata/, made by the CLI of the version before tiers
+// took one format): "legacy-v01-base" is a polygamy DDT session compacted
+// into a v01 base, ckpt-0000000000000110.ckpt; "legacy-v02-delta" is the
+// same base after a stacked resume and a second compaction, which stacked
+// a v02 delta tier on it. The delta fixture holds only the files that
+// second compaction changed — MANIFEST, delta tier, active segment — over
+// the base fixture's base tier and space.json, which it shares byte for
+// byte.
+func legacyDir(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if name != "legacy-v01-base" {
+		copyDir(t, filepath.Join("testdata", "legacy-v01-base"), dir, func(f string) bool {
+			return strings.HasPrefix(f, "ckpt-") || f == spaceFile
+		})
+	}
+	copyDir(t, filepath.Join("testdata", name), dir, func(string) bool { return true })
+	return dir
+}
+
+// storeDigest hashes a store's records in execution order.
+func storeDigest(st *provenance.Store) string {
+	h := sha256.New()
+	sn := st.Snapshot()
+	for i := 0; i < sn.Len(); i++ {
+		r := sn.At(i)
+		fmt.Fprintf(h, "%d %s %v %s\n", r.Seq, r.Instance.Key(), r.Outcome, r.Source)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestLegacyStateDirs opens state directories whose MANIFEST names a v01
+// base tier: each must open to the store the writing version's own Replay
+// returned (length and digest pinned from it), and a checkpoint that
+// merges down to sequence 0 must rewrite the base in the one tier format
+// and collect the v01 file.
+func TestLegacyStateDirs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		digest string
+		tiers  []string
+	}{
+		{"legacy-v01-base", 110, "e0b2fbbc95ddb96371c5a69a4f3fd75445fdbd6c16594b4ff087c9480056274a", []string{"0-110"}},
+		{"legacy-v02-delta", 149, "96dba9a4a4bea7513fa63a46090eda110e419eb58fab7311590d19f97fffc5dc", []string{"110-149", "0-110"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := legacyDir(t, tc.name)
+			s, err := ReadSpace(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := manifestTiers(t, dir, s); !slices.Equal(got, tc.tiers) {
+				t.Fatalf("fixture tiers = %v, want %v", got, tc.tiers)
+			}
+			got, err := Replay(dir, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != tc.n || storeDigest(got) != tc.digest {
+				t.Fatalf("Replay = %d records, digest %s; want %d, %s", got.Len(), storeDigest(got), tc.n, tc.digest)
+			}
+
+			s, err = ReadSpace(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, st, err := Open(dir, s, WithMergePolicy(MergePolicy{MaxTiers: 1, SizeRatio: 1}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Len() != tc.n || storeDigest(st) != tc.digest {
+				t.Fatalf("Open = %d records, digest %s; want %d, %s", st.Len(), storeDigest(st), tc.n, tc.digest)
+			}
+			// Three instances the session never ran, so the checkpoint is not
+			// a no-op.
+			added := 0
+			for x := 0; added < 3; x++ {
+				vals := make([]pipeline.Value, s.Len())
+				for i, rest := 0, x; i < s.Len(); i++ {
+					dom := s.At(i).Domain
+					vals[i] = dom[rest%len(dom)]
+					rest /= len(dom)
+				}
+				in, err := pipeline.NewInstance(s, vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := st.Lookup(in); ok {
+					continue
+				}
+				if err := st.Add(in, pipeline.Succeed, "legacy-test"); err != nil {
+					t.Fatal(err)
+				}
+				added++
+			}
+			want := storeDigest(st)
+			if err := l.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := manifestTiers(t, dir, s); !slices.Equal(got, []string{fmt.Sprintf("0-%d", tc.n+3)}) {
+				t.Fatalf("tiers after the merging checkpoint = %v, want [0-%d]", got, tc.n+3)
+			}
+			if names, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt")); len(names) != 0 {
+				t.Fatalf("legacy base tiers survived the merge to sequence 0: %v", names)
+			}
+			s, err = ReadSpace(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = Replay(dir, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != tc.n+3 || storeDigest(got) != want {
+				t.Fatalf("after the checkpoint Replay = %d records, digest %s; want %d, %s", got.Len(), storeDigest(got), tc.n+3, want)
+			}
+		})
+	}
 }
 
 // TestMergePolicyWantMerge pins the policy arithmetic.

@@ -172,7 +172,7 @@ func TestTrialVotesSurviveKill(t *testing.T) {
 func TestTrialVotesSurviveCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSegmentSize(1))
+	l, st, err := Open(dir, s, withSegmentSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestInconclusiveRecordRoundtrip(t *testing.T) {
 func TestTrialFramesConsumeNoSequence(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSegmentSize(1))
+	l, st, err := Open(dir, s, withSegmentSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +286,8 @@ func TestTrialFramesConsumeNoSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.SegmentCount() < 2 {
-		t.Fatalf("segments = %d, want rotation", l.SegmentCount())
+	if segmentCount(l) < 2 {
+		t.Fatalf("segments = %d, want rotation", segmentCount(l))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

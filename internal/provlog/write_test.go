@@ -197,7 +197,7 @@ func buildBatchLog(t *testing.T, dir string, n int) (recEnds []int64, ins []pipe
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.SegmentCount(); got != 1 {
+	if got := segmentCount(l); got != 1 {
 		t.Fatalf("batch spilled into %d segments", got)
 	}
 
@@ -365,7 +365,7 @@ func TestFailedWriteBreaksLog(t *testing.T) {
 func TestFailedRotationRollsBack(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
-	l, st, err := Open(dir, s, WithSegmentSize(1))
+	l, st, err := Open(dir, s, withSegmentSize(1))
 	if err != nil {
 		t.Fatal(err)
 	}
