@@ -310,7 +310,7 @@ func BenchmarkMemoizedWithTelemetry(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tel := exec.NewTelemetry(telemetry.NewRegistry(), nil, 4)
+	tel := exec.NewTelemetry(telemetry.NewRegistry(), nil)
 	ex := exec.New(sp.Oracle(), provenance.NewStore(sp.Space), exec.WithTelemetry(tel))
 	ctx := context.Background()
 	if err := core.SeedHistory(ctx, ex, r, 500); err != nil {
@@ -893,9 +893,10 @@ func BenchmarkEvaluateBatchDurable(b *testing.B) {
 // BenchmarkEvaluateFlakyQuorum measures the quorum state machine on the
 // batched in-memory path: a deterministic oracle under a 3-of-5 policy
 // resolves every fresh instance at exactly MinTrials, so one instance
-// costs three claim/vote rounds, the vote-ledger bookkeeping, and the
-// resolved record commit. Gated in CI so flaky evaluation stays
-// O(trials) per instance with no hidden scans.
+// costs three trials (each a settled check, an oracle run and a vote),
+// the vote-ledger bookkeeping, and the resolved record commit. Gated in
+// CI so flaky evaluation stays O(trials) per instance with no hidden
+// scans.
 func BenchmarkEvaluateFlakyQuorum(b *testing.B) {
 	space := benchLogSpace(b)
 	oracle := exec.OracleFunc(func(_ context.Context, in pipeline.Instance) (pipeline.Outcome, error) {

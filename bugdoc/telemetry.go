@@ -62,5 +62,5 @@ func (s *Session) telemetryOption() exec.Option {
 	if s.telemetryReg == nil && s.journal == nil {
 		return nil
 	}
-	return exec.WithTelemetry(exec.NewTelemetry(s.telemetryReg, s.journal, s.workers))
+	return exec.WithTelemetry(exec.NewTelemetry(s.telemetryReg, s.journal))
 }

@@ -282,7 +282,7 @@ func run() error {
 	if flaky != nil {
 		exOpts = append(exOpts, exec.WithFlakyPolicy(*flaky))
 	}
-	if tel := exec.NewTelemetry(reg, journal, *workers); tel != nil {
+	if tel := exec.NewTelemetry(reg, journal); tel != nil {
 		exOpts = append(exOpts, exec.WithTelemetry(tel))
 	}
 	ex := exec.New(oracle, st, exOpts...)

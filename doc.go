@@ -65,8 +65,9 @@
 //   - provlog.Open replays existing segments into a fresh fully-indexed
 //     store (hash map, outcome bitsets, posting bitsets), truncating a
 //     torn final record after a crash to the last intact frame boundary.
-//     Replay is batched (Space.InstancesFromCodes) and runs at amortized
-//     sub-microsecond per record.
+//     Replay is batched (Space.AdoptInstances builds code-only instances,
+//     with no value slices) and runs at amortized sub-microsecond per
+//     record.
 //   - The stack threads durability through: exec.NewDurable,
 //     bugdoc.WithDurability and bugdoc.ResumeSession, and the cmd/bugdoc
 //     -state-dir/-resume flags. A killed run resumes where it left off

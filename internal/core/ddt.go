@@ -275,18 +275,16 @@ func minimizeConfirmed(ctx context.Context, ex *exec.Executor, suspect predicate
 func sampleTests(s *pipeline.Space, region predicate.Region, opts DDTOptions) []pipeline.Instance {
 	r := opts.Rand
 	allowed := make([][]pipeline.Value, s.Len())
-	size := uint64(1)
 	for i := 0; i < s.Len(); i++ {
 		allowed[i] = region.AllowedValues(s.At(i).Name)
 		if len(allowed[i]) == 0 {
 			return nil
 		}
-		size *= uint64(len(allowed[i]))
 	}
 
 	max := opts.MaxSuspectTests
 	var tests []pipeline.Instance
-	if size <= uint64(max) {
+	if size, _ := region.Count(); size <= uint64(max) {
 		// Exhaustive: the whole filtered Cartesian product.
 		idx := make([]int, s.Len())
 		vals := make([]pipeline.Value, s.Len())

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/pipeline"
@@ -244,6 +246,59 @@ func TestDDTSoundnessSweep(t *testing.T) {
 				t.Fatalf("trial %d: asserted %v covers no recorded failure", trial, c)
 			}
 		}
+	}
+}
+
+// TestDDTRegionOf2To64Instances pins the region-size overflow: 17
+// parameters of 16 values give the suspect p00 = 3 a region of 16^16 =
+// 2^64 instances, a product an unchecked uint64 wraps to 0, which once
+// made the verification enumerate the region "exhaustively" without ever
+// checking the context. The search runs in a goroutine so that the test
+// fails at its deadline instead of hanging.
+func TestDDTRegionOf2To64Instances(t *testing.T) {
+	params := make([]pipeline.Parameter, 17)
+	for i := range params {
+		dom := make([]pipeline.Value, 16)
+		for v := range dom {
+			dom[v] = pipeline.Ord(float64(v))
+		}
+		params[i] = pipeline.Parameter{Name: fmt.Sprintf("p%02d", i), Kind: pipeline.Ordinal, Domain: dom}
+	}
+	s := pipeline.MustSpace(params...)
+	truth := predicate.Or(predicate.And(predicate.T("p00", predicate.Eq, pipeline.Ord(3))))
+	type result struct {
+		got predicate.DNF
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		ctx := context.Background()
+		ex := exec.New(truthOracle(truth), provenance.NewStore(s))
+		r := rand.New(rand.NewSource(1))
+		if err := SeedHistory(ctx, ex, r, 0); err != nil {
+			done <- result{err: err}
+			return
+		}
+		got, err := DebugDecisionTrees(ctx, ex, DDTOptions{Rand: r, FindAll: true, Simplify: true})
+		done <- result{got, err}
+	}()
+	select {
+	case res := <-done:
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		if len(res.got) != 1 {
+			t.Fatalf("DDT FindAll = %v, want one cause", res.got)
+		}
+		def, err := predicate.Definitive(s, res.got[0], truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !def {
+			t.Fatalf("asserted cause %v is not definitive for %v", res.got[0], truth)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("DDT FindAll still running after 10s on a region of 2^64 instances")
 	}
 }
 

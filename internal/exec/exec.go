@@ -131,8 +131,8 @@ func New(oracle Oracle, store *provenance.Store, opts ...Option) *Executor {
 		}
 		// The vote ledger lives in the store so its bitset algebra and
 		// memoization see only resolved outcomes; the policy must be
-		// attached before the first ClaimTrial. For durable executors the
-		// log has already replayed any partial quorums into the ledger.
+		// attached before the first trial. For durable executors the log
+		// has already replayed any partial quorums into the ledger.
 		store.SetTrialPolicy(e.flaky)
 	}
 	if e.tel != nil {
@@ -267,27 +267,32 @@ func (e *Executor) Evaluate(ctx context.Context, in pipeline.Instance) (pipeline
 		return pipeline.OutcomeUnknown, err
 	}
 	if e.flaky.Enabled() {
-		return e.evaluateFlaky(ctx, in, 0)
+		return e.evaluateFlaky(ctx, in)
 	}
-	out, err := e.runReserved(ctx, in, 0)
+	out, err := e.runReserved(ctx, in)
 	if err != nil {
 		return pipeline.OutcomeUnknown, err
 	}
 	return e.commitOne(in, out)
 }
 
-// evaluateFlaky resolves one instance under the flaky policy: it claims
-// trial slots from the store's vote ledger, runs the oracle once per
-// granted slot, and records each verdict as a durable vote until the
-// quorum resolves; the resolved outcome is then committed as the
-// instance's single provenance record. Entered holding one budget
+// evaluateFlaky resolves one instance under the flaky policy: it runs the
+// oracle once per trial and records each verdict as a durable vote until
+// the quorum resolves; the resolved outcome is then committed as the
+// instance's single provenance record. Before each trial it asks the
+// store whether the outcome is already settled — by a committed record or
+// by recorded votes, such as the ones a resumed session replayed — so no
+// trial is paid for once the votes decide. Entered holding one budget
 // reservation (for the first trial); each further trial reserves its own
-// unit, and every recorded vote consumes its reservation permanently —
-// including votes the ledger discards because a concurrent quorum
-// resolved first (wasted parallel work, like commitOne's duplicate case).
-// When every slot is claimed by other goroutines the caller parks on the
-// ledger's wait channel rather than over-dispatching past MaxTrials.
-func (e *Executor) evaluateFlaky(ctx context.Context, in pipeline.Instance, lane int) (pipeline.Outcome, error) {
+// unit, and every recorded vote consumes its reservation permanently.
+//
+// EvaluateBatch never dispatches one instance twice in a round, so a
+// trial normally runs alone on its instance. A caller racing another on
+// one instance stays correct: the ledger refuses votes once the tallies
+// resolve, so recorded votes never exceed MaxTrials and every resolver
+// commits the same outcome. The racer's extra trials stay paid, like
+// commitOne's duplicate runs.
+func (e *Executor) evaluateFlaky(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
 	held := true // one reservation claimed by the caller
 	for {
 		if out, ok := e.store.Lookup(in); ok {
@@ -299,47 +304,29 @@ func (e *Executor) evaluateFlaky(ctx context.Context, in pipeline.Instance, lane
 			}
 			return out, nil
 		}
-		claim := e.store.ClaimTrial(in)
-		if claim.Resolved {
+		if out, ok := e.store.TrialOutcome(in); ok {
 			if held {
 				e.release()
 			}
-			return e.finishQuorum(in, claim.Outcome)
-		}
-		if !claim.Granted {
-			// MaxTrials dispatches are already in flight; their votes will
-			// resolve the instance or free a slot.
-			select {
-			case <-ctx.Done():
-				if held {
-					e.release()
-				}
-				return pipeline.OutcomeUnknown, ctx.Err()
-			case <-claim.Wait:
-			}
-			continue
+			return e.finishQuorum(in, out)
 		}
 		if !held {
 			if err := e.reserve(); err != nil {
-				e.store.ReleaseTrial(in)
 				return pipeline.OutcomeUnknown, err
 			}
 			held = true
 		}
 		if err := ctx.Err(); err != nil {
-			e.store.ReleaseTrial(in)
 			e.release()
 			return pipeline.OutcomeUnknown, err
 		}
-		out, err := e.runOracle(ctx, in, lane)
+		out, err := e.runOracle(ctx, in)
 		if err != nil {
-			e.store.ReleaseTrial(in)
 			e.release()
 			return pipeline.OutcomeUnknown, err
 		}
 		res, err := e.store.AddTrial(in, out, "executor")
 		if err != nil {
-			e.store.ReleaseTrial(in)
 			e.release()
 			return pipeline.OutcomeUnknown, err
 		}
@@ -372,10 +359,9 @@ func (e *Executor) finishQuorum(in pipeline.Instance, out pipeline.Outcome) (pip
 
 // runReserved runs the oracle for an instance whose budget is already
 // reserved, refunding the reservation on failure — or when the instance
-// turned out to be memoized between the claim and the run (a concurrent
-// evaluation won; nothing was executed). lane is a telemetry stripe hint
-// (the worker index) for the oracle-latency histogram.
-func (e *Executor) runReserved(ctx context.Context, in pipeline.Instance, lane int) (pipeline.Outcome, error) {
+// turned out to be memoized between the reservation and the run (a
+// concurrent evaluation won; nothing was executed).
+func (e *Executor) runReserved(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
 	if out, ok := e.store.Lookup(in); ok {
 		e.release()
 		if t := e.tel; t != nil {
@@ -383,7 +369,7 @@ func (e *Executor) runReserved(ctx context.Context, in pipeline.Instance, lane i
 		}
 		return out, nil
 	}
-	out, err := e.runOracle(ctx, in, lane)
+	out, err := e.runOracle(ctx, in)
 	if err != nil {
 		e.release()
 		return pipeline.OutcomeUnknown, err
@@ -394,7 +380,7 @@ func (e *Executor) runReserved(ctx context.Context, in pipeline.Instance, lane i
 // runOracle invokes the oracle once and validates its verdict, wrapping
 // the call in trial telemetry. It does not touch budget or memoization —
 // callers own the reservation lifecycle.
-func (e *Executor) runOracle(ctx context.Context, in pipeline.Instance, lane int) (pipeline.Outcome, error) {
+func (e *Executor) runOracle(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
 	t := e.tel
 	var start time.Time
 	if t != nil {
@@ -407,7 +393,7 @@ func (e *Executor) runOracle(ctx context.Context, in pipeline.Instance, lane int
 		err = fmt.Errorf("exec: run %v: %w", in, err)
 	}
 	if t != nil {
-		t.trialEnd(lane, in, out, err, start)
+		t.trialEnd(in, out, err, start)
 	}
 	return out, err
 }
@@ -477,7 +463,7 @@ func (e *Executor) EvaluateBatch(ctx context.Context, ins []pipeline.Instance) [
 		}
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(lane int) {
+			go func() {
 				defer wg.Done()
 				for i := range jobs {
 					queue.Add(-1)
@@ -487,13 +473,13 @@ func (e *Executor) EvaluateBatch(ctx context.Context, ins []pipeline.Instance) [
 						// Quorum resolution commits per instance: every vote
 						// is already its own log write, so batching the final
 						// records would only delay resolution visibility.
-						out, err = e.evaluateFlaky(ctx, ins[i], lane)
+						out, err = e.evaluateFlaky(ctx, ins[i])
 					} else {
-						out, err = e.runReserved(ctx, ins[i], lane)
+						out, err = e.runReserved(ctx, ins[i])
 					}
 					results[i].Outcome, results[i].Err = out, err
 				}
-			}(w)
+			}()
 		}
 		for _, i := range run {
 			queue.Add(1)

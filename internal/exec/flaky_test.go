@@ -98,7 +98,7 @@ func TestEvaluateFlakyTieIsInconclusive(t *testing.T) {
 	in := pipeline.MustInstance(s, pipeline.Ord(3), pipeline.Ord(3))
 	oracle.script(in, pipeline.Succeed, pipeline.Fail, pipeline.Succeed, pipeline.Fail)
 	reg := telemetry.NewRegistry()
-	tel := NewTelemetry(reg, nil, 1)
+	tel := NewTelemetry(reg, nil)
 	ex := New(oracle, provenance.NewStore(s),
 		WithFlakyPolicy(FlakyPolicy{MinTrials: 2, MaxTrials: 4, Quorum: 3}),
 		WithTelemetry(tel))
@@ -192,6 +192,73 @@ func TestFlakyOracleErrorRefundsTrial(t *testing.T) {
 	}
 }
 
+// TestFlakyResumeFromReplayedVotes resumes durable flaky sessions whose
+// votes outlived the process that cast them while the instance's record
+// never committed. Replayed votes that already settle the instance cost
+// nothing: the resumed Evaluate commits their outcome without a trial.
+// Replayed votes that leave it mid-quorum cost only the missing trials.
+func TestFlakyResumeFromReplayedVotes(t *testing.T) {
+	cases := []struct {
+		name   string
+		policy FlakyPolicy
+		votes  []pipeline.Outcome // recorded before the restart
+		trials int                // trials the resumed Evaluate pays for
+	}{
+		{"settled", FlakyPolicy{MinTrials: 3, MaxTrials: 5, Quorum: 3},
+			[]pipeline.Outcome{pipeline.Fail, pipeline.Fail, pipeline.Fail}, 0},
+		{"mid-quorum", FlakyPolicy{MinTrials: 1, MaxTrials: 4, Quorum: 4},
+			[]pipeline.Outcome{pipeline.Fail, pipeline.Succeed}, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var calls atomic.Int32
+			oracle := OracleFunc(func(context.Context, pipeline.Instance) (pipeline.Outcome, error) {
+				calls.Add(1)
+				return pipeline.Fail, nil
+			})
+			s1 := durableSpace()
+			e1, err := NewDurable(oracle, s1, dir, WithFlakyPolicy(c.policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in1 := pipeline.MustInstance(s1, pipeline.Ord(3), pipeline.Cat("safe"))
+			for _, v := range c.votes {
+				if _, err := e1.Store().AddTrial(in1, v, "executor"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			s2 := durableSpace()
+			e2, err := NewDurable(oracle, s2, dir, WithFlakyPolicy(c.policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			in2 := pipeline.MustInstance(s2, pipeline.Ord(3), pipeline.Cat("safe"))
+			out, err := e2.Evaluate(context.Background(), in2)
+			if err != nil || out != pipeline.Fail {
+				t.Fatalf("resumed Evaluate = %v, %v; want fail", out, err)
+			}
+			if got := int(calls.Load()); got != c.trials {
+				t.Fatalf("resumed Evaluate ran %d trials, want %d", got, c.trials)
+			}
+			if got := e2.Spent(); got != c.trials {
+				t.Fatalf("Spent = %d, want %d", got, c.trials)
+			}
+			if got := e2.Store().TrialCount(in2); got != len(c.votes)+c.trials {
+				t.Fatalf("TrialCount = %d, want %d", got, len(c.votes)+c.trials)
+			}
+			if rec, ok := e2.Store().Lookup(in2); !ok || rec != pipeline.Fail {
+				t.Fatalf("committed record = %v, %v; want fail", rec, ok)
+			}
+		})
+	}
+}
+
 func TestEvaluateBatchFlaky(t *testing.T) {
 	s := testSpace(t)
 	var calls atomic.Int32
@@ -272,9 +339,11 @@ func TestFlakyPolicyValidationOnConstruction(t *testing.T) {
 // instances under a genuinely 50/50 oracle (deterministic per instance and
 // per trial ordinal, so -race runs reproduce). It checks the resolution
 // invariants the design note promises: per-instance vote counts only ever
-// grow, no instance exceeds MaxTrials, every worker observes the one
-// committed outcome, and re-resolving the recorded final tallies under the
-// policy reproduces exactly that outcome.
+// grow, no instance records more than MaxTrials votes (racing workers may
+// dispatch more trials than that, but the ledger refuses votes once the
+// tallies resolve), every worker observes the one committed outcome, and
+// re-resolving the recorded final tallies under the policy reproduces
+// exactly that outcome.
 func TestFlakyQuorumRaceStress(t *testing.T) {
 	s := testSpace(t)
 	policy := FlakyPolicy{MinTrials: 3, MaxTrials: 7, Quorum: 4}
@@ -334,7 +403,7 @@ func TestFlakyQuorumRaceStress(t *testing.T) {
 			defer wg.Done()
 			outcomes[w] = make([]pipeline.Outcome, len(ins))
 			for i := range ins {
-				// Stagger the order per worker so claims genuinely contend.
+				// Stagger the order per worker so trials genuinely contend.
 				i := (i*7 + w*3) % len(ins)
 				out, err := ex.Evaluate(context.Background(), ins[i])
 				if err != nil {

@@ -44,14 +44,9 @@ type Telemetry struct {
 // driver_* names) and emits span events to journal. Either argument may be
 // nil: a nil registry records no metrics, a nil journal logs no events,
 // and NewTelemetry(nil, nil) returns nil — the uninstrumented executor.
-// workers sizes the oracle-latency histogram's stripe count so concurrent
-// workers do not false-share one cell.
-func NewTelemetry(reg *telemetry.Registry, journal *telemetry.Journal, workers int) *Telemetry {
+func NewTelemetry(reg *telemetry.Registry, journal *telemetry.Journal) *Telemetry {
 	if reg == nil && journal == nil {
 		return nil
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	return &Telemetry{
 		reg:             reg,
@@ -64,7 +59,7 @@ func NewTelemetry(reg *telemetry.Registry, journal *telemetry.Journal, workers i
 		budgetSpent:     reg.Gauge("exec_budget_spent"),
 		budgetRemaining: reg.Gauge("exec_budget_remaining"),
 		queueDepth:      reg.Gauge("exec_queue_depth"),
-		oracleLat:       reg.HistogramStripes("exec_oracle_latency_ns", workers),
+		oracleLat:       reg.Histogram("exec_oracle_latency_ns"),
 		trialsPerInst:   reg.Histogram("exec_trials_per_instance"),
 		quorumTies:      reg.Counter("exec_quorum_ties"),
 		decisions:       reg.Counter("driver_decisions"),
@@ -109,13 +104,13 @@ func (t *Telemetry) trialStart(in pipeline.Instance) time.Time {
 	return time.Now()
 }
 
-// trialEnd records one completed oracle trial: latency histogram (striped
-// by worker lane), trial counter, and the journal span end with instance
-// hash, outcome, and duration.
-func (t *Telemetry) trialEnd(lane int, in pipeline.Instance, out pipeline.Outcome, err error, start time.Time) {
+// trialEnd records one completed oracle trial: latency histogram, trial
+// counter, and the journal span end with instance hash, outcome, and
+// duration.
+func (t *Telemetry) trialEnd(in pipeline.Instance, out pipeline.Outcome, err error, start time.Time) {
 	d := time.Since(start)
 	t.trials.Inc()
-	t.oracleLat.ObserveAt(lane, int64(d))
+	t.oracleLat.Observe(int64(d))
 	if err != nil {
 		t.oracleErrs.Inc()
 	}

@@ -16,7 +16,7 @@ func TestTelemetryCounters(t *testing.T) {
 	s := testSpace(t)
 	reg := telemetry.NewRegistry()
 	var buf bytes.Buffer
-	tel := NewTelemetry(reg, telemetry.NewJournal(&buf), 2)
+	tel := NewTelemetry(reg, telemetry.NewJournal(&buf))
 	ex := New(OracleFunc(failIfA1), provenance.NewStore(s),
 		WithWorkers(2), WithBudget(10), WithTelemetry(tel))
 	ctx := context.Background()
@@ -85,7 +85,7 @@ func TestTelemetryUnboundedBudgetGauge(t *testing.T) {
 	s := testSpace(t)
 	reg := telemetry.NewRegistry()
 	ex := New(OracleFunc(failIfA1), provenance.NewStore(s),
-		WithTelemetry(NewTelemetry(reg, nil, 1)))
+		WithTelemetry(NewTelemetry(reg, nil)))
 	in := pipeline.MustInstance(s, pipeline.Ord(3), pipeline.Ord(3))
 	if _, err := ex.Evaluate(context.Background(), in); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestTelemetryUnboundedBudgetGauge(t *testing.T) {
 }
 
 func TestNewTelemetryNilNil(t *testing.T) {
-	if NewTelemetry(nil, nil, 4) != nil {
+	if NewTelemetry(nil, nil) != nil {
 		t.Fatal("NewTelemetry(nil, nil) should return nil (uninstrumented)")
 	}
 	var tel *Telemetry
@@ -135,7 +135,7 @@ func TestMemoizedWithTelemetryAllocFree(t *testing.T) {
 	s := testSpace(t)
 	reg := telemetry.NewRegistry()
 	ex := New(OracleFunc(failIfA1), provenance.NewStore(s),
-		WithTelemetry(NewTelemetry(reg, nil, 1)))
+		WithTelemetry(NewTelemetry(reg, nil)))
 	ctx := context.Background()
 	in := pipeline.MustInstance(s, pipeline.Ord(2), pipeline.Ord(1))
 	if _, err := ex.Evaluate(ctx, in); err != nil {

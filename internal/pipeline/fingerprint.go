@@ -42,78 +42,19 @@ func (s *Space) Fingerprint() uint64 {
 // and the log diverged.
 func (s *Space) Intern(i int, v Value) uint32 { return s.codeOf(i, v) }
 
-// InstanceFromCodes builds an instance directly from an interned code
-// vector, bypassing value re-interning — the log-replay fast path. Every
-// code must already be assigned (see NumCodes).
-func (s *Space) InstanceFromCodes(codes []uint32) (Instance, error) {
-	out := make([]Instance, 1)
-	if err := s.InstancesFromCodes(codes, out); err != nil {
-		return Instance{}, err
-	}
-	return out[0], nil
-}
-
-// InstancesFromCodes builds len(out) instances from flat, a row-major
-// matrix of len(out) × Len interned codes, resolving every value under one
-// lock and sharing two backing arrays across the whole batch — the bulk
-// form of InstanceFromCodes that log replay uses to amortize lock and
-// allocator traffic over thousands of records. Every code must already be
-// assigned (see NumCodes).
-func (s *Space) InstancesFromCodes(flat []uint32, out []Instance) error {
-	p := s.Len()
-	if len(flat) != len(out)*p {
-		return fmt.Errorf("pipeline: %d codes for %d instances over %d parameters",
-			len(flat), len(out), p)
-	}
-	codes := make([]uint32, len(flat))
-	copy(codes, flat)
-	vals := make([]Value, len(flat))
-	for !s.intern.valuesBatch(codes, vals, p) {
-		for r := 0; r < len(out); r++ {
-			for i := 0; i < p; i++ {
-				if c := flat[r*p+i]; int(c) >= s.intern.size(i) {
-					return fmt.Errorf("pipeline: parameter %q has no interned code %d",
-						s.At(i).Name, c)
-				}
-			}
-		}
-		// Every code checked out individually, so a concurrent intern
-		// landed between the failed batch and the re-validation; the next
-		// batch attempt sees it.
-	}
-	for r := range out {
-		rc := codes[r*p : (r+1)*p : (r+1)*p]
-		rv := vals[r*p : (r+1)*p : (r+1)*p]
-		out[r] = Instance{space: s, vals: rv, codes: rc, hash: hashCodes(rc)}
-	}
-	return nil
-}
-
-// InstancesAdoptingCodes builds len(out) code-only instances over flat, a
-// row-major matrix of len(out) × Len interned codes, adopting flat itself
-// as the shared backing of every code vector — the caller hands over
-// ownership and must not modify it afterwards. hashes[r] must be the
-// precomputed identity hash of row r (HashCodes); bulk loaders compute it
-// while decoding, and this constructor trusts it rather than hashing
-// again.
+// AdoptInstances builds one code-only instance per row of flat, a
+// row-major matrix of Len interned codes per instance, and calls emit once
+// per row, in row order — bulk loaders (WAL replay, checkpoint loads) place
+// the instances straight into their own tables. Every row adopts its slice
+// of flat as its code vector: the caller hands over ownership and must not
+// modify flat afterwards. hashes[r] must be the identity hash of row r
+// (HashCodes); bulk loaders compute it while decoding, and this
+// constructor trusts it rather than hashing again.
 //
-// Unlike InstancesFromCodes, no Value slice is materialized: the instances
-// resolve values through the intern table on demand (see Instance), so
-// adopting a checkpoint of any size costs O(1) per instance beyond the
-// code validation. Every code must already be assigned (see NumCodes).
-func (s *Space) InstancesAdoptingCodes(flat []uint32, hashes []uint64, out []Instance) error {
-	if len(hashes) != len(out) {
-		return fmt.Errorf("pipeline: %d hashes for %d instances", len(hashes), len(out))
-	}
-	return s.AdoptInstances(flat, hashes, func(r int, in Instance) { out[r] = in })
-}
-
-// AdoptInstances is the streaming form of InstancesAdoptingCodes: emit is
-// called once per row, in row order, with the code-only instance over
-// flat's r-th row — bulk loaders that place instances somewhere other
-// than a plain slice (a provenance record table, say) skip the
-// intermediate instance array entirely. Ownership and hash semantics are
-// those of InstancesAdoptingCodes.
+// No Value slice is materialized: the instances resolve values through the
+// intern table on demand (see Instance), so adopting any number of rows
+// costs O(1) per instance beyond the code validation. Every code must
+// already be assigned (see NumCodes).
 func (s *Space) AdoptInstances(flat []uint32, hashes []uint64, emit func(r int, in Instance)) error {
 	p := s.Len()
 	if p == 0 || len(flat)%p != 0 {
@@ -127,7 +68,7 @@ func (s *Space) AdoptInstances(flat []uint32, hashes []uint64, emit func(r int, 
 // The range touches nothing outside its rows, so parallel loaders split a
 // matrix into disjoint ranges and adopt them concurrently — each goroutine
 // owns one range, and the shared flat/hashes slices are only read.
-// Ownership and hash semantics are those of InstancesAdoptingCodes.
+// Ownership and hash semantics are those of AdoptInstances.
 func (s *Space) AdoptInstancesRange(flat []uint32, hashes []uint64, lo, hi int, emit func(r int, in Instance)) error {
 	p := s.Len()
 	if p == 0 || len(flat)%p != 0 {

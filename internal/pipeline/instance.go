@@ -13,7 +13,7 @@ import (
 // a precomputed 64-bit hash of it (see intern.go), so identity operations
 // and memoization lookups are allocation-free integer work.
 //
-// Instances built by the bulk loaders (InstancesAdoptingCodes) carry no
+// Instances built by the bulk loaders (AdoptInstances) carry no
 // materialized value slice at all: vals is nil and Value resolves each
 // code through the space's intern table on demand. The observable values
 // are identical — codes determine values exactly — so the two forms are

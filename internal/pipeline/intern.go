@@ -181,25 +181,6 @@ func (t *internTable) value(i int, c uint32) Value {
 	return t.vals[i][c]
 }
 
-// valuesBatch resolves rows of p codes (one per parameter) into dst under a
-// single read lock — the log-replay fast path, which would otherwise pay
-// two lock round-trips per parameter per record. It reports false when any
-// code is unassigned, leaving dst partially written.
-func (t *internTable) valuesBatch(codes []uint32, dst []Value, p int) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for r := 0; r+p <= len(codes); r += p {
-		for i := 0; i < p; i++ {
-			c := codes[r+i]
-			if int(c) >= len(t.vals[i]) {
-				return false
-			}
-			dst[r+i] = t.vals[i][c]
-		}
-	}
-	return true
-}
-
 // NumCodes returns how many distinct values of parameter i have been
 // interned so far (domain values plus any observed out-of-domain values).
 // Codes for parameter i are exactly 0..NumCodes(i)-1, so columnar consumers
@@ -233,8 +214,9 @@ const (
 
 // HashCodes returns the hash an Instance over this code vector carries
 // (Instance.Hash): FNV-1a over the little-endian bytes of the codes. Bulk
-// loaders (the provenance checkpoint reader) use it to compute instance
-// hashes straight from decoded code rows, before any Instance exists.
+// loaders (WAL replay and the checkpoint reader) use it to compute
+// instance hashes straight from decoded code rows, before any Instance
+// exists.
 func HashCodes(codes []uint32) uint64 { return hashCodes(codes) }
 
 func hashCodes(codes []uint32) uint64 {

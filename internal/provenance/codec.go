@@ -2,7 +2,6 @@ package provenance
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -131,84 +130,4 @@ func decodeValue(k pipeline.Kind, cell string) (pipeline.Value, error) {
 		return pipeline.Value{}, fmt.Errorf("ordinal value %q: %w", cell, err)
 	}
 	return pipeline.Ord(x), nil
-}
-
-// jsonRecord is the JSON wire form of one record.
-type jsonRecord struct {
-	Values  map[string]any `json:"values"`
-	Outcome string         `json:"outcome"`
-	Source  string         `json:"source,omitempty"`
-}
-
-// WriteJSON writes the records as a JSON array of {values, outcome, source}
-// objects.
-func (st *Store) WriteJSON(w io.Writer) error {
-	recs := st.Snapshot().Records()
-	out := make([]jsonRecord, len(recs))
-	for i, r := range recs {
-		vals := make(map[string]any, st.space.Len())
-		for j := 0; j < st.space.Len(); j++ {
-			v := r.Instance.Value(j)
-			if v.Kind() == pipeline.Ordinal {
-				vals[st.space.At(j).Name] = v.Num()
-			} else {
-				vals[st.space.At(j).Name] = v.Str()
-			}
-		}
-		out[i] = jsonRecord{Values: vals, Outcome: r.Outcome.String(), Source: r.Source}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// ReadJSON loads a JSON array written by WriteJSON into a fresh store.
-func ReadJSON(s *pipeline.Space, r io.Reader) (*Store, error) {
-	var recs []jsonRecord
-	if err := json.NewDecoder(r).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("provenance: decode JSON: %w", err)
-	}
-	st := NewStore(s)
-	for i, jr := range recs {
-		vals := make([]pipeline.Value, s.Len())
-		for name, raw := range jr.Values {
-			pi, ok := s.Index(name)
-			if !ok {
-				return nil, fmt.Errorf("provenance: record %d: unknown parameter %q", i, name)
-			}
-			switch x := raw.(type) {
-			case float64:
-				if s.At(pi).Kind != pipeline.Ordinal {
-					return nil, fmt.Errorf("provenance: record %d: %q is categorical but holds a number", i, name)
-				}
-				vals[pi] = pipeline.Ord(x)
-			case string:
-				if s.At(pi).Kind != pipeline.Categorical {
-					return nil, fmt.Errorf("provenance: record %d: %q is ordinal but holds a string", i, name)
-				}
-				vals[pi] = pipeline.Cat(x)
-			default:
-				return nil, fmt.Errorf("provenance: record %d: parameter %q has unsupported type %T", i, name, raw)
-			}
-		}
-		in, err := pipeline.NewInstance(s, vals)
-		if err != nil {
-			return nil, fmt.Errorf("provenance: record %d: %w", i, err)
-		}
-		for j := 0; j < s.Len(); j++ {
-			if s.DomainIndex(j, in.Value(j)) < 0 {
-				if err := s.AddToDomain(s.At(j).Name, in.Value(j)); err != nil {
-					return nil, fmt.Errorf("provenance: record %d: %w", i, err)
-				}
-			}
-		}
-		out, err := pipeline.ParseOutcome(jr.Outcome)
-		if err != nil {
-			return nil, fmt.Errorf("provenance: record %d: %w", i, err)
-		}
-		if err := st.Add(in, out, jr.Source); err != nil {
-			return nil, fmt.Errorf("provenance: record %d: %w", i, err)
-		}
-	}
-	return st, nil
 }

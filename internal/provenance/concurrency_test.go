@@ -342,11 +342,10 @@ func TestConcurrentAddBatches(t *testing.T) {
 }
 
 // TestEnsureIndexedRacesLookups is the -race stress for the
-// checkpoint-resume fast path: a store freshly loaded from a sorted run
+// checkpoint-resume fast path: a store freshly loaded from sorted runs
 // serves concurrent identity Lookups while the first history queries
-// trigger the deferred base-index build. Run with -race this pins down the
-// ensureIndexed double-checked locking. The store is one shard: every
-// record sits under a single lock.
+// ensure the deferred base index is built, under the write lock. The store
+// is one lock over one set of indices, the single shard the subtest names.
 func TestEnsureIndexedRacesLookups(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	t.Run("shards=1", func(t *testing.T) {

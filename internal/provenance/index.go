@@ -1,13 +1,14 @@
 package provenance
 
 import (
+	"time"
+
 	"repro/internal/pipeline"
 )
 
 // This file holds the store's index maintenance: the per-record commit,
 // both identity tiers, and the deferred base-run index. Every function
-// here runs with the store lock held, except buildBaseIndex, which reads
-// only the immutable base prefix.
+// here runs with the store lock held.
 
 // commitLocked appends a record to the log (continuing the ascending
 // sequence order) and updates every index. The caller holds the write
@@ -102,76 +103,37 @@ func (st *Store) baseLookupLocked(in pipeline.Instance) (int32, bool) {
 	return 0, false
 }
 
-// baseIndex is the deferred base-run index built off-lock over the
-// immutable base prefix: outcome position lists, outcome bitsets, and
-// posting bitsets covering positions [0, n) only. installBaseIndexLocked
-// merges it with whatever the store indexed incrementally since the load.
-type baseIndex struct {
-	succ, fail         []int32
-	succBits, failBits bitset
-	posting            [][]bitset
-}
-
-// buildBaseIndex indexes the base prefix without holding the store lock:
-// the prefix is immutable once adopted (commits only append behind it), so
-// the build races nothing. Only the install needs the write lock, and it
-// costs O(index words), not O(records × parameters) — concurrent Lookups
-// do not stall behind the first query of a freshly loaded checkpoint.
-func (st *Store) buildBaseIndex(base []Record) *baseIndex {
-	n := len(base)
-	bi := &baseIndex{
-		succ:    make([]int32, 0, n),
-		fail:    make([]int32, 0, n),
-		posting: make([][]bitset, st.space.Len()),
-	}
-	for pos := 0; pos < n; pos++ {
-		r := &base[pos]
-		switch r.Outcome {
-		case pipeline.Succeed:
-			bi.succ = append(bi.succ, int32(pos))
-			bi.succBits.set(pos)
-		case pipeline.Fail:
-			bi.fail = append(bi.fail, int32(pos))
-			bi.failBits.set(pos)
-		}
-		for i := range bi.posting {
-			c := int(r.Instance.Code(i))
-			for len(bi.posting[i]) <= c {
-				bi.posting[i] = append(bi.posting[i], nil)
-			}
-			bi.posting[i][c].set(pos)
-		}
-	}
-	return bi
-}
-
-// installBaseIndexLocked merges an off-lock base index into the live
-// indices: base position lists prepend (base positions all precede
-// post-load ones), and the positional bitsets — outcome and posting — or
-// together word-wise. The caller holds the write lock.
-func (st *Store) installBaseIndexLocked(bi *baseIndex) {
-	if st.baseUnindexed == 0 {
+// indexBaseLocked builds the deferred base-run index in place, if one is
+// pending: it indexes every adopted base record and puts the base
+// positions in front of the outcome position lists. Records committed
+// after the load are already indexed behind them — base positions all
+// precede post-load ones, and the bitsets are positional. The caller holds
+// the write lock.
+func (st *Store) indexBaseLocked() {
+	n := st.baseUnindexed
+	if n == 0 {
 		return
 	}
+	var start time.Time
+	if st.met != nil {
+		start = time.Now()
+	}
+	succ := make([]int32, 0, n+len(st.succSeqs))
+	fail := make([]int32, 0, n+len(st.failSeqs))
+	for pos := 0; pos < n; pos++ {
+		r := &st.recs[pos]
+		switch r.Outcome {
+		case pipeline.Succeed:
+			succ = append(succ, int32(pos))
+		case pipeline.Fail:
+			fail = append(fail, int32(pos))
+		}
+		st.indexRecordBitsLocked(pos, r)
+	}
+	st.succSeqs = append(succ, st.succSeqs...)
+	st.failSeqs = append(fail, st.failSeqs...)
 	st.baseUnindexed = 0
-	st.succSeqs = append(bi.succ, st.succSeqs...)
-	st.failSeqs = append(bi.fail, st.failSeqs...)
-	bi.succBits.orWith(st.succBits)
-	st.succBits = bi.succBits
-	bi.failBits.orWith(st.failBits)
-	st.failBits = bi.failBits
-	for i := range bi.posting {
-		lp := st.posting[i]
-		if len(lp) < len(bi.posting[i]) {
-			lp = append(lp, make([]bitset, len(bi.posting[i])-len(lp))...)
-		}
-		for c, bp := range bi.posting[i] {
-			if bp == nil {
-				continue
-			}
-			bp.orWith(lp[c])
-			lp[c] = bp
-		}
-		st.posting[i] = lp
+	if st.met != nil {
+		st.met.indexBuilt(time.Since(start))
 	}
 }

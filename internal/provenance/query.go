@@ -45,15 +45,19 @@ func (st *Store) Records() []Record {
 }
 
 // rlockIndexed read-locks the store with every index built: a deferred
-// base index still pending is built first, off-lock. Every query that
-// reads the outcome or posting indices takes its read lock through here.
+// base index still pending is built first, under the write lock. Every
+// query that reads the outcome or posting indices takes its read lock
+// through here.
 func (st *Store) rlockIndexed() {
 	st.mu.RLock()
-	for st.baseUnindexed > 0 {
-		st.mu.RUnlock()
-		st.ensureIndexed()
-		st.mu.RLock()
+	if st.baseUnindexed == 0 {
+		return
 	}
+	st.mu.RUnlock()
+	st.mu.Lock()
+	st.indexBaseLocked()
+	st.mu.Unlock()
+	st.mu.RLock()
 }
 
 // Outcomes counts succeeding and failing records.

@@ -39,7 +39,6 @@ package provenance
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/pipeline"
 )
@@ -127,7 +126,7 @@ type Store struct {
 	// instance identity to an index into trialRecs, whose entries hold the
 	// per-instance vote tallies accumulated across repeated oracle trials.
 	// Deterministic sessions never touch either field. trialPolicy is the
-	// FlakyPolicy AddTrial/ClaimTrial resolve votes under; the zero value —
+	// FlakyPolicy AddTrial/TrialOutcome resolve votes under; the zero value —
 	// every deterministic session — is disabled and never resolves.
 	trialByKey  *pipeline.InstanceMap[int32]
 	trialRecs   []trialState
@@ -136,10 +135,6 @@ type Store struct {
 	sink     Sink
 	met      *Metrics  // nil when uninstrumented; see SetMetrics
 	stageOne [1]Record // Add's one-record sink batch, used under mu
-
-	// indexMu single-flights the off-lock deferred base-index build. It is
-	// acquired before mu, never after.
-	indexMu sync.Mutex
 }
 
 // NewStore creates an empty store for instances of space s.
@@ -368,44 +363,6 @@ func (st *Store) LoadSortedRuns(recs []Record, runs []SortedRun) error {
 	}
 	st.baseUnindexed = len(recs)
 	return nil
-}
-
-// ensureIndexed builds the deferred base-run index, if one is pending. The
-// build itself runs without the store lock — the base prefix is immutable
-// once adopted — serialized by indexMu, and installs under a brief write
-// lock (see buildBaseIndex). Concurrent callers past the first either wait
-// on indexMu for the same build or see baseUnindexed already zero and
-// return immediately.
-func (st *Store) ensureIndexed() {
-	st.mu.RLock()
-	n := st.baseUnindexed
-	var base []Record
-	if n > 0 {
-		base = st.recs[:n:n]
-	}
-	st.mu.RUnlock()
-	if n == 0 {
-		return
-	}
-	st.indexMu.Lock()
-	defer st.indexMu.Unlock()
-	st.mu.RLock()
-	pending := st.baseUnindexed > 0
-	st.mu.RUnlock()
-	if !pending {
-		return
-	}
-	start := time.Time{}
-	if st.met != nil {
-		start = time.Now()
-	}
-	bi := st.buildBaseIndex(base)
-	st.mu.Lock()
-	st.installBaseIndexLocked(bi)
-	st.mu.Unlock()
-	if st.met != nil {
-		st.met.indexBuilt(time.Since(start))
-	}
 }
 
 // Lookup returns the recorded outcome for the instance, if any. Hits

@@ -138,6 +138,11 @@ func TestCrossSpaceQueriesDoNotPanic(t *testing.T) {
 	if got := st.MutuallyDisjointSucceeding(refTwin, 2, false); got != nil {
 		t.Fatalf("MutuallyDisjointSucceeding(twin) = %v, want nil", got)
 	}
+	// The trial ledger settles a foreign instance as unknown, so the
+	// executor's commit path surfaces the space error.
+	if out, done := st.TrialOutcome(refTwin); !done || out != pipeline.OutcomeUnknown {
+		t.Fatalf("TrialOutcome(twin) = %v, %v; want unknown, settled", out, done)
+	}
 }
 
 func TestMutuallyDisjointSucceeding(t *testing.T) {
@@ -240,45 +245,5 @@ func TestCSVErrors(t *testing.T) {
 				t.Fatalf("ReadCSV(%q) succeeded, want error", c.data)
 			}
 		})
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	s := testSpace(t)
-	st := seedStore(t, s)
-	var buf bytes.Buffer
-	if err := st.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := ReadJSON(testSpace(t), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Len() != st.Len() {
-		t.Fatalf("round trip length = %d, want %d", st2.Len(), st.Len())
-	}
-	a, b := st.Records(), st2.Records()
-	for i := range a {
-		if a[i].Outcome != b[i].Outcome || a[i].Instance.Key() != b[i].Instance.Key() {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
-func TestJSONErrors(t *testing.T) {
-	s := testSpace(t)
-	bad := []string{
-		"not json",
-		`[{"values": {"zz": 1}, "outcome": "fail"}]`,
-		`[{"values": {"a": "str", "b": "x"}, "outcome": "fail"}]`,
-		`[{"values": {"a": 1, "b": 2}, "outcome": "fail"}]`,
-		`[{"values": {"a": 1, "b": "x"}, "outcome": "meh"}]`,
-		`[{"values": {"a": 1, "b": "x"}, "outcome": "fail", "extra": null},
-		  {"values": {"a": 1, "b": "x"}, "outcome": "fail"}]`,
-	}
-	for _, data := range bad {
-		if _, err := ReadJSON(s, strings.NewReader(data)); err == nil {
-			t.Fatalf("ReadJSON(%q) succeeded, want error", data)
-		}
 	}
 }

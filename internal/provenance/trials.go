@@ -52,34 +52,11 @@ type TrialResult struct {
 	Discarded bool
 }
 
-// TrialClaim is the outcome of a ClaimTrial call: either a granted trial
-// slot, an already-settled resolution, or an instruction to wait.
-type TrialClaim struct {
-	// Granted means the caller owns trial slot Trial and should run the
-	// oracle once, then AddTrial the vote (or ReleaseTrial on error).
-	Granted bool
-	// Trial is the granted slot index; valid only when Granted.
-	Trial int
-	// Resolved means the instance's outcome is already settled (by votes
-	// or by a committed record); Outcome holds it.
-	Resolved bool
-	// Outcome is the settled outcome; valid only when Resolved.
-	Outcome pipeline.Outcome
-	// Wait is non-nil when the claim was neither granted nor resolved:
-	// every trial slot the policy allows is claimed by other goroutines
-	// and none has resolved yet. It closes on the next vote, release, or
-	// resolution; the caller re-claims after it fires.
-	Wait <-chan struct{}
-}
-
 // trialState is one instance's in-memory vote ledger: the durable votes
-// in trial order, plus the in-flight claim count that caps concurrent
-// re-dispatches at the policy's MaxTrials.
+// in trial order.
 type trialState struct {
-	in      pipeline.Instance
-	votes   []TrialVote
-	claimed int           // trial slots handed out, always >= len(votes)
-	waiters chan struct{} // closed and cleared on every state change
+	in    pipeline.Instance
+	votes []TrialVote
 }
 
 // tally counts the succeed and fail votes. Holes (see
@@ -94,14 +71,6 @@ func (ts *trialState) tally() (succ, fail int) {
 		}
 	}
 	return succ, fail
-}
-
-// notifyLocked wakes every goroutine blocked on the state's Wait channel.
-func (ts *trialState) notifyLocked() {
-	if ts.waiters != nil {
-		close(ts.waiters)
-		ts.waiters = nil
-	}
 }
 
 // trialStateLocked returns the vote ledger for in, creating it when create
@@ -124,7 +93,7 @@ func (st *Store) trialStateLocked(in pipeline.Instance, create bool) *trialState
 	return &st.trialRecs[len(st.trialRecs)-1]
 }
 
-// SetTrialPolicy installs the FlakyPolicy that AddTrial and ClaimTrial
+// SetTrialPolicy installs the FlakyPolicy that AddTrial and TrialOutcome
 // resolve votes under. Set it before handing the store to the executor;
 // it is not meant to change while trials are in flight. Deterministic
 // sessions never call it and the zero (disabled) policy never resolves.
@@ -135,54 +104,26 @@ func (st *Store) SetTrialPolicy(p pipeline.FlakyPolicy) {
 // TrialPolicy returns the installed FlakyPolicy (zero when none).
 func (st *Store) TrialPolicy() pipeline.FlakyPolicy { return st.trialPolicy }
 
-// ClaimTrial reserves the next trial slot for the instance, enforcing the
-// policy's MaxTrials cap across concurrent re-dispatchers. Exactly one of
-// the claim's Granted, Resolved, or Wait fields is meaningful; see
-// TrialClaim. Claims are in-memory only — a crash releases them — while
-// votes are durable; after a restart the claim count resumes at the
-// replayed vote count, so a resumed session never runs trials beyond
-// MaxTrials minus the votes that survived.
-func (st *Store) ClaimTrial(in pipeline.Instance) TrialClaim {
+// TrialOutcome reports whether the instance's outcome is already settled:
+// by its committed record, or by recorded votes that resolve under the
+// policy. A resumed session asks before each trial, so it never pays for
+// a trial its replayed votes already settle. An instance of another space
+// reports OutcomeUnknown as settled, so the caller's commit path (which
+// re-validates the space) surfaces the error.
+func (st *Store) TrialOutcome(in pipeline.Instance) (pipeline.Outcome, bool) {
 	if in.Space() != st.space {
-		// A cross-space instance must never touch this store's ledger:
-		// resolve it as unknown so the caller's commit path (which
-		// re-validates the space) surfaces the error.
-		return TrialClaim{Resolved: true, Outcome: pipeline.OutcomeUnknown}
+		return pipeline.OutcomeUnknown, true
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	if pos, ok := st.lookupPosLocked(in); ok {
-		return TrialClaim{Resolved: true, Outcome: st.recs[pos].Outcome}
+		return st.recs[pos].Outcome, true
 	}
-	ts := st.trialStateLocked(in, true)
-	if out, done := st.trialPolicy.Resolve(ts.tally()); done {
-		return TrialClaim{Resolved: true, Outcome: out}
-	}
-	if ts.claimed < st.trialPolicy.MaxTrials {
-		c := TrialClaim{Granted: true, Trial: ts.claimed}
-		ts.claimed++
-		return c
-	}
-	if ts.waiters == nil {
-		ts.waiters = make(chan struct{})
-	}
-	return TrialClaim{Wait: ts.waiters}
-}
-
-// ReleaseTrial returns a granted-but-unvoted trial slot (the oracle run
-// errored), so another goroutine — or a retry — may claim it.
-func (st *Store) ReleaseTrial(in pipeline.Instance) {
-	if in.Space() != st.space {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	ts := st.trialStateLocked(in, false)
-	if ts == nil || ts.claimed <= len(ts.votes) {
-		return
+	if ts == nil {
+		return pipeline.OutcomeUnknown, false
 	}
-	ts.claimed--
-	ts.notifyLocked()
+	return st.trialPolicy.Resolve(ts.tally())
 }
 
 // AddTrial records one oracle trial's raw outcome as a vote. Votes are
@@ -218,10 +159,6 @@ func (st *Store) AddTrial(in pipeline.Instance, out pipeline.Outcome, source str
 		}
 	}
 	ts.votes = append(ts.votes, TrialVote{Outcome: out, Source: source})
-	if ts.claimed < len(ts.votes) {
-		ts.claimed = len(ts.votes)
-	}
-	ts.notifyLocked()
 	if out == pipeline.Succeed {
 		succ++
 	} else {
@@ -261,10 +198,6 @@ func (st *Store) LoadTrialVote(in pipeline.Instance, trial int, out pipeline.Out
 		return nil
 	}
 	ts.votes[trial] = TrialVote{Outcome: out, Source: source}
-	if ts.claimed < len(ts.votes) {
-		ts.claimed = len(ts.votes)
-	}
-	ts.notifyLocked()
 	return nil
 }
 

@@ -17,21 +17,21 @@ func TestTrialQuorumLifecycle(t *testing.T) {
 	st.SetTrialPolicy(trialPolicy())
 	in := pipeline.MustInstance(s, pipeline.Ord(1), pipeline.Cat("x"))
 
-	// Claims hand out slot indices up to MaxTrials.
-	for i := 0; i < 3; i++ {
-		c := st.ClaimTrial(in)
-		if !c.Granted || c.Trial != i {
-			t.Fatalf("claim %d = %+v, want granted slot %d", i, c, i)
-		}
+	if out, done := st.TrialOutcome(in); done {
+		t.Fatalf("TrialOutcome before any vote = %v, settled", out)
 	}
-	// Votes arrive; the third agreeing vote resolves.
+	// Votes take consecutive trial indices; the third agreeing vote
+	// resolves.
 	for i := 0; i < 2; i++ {
 		res, err := st.AddTrial(in, pipeline.Fail, "t")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Resolved || res.Discarded || res.Trial != i {
-			t.Fatalf("vote %d = %+v, want unresolved vote at slot %d", i, res, i)
+			t.Fatalf("vote %d = %+v, want unresolved vote at trial %d", i, res, i)
+		}
+		if out, done := st.TrialOutcome(in); done {
+			t.Fatalf("TrialOutcome after %d votes = %v, settled", i+1, out)
 		}
 	}
 	res, err := st.AddTrial(in, pipeline.Fail, "t")
@@ -42,10 +42,10 @@ func TestTrialQuorumLifecycle(t *testing.T) {
 		t.Fatalf("third vote = %+v, want resolution to fail at 0-3", res)
 	}
 
-	// Post-resolution: claims report the resolution, late votes are
+	// Post-resolution: TrialOutcome reports the resolution, late votes are
 	// discarded so the resolution can never flip.
-	if c := st.ClaimTrial(in); !c.Resolved || c.Outcome != pipeline.Fail {
-		t.Fatalf("post-resolution claim = %+v", c)
+	if out, done := st.TrialOutcome(in); !done || out != pipeline.Fail {
+		t.Fatalf("post-resolution TrialOutcome = %v, %v", out, done)
 	}
 	late, err := st.AddTrial(in, pipeline.Succeed, "t")
 	if err != nil {
@@ -66,6 +66,9 @@ func TestTrialQuorumLifecycle(t *testing.T) {
 	if err := st.Add(in, pipeline.Fail, "t"); err != nil {
 		t.Fatal(err)
 	}
+	if out, done := st.TrialOutcome(in); !done || out != pipeline.Fail {
+		t.Fatalf("TrialOutcome over the committed record = %v, %v", out, done)
+	}
 	succ, fail := 0, 0
 	for _, v := range st.TrialVotes(in) {
 		if v.Outcome == pipeline.Succeed {
@@ -76,38 +79,6 @@ func TestTrialQuorumLifecycle(t *testing.T) {
 	}
 	if out, done := st.TrialPolicy().Resolve(succ, fail); !done || out != pipeline.Fail {
 		t.Fatalf("re-resolving recorded tallies (%d, %d) = %v, %v", succ, fail, out, done)
-	}
-}
-
-func TestTrialClaimCapAndRelease(t *testing.T) {
-	s := testSpace(t)
-	st := NewStore(s)
-	st.SetTrialPolicy(pipeline.FlakyPolicy{MinTrials: 1, MaxTrials: 2, Quorum: 1})
-	in := pipeline.MustInstance(s, pipeline.Ord(2), pipeline.Cat("y"))
-
-	if c := st.ClaimTrial(in); !c.Granted {
-		t.Fatalf("first claim = %+v", c)
-	}
-	if c := st.ClaimTrial(in); !c.Granted {
-		t.Fatalf("second claim = %+v", c)
-	}
-	blocked := st.ClaimTrial(in)
-	if blocked.Granted || blocked.Resolved || blocked.Wait == nil {
-		t.Fatalf("claim past MaxTrials = %+v, want a wait channel", blocked)
-	}
-	select {
-	case <-blocked.Wait:
-		t.Fatal("wait channel fired before any state change")
-	default:
-	}
-	st.ReleaseTrial(in)
-	select {
-	case <-blocked.Wait:
-	default:
-		t.Fatal("release did not wake the waiter")
-	}
-	if c := st.ClaimTrial(in); !c.Granted {
-		t.Fatalf("claim after release = %+v", c)
 	}
 }
 
@@ -157,32 +128,8 @@ func TestLoadTrialVoteHolesAndIdempotence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All three failing votes now present: the policy resolves.
-	if c := st.ClaimTrial(in); !c.Resolved || c.Outcome != pipeline.Fail {
-		t.Fatalf("claim over replayed quorum = %+v", c)
-	}
-	// Claims resume at the replayed vote count, so a resumed session can
-	// spend at most MaxTrials - replayed further trials.
-	st2 := NewStore(s)
-	st2.SetTrialPolicy(pipeline.FlakyPolicy{MinTrials: 1, MaxTrials: 4, Quorum: 4})
-	if err := st2.LoadTrialVote(in, 0, pipeline.Fail, "t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.LoadTrialVote(in, 1, pipeline.Succeed, "t"); err != nil {
-		t.Fatal(err)
-	}
-	grants := 0
-	for {
-		c := st2.ClaimTrial(in)
-		if !c.Granted {
-			break
-		}
-		grants++
-		if grants > 4 {
-			break
-		}
-	}
-	if grants != 2 {
-		t.Fatalf("resumed session granted %d further trials, want 2 (4 max - 2 replayed)", grants)
+	if out, done := st.TrialOutcome(in); !done || out != pipeline.Fail {
+		t.Fatalf("TrialOutcome over replayed quorum = %v, %v", out, done)
 	}
 }
 

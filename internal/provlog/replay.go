@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,8 +66,9 @@ const replayBatch = 8192
 // replayState accumulates the decoded log: the rebuilt store plus the
 // dictionaries needed to resume appending (codes already framed per
 // parameter, source-id assignments). Exec records buffer into a columnar
-// batch and flush through Space.InstancesFromCodes, amortizing lock and
-// allocator traffic across thousands of records.
+// batch and flush through Space.AdoptInstances as code-only instances, the
+// form checkpoint loads build too: replay materializes no values, and one
+// code copy per batch backs every instance in it.
 //
 // With a checkpoint loaded, replay starts mid-stream: the store is
 // pre-populated with every record below skipBelow, the dictionaries are
@@ -85,13 +87,11 @@ type replayState struct {
 	ckptSeq   int        // watermark of the loaded checkpoint; 0 when none
 	ckpt      *ckptState // the loaded checkpoint's pristine tables; nil when none
 
-	batchCodes []uint32 // row-major, one row of space.Len() codes per record
-	batchOuts  []pipeline.Outcome
-	batchSrc   []uint16
-	batchIns   []pipeline.Instance // flush scratch
-
-	trialCodes []uint32             // one-row scratch for trial-vote frames
-	trialIns   [1]pipeline.Instance // trial-vote materialization scratch
+	batchCodes  []uint32 // row-major, one row of space.Len() codes per record
+	batchOuts   []pipeline.Outcome
+	batchSrc    []uint16
+	batchHashes []uint64            // flush scratch
+	batchIns    []pipeline.Instance // flush scratch
 
 	// held keeps, per instance (by Key), the trial votes read ahead of
 	// their predecessors, until those arrive (see applyTrialVote).
@@ -115,14 +115,22 @@ func newReplayState(space *pipeline.Space, st *provenance.Store) *replayState {
 	}
 }
 
-// flush materializes the buffered records and commits them to the store.
+// flush adopts the buffered records as code-only instances and commits
+// them to the store. The batch buffer is reused, so the instances adopt a
+// copy of it.
 func (rs *replayState) flush() error {
 	n := len(rs.batchOuts)
 	if n == 0 {
 		return nil
 	}
+	p := rs.space.Len()
+	codes := slices.Clone(rs.batchCodes)
+	rs.batchHashes = rs.batchHashes[:0]
+	for r := 0; r < n; r++ {
+		rs.batchHashes = append(rs.batchHashes, pipeline.HashCodes(codes[r*p:(r+1)*p]))
+	}
 	ins := rs.batchIns[:n]
-	if err := rs.space.InstancesFromCodes(rs.batchCodes, ins); err != nil {
+	if err := rs.space.AdoptInstances(codes, rs.batchHashes, func(r int, in pipeline.Instance) { ins[r] = in }); err != nil {
 		return fmt.Errorf("provlog: %w", err)
 	}
 	for i, in := range ins {
@@ -354,10 +362,7 @@ func (rs *replayState) apply(typ byte, payload []byte) error {
 // index a frame names.
 func (rs *replayState) applyTrialVote(payload []byte, trial int, src string) error {
 	p := rs.space.Len()
-	if cap(rs.trialCodes) < p {
-		rs.trialCodes = make([]uint32, p)
-	}
-	codes := rs.trialCodes[:p]
+	codes := make([]uint32, p) // the vote ledger keeps the instance, so each vote adopts its own row
 	for i := 0; i < p; i++ {
 		c := binary.LittleEndian.Uint32(payload[4*i : 4*i+4])
 		if int(c) >= rs.persisted[i] {
@@ -369,10 +374,10 @@ func (rs *replayState) applyTrialVote(payload []byte, trial int, src string) err
 	if out != pipeline.Succeed && out != pipeline.Fail {
 		return fmt.Errorf("provlog: trial vote with invalid outcome %d", out)
 	}
-	if err := rs.space.InstancesFromCodes(codes, rs.trialIns[:]); err != nil {
+	var in pipeline.Instance
+	if err := rs.space.AdoptInstances(codes, []uint64{pipeline.HashCodes(codes)}, func(_ int, a pipeline.Instance) { in = a }); err != nil {
 		return fmt.Errorf("provlog: %w", err)
 	}
-	in := rs.trialIns[0]
 	if trial > rs.st.TrialCount(in) {
 		return rs.holdVote(in, trial, provenance.TrialVote{Outcome: out, Source: src})
 	}

@@ -131,17 +131,17 @@ func TestTrialVotesSurviveKill(t *testing.T) {
 	if out, found := st2.Lookup(rebuild(t, s2, other)); !found || out != pipeline.Succeed {
 		t.Fatalf("deterministic record lost across the kill: %v, %v", out, found)
 	}
-	// The resumed session may run at most MaxTrials - 2 further trials.
-	c := st2.ClaimTrial(in2)
-	if !c.Granted || c.Trial != 2 {
-		t.Fatalf("resumed claim = %+v, want granted slot 2", c)
+	// The replayed votes do not settle the instance yet, and the resumed
+	// session's next vote continues at trial index 2.
+	if out, done := st2.TrialOutcome(in2); done {
+		t.Fatalf("replayed mid-quorum TrialOutcome = %v, settled", out)
 	}
 	res, err := st2.AddTrial(in2, pipeline.Fail, "executor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Resolved || res.Outcome != pipeline.Fail || res.Fail != 3 {
-		t.Fatalf("resumed third vote = %+v, want resolution at 0-3", res)
+	if !res.Resolved || res.Outcome != pipeline.Fail || res.Fail != 3 || res.Trial != 2 {
+		t.Fatalf("resumed third vote = %+v, want trial 2 resolving at 0-3", res)
 	}
 	if err := st2.Add(in2, pipeline.Fail, "executor"); err != nil {
 		t.Fatal(err)

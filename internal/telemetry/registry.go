@@ -85,16 +85,9 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.gaugeFns[name] = fn
 }
 
-// Histogram returns the named single-stripe histogram, creating it on
-// first use. Nil registries return a nil (no-op) histogram.
+// Histogram returns the named histogram, creating it on first use. Nil
+// registries return a nil (no-op) histogram.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramStripes(name, 1)
-}
-
-// HistogramStripes returns the named histogram, creating it with n writer
-// stripes on first use (an existing histogram keeps its stripe count).
-// Nil registries return a nil (no-op) histogram.
-func (r *Registry) HistogramStripes(name string, n int) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -102,7 +95,7 @@ func (r *Registry) HistogramStripes(name string, n int) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogramStripes(n)
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h

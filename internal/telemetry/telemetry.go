@@ -8,11 +8,11 @@
 // be observed without perturbing it.
 //
 // The design constraint is that instrumentation must cost nothing when it
-// is off and almost nothing when it is on: every metric write is one
-// atomic add with no allocation, every metric type treats a nil receiver
-// as a no-op (so uninstrumented components skip a single pointer-nil
-// branch and nothing else), and histograms whose writers contend are
-// striped across cache-line-padded cells. The memoized-evaluation and
+// is off and almost nothing when it is on: a counter or gauge write is one
+// atomic add and a histogram observation two (its bucket and its sum),
+// with no allocation and no lock, and every metric type treats a nil
+// receiver as a no-op (so uninstrumented components skip a single
+// pointer-nil branch and nothing else). The memoized-evaluation and
 // batch-append baselines in BENCH_BASELINE.json are gated with telemetry
 // both off and on (BenchmarkExecutorMemoized, BenchmarkMemoizedWithTelemetry).
 //
@@ -97,45 +97,13 @@ func (g *Gauge) Load() int64 {
 // observations are nanoseconds.
 const histBuckets = 48
 
-// histStripe is one writer lane of a histogram. The trailing pad rounds
-// the struct to a multiple of the cache line size so adjacent stripes of a
-// striped histogram never share a line — per-lane padding for the
-// contended-writer case.
-type histStripe struct {
-	buckets [histBuckets]atomic.Int64
-	sum     atomic.Int64
-	_       [48]byte
-}
-
 // Histogram counts observations in power-of-two buckets: recording is one
 // bits.Len64, one atomic bucket add, and one atomic sum add — no
-// allocation, no lock. A histogram built by NewHistogramStripes spreads
-// concurrent writers across cache-line-padded stripes keyed by a caller
-// hint (a worker index), so hot multi-writer paths do not false-
-// share one cell; snapshots fold the stripes back together. The zero
-// value is NOT ready to use — construct with NewHistogram — but a nil
+// allocation, no lock. The zero value is ready to use, and a nil
 // *Histogram is a valid no-op target like the other metric types.
 type Histogram struct {
-	stripes []histStripe
-	mask    uint32 // len(stripes) - 1; stripe counts are powers of two
-}
-
-// NewHistogram builds a single-stripe histogram, right for paths with one
-// writer at a time (a flush leader, a single-threaded driver).
-func NewHistogram() *Histogram {
-	return NewHistogramStripes(1)
-}
-
-// NewHistogramStripes builds a histogram with n writer stripes (rounded up
-// to a power of two, minimum 1). Writers that know their lane — a worker
-// index — should call ObserveAt with it so contending
-// writers land on distinct cache-line-padded stripes.
-func NewHistogramStripes(n int) *Histogram {
-	k := 1
-	for k < n && k < 256 {
-		k <<= 1
-	}
-	return &Histogram{stripes: make([]histStripe, k), mask: uint32(k - 1)}
+	buckets [histBuckets]atomic.Int64
+	sum     atomic.Int64
 }
 
 // bucketOf maps an observation to its power-of-two bucket.
@@ -150,45 +118,31 @@ func bucketOf(v int64) int {
 	return b
 }
 
-// Observe records one observation on stripe 0.
+// Observe records one observation.
 func (h *Histogram) Observe(v int64) {
-	h.ObserveAt(0, v)
-}
-
-// ObserveAt records one observation on the stripe selected by lane
-// (reduced modulo the stripe count). Lanes only spread contention; every
-// stripe feeds the same distribution.
-func (h *Histogram) ObserveAt(lane int, v int64) {
 	if h == nil {
 		return
 	}
-	s := &h.stripes[uint32(lane)&h.mask]
-	s.buckets[bucketOf(v)].Add(1)
-	s.sum.Add(v)
+	h.buckets[bucketOf(v)].Add(1)
+	h.sum.Add(v)
 }
 
-// Count returns the total number of observations, summed across stripes.
+// Count returns the total number of observations.
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
 	var n int64
-	for i := range h.stripes {
-		for b := range h.stripes[i].buckets {
-			n += h.stripes[i].buckets[b].Load()
-		}
+	for b := range h.buckets {
+		n += h.buckets[b].Load()
 	}
 	return n
 }
 
-// snapshot folds the stripes into one bucket array plus the running sum.
+// snapshot reads the bucket array plus the running sum.
 func (h *Histogram) snapshot() (buckets [histBuckets]int64, sum int64) {
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		for b := range s.buckets {
-			buckets[b] += s.buckets[b].Load()
-		}
-		sum += s.sum.Load()
+	for b := range h.buckets {
+		buckets[b] = h.buckets[b].Load()
 	}
-	return buckets, sum
+	return buckets, h.sum.Load()
 }

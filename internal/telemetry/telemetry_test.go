@@ -23,7 +23,6 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(10)
-	h.ObserveAt(7, 10)
 	if h.Count() != 0 {
 		t.Fatal("nil histogram counted")
 	}
@@ -46,16 +45,16 @@ func TestNilPathAllocFree(t *testing.T) {
 	var h *Histogram
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
-		h.ObserveAt(3, 42)
+		h.Observe(42)
 	}); n != 0 {
 		t.Fatalf("nil metric ops allocated %v/op", n)
 	}
 	r := NewRegistry()
 	rc := r.Counter("c")
-	rh := r.HistogramStripes("h", 8)
+	rh := r.Histogram("h")
 	if n := testing.AllocsPerRun(100, func() {
 		rc.Inc()
-		rh.ObserveAt(3, 42)
+		rh.Observe(42)
 	}); n != 0 {
 		t.Fatalf("live metric ops allocated %v/op", n)
 	}
@@ -78,10 +77,10 @@ func TestBucketOf(t *testing.T) {
 
 func TestHistogramSnapshotConsistency(t *testing.T) {
 	r := NewRegistry()
-	h := r.HistogramStripes("lat", 4)
-	for lane := 0; lane < 4; lane++ {
+	h := r.Histogram("lat")
+	for round := 0; round < 4; round++ {
 		for i := int64(1); i <= 100; i++ {
-			h.ObserveAt(lane, i)
+			h.Observe(i)
 		}
 	}
 	s := r.Snapshot().Histograms["lat"]
@@ -118,7 +117,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") {
 		t.Fatal("same-name gauges differ")
 	}
-	if r.Histogram("h") != r.HistogramStripes("h", 16) {
+	if r.Histogram("h") != r.Histogram("h") {
 		t.Fatal("same-name histograms differ")
 	}
 	r.GaugeFunc("fn", func() int64 { return 42 })
@@ -140,18 +139,18 @@ func TestSnapshotUnderConcurrency(t *testing.T) {
 	var writerWG, readerWG sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		writerWG.Add(1)
-		go func(lane int) {
+		go func() {
 			defer writerWG.Done()
 			c := r.Counter("trials")
 			g := r.Gauge("queue")
-			h := r.HistogramStripes("latency_ns", writers)
+			h := r.Histogram("latency_ns")
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
 				g.Add(1)
-				h.ObserveAt(lane, int64(i%1000)+1)
+				h.Observe(int64(i%1000) + 1)
 				g.Add(-1)
 			}
-		}(w)
+		}()
 	}
 	readerWG.Add(1)
 	go func() {
