@@ -160,7 +160,13 @@ func WithSeed(seed int64) Option {
 }
 
 // WithHistory pre-populates the provenance with previously-run instances
-// G = CP_1..CP_k; their evaluations are free.
+// G = CP_1..CP_k; their evaluations are free. The history is recorded
+// with one write per up to 8192 records (Store.AddHistory), so a durable
+// session logs a history of any length in a few WAL writes. It must list
+// each instance at most once: NewSession rejects a repeated instance,
+// durable or not, before anything is logged. A durable session resumed
+// over a log that already holds some of the history records only the
+// rest.
 func WithHistory(records []Record) Option {
 	return func(s *Session) { s.history = append(s.history, records...) }
 }
@@ -175,10 +181,10 @@ func WithDurability(dir string) Option {
 }
 
 // WithFsync makes the durable session fsync every log write — one per
-// algorithm round, history record, or flaky-oracle vote — trading
-// throughput for zero loss on a machine crash (the default leaves flushing
-// to the OS; a process kill alone loses nothing either way). It has no
-// effect without WithDurability.
+// algorithm round, per up to 8192 history records, or per flaky-oracle
+// vote — trading throughput for zero loss on a machine crash (the default
+// leaves flushing to the OS; a process kill alone loses nothing either
+// way). It has no effect without WithDurability.
 func WithFsync(on bool) Option {
 	return func(s *Session) { s.fsync = on }
 }
@@ -285,23 +291,15 @@ func NewSession(space *Space, oracle Oracle, opts ...Option) (*Session, error) {
 		// The replayed log may already hold history records from an
 		// earlier run of this session; only the missing ones are added
 		// (and thereby logged).
-		st := s.ex.Store()
-		for _, r := range s.history {
-			if _, ok := st.Lookup(r.Instance); ok {
-				continue
-			}
-			if err := st.Add(r.Instance, r.Outcome, r.Source); err != nil {
-				s.ex.Close()
-				return nil, fmt.Errorf("bugdoc: history: %w", err)
-			}
+		if _, err := s.ex.Store().AddHistory(s.history); err != nil {
+			s.ex.Close()
+			return nil, fmt.Errorf("bugdoc: history: %w", err)
 		}
 		return s, nil
 	}
 	st := provenance.NewStore(space)
-	for _, r := range s.history {
-		if err := st.Add(r.Instance, r.Outcome, r.Source); err != nil {
-			return nil, fmt.Errorf("bugdoc: history: %w", err)
-		}
+	if _, err := st.AddHistory(s.history); err != nil {
+		return nil, fmt.Errorf("bugdoc: history: %w", err)
 	}
 	volOpts := []exec.Option{exec.WithBudget(s.budget), exec.WithWorkers(s.workers)}
 	if s.flakyPolicy != nil {

@@ -152,6 +152,25 @@ func TestNewSessionValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("duplicate history must fail")
 	}
+	// So are they on a durable session, even with conflicting outcomes, and
+	// before anything is logged.
+	dir := t.TempDir()
+	_, err = bugdoc.NewSession(s, bugdoc.OracleFunc(diverges), bugdoc.WithDurability(dir),
+		bugdoc.WithHistory([]bugdoc.Record{
+			{Instance: in, Outcome: bugdoc.Fail},
+			{Instance: in, Outcome: bugdoc.Succeed},
+		}))
+	if err == nil {
+		t.Fatal("duplicate durable history must fail")
+	}
+	resumed, err := bugdoc.ResumeSession(dir, bugdoc.OracleFunc(diverges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	if n := resumed.Store().Len(); n != 0 {
+		t.Fatalf("rejected history logged %d records", n)
+	}
 }
 
 func TestExplainEmpty(t *testing.T) {

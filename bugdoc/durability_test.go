@@ -1,13 +1,17 @@
 package bugdoc_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/bugdoc"
+	"repro/internal/provlog"
 )
 
 func durabilitySpace() *bugdoc.Space {
@@ -235,5 +239,92 @@ func TestSessionCheckpointResume(t *testing.T) {
 	}
 	if got := oracle.maxCalls(); got != 1 {
 		t.Fatalf("an instance reached the oracle %d times across checkpointed resumes, want at most once", got)
+	}
+}
+
+// historyRecords returns n distinct records (n <= 1200) of a 3 × 20 × 20
+// space, mostly succeeding.
+func historyRecords(n int) (*bugdoc.Space, []bugdoc.Record) {
+	ords := func(k int) []bugdoc.Value {
+		vals := make([]bugdoc.Value, k)
+		for i := range vals {
+			vals[i] = bugdoc.Ord(float64(i))
+		}
+		return vals
+	}
+	space := bugdoc.MustSpace(
+		bugdoc.Parameter{Name: "a", Kind: bugdoc.Ordinal, Domain: ords(3)},
+		bugdoc.Parameter{Name: "b", Kind: bugdoc.Ordinal, Domain: ords(20)},
+		bugdoc.Parameter{Name: "c", Kind: bugdoc.Ordinal, Domain: ords(20)},
+	)
+	hist := make([]bugdoc.Record, n)
+	for i := range hist {
+		in := bugdoc.MustInstance(space, bugdoc.Ord(float64(i/400)), bugdoc.Ord(float64(i/20%20)), bugdoc.Ord(float64(i%20)))
+		out := bugdoc.Succeed
+		if i%400 == 7 {
+			out = bugdoc.Fail
+		}
+		hist[i] = bugdoc.Record{Instance: in, Outcome: out, Source: "log"}
+	}
+	return space, hist
+}
+
+// TestDurableHistoryIsOneWrite pins the history ingest of a durable
+// session: a 1000-record history is logged with one WAL write, in exactly
+// the bytes per-record Adds through the log would write, and a resume
+// over the same history writes nothing more.
+func TestDurableHistoryIsOneWrite(t *testing.T) {
+	space, hist := historyRecords(1000)
+	oracle := bugdoc.OracleFunc(func(context.Context, bugdoc.Instance) (bugdoc.Outcome, error) {
+		return bugdoc.Succeed, nil
+	})
+	dir := t.TempDir()
+	reg := bugdoc.NewRegistry()
+	s, err := bugdoc.NewSession(space, oracle, bugdoc.WithDurability(dir),
+		bugdoc.WithHistory(hist), bugdoc.WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flushes := reg.Snapshot().Counters["provlog_flushes"]; flushes != 1 {
+		t.Fatalf("history ingest took %d WAL writes, want 1", flushes)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	perRecord := t.TempDir()
+	l, st, err := provlog.Open(perRecord, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range hist {
+		if err := st.Add(r.Instance, r.Outcome, r.Source); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "wal-000000.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(perRecord, "wal-000000.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the session's WAL (%d bytes) differs from per-record Adds' (%d bytes)", len(got), len(want))
+	}
+
+	reg = bugdoc.NewRegistry()
+	s, err = bugdoc.NewSession(space, oracle, bugdoc.WithDurability(dir),
+		bugdoc.WithHistory(hist), bugdoc.WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n, flushes := s.Store().Len(), reg.Snapshot().Counters["provlog_flushes"]; n != len(hist) || flushes != 0 {
+		t.Fatalf("resume over the logged history holds %d records after %d writes; want %d and 0", n, flushes, len(hist))
 	}
 }

@@ -263,15 +263,8 @@ func run() error {
 		resumed = durable.Len()
 		// Carry any provenance loaded outside the log (the historical CSV)
 		// into the durable store; records already replayed are skipped.
-		sn := st.Snapshot()
-		for i := 0; i < sn.Len(); i++ {
-			r := sn.At(i)
-			if _, ok := durable.Lookup(r.Instance); ok {
-				continue
-			}
-			if err := durable.Add(r.Instance, r.Outcome, r.Source); err != nil {
-				return err
-			}
+		if _, err := durable.AddHistory(st.Snapshot().Records()); err != nil {
+			return err
 		}
 		st = durable
 	}

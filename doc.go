@@ -25,10 +25,11 @@
 //     DisjointFrom, DiffCount, and memoization probes allocation-free
 //     integer work; the string Key() survives only for codecs and display.
 //   - internal/provenance: the append-only log is indexed on Add with a
-//     hash map over code vectors (Lookup), per-outcome sequence lists and
-//     bitsets, and per-(parameter, value-code) posting bitsets, so history
-//     queries (DisjointSucceeding, AnySucceedingSatisfying,
-//     CountSatisfying, ...) run as bitset algebra instead of log scans.
+//     map from instance hash to log position (Lookup), per-outcome
+//     sequence lists and bitsets, and per-(parameter, value-code) posting
+//     bitsets, so history queries (DisjointSucceeding,
+//     AnySucceedingSatisfying, CountSatisfying, ...) run as bitset algebra
+//     instead of log scans.
 //     Snapshot exposes a zero-copy read-only view for bulk consumers such
 //     as the decision-tree training loop.
 //   - internal/dtree and internal/forest: split search is counting-based —
@@ -63,7 +64,7 @@
 //     committing to memory: no record is queryable unless it is durable.
 //     Segments rotate at a size threshold.
 //   - provlog.Open replays existing segments into a fresh fully-indexed
-//     store (hash map, outcome bitsets, posting bitsets), truncating a
+//     store (position map, outcome bitsets, posting bitsets), truncating a
 //     torn final record after a crash to the last intact frame boundary.
 //     Replay is batched (Space.AdoptInstances builds code-only instances,
 //     with no value slices) and runs at amortized sub-microsecond per

@@ -4,8 +4,8 @@ package pipeline
 // bucketed by the precomputed Hash and confirmed with Equal, so probes
 // perform no allocations and no string work. It centralizes the
 // "hash bucket + Equal collision confirm" invariant for every component
-// that memoizes per-instance state (the provenance store, the replay
-// oracle, test-sampling dedup). The zero value is not usable; call
+// that memoizes per-instance state (the provenance store's trial votes,
+// the replay oracle, test-sampling dedup). The zero value is not usable; call
 // NewInstanceMap. Not safe for concurrent use; callers lock.
 //
 // The first entry of each hash bucket lives inline in the primary map;

@@ -274,9 +274,9 @@ func (s *orderedSink) Append(recs []Record) error {
 // TestConcurrentAddBatches drives concurrent batches over overlapping
 // instance sets and checks the store ends dense and complete, with each
 // instance committed exactly once. staged=true attaches a sink, so every
-// batch is deduplicated whole and appended before it commits, and the
-// sink checks the appends arrive in sequence order; staged=false is the
-// sink-less store's commit-as-you-go path.
+// batch is appended whole before it commits, and the sink checks the
+// appends arrive in sequence order; staged=false is the same staged write
+// with no sink.
 func TestConcurrentAddBatches(t *testing.T) {
 	for _, staged := range []bool{false, true} {
 		t.Run(fmt.Sprintf("staged=%v", staged), func(t *testing.T) {

@@ -1,31 +1,123 @@
 package provenance
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/pipeline"
 )
 
-// This file holds the store's index maintenance: the per-record commit,
-// both identity tiers, and the deferred base-run index. Every function
-// here runs with the store lock held.
+// This file holds the store's index maintenance: staging and committing
+// writes, both identity tiers, and the deferred base-run index. Every
+// function here runs with the store lock held.
 
-// commitLocked appends a record to the log (continuing the ascending
-// sequence order) and updates every index. The caller holds the write
-// lock.
+// posMap is the identity index over incrementally added records: instance
+// hash to log position. It holds no pointers and no copy of any instance;
+// every hit is confirmed against the record at that position, so two
+// instances that share a 64-bit hash both index — the first under first,
+// the later ones, in position order, under more.
+type posMap struct {
+	first map[uint64]int32
+	more  map[uint64][]int32 // nil until the first hash collision
+}
+
+func newPosMap(n int) posMap {
+	return posMap{first: make(map[uint64]int32, n)}
+}
+
+// get returns the position of in among recs, the records the map indexes.
 //
 //bugdoc:hotpath
-func (st *Store) commitLocked(rec Record) {
-	pos := int32(len(st.recs))
-	st.byKey.Put(rec.Instance, pos)
-	st.recs = append(st.recs, rec)
-	switch rec.Outcome {
-	case pipeline.Succeed:
-		st.succSeqs = append(st.succSeqs, pos)
-	case pipeline.Fail:
-		st.failSeqs = append(st.failSeqs, pos)
+func (m *posMap) get(in pipeline.Instance, recs []Record) (int32, bool) {
+	h := in.Hash()
+	pos, ok := m.first[h]
+	if !ok {
+		return 0, false
 	}
-	st.indexRecordBitsLocked(int(pos), &rec)
+	if recs[pos].Instance.Equal(in) {
+		return pos, true
+	}
+	for _, pos := range m.more[h] {
+		if recs[pos].Instance.Equal(in) {
+			return pos, true
+		}
+	}
+	return 0, false
+}
+
+// put indexes pos, the position of an instance hashing to h that the map
+// does not hold yet.
+func (m *posMap) put(h uint64, pos int32) {
+	if _, ok := m.first[h]; !ok {
+		m.first[h] = pos
+		return
+	}
+	if m.more == nil {
+		m.more = make(map[uint64][]int32)
+	}
+	m.more[h] = append(m.more[h], pos)
+}
+
+// dropNewest removes the position put most recently under h.
+func (m *posMap) dropNewest(h uint64) {
+	more := m.more[h]
+	switch len(more) {
+	case 0:
+		delete(m.first, h)
+	case 1:
+		delete(m.more, h)
+	default:
+		m.more[h] = more[:len(more)-1]
+	}
+}
+
+// stageLocked appends a record for in to the log and the identity index,
+// unless in is already recorded or staged, and reports whether it did. A
+// staged record is not committed: its outcome and posting indices wait
+// for commitStagedLocked, and no reader sees it before then, because the
+// caller holds the write lock throughout. The caller has validated in and
+// out.
+func (st *Store) stageLocked(in pipeline.Instance, out pipeline.Outcome, source string) bool {
+	if _, dup := st.lookupPosLocked(in); dup {
+		return false
+	}
+	pos := int32(len(st.recs))
+	st.byKey.put(in.Hash(), pos)
+	st.recs = append(st.recs, Record{Seq: int(pos), Instance: in, Outcome: out, Source: source})
+	return true
+}
+
+// commitStagedLocked commits the records staged past log position from
+// as one write: one sink append of them all, then their outcome and
+// posting indices. A failed append unstages them, leaving the store as it
+// was before the write, and commits nothing. It returns how many records
+// committed.
+func (st *Store) commitStagedLocked(from int) (int, error) {
+	staged := st.recs[from:]
+	if len(staged) == 0 {
+		return 0, nil
+	}
+	if st.sink != nil {
+		if err := st.sink.Append(staged); err != nil {
+			for pos := len(st.recs) - 1; pos >= from; pos-- {
+				st.byKey.dropNewest(st.recs[pos].Instance.Hash())
+			}
+			clear(staged)
+			st.recs = st.recs[:from]
+			return 0, fmt.Errorf("provenance: sink: %w", err)
+		}
+	}
+	for pos := from; pos < len(st.recs); pos++ {
+		r := &st.recs[pos]
+		switch r.Outcome {
+		case pipeline.Succeed:
+			st.succSeqs = append(st.succSeqs, int32(pos))
+		case pipeline.Fail:
+			st.failSeqs = append(st.failSeqs, int32(pos))
+		}
+		st.indexRecordBitsLocked(pos, r)
+	}
+	return len(staged), nil
 }
 
 // indexRecordBitsLocked sets the positional indices — the outcome bitset
@@ -55,12 +147,13 @@ func (st *Store) indexRecordBitsLocked(pos int, r *Record) {
 }
 
 // lookupPosLocked resolves an instance to its log position through both
-// identity tiers: the hash map over incrementally added records, then a
-// binary search of the base runs adopted from a checkpoint.
+// identity tiers: the position map over incrementally added (and staged)
+// records, then a binary search of the base runs adopted from a
+// checkpoint.
 //
 //bugdoc:hotpath
 func (st *Store) lookupPosLocked(in pipeline.Instance) (int32, bool) {
-	if i, ok := st.byKey.Get(in); ok {
+	if i, ok := st.byKey.get(in, st.recs); ok {
 		return i, true
 	}
 	return st.baseLookupLocked(in)

@@ -5,8 +5,9 @@
 // new instances.
 //
 // The store is an append-only log with columnar indices maintained on Add:
-// a hash map over the instances' interned code vectors (so Lookup is an
-// allocation-free hash probe), per-outcome sequence lists and bitsets, and
+// a map from the instances' precomputed hashes to log positions (so Lookup
+// is an allocation-free hash probe confirmed against the logged record),
+// per-outcome sequence lists and bitsets, and
 // per-(parameter, value-code) posting bitsets. History queries
 // (DisjointSucceeding, AnySucceedingSatisfying, CountSatisfying, ...) run
 // as bitset intersections instead of whole-log scans, and Snapshot exposes
@@ -18,7 +19,7 @@
 // and the one lock gives every query an exact view of a dense log prefix.
 //
 // Identity is two-tiered, LSM-style: records added one by one live in the
-// hash map, while a checkpoint bulk-load (LoadSortedRuns) adopts the
+// position map, while a checkpoint bulk-load (LoadSortedRuns) adopts the
 // hash-sorted checkpoint runs wholesale, serving identity probes by binary
 // search and deferring the outcome and posting indices to the first query
 // that needs them — so resuming a huge session builds no per-record index
@@ -27,17 +28,18 @@
 //
 // The store itself is volatile; durability is delegated to a pluggable
 // Sink. A sink's Append runs inside Add and AddBatch, under the store's
-// lock and before the in-memory indices are updated, so a durable sink
-// (the segmented write-ahead log in internal/provlog) gives write-ahead
+// lock and before the records are committed, so a durable sink (the
+// segmented write-ahead log in internal/provlog) gives write-ahead
 // semantics: no record becomes queryable unless its log append succeeded,
 // and rebuilding a store by replaying the log reproduces the indices
 // exactly. Each write is one Append call — one record for Add, the whole
-// deduplicated batch for AddBatch — and a failed Append leaves the store
-// unchanged.
+// deduplicated batch for AddBatch, up to historyBatch records for
+// AddHistory — and a failed Append leaves the store unchanged.
 package provenance
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/pipeline"
@@ -54,13 +56,13 @@ type Record struct {
 
 // Sink receives the records of every write at the moment they are
 // committed to a store. Append is called with the store's lock held,
-// before the records enter the in-memory log and indices, with one record
-// for Add and the whole deduplicated batch for AddBatch: if Append fails,
-// the write fails and the store is unchanged, so a sink must persist
-// either all of recs or none. Records therefore arrive exactly in
-// sequence order, without gaps or duplicates, and a sink that persists
-// them (internal/provlog) is a write-ahead log of the store. Append must
-// not retain recs, which the store reuses.
+// before the records are committed, with one record for Add and the whole
+// deduplicated batch for AddBatch: if Append fails, the write fails and
+// the store is unchanged, so a sink must persist either all of recs or
+// none. Records therefore arrive exactly in sequence order, without gaps
+// or duplicates, and a sink that persists them (internal/provlog) is a
+// write-ahead log of the store. recs is the staged tail of the store's
+// own log: Append must neither modify nor retain it.
 type Sink interface {
 	Append(recs []Record) error
 }
@@ -94,12 +96,12 @@ type Store struct {
 	mu   sync.RWMutex
 	recs []Record // the committed log, ascending sequence
 
-	// byKey maps instance identity to log position (hash-bucketed with
-	// Equal confirmation; see pipeline.InstanceMap). Records adopted as
-	// base runs are not in byKey: identity probes for them binary-search
-	// the sorted runs instead, LSM-style, so a checkpoint load never pays
-	// to build a hash index.
-	byKey *pipeline.InstanceMap[int32]
+	// byKey maps instance hashes to log positions, each hit confirmed
+	// against st.recs (see posMap). Records adopted as base runs are not
+	// in byKey: identity probes for them binary-search the sorted runs
+	// instead, LSM-style, so a checkpoint load never pays to build a hash
+	// index.
+	byKey posMap
 
 	// The base runs: the hash-sorted checkpoint tiers, newest tier first.
 	// Each run's hash column is ascending and pos[i] is the log position
@@ -132,9 +134,8 @@ type Store struct {
 	trialRecs   []trialState
 	trialPolicy pipeline.FlakyPolicy
 
-	sink     Sink
-	met      *Metrics  // nil when uninstrumented; see SetMetrics
-	stageOne [1]Record // Add's one-record sink batch, used under mu
+	sink Sink
+	met  *Metrics // nil when uninstrumented; see SetMetrics
 }
 
 // NewStore creates an empty store for instances of space s.
@@ -148,7 +149,7 @@ func NewStore(s *pipeline.Space) *Store {
 func NewStoreWithCapacity(s *pipeline.Space, n int) *Store {
 	st := &Store{
 		space:   s,
-		byKey:   pipeline.NewInstanceMap[int32](n),
+		byKey:   newPosMap(n),
 		posting: make([][]bitset, s.Len()),
 	}
 	if n > 0 {
@@ -187,18 +188,12 @@ func (st *Store) Add(in pipeline.Instance, out pipeline.Outcome, source string) 
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, dup := st.lookupPosLocked(in); dup {
+	from := len(st.recs)
+	if !st.stageLocked(in, out, source) {
 		return fmt.Errorf("provenance: instance %v already recorded", in)
 	}
-	rec := Record{Seq: len(st.recs), Instance: in, Outcome: out, Source: source}
-	if st.sink != nil {
-		st.stageOne[0] = rec
-		if err := st.sink.Append(st.stageOne[:]); err != nil {
-			return fmt.Errorf("provenance: sink: %w", err)
-		}
-	}
-	st.commitLocked(rec)
-	return nil
+	_, err := st.commitStagedLocked(from)
+	return err
 }
 
 // AddBatch records a batch of evaluations under one lock acquisition and
@@ -223,51 +218,58 @@ func (st *Store) AddBatch(entries []Entry) (added int, err error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.sink == nil {
-		// Volatile store: one pass, commits dedupe the batch as they land.
-		// This is the default store's hot batch path
-		// (BenchmarkStoreAddBatch).
-		for i := range entries {
-			in := entries[i].Instance
-			if _, dup := st.lookupPosLocked(in); dup {
-				continue
-			}
-			st.commitLocked(Record{
-				Seq: len(st.recs), Instance: in,
-				Outcome: entries[i].Outcome, Source: entries[i].Source,
-			})
-			added++
-		}
-		return added, nil
-	}
-
-	// With a sink nothing commits until the batch is durable, so
-	// duplicates within the batch are caught by a batch-local set.
-	seen := pipeline.NewInstanceMap[struct{}](len(entries))
-	recs := make([]Record, 0, len(entries))
+	from := len(st.recs)
+	st.recs = slices.Grow(st.recs, len(entries))
 	for i := range entries {
-		in := entries[i].Instance
-		if _, dup := st.lookupPosLocked(in); dup {
-			continue
+		st.stageLocked(entries[i].Instance, entries[i].Outcome, entries[i].Source)
+	}
+	return st.commitStagedLocked(from)
+}
+
+// historyBatch caps the records one AddHistory write carries, so neither
+// a sink's frame buffer nor the staged log tail grows with the history.
+// It is the batch size log replay (internal/provlog) commits in.
+const historyBatch = 8192
+
+// AddHistory records previously-run instances — the history a debugging
+// session starts from — through AddBatch, one batch of up to historyBatch
+// records at a time. Records whose instance is already recorded are
+// skipped, so a durable store resumed over an earlier run's log adds only
+// what is missing; the records' Seq fields are ignored. It returns how
+// many records were added.
+//
+// Unlike a batch, a history lists each instance at most once: a repeated
+// instance is an error, as are the records AddBatch rejects, and both
+// are checked over the whole history before anything is written.
+func (st *Store) AddHistory(recs []Record) (added int, err error) {
+	seen := newPosMap(len(recs))
+	for i := range recs {
+		in := recs[i].Instance
+		if in.Space() != st.space {
+			return 0, fmt.Errorf("provenance: history record %d: instance belongs to a different space", i)
 		}
-		if !seen.Put(in, struct{}{}) {
-			continue
+		if o := recs[i].Outcome; !recordableOutcome(o) {
+			return 0, fmt.Errorf("provenance: history record %d: cannot record outcome %v", i, o)
 		}
-		recs = append(recs, Record{
-			Seq: len(st.recs) + len(recs), Instance: in,
-			Outcome: entries[i].Outcome, Source: entries[i].Source,
-		})
+		if j, dup := seen.get(in, recs); dup {
+			return 0, fmt.Errorf("provenance: history lists instance %v twice (records %d and %d)", in, j, i)
+		}
+		seen.put(in.Hash(), int32(i))
 	}
-	if len(recs) == 0 {
-		return 0, nil
+	batch := make([]Entry, 0, min(len(recs), historyBatch))
+	for len(recs) > 0 {
+		batch = batch[:0]
+		for _, r := range recs[:min(len(recs), historyBatch)] {
+			batch = append(batch, Entry{Instance: r.Instance, Outcome: r.Outcome, Source: r.Source})
+		}
+		recs = recs[len(batch):]
+		n, err := st.AddBatch(batch)
+		added += n
+		if err != nil {
+			return added, err
+		}
 	}
-	if err := st.sink.Append(recs); err != nil {
-		return 0, fmt.Errorf("provenance: sink: %w", err)
-	}
-	for _, rec := range recs {
-		st.commitLocked(rec)
-	}
-	return len(recs), nil
+	return added, nil
 }
 
 // SortedRun is one hash-sorted checkpoint tier handed to LoadSortedRuns:
@@ -379,7 +381,7 @@ func (st *Store) Lookup(in pipeline.Instance) (pipeline.Outcome, bool) {
 	st.mu.RLock()
 	// The map probe is open-coded ahead of the base-run fallback so the
 	// common hit costs exactly what it did before the base tier existed.
-	if i, ok := st.byKey.Get(in); ok {
+	if i, ok := st.byKey.get(in, st.recs); ok {
 		out := st.recs[i].Outcome
 		st.mu.RUnlock()
 		return out, true

@@ -1,6 +1,7 @@
 package provlog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,7 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -122,6 +123,13 @@ func removeStrayTmp(dir string) {
 	}
 }
 
+// tierKey is one record's sort key in a tier: its instance hash, then its
+// sequence.
+type tierKey struct {
+	hash uint64
+	seq  int32
+}
+
 // encodeTierRange renders the snapshot's records with sequences in
 // [firstSeq, w) as one tier file. The dictionary tables written are the
 // given cumulative state — every code below persisted[i] per parameter
@@ -142,25 +150,25 @@ func encodeTierRange(space *pipeline.Space, fingerprint uint64, sn provenance.Sn
 	// last-write-wins. A duplicate instance cannot come out of a
 	// provenance store, and dropping one would leave a sequence gap the
 	// loader rejects, so a survivor set smaller than the range refuses to
-	// encode.
-	order := make([]int32, n)
+	// encode. The sort keys are precomputed, so comparisons never touch
+	// the records.
+	recs := sn.Records()
+	order := make([]tierKey, n)
 	for i := range order {
-		order[i] = int32(firstSeq + i)
+		seq := firstSeq + i
+		order[i] = tierKey{hash: recs[seq].Instance.Hash(), seq: int32(seq)}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ha, hb := sn.At(int(order[a])).Instance.Hash(), sn.At(int(order[b])).Instance.Hash()
-		if ha != hb {
-			return ha < hb
+	slices.SortFunc(order, func(a, b tierKey) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a.seq, b.seq)
 	})
 	kept := order[:0]
 	for i := 0; i < len(order); i++ {
-		if i+1 < len(order) {
-			this, next := sn.At(int(order[i])).Instance, sn.At(int(order[i+1])).Instance
-			if this.Hash() == next.Hash() && this.Equal(next) {
-				continue // last-write-wins: the higher seq follows in the order
-			}
+		if i+1 < len(order) && order[i].hash == order[i+1].hash &&
+			recs[order[i].seq].Instance.Equal(recs[order[i+1].seq].Instance) {
+			continue // last-write-wins: the higher seq follows in the order
 		}
 		kept = append(kept, order[i])
 	}
@@ -197,17 +205,17 @@ func encodeTierRange(space *pipeline.Space, fingerprint uint64, sn provenance.Sn
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
 		buf = append(buf, s...)
 	}
-	for _, seq := range kept {
-		rec := sn.At(int(seq))
+	for _, k := range kept {
+		rec := &recs[k.seq]
 		for i := 0; i < p; i++ {
 			if c := int(rec.Instance.Code(i)); c >= persisted[i] {
 				return nil, fmt.Errorf("provlog: checkpoint: record %d references code %d of parameter %d beyond the persisted dictionary (%d entries)",
-					seq, c, i, persisted[i])
+					k.seq, c, i, persisted[i])
 			}
 		}
 		id, ok := sourceID[rec.Source]
 		if !ok {
-			return nil, fmt.Errorf("provlog: checkpoint: record %d references source %q outside the persisted table", seq, rec.Source)
+			return nil, fmt.Errorf("provlog: checkpoint: record %d references source %q outside the persisted table", k.seq, rec.Source)
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, rec.Instance.Hash())
 		for i := 0; i < p; i++ {

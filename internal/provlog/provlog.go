@@ -32,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -339,7 +340,9 @@ func (l *Log) Append(recs []provenance.Record) error {
 	if err := l.beginLocked(); err != nil {
 		return err
 	}
-	buf := l.frames[:0]
+	// Exec frames are 4·P+8 bytes; dictionary and source frames, rare
+	// past a log's first writes, may still grow the buffer.
+	buf := slices.Grow(l.frames[:0], len(recs)*(4*l.space.Len()+8))
 	for _, r := range recs {
 		var err error
 		switch {

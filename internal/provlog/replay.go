@@ -91,7 +91,7 @@ type replayState struct {
 	batchOuts   []pipeline.Outcome
 	batchSrc    []uint16
 	batchHashes []uint64            // flush scratch
-	batchIns    []pipeline.Instance // flush scratch
+	batchIns    []pipeline.Instance // flush scratch, sized by the first flush
 
 	// held keeps, per instance (by Key), the trial votes read ahead of
 	// their predecessors, until those arrive (see applyTrialVote).
@@ -111,7 +111,6 @@ func newReplayState(space *pipeline.Space, st *provenance.Store) *replayState {
 		st:        st,
 		persisted: make([]int, space.Len()),
 		sourceID:  make(map[string]uint16),
-		batchIns:  make([]pipeline.Instance, replayBatch),
 	}
 }
 
@@ -128,6 +127,9 @@ func (rs *replayState) flush() error {
 	rs.batchHashes = rs.batchHashes[:0]
 	for r := 0; r < n; r++ {
 		rs.batchHashes = append(rs.batchHashes, pipeline.HashCodes(codes[r*p:(r+1)*p]))
+	}
+	if cap(rs.batchIns) < n {
+		rs.batchIns = make([]pipeline.Instance, n)
 	}
 	ins := rs.batchIns[:n]
 	if err := rs.space.AdoptInstances(codes, rs.batchHashes, func(r int, in pipeline.Instance) { ins[r] = in }); err != nil {
