@@ -405,6 +405,30 @@ func BenchmarkTreeGrow(b *testing.B) {
 	}
 }
 
+// BenchmarkTreeRegrow measures the tree work of one DDT session over a
+// growing provenance: a Grower starts from one example and gains 8 per
+// round, rebuilding its tree after each, up to 300 examples — the regrow
+// after every refuted suspect.
+func BenchmarkTreeRegrow(b *testing.B) {
+	st, _ := benchStore(b)
+	recs := st.Snapshot().Records()[:300]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := dtree.NewGrower(st.Space())
+		for n, next := 0, 1; n < len(recs); next = min(len(recs), n+8) {
+			for ; n < next; n++ {
+				if err := g.Add(dtree.Example{Instance: recs[n].Instance, Outcome: recs[n].Outcome}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if tree := g.Build(); tree == nil {
+				b.Fatal("nil tree")
+			}
+		}
+	}
+}
+
 // --- Durable provenance log ------------------------------------------------
 
 // benchLogSpace builds the 8-parameter space the provlog benchmarks log

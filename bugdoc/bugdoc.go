@@ -167,8 +167,21 @@ func WithSeed(seed int64) Option {
 // durable or not, before anything is logged. A durable session resumed
 // over a log that already holds some of the history records only the
 // rest.
+//
+// NewSession reads records in place: it neither copies the slice nor
+// writes to it or to its spare capacity, and keeps no reference to it
+// once it returns. Several WithHistory options add their records in
+// order.
 func WithHistory(records []Record) Option {
-	return func(s *Session) { s.history = append(s.history, records...) }
+	return func(s *Session) {
+		if len(s.history) == 0 {
+			// Capped, so a later WithHistory appends into a fresh array
+			// and never into the caller's spare capacity.
+			s.history = records[:len(records):len(records)]
+			return
+		}
+		s.history = append(s.history, records...)
+	}
 }
 
 // WithDurability write-ahead logs the session's provenance under dir
@@ -295,12 +308,14 @@ func NewSession(space *Space, oracle Oracle, opts ...Option) (*Session, error) {
 			s.ex.Close()
 			return nil, fmt.Errorf("bugdoc: history: %w", err)
 		}
+		s.history = nil // recorded; the store holds it now
 		return s, nil
 	}
 	st := provenance.NewStore(space)
 	if _, err := st.AddHistory(s.history); err != nil {
 		return nil, fmt.Errorf("bugdoc: history: %w", err)
 	}
+	s.history = nil // recorded; the store holds it now
 	volOpts := []exec.Option{exec.WithBudget(s.budget), exec.WithWorkers(s.workers)}
 	if s.flakyPolicy != nil {
 		volOpts = append(volOpts, exec.WithFlakyPolicy(*s.flakyPolicy))

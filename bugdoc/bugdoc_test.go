@@ -134,6 +134,44 @@ func TestSessionHistory(t *testing.T) {
 	}
 }
 
+// TestWithHistoryLeavesCallerSliceAlone records two WithHistory options,
+// the first over a slice with spare capacity: both histories are recorded
+// in order, and the second never lands in the first caller's spare
+// element.
+func TestWithHistoryLeavesCallerSliceAlone(t *testing.T) {
+	s := lrSpace(t)
+	in := func(lr float64, opt string) bugdoc.Instance {
+		return bugdoc.MustInstance(s, bugdoc.Ord(lr), bugdoc.Cat(opt))
+	}
+	spare := in(0.1, "rmsprop")
+	backing := []bugdoc.Record{
+		{Instance: in(1, "sgd"), Outcome: bugdoc.Fail, Source: "first"},
+		{Instance: in(0.001, "adam"), Outcome: bugdoc.Succeed, Source: "first"},
+		{Instance: spare, Outcome: bugdoc.Fail, Source: "spare"},
+	}
+	first := backing[:2]
+	second := []bugdoc.Record{{Instance: in(0.01, "sgd"), Outcome: bugdoc.Succeed, Source: "second"}}
+	session, err := bugdoc.NewSession(s, bugdoc.OracleFunc(diverges),
+		bugdoc.WithHistory(first), bugdoc.WithHistory(second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := backing[2]; !r.Instance.Equal(spare) || r.Outcome != bugdoc.Fail || r.Source != "spare" {
+		t.Fatalf("the caller's spare element became %v %v %q", r.Instance, r.Outcome, r.Source)
+	}
+	want := append(first[:2:2], second...)
+	got := session.Store().Snapshot().Records()
+	if len(got) != len(want) {
+		t.Fatalf("recorded %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Instance.Equal(want[i].Instance) || got[i].Outcome != want[i].Outcome || got[i].Source != want[i].Source {
+			t.Fatalf("record %d = %v %v %q, want %v %v %q", i,
+				got[i].Instance, got[i].Outcome, got[i].Source, want[i].Instance, want[i].Outcome, want[i].Source)
+		}
+	}
+}
+
 func TestNewSessionValidation(t *testing.T) {
 	if _, err := bugdoc.NewSession(nil, bugdoc.OracleFunc(diverges)); err == nil {
 		t.Fatal("nil space must fail")

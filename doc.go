@@ -32,16 +32,27 @@
 //     instead of log scans.
 //     Snapshot exposes a zero-copy read-only view for bulk consumers such
 //     as the decision-tree training loop.
-//   - internal/dtree and internal/forest: split search is counting-based —
-//     one columnar pass per parameter accumulates per-value-code label
-//     counts, and every "="/"<=" candidate's gain derives from those
-//     counts and their prefix sums. Candidates come in value order by
-//     sorting a node's k observed codes by integer rank: the intern table
-//     caches each parameter's code→rank table (NaN after every number),
-//     and Space.ValueOrder hands it out with the code→value table as
-//     immutable snapshots, so a node costs O(params × (examples +
-//     k log k)) with no lock and no Value comparison, instead of
-//     O(params × values × examples).
+//   - internal/dtree and internal/forest: candidate splits come in value
+//     order by integer rank: the intern table caches each parameter's
+//     code→rank table (NaN after every number), and Space.ValueOrder
+//     hands it out with the code→value table as immutable snapshots, so
+//     no split search takes a lock or compares a Value. dtree's search is
+//     counting-based: every "="/"<=" candidate's gain derives from
+//     per-value-code vote counts and their prefix sums, instead of
+//     evaluating each candidate against every example, so a node costs
+//     O(params × (examples + k log k)) for k observed codes. It trains on
+//     a Grower, an append-only columnar set: one code column per
+//     parameter and one succeed and one fail vote per example. A node
+//     counts votes over its rows of each column, never reading an
+//     Instance, orders its observed codes by sorting packed rank<<32 |
+//     code integer keys, and reads the entropy of counts below 128 from a
+//     table filled once by the entropy function itself, so every gain is
+//     bit-identical to computing it directly. The Debugging Decision
+//     Trees loop keeps one Grower per run and regrows its tree from it
+//     after every refuted suspect, reusing the columns and the build
+//     scratch, so a regrow allocates only its nodes. forest, the SMAC
+//     surrogate, scores each candidate's variance over the node's
+//     examples and sorts the observed codes with a rank comparator.
 //   - internal/exec: the executor's memoized Evaluate path and the replay
 //     HistoricalOracle key off instance hashes, so a memoization hit
 //     performs zero allocations.

@@ -73,12 +73,12 @@ func DebugDecisionTrees(ctx context.Context, ex *exec.Executor, opts DDTOptions)
 	resolved := make(map[string]bool) // canonical suspect -> seen (refuted or untestable)
 
 	// The provenance log is append-only, so the training set only grows:
-	// each iteration extends the example slice with the records added since
-	// the previous tree build instead of re-copying the whole log. scanned
-	// tracks the snapshot position separately from len(examples) because
-	// inconclusive records (tied flaky quorums) are scanned but never become
-	// examples — they are evidence for neither label.
-	var examples []dtree.Example
+	// one Grower holds it for the whole run, each iteration adds the
+	// records logged since the previous tree build, and every regrow
+	// reuses its columns and scratch. The Grower leaves inconclusive
+	// records (tied flaky quorums) out — they are evidence for neither
+	// label.
+	grower := dtree.NewGrower(s)
 	scanned := 0
 
 loop:
@@ -89,20 +89,20 @@ loop:
 		sn := ex.Store().Snapshot()
 		for ; scanned < sn.Len(); scanned++ {
 			r := sn.At(scanned)
-			if r.Outcome == pipeline.OutcomeInconclusive {
-				continue
-			}
 			// Under a flaky quorum the vote margin weights the example:
 			// a unanimous instance pulls splits harder than a narrow 3-2.
 			// Deterministic records have no votes; TrialMargin returns 0,
 			// which dtree normalizes to weight 1.
-			examples = append(examples, dtree.Example{
+			err := grower.Add(dtree.Example{
 				Instance: r.Instance,
 				Outcome:  r.Outcome,
 				Weight:   ex.Store().TrialMargin(r.Instance),
 			})
+			if err != nil {
+				return nil, err
+			}
 		}
-		tree := dtree.Build(s, examples)
+		tree := grower.Build()
 		ex.Telemetry().TreeRegrow()
 		suspect, ok, err := nextSuspect(s, tree, confirmed, resolved)
 		if err != nil {

@@ -10,24 +10,36 @@
 // the "suspects" the Debugging Decision Trees algorithm then verifies by
 // executing new instances.
 //
-// Split search is counting-based: one columnar pass per parameter over the
-// interned value codes accumulates per-code succeed/fail counts, and the
-// information gain of every candidate derives from those counts (prefix
-// sums for ordinal thresholds). Candidates are visited in value order by
-// sorting the node's k observed codes by the space's cached value ranks
-// (pipeline.Space.ValueOrder, fetched once per build), so a node costs
-// O(params × (examples + k log k)) integer work, with no lock and no
-// Value comparison, instead of evaluating each candidate against every
-// example.
+// Trees grow from a columnar training set, a Grower: one value-code column
+// per parameter and one succeed and one fail vote per example, appended
+// to as the provenance grows rather than rebuilt for each tree. The
+// Debugging Decision Trees loop keeps one Grower per run and regrows its
+// tree from it after every refuted suspect; Build is the one-shot form
+// over an example slice. A build reads only the columns and the votes,
+// never an Instance, and reuses the Grower's scratch, so it allocates
+// only its nodes.
+//
+// Split search is counting-based: at each node one pass per parameter
+// over the node's rows of that column accumulates per-code succeed/fail
+// vote counts, and the information gain of every candidate derives from
+// those counts (prefix sums for ordinal thresholds). Candidates are
+// visited in value order by sorting the node's k observed codes as
+// packed integer keys, rank<<32 | code, where rank comes from the space's
+// cached value order (pipeline.Space.ValueOrder, fetched once per build);
+// ranks are a permutation, so the key order is the value order. A node
+// costs O(params × (examples + k log k)) integer work, with no lock and no
+// Value comparison. Entropies of vote counts below 128 come from a table
+// filled on first use by entropyCounts itself, so every gain, tie-break
+// and tree is bit-identical to computing each entropy directly.
 package dtree
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/pipeline"
 	"repro/internal/predicate"
@@ -81,221 +93,309 @@ func (n *Node) PureSucceed() bool { return n.NSucceed > 0 && n.NFail == 0 }
 // node is pure or no candidate split separates its examples — such impure
 // unsplittable leaves are the paper's "mixed" leaves.
 //
-// Partitioning is columnar: the whole tree shares one permutation of
-// example indices, and each node stably partitions its window of that
-// permutation in place, so descending a level moves hi−lo int32s instead
-// of copying []Example slices at every node.
+// Build is the one-shot form of a Grower: it loads the examples into a
+// training set sized to them, every column in one allocation, and builds
+// once. It panics if an example's instance belongs to another space.
 func Build(s *pipeline.Space, examples []Example) *Node {
-	return newBuilder(s, examples).build(0, len(examples))
-}
-
-// builder carries the state shared across every node of one Build call:
-// the examples, the single index permutation the nodes partition, the
-// value-order snapshots, and the per-parameter counting scratch, so growing
-// a tree allocates per node, not per candidate split and not per partition.
-type builder struct {
-	s        *pipeline.Space
-	examples []Example
-	// idx is the tree-wide permutation of example indices; each node owns
-	// the window idx[lo:hi] and partitions it in place for its children.
-	// tmp buffers the no-side during the stable partition.
-	idx, tmp []int32
-	// vals[i] and rank[i] are parameter i's code→value and code→rank
-	// snapshots (pipeline.Space.ValueOrder), taken once per build; every
-	// example's codes were interned before the build started, so they
-	// cover them all.
-	vals [][]pipeline.Value
-	rank [][]uint32
-	// countS/countF accumulate succeed/fail counts per value code during
-	// the columnar pass; order lists the observed codes (first-seen, then
-	// sorted by rank) of the current parameter.
-	countS, countF []int
-	order          []uint32
-}
-
-func newBuilder(s *pipeline.Space, examples []Example) *builder {
-	b := &builder{
-		s:        s,
-		examples: examples,
-		idx:      make([]int32, len(examples)),
-		tmp:      make([]int32, 0, len(examples)),
-		vals:     make([][]pipeline.Value, s.Len()),
-		rank:     make([][]uint32, s.Len()),
-	}
-	for i := range b.idx {
-		b.idx[i] = int32(i)
-	}
-	for i := range b.vals {
-		b.vals[i], b.rank[i] = s.ValueOrder(i)
-	}
-	return b
-}
-
-func (b *builder) build(lo, hi int) *Node {
-	n := &Node{}
-	for _, j := range b.idx[lo:hi] {
-		ex := &b.examples[j]
-		switch ex.Outcome {
-		case pipeline.Succeed:
-			n.NSucceed += ex.weight()
-		case pipeline.Fail:
-			n.NFail += ex.weight()
+	g := newGrower(s, len(examples))
+	for i := range examples {
+		if err := g.Add(examples[i]); err != nil {
+			panic(err)
 		}
 	}
-	if n.NSucceed == 0 || n.NFail == 0 || hi-lo < 2 {
+	return g.Build()
+}
+
+// Grower is an append-only training set that grows decision trees over
+// all the examples added so far. It holds the examples as columns — one
+// value-code column per parameter and a succeed and a fail vote per
+// example — and the scratch every Build reuses: the index permutation the
+// nodes partition, the partition buffer, the per-code vote counts and the
+// sort keys. Building twice over the same examples allocates only the
+// second tree's nodes, so a caller whose provenance only grows, like the
+// Debugging Decision Trees loop, keeps one Grower and calls Add and Build
+// in turn.
+//
+// A Grower is not safe for concurrent use.
+type Grower struct {
+	space *pipeline.Space
+	// cols[i][j] is parameter i's value code in example j.
+	cols [][]uint32
+	// succ[j] and fail[j] are example j's votes: its weight on the side of
+	// its outcome and zero on the other. Examples without a vote are never
+	// added, so succ[j]+fail[j] >= 1.
+	succ, fail []int
+
+	// Build scratch. idx is the tree-wide permutation of example indices:
+	// each node owns the window idx[lo:hi] and stably partitions it in
+	// place for its children, staging the no-side through tmp.
+	idx, tmp []int32
+	// vals[i] and rank[i] are parameter i's code→value and code→rank
+	// snapshots (pipeline.Space.ValueOrder), taken at the start of each
+	// build; every added example's codes were interned before it was
+	// added, so they cover them all.
+	vals [][]pipeline.Value
+	rank [][]uint32
+	// countS/countF accumulate succeed/fail votes per value code of the
+	// parameter being scanned; keys holds its observed codes as
+	// rank<<32 | code.
+	countS, countF []int
+	keys           []uint64
+}
+
+// NewGrower returns an empty training set for instances of s.
+func NewGrower(s *pipeline.Space) *Grower { return newGrower(s, 0) }
+
+// newGrower returns an empty training set with room for n examples, all
+// its columns carved from one allocation.
+func newGrower(s *pipeline.Space, n int) *Grower {
+	g := &Grower{
+		space: s,
+		cols:  make([][]uint32, s.Len()),
+		vals:  make([][]pipeline.Value, s.Len()),
+		rank:  make([][]uint32, s.Len()),
+	}
+	if n > 0 {
+		flat := make([]uint32, n*s.Len())
+		for i := range g.cols {
+			g.cols[i] = flat[i*n : i*n : (i+1)*n]
+		}
+		votes := make([]int, 2*n)
+		g.succ, g.fail = votes[:0:n], votes[n:n:2*n]
+	}
+	return g
+}
+
+// Add appends an example to the training set. It fails, adding nothing,
+// when the example's instance belongs to another space. An example that
+// carries no vote — any outcome but Succeed or Fail — is accepted and left
+// out: it would never affect a split or a count.
+func (g *Grower) Add(ex Example) error {
+	if ex.Instance.Space() != g.space {
+		return fmt.Errorf("dtree: example instance belongs to a different space")
+	}
+	var s, f int
+	switch ex.Outcome {
+	case pipeline.Succeed:
+		s = ex.weight()
+	case pipeline.Fail:
+		f = ex.weight()
+	default:
+		return nil
+	}
+	for i := range g.cols {
+		g.cols[i] = append(g.cols[i], ex.Instance.Code(i))
+	}
+	g.succ = append(g.succ, s)
+	g.fail = append(g.fail, f)
+	return nil
+}
+
+// Build grows a full decision tree over every example added so far, as
+// the package-level Build does over an example slice, and returns its
+// root.
+func (g *Grower) Build() *Node {
+	g.prepare()
+	return g.grow(0, len(g.idx))
+}
+
+// prepare readies the build scratch for the examples added so far: fresh
+// value-order snapshots, count arrays covering every code, and the
+// identity permutation.
+func (g *Grower) prepare() {
+	entropyOnce.Do(fillEntropyTable)
+	codes := 0
+	for i := range g.cols {
+		g.vals[i], g.rank[i] = g.space.ValueOrder(i)
+		codes = max(codes, len(g.vals[i]))
+	}
+	if len(g.countS) < codes {
+		g.countS = make([]int, codes)
+		g.countF = make([]int, codes)
+		g.keys = make([]uint64, 0, codes)
+	}
+	n := len(g.succ)
+	if cap(g.idx) < n {
+		g.idx = make([]int32, n, cap(g.succ))
+		g.tmp = make([]int32, 0, cap(g.succ))
+	}
+	g.idx = g.idx[:n]
+	for j := range g.idx {
+		g.idx[j] = int32(j)
+	}
+}
+
+// grow builds the subtree over the examples of the window idx[lo:hi].
+func (g *Grower) grow(lo, hi int) *Node {
+	n := &Node{}
+	for _, j := range g.idx[lo:hi] {
+		n.NSucceed += g.succ[j]
+		n.NFail += g.fail[j]
+	}
+	if n.NSucceed == 0 || n.NFail == 0 {
 		return n
 	}
-	split, ok := b.bestSplitRange(lo, hi)
+	sp, ok := g.bestSplit(lo, hi, n.NSucceed, n.NFail)
 	if !ok {
 		return n
 	}
-	// Stable in-place partition of the node's index window: yes-side
-	// compacts to the front, no-side stages through the shared scratch.
-	// The parameter index and its value snapshot are resolved once; Holds
-	// is a single integer or float comparison per example. tmp is free to
-	// reuse in the recursive calls because its contents are copied back
-	// before they run.
-	pi, _ := b.s.Index(split.Param)
-	vals := b.vals[pi]
+	mid := g.partition(lo, hi, sp)
+	n.Split = sp.t
+	n.Yes = g.grow(lo, mid)
+	n.No = g.grow(mid, hi)
+	return n
+}
+
+// split is a candidate split: its triple, and the parameter and value code
+// the triple tests, which is all the partition needs.
+type split struct {
+	t     predicate.Triple
+	param int
+	code  uint32
+}
+
+// bestSplit evaluates every candidate triple over the examples of the
+// node's window idx[lo:hi], whose votes total totS and totF, and returns
+// the one with the highest information gain, breaking ties by the
+// canonical triple order so the tree is deterministic. Because the paper
+// builds a *complete* tree, zero-gain splits are still taken when they
+// separate the examples (greedy gain alone deadlocks on XOR-structured
+// data, leaving pure-fail regions undiscovered); ok is false only when no
+// candidate separates the examples at all.
+//
+// The search is counting-based: one pass per parameter over its column
+// accumulates per-code succeed/fail votes, and the gain of every "="
+// candidate falls out of the per-code counts while every "<=" candidate
+// falls out of prefix sums over the codes sorted by value rank — O(params
+// × (examples + k log k)) per node for k observed codes, instead of the
+// naive O(params × values × examples). The gain arithmetic is identical to
+// evaluating each candidate against the example list, so the chosen split
+// (including tie-breaks) matches the naive search exactly.
+//
+//bugdoc:hotpath
+func (g *Grower) bestSplit(lo, hi, totS, totF int) (split, bool) {
+	window := g.idx[lo:hi]
+	// Weighted example mass; equals the window's length for unit weights,
+	// so the gain arithmetic (and every tie-break) of a deterministic
+	// session is unchanged.
+	total := float64(totS + totF)
+	baseH := entropy(totS, totF)
+	var best split
+	bestGain := -1.0
+	for i, col := range g.cols {
+		p := g.space.At(i)
+		vals, rank := g.vals[i], g.rank[i]
+		// Count votes per value code of parameter i, keying each code on
+		// its first sight.
+		keys := g.keys[:0]
+		for _, j := range window {
+			c := col[j]
+			if g.countS[c]+g.countF[c] == 0 {
+				keys = append(keys, uint64(rank[c])<<32|uint64(c))
+			}
+			g.countS[c] += g.succ[j]
+			g.countF[c] += g.fail[j]
+		}
+		slices.Sort(keys)
+		// Thresholds between consecutive observed ordinal values: testing
+		// "<= v" for each observed v covers them all (the largest is
+		// rejected by the empty-no-side guard, since nothing exceeds it).
+		// Prefix sums over the sorted codes give the yes-side counts of
+		// each threshold. NaN values — possible only through out-of-domain
+		// instances — never satisfy any "<=": NaN ranks last, so it is
+		// the largest observed value, never a threshold, and its examples
+		// land on every no side, exactly as Holds evaluates them. A
+		// categorical candidate "= v" counts v's votes alone.
+		yesS, yesF := 0, 0
+		for _, k := range keys {
+			c := uint32(k)
+			cmp := predicate.Eq
+			if p.Kind == pipeline.Ordinal {
+				cmp = predicate.Le
+				yesS += g.countS[c]
+				yesF += g.countF[c]
+			} else {
+				yesS, yesF = g.countS[c], g.countF[c]
+			}
+			yes, no := yesS+yesF, totS+totF-yesS-yesF
+			if yes == 0 || no == 0 {
+				continue
+			}
+			gain := baseH -
+				float64(yes)/total*entropy(yesS, yesF) -
+				float64(no)/total*entropy(totS-yesS, totF-yesF)
+			t := predicate.T(p.Name, cmp, vals[c])
+			if gain > bestGain+1e-12 ||
+				(math.Abs(gain-bestGain) <= 1e-12 && bestGain >= 0 && t.Less(best.t)) {
+				best, bestGain = split{t: t, param: i, code: c}, gain
+			}
+		}
+		for _, k := range keys {
+			g.countS[uint32(k)], g.countF[uint32(k)] = 0, 0
+		}
+		g.keys = keys
+	}
+	// A separating split always exists unless the examples coincide on
+	// every parameter (bestGain stays -1 in that case).
+	return best, bestGain >= 0
+}
+
+// partition stably partitions the window idx[lo:hi] by sp and returns the
+// boundary: the examples satisfying sp move, in order, to idx[lo:mid] and
+// the rest to idx[mid:hi]. The yes side is decided on codes alone: an
+// equality holds for its own code only (interned values are distinct), and
+// a threshold holds for the codes ranked at or below its own (ranks follow
+// numeric order and put NaN last). tmp is free to reuse in the recursive
+// calls because its contents are copied back before they run.
+//
+//bugdoc:hotpath
+func (g *Grower) partition(lo, hi int, sp split) int {
+	col, rank := g.cols[sp.param], g.rank[sp.param]
+	le := sp.t.Cmp == predicate.Le
+	thr := rank[sp.code]
 	mid := lo
-	tmp := b.tmp[:0]
-	for _, j := range b.idx[lo:hi] {
-		if split.Holds(vals[b.examples[j].Instance.Code(pi)]) {
-			b.idx[mid] = j
+	tmp := g.tmp[:0]
+	for _, j := range g.idx[lo:hi] {
+		c := col[j]
+		if c == sp.code || le && rank[c] <= thr {
+			g.idx[mid] = j
 			mid++
 		} else {
 			tmp = append(tmp, j)
 		}
 	}
-	copy(b.idx[mid:hi], tmp)
-	n.Split = split
-	n.Yes = b.build(lo, mid)
-	n.No = b.build(mid, hi)
-	return n
+	copy(g.idx[mid:hi], tmp)
+	return mid
 }
 
-// bestSplit is the slice-facing form of bestSplitRange, kept as the entry
-// point for the differential split tests: it searches the whole example
-// list through a throwaway builder. Build's internal nodes use
-// bestSplitRange directly on the shared permutation.
-func bestSplit(s *pipeline.Space, examples []Example) (predicate.Triple, bool) {
-	return newBuilder(s, examples).bestSplitRange(0, len(examples))
+// entropyTableSize bounds the vote counts whose entropies are tabled.
+const entropyTableSize = 128
+
+var (
+	entropyOnce sync.Once
+	// entropyTable[s][f] is entropyCounts(float64(s), float64(f)), filled
+	// by fillEntropyTable on the first build.
+	entropyTable [entropyTableSize][entropyTableSize]float64
+)
+
+func fillEntropyTable() {
+	for s := range entropyTable {
+		for f := range entropyTable[s] {
+			entropyTable[s][f] = entropyCounts(float64(s), float64(f))
+		}
+	}
 }
 
-// bestSplitRange evaluates every candidate triple over the examples of the
-// node's index window idx[lo:hi] and returns the one with the highest
-// information gain, breaking ties by the canonical triple order so the tree
-// is deterministic. Because the paper builds a *complete* tree, zero-gain
-// splits are still taken when they separate the examples (greedy gain alone
-// deadlocks on XOR-structured data, leaving pure-fail regions
-// undiscovered); ok is false only when no candidate separates the examples
-// at all.
+// entropy is entropyCounts(float64(s), float64(f)) for vote counts s, f >=
+// 0, read from the table when both are below entropyTableSize. Callers
+// have filled the table through entropyOnce.
 //
-// The search is counting-based: one columnar pass per parameter
-// accumulates per-value-code succeed/fail counts, and the gain of every
-// "=" candidate falls out of the per-code counts while every "<="
-// candidate falls out of prefix sums over the codes sorted by value rank —
-// O(params × (examples + k log k)) per node for k observed codes, instead
-// of the naive O(params × values × examples). The gain arithmetic is
-// identical to evaluating each candidate against the example list, so the
-// chosen split (including tie-breaks) matches the naive search exactly.
-func (b *builder) bestSplitRange(lo, hi int) (predicate.Triple, bool) {
-	s := b.s
-	window := b.idx[lo:hi]
-	totS, totF := 0, 0
-	for _, j := range window {
-		ex := &b.examples[j]
-		switch ex.Outcome {
-		case pipeline.Succeed:
-			totS += ex.weight()
-		case pipeline.Fail:
-			totF += ex.weight()
-		}
+//bugdoc:hotpath
+func entropy(s, f int) float64 {
+	if uint(s) < entropyTableSize && uint(f) < entropyTableSize {
+		return entropyTable[s][f]
 	}
-	// Weighted example mass; equals len(window) for unit weights, so the
-	// gain arithmetic (and every tie-break) of a deterministic session is
-	// unchanged.
-	total := float64(totS + totF)
-	baseH := entropyCounts(float64(totS), float64(totF))
-	best := predicate.Triple{}
-	bestGain := -1.0
-	consider := func(t predicate.Triple, yesS, yesF int) {
-		yes, no := yesS+yesF, totS+totF-yesS-yesF
-		if yes == 0 || no == 0 {
-			return
-		}
-		gain := baseH -
-			float64(yes)/total*entropyCounts(float64(yesS), float64(yesF)) -
-			float64(no)/total*entropyCounts(float64(totS-yesS), float64(totF-yesF))
-		if gain > bestGain+1e-12 ||
-			(math.Abs(gain-bestGain) <= 1e-12 && bestGain >= 0 && t.Less(best)) {
-			best, bestGain = t, gain
-		}
-	}
-	for i := 0; i < s.Len(); i++ {
-		p := s.At(i)
-		vals, rank := b.vals[i], b.rank[i]
-		// Columnar pass: count labels per value code of parameter i.
-		if nc := len(vals); len(b.countS) < nc {
-			b.countS = make([]int, nc)
-			b.countF = make([]int, nc)
-		}
-		b.order = b.order[:0]
-		for _, j := range window {
-			ex := &b.examples[j]
-			var dS, dF int
-			switch ex.Outcome {
-			case pipeline.Succeed:
-				dS = ex.weight()
-			case pipeline.Fail:
-				dF = ex.weight()
-			default:
-				continue // inconclusive: no vote, no threshold of its own
-			}
-			c := ex.Instance.Code(i)
-			if b.countS[c]+b.countF[c] == 0 {
-				b.order = append(b.order, c)
-			}
-			b.countS[c] += dS
-			b.countF[c] += dF
-		}
-		slices.SortFunc(b.order, func(x, y uint32) int { return cmp.Compare(rank[x], rank[y]) })
-		switch p.Kind {
-		case pipeline.Categorical:
-			for _, c := range b.order {
-				consider(predicate.T(p.Name, predicate.Eq, vals[c]), b.countS[c], b.countF[c])
-			}
-		case pipeline.Ordinal:
-			// Thresholds between consecutive observed values: testing
-			// "<= v" for each observed v covers them all (the largest is
-			// rejected by consider's empty-no-side guard when nothing
-			// exceeds it). Prefix sums over the sorted codes give the
-			// yes-side counts of each threshold. NaN values — possible
-			// only through out-of-domain instances — never satisfy any
-			// "<=" and are never thresholds themselves; NaN ranks last, so
-			// the prefix sums stop before it and its examples land on
-			// every no side, exactly as Holds evaluates them.
-			cumS, cumF := 0, 0
-			for _, c := range b.order {
-				v := vals[c]
-				if math.IsNaN(v.Num()) {
-					break
-				}
-				cumS += b.countS[c]
-				cumF += b.countF[c]
-				consider(predicate.T(p.Name, predicate.Le, v), cumS, cumF)
-			}
-		}
-		for _, c := range b.order {
-			b.countS[c], b.countF[c] = 0, 0
-		}
-	}
-	// A separating split always exists unless the examples coincide on
-	// every parameter (bestGain stays -1 in that case).
-	if bestGain < 0 {
-		return predicate.Triple{}, false
-	}
-	return best, true
+	return entropyCounts(float64(s), float64(f))
 }
 
 // entropyCounts is the Shannon entropy of a succeed/fail count pair.

@@ -12,12 +12,33 @@ import (
 	"repro/internal/predicate"
 )
 
+// bestSplit runs the counting split search of a Grower over a whole
+// example list, the entry point of the differential split tests.
+func bestSplit(s *pipeline.Space, examples []Example) (predicate.Triple, bool) {
+	g := newGrower(s, len(examples))
+	for _, ex := range examples {
+		if err := g.Add(ex); err != nil {
+			panic(err)
+		}
+	}
+	g.prepare()
+	totS, totF := 0, 0
+	for j := range g.succ {
+		totS += g.succ[j]
+		totF += g.fail[j]
+	}
+	sp, ok := g.bestSplit(0, len(g.idx), totS, totF)
+	return sp.t, ok
+}
+
 // naiveBestSplit is the pre-counting reference implementation: it
 // materializes the yes/no partition of every candidate triple and computes
 // the gain from the partition. The counting-based bestSplit must pick the
-// same split with the same gain and the same canonical tie-break.
+// same split with the same gain and the same canonical tie-break. Examples
+// weigh their votes; examples without a vote take no part.
 func naiveBestSplit(s *pipeline.Space, examples []Example) (predicate.Triple, bool) {
-	total := float64(len(examples))
+	examples = voting(examples)
+	total := float64(naiveMass(examples))
 	baseH := naiveEntropy(examples)
 	best := predicate.Triple{}
 	bestGain := -1.0
@@ -34,8 +55,8 @@ func naiveBestSplit(s *pipeline.Space, examples []Example) (predicate.Triple, bo
 			return
 		}
 		gain := baseH -
-			float64(len(yes))/total*naiveEntropy(yes) -
-			float64(len(no))/total*naiveEntropy(no)
+			float64(naiveMass(yes))/total*naiveEntropy(yes) -
+			float64(naiveMass(no))/total*naiveEntropy(no)
 		if gain > bestGain+1e-12 ||
 			(math.Abs(gain-bestGain) <= 1e-12 && bestGain >= 0 && t.Less(best)) {
 			best, bestGain = t, gain
@@ -87,13 +108,35 @@ func nanLastLess(a, b pipeline.Value) bool {
 	return a.Less(b)
 }
 
+// voting returns the examples that carry a vote: those labelled Succeed
+// or Fail.
+func voting(examples []Example) []Example {
+	var out []Example
+	for _, ex := range examples {
+		if ex.Outcome == pipeline.Succeed || ex.Outcome == pipeline.Fail {
+			out = append(out, ex)
+		}
+	}
+	return out
+}
+
+// naiveMass sums the examples' weights.
+func naiveMass(examples []Example) int {
+	m := 0
+	for _, ex := range examples {
+		m += ex.weight()
+	}
+	return m
+}
+
+// naiveEntropy is the entropy of the weighted labels of voting examples.
 func naiveEntropy(examples []Example) float64 {
 	var s, f float64
 	for _, ex := range examples {
 		if ex.Outcome == pipeline.Succeed {
-			s++
+			s += float64(ex.weight())
 		} else {
-			f++
+			f += float64(ex.weight())
 		}
 	}
 	return entropyCounts(s, f)
@@ -102,13 +145,14 @@ func naiveEntropy(examples []Example) float64 {
 // naiveBuild grows a tree using the naive split search; tree-level
 // differential tests compare it with Build.
 func naiveBuild(s *pipeline.Space, examples []Example) *Node {
+	examples = voting(examples)
 	n := &Node{}
 	for _, ex := range examples {
 		switch ex.Outcome {
 		case pipeline.Succeed:
-			n.NSucceed++
+			n.NSucceed += ex.weight()
 		case pipeline.Fail:
-			n.NFail++
+			n.NFail += ex.weight()
 		}
 	}
 	if n.NSucceed == 0 || n.NFail == 0 || len(examples) < 2 {

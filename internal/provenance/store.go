@@ -232,11 +232,12 @@ func (st *Store) AddBatch(entries []Entry) (added int, err error) {
 const historyBatch = 8192
 
 // AddHistory records previously-run instances — the history a debugging
-// session starts from — through AddBatch, one batch of up to historyBatch
-// records at a time. Records whose instance is already recorded are
-// skipped, so a durable store resumed over an earlier run's log adds only
-// what is missing; the records' Seq fields are ignored. It returns how
-// many records were added.
+// session starts from — as writes of up to historyBatch records each,
+// staged straight from recs: each write is one sink append, as for
+// AddBatch. Records whose instance is already recorded are skipped, so a
+// durable store resumed over an earlier run's log adds only what is
+// missing; the records' Seq fields are ignored. It returns how many
+// records were added.
 //
 // Unlike a batch, a history lists each instance at most once: a repeated
 // instance is an error, as are the records AddBatch rejects, and both
@@ -256,20 +257,30 @@ func (st *Store) AddHistory(recs []Record) (added int, err error) {
 		}
 		seen.put(in.Hash(), int32(i))
 	}
-	batch := make([]Entry, 0, min(len(recs), historyBatch))
 	for len(recs) > 0 {
-		batch = batch[:0]
-		for _, r := range recs[:min(len(recs), historyBatch)] {
-			batch = append(batch, Entry{Instance: r.Instance, Outcome: r.Outcome, Source: r.Source})
-		}
-		recs = recs[len(batch):]
-		n, err := st.AddBatch(batch)
+		chunk := recs[:min(len(recs), historyBatch)]
+		recs = recs[len(chunk):]
+		n, err := st.addChunk(chunk)
 		added += n
 		if err != nil {
 			return added, err
 		}
 	}
 	return added, nil
+}
+
+// addChunk commits one AddHistory write: it stages the validated records
+// of chunk that are not yet recorded and commits them with one sink
+// append.
+func (st *Store) addChunk(chunk []Record) (int, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	from := len(st.recs)
+	st.recs = slices.Grow(st.recs, len(chunk))
+	for i := range chunk {
+		st.stageLocked(chunk[i].Instance, chunk[i].Outcome, chunk[i].Source)
+	}
+	return st.commitStagedLocked(from)
 }
 
 // SortedRun is one hash-sorted checkpoint tier handed to LoadSortedRuns:
