@@ -884,8 +884,9 @@ func distinctInstances(b *testing.B, s *pipeline.Space, start, n int) []pipeline
 }
 
 // BenchmarkEvaluateBatchDurable is the headline batched-dispatch number:
-// one round of 256 fresh hypotheses through a durable executor with fsync
-// enabled at 8 workers — one hypothesis round = one WAL write = one fsync.
+// one round of 256 fresh hypotheses through an executor over a durable
+// store with fsync enabled at 8 workers — one hypothesis round = one WAL
+// write = one fsync.
 func BenchmarkEvaluateBatchDurable(b *testing.B) {
 	space := benchLogSpace(b)
 	oracle := exec.OracleFunc(func(_ context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
@@ -894,12 +895,12 @@ func BenchmarkEvaluateBatchDurable(b *testing.B) {
 		}
 		return pipeline.Succeed, nil
 	})
-	ex, err := exec.NewDurable(oracle, space, b.TempDir(),
-		exec.WithWorkers(8), exec.WithLogOptions(provlog.WithSync(true)))
+	l, st, err := provlog.Open(b.TempDir(), space, provlog.WithSync(true))
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ex.Close()
+	defer l.Close()
+	ex := exec.New(oracle, st, exec.WithWorkers(8))
 	const round = 256
 	ctx := context.Background()
 	b.ResetTimer()

@@ -243,6 +243,7 @@ func WithCompactEvery(n int) Option {
 type Session struct {
 	space        *Space
 	ex           *exec.Executor
+	log          *provlog.Log // nil without WithDurability
 	seed         int64
 	budget       int
 	workers      int
@@ -274,16 +275,13 @@ func NewSession(space *Space, oracle Oracle, opts ...Option) (*Session, error) {
 			return nil, fmt.Errorf("bugdoc: %w", err)
 		}
 	}
-	telOpt := s.telemetryOption()
-	if s.stateDir != "" {
-		exOpts := []exec.Option{exec.WithBudget(s.budget), exec.WithWorkers(s.workers)}
-		if s.flakyPolicy != nil {
-			exOpts = append(exOpts, exec.WithFlakyPolicy(*s.flakyPolicy))
-		}
-		if telOpt != nil {
-			exOpts = append(exOpts, telOpt)
-		}
-		var logOpts []provlog.Option
+	var st *provenance.Store
+	if s.stateDir == "" {
+		st = provenance.NewStore(space)
+	} else {
+		// A nil metrics bundle (no WithTelemetry or WithJournal) leaves the
+		// log uninstrumented.
+		logOpts := []provlog.Option{provlog.WithMetrics(provlog.NewMetrics(s.telemetryReg, s.journal))}
 		if s.fsync {
 			logOpts = append(logOpts, provlog.WithSync(true))
 		}
@@ -293,37 +291,28 @@ func NewSession(space *Space, oracle Oracle, opts ...Option) (*Session, error) {
 		if s.mergePolicy != nil {
 			logOpts = append(logOpts, provlog.WithMergePolicy(*s.mergePolicy))
 		}
-		if len(logOpts) > 0 {
-			exOpts = append(exOpts, exec.WithLogOptions(logOpts...))
+		var err error
+		if s.log, st, err = provlog.Open(s.stateDir, space, logOpts...); err != nil {
+			return nil, fmt.Errorf("bugdoc: durability: %w", err)
 		}
-		ex, err := exec.NewDurable(oracle, space, s.stateDir, exOpts...)
-		if err != nil {
-			return nil, fmt.Errorf("bugdoc: %w", err)
-		}
-		s.ex = ex
-		// The replayed log may already hold history records from an
-		// earlier run of this session; only the missing ones are added
-		// (and thereby logged).
-		if _, err := s.ex.Store().AddHistory(s.history); err != nil {
-			s.ex.Close()
-			return nil, fmt.Errorf("bugdoc: history: %w", err)
-		}
-		s.history = nil // recorded; the store holds it now
-		return s, nil
 	}
-	st := provenance.NewStore(space)
+	exOpts := []exec.Option{
+		exec.WithBudget(s.budget),
+		exec.WithWorkers(s.workers),
+		exec.WithTelemetry(exec.NewTelemetry(s.telemetryReg, s.journal)),
+	}
+	if s.flakyPolicy != nil {
+		exOpts = append(exOpts, exec.WithFlakyPolicy(*s.flakyPolicy))
+	}
+	s.ex = exec.New(oracle, st, exOpts...)
+	// A replayed log may already hold history records from an earlier run
+	// of this session; only the missing ones are added (and thereby
+	// logged).
 	if _, err := st.AddHistory(s.history); err != nil {
+		s.Close()
 		return nil, fmt.Errorf("bugdoc: history: %w", err)
 	}
 	s.history = nil // recorded; the store holds it now
-	volOpts := []exec.Option{exec.WithBudget(s.budget), exec.WithWorkers(s.workers)}
-	if s.flakyPolicy != nil {
-		volOpts = append(volOpts, exec.WithFlakyPolicy(*s.flakyPolicy))
-	}
-	if telOpt != nil {
-		volOpts = append(volOpts, telOpt)
-	}
-	s.ex = exec.New(oracle, st, volOpts...)
 	return s, nil
 }
 
@@ -347,7 +336,12 @@ func ResumeSession(dir string, oracle Oracle, opts ...Option) (*Session, error) 
 // Close seals the durability log, if any. A durable session must be closed
 // before its state directory is resumed; non-durable sessions close as a
 // no-op.
-func (s *Session) Close() error { return s.ex.Close() }
+func (s *Session) Close() error {
+	if s.log == nil {
+		return nil
+	}
+	return s.log.Close()
+}
 
 // Checkpoint compacts a durable session's write-ahead log: the history
 // executed so far folds into a checkpoint file, superseded segments are
@@ -355,7 +349,12 @@ func (s *Session) Close() error { return s.ex.Close() }
 // replaying the whole WAL. The session stays usable throughout. It fails
 // for sessions without WithDurability; see WithCompactEvery for automatic
 // compaction.
-func (s *Session) Checkpoint() error { return s.ex.Checkpoint() }
+func (s *Session) Checkpoint() error {
+	if s.log == nil {
+		return fmt.Errorf("bugdoc: session has no durability log to checkpoint")
+	}
+	return s.log.Checkpoint()
+}
 
 // Store exposes the session's provenance.
 func (s *Session) Store() *Store { return s.ex.Store() }

@@ -2,6 +2,7 @@ package bugdoc_test
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 
@@ -208,6 +209,17 @@ func TestNewSessionValidation(t *testing.T) {
 	defer resumed.Close()
 	if n := resumed.Store().Len(); n != 0 {
 		t.Fatalf("rejected history logged %d records", n)
+	}
+	// An invalid flaky policy fails a durable session before its log is
+	// opened, so the state directory stays empty.
+	empty := t.TempDir()
+	_, err = bugdoc.NewSession(s, bugdoc.OracleFunc(diverges), bugdoc.WithDurability(empty),
+		bugdoc.WithFlakyPolicy(bugdoc.FlakyPolicy{MinTrials: 4, MaxTrials: 2, Quorum: 1}))
+	if err == nil {
+		t.Fatal("invalid flaky policy must fail")
+	}
+	if ents, err := os.ReadDir(empty); err != nil || len(ents) != 0 {
+		t.Fatalf("rejected session left %d entries in its state directory (%v)", len(ents), err)
 	}
 }
 

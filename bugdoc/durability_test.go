@@ -240,6 +240,19 @@ func TestSessionCheckpointResume(t *testing.T) {
 	if got := oracle.maxCalls(); got != 1 {
 		t.Fatalf("an instance reached the oracle %d times across checkpointed resumes, want at most once", got)
 	}
+
+	// A session without WithDurability has no log: Checkpoint refuses
+	// instead of silently doing nothing, and Close is a no-op.
+	volatile, err := bugdoc.NewSession(durabilitySpace(), oracle.oracle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := volatile.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint on a session without durability succeeded")
+	}
+	if err := volatile.Close(); err != nil {
+		t.Fatalf("Close on a session without durability: %v", err)
+	}
 }
 
 // historyRecords returns n distinct records (n <= 1200) of a 3 × 20 × 20

@@ -1,9 +1,6 @@
 package bugdoc
 
-import (
-	"repro/internal/exec"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Telemetry re-exports: the runtime instrumentation layer (not to be
 // confused with the paper-evaluation scoring in internal/metrics — see
@@ -54,13 +51,4 @@ func WithJournal(j *Journal) Option {
 // it returns an empty (but well-formed) snapshot.
 func (s *Session) Stats() StatsSnapshot {
 	return s.telemetryReg.Snapshot()
-}
-
-// telemetryOption builds the executor option carrying the session's
-// instrumentation, or nil when the session is uninstrumented.
-func (s *Session) telemetryOption() exec.Option {
-	if s.telemetryReg == nil && s.journal == nil {
-		return nil
-	}
-	return exec.WithTelemetry(exec.NewTelemetry(s.telemetryReg, s.journal))
 }

@@ -80,10 +80,12 @@
 //     Replay is batched (Space.AdoptInstances builds code-only instances,
 //     with no value slices) and runs at amortized sub-microsecond per
 //     record.
-//   - The stack threads durability through: exec.NewDurable,
-//     bugdoc.WithDurability and bugdoc.ResumeSession, and the cmd/bugdoc
-//     -state-dir/-resume flags. A killed run resumes where it left off
-//     with zero repeated oracle calls for already-logged instances.
+//   - The stack threads durability through bugdoc.WithDurability and
+//     bugdoc.ResumeSession, and the cmd/bugdoc -state-dir/-resume flags:
+//     each opens the log with provlog.Open and builds the executor over
+//     the store it returns (the executor itself owns no storage). A killed
+//     run resumes where it left off with zero repeated oracle calls for
+//     already-logged instances.
 //
 // # Batched hypothesis dispatch: one WAL write per round
 //
@@ -94,9 +96,10 @@
 //
 //   - exec.Executor.EvaluateBatch dedupes a hypothesis set against
 //     memoized history (and against itself), claims budget in input order
-//     (a deterministic partial-result contract), dispatches the misses
-//     across the worker pool, and commits every result through one
-//     provenance.Store.AddBatch.
+//     (a deterministic partial-result contract), runs the misses on the
+//     calling goroutine and up to workers−1 more, and commits every result
+//     through one provenance.Store.AddBatch. Evaluate sends a miss through
+//     it as a set of one, so every oracle result takes this path.
 //   - provenance.Store.AddBatch takes the write lock once and hands the
 //     sink the whole deduplicated batch in one Append, all or nothing;
 //     Store.Add hands it one record. The sink runs under the store lock,

@@ -104,14 +104,13 @@ loop:
 		}
 		tree := grower.Build()
 		ex.Telemetry().TreeRegrow()
-		suspect, ok, err := nextSuspect(s, tree, confirmed, resolved)
+		suspect, key, ok, err := nextSuspect(s, tree, confirmed, resolved)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		key := suspect.String()
 		v, err := verifySuspect(ctx, ex, suspect, opts)
 		if err != nil {
 			return nil, err
@@ -147,8 +146,9 @@ loop:
 
 // nextSuspect returns the first suspect path that is not already resolved
 // and not implied by the confirmed causes (such paths would re-verify
-// regions that are already explained).
-func nextSuspect(s *pipeline.Space, tree *dtree.Node, confirmed predicate.DNF, resolved map[string]bool) (predicate.Conjunction, bool, error) {
+// regions that are already explained), with its rendering, the key of
+// resolved.
+func nextSuspect(s *pipeline.Space, tree *dtree.Node, confirmed predicate.DNF, resolved map[string]bool) (predicate.Conjunction, string, bool, error) {
 	for _, sus := range tree.Suspects() {
 		key := sus.Path.String()
 		if resolved[key] {
@@ -157,15 +157,15 @@ func nextSuspect(s *pipeline.Space, tree *dtree.Node, confirmed predicate.DNF, r
 		if len(confirmed) > 0 {
 			implied, err := predicate.Implies(s, sus.Path, confirmed)
 			if err != nil {
-				return nil, false, err
+				return nil, "", false, err
 			}
 			if implied {
 				continue
 			}
 		}
-		return sus.Path, true, nil
+		return sus.Path, key, true, nil
 	}
-	return nil, false, nil
+	return nil, "", false, nil
 }
 
 // verifySuspect executes new instances satisfying the suspect: per step 3

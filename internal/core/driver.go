@@ -96,25 +96,9 @@ func SeedHistory(ctx context.Context, ex *exec.Executor, r *rand.Rand, maxAttemp
 
 // Options configures the FindOne/FindAll drivers.
 type Options struct {
-	// Rand drives sampling; deterministic default when nil.
+	// Rand drives the Debugging Decision Trees' test sampling;
+	// deterministic default when nil.
 	Rand *rand.Rand
-	// StackedGoods is k for the Stacked Shortcut (default 4, as in §5).
-	StackedGoods int
-	// DDT carries Debugging Decision Tree settings.
-	DDT DDTOptions
-}
-
-func (o Options) withDefaults() Options {
-	if o.Rand == nil {
-		o.Rand = rand.New(rand.NewSource(1))
-	}
-	if o.StackedGoods <= 0 {
-		o.StackedGoods = DefaultStackedGoods
-	}
-	if o.DDT.Rand == nil {
-		o.DDT.Rand = o.Rand
-	}
-	return o
 }
 
 // FindOne runs the selected algorithm to assert at least one minimal
@@ -122,7 +106,6 @@ func (o Options) withDefaults() Options {
 // may be empty when the algorithm refutes its own assertion or runs out of
 // budget.
 func FindOne(ctx context.Context, ex *exec.Executor, algo Algorithm, opts Options) (predicate.DNF, error) {
-	opts = opts.withDefaults()
 	switch algo {
 	case AlgoShortcut:
 		d, err := ShortcutAuto(ctx, ex)
@@ -131,16 +114,13 @@ func FindOne(ctx context.Context, ex *exec.Executor, algo Algorithm, opts Option
 		}
 		return wrapConjunction(d), nil
 	case AlgoStackedShortcut:
-		d, err := StackedShortcut(ctx, ex, opts.StackedGoods)
+		d, err := StackedShortcut(ctx, ex, DefaultStackedGoods)
 		if err != nil {
 			return nil, err
 		}
 		return wrapConjunction(d), nil
 	case AlgoDDT:
-		ddtOpts := opts.DDT
-		ddtOpts.FindAll = false
-		ddtOpts.Simplify = true
-		return DebugDecisionTrees(ctx, ex, ddtOpts)
+		return DebugDecisionTrees(ctx, ex, DDTOptions{Rand: opts.Rand, Simplify: true})
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", algo)
 	}
@@ -151,14 +131,10 @@ func FindOne(ctx context.Context, ex *exec.Executor, algo Algorithm, opts Option
 // algorithms assert a single conjunction by design, so FindAll with a
 // shortcut algorithm returns that one assertion.
 func FindAll(ctx context.Context, ex *exec.Executor, algo Algorithm, opts Options) (predicate.DNF, error) {
-	opts = opts.withDefaults()
 	if algo != AlgoDDT {
 		return FindOne(ctx, ex, algo, opts)
 	}
-	ddtOpts := opts.DDT
-	ddtOpts.FindAll = true
-	ddtOpts.Simplify = true
-	return DebugDecisionTrees(ctx, ex, ddtOpts)
+	return DebugDecisionTrees(ctx, ex, DDTOptions{Rand: opts.Rand, FindAll: true, Simplify: true})
 }
 
 func wrapConjunction(c predicate.Conjunction) predicate.DNF {

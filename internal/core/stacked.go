@@ -34,7 +34,7 @@ func StackedShortcut(ctx context.Context, ex *exec.Executor, k int) (predicate.C
 	if err != nil {
 		return nil, err
 	}
-	goods := ex.Store().MutuallyDisjointSucceeding(cpf, k, true)
+	goods := ex.Store().MutuallyDisjointSucceeding(cpf, k)
 	if len(goods) == 0 {
 		return nil, fmt.Errorf("core: provenance has no succeeding instance")
 	}

@@ -424,12 +424,18 @@ type Suspect struct {
 // Debugging Decision Trees algorithm tests them, since shorter paths make
 // more concise root causes.
 func (n *Node) Suspects() []Suspect {
-	var out []Suspect
+	// Each path is rendered once, not on both sides of every comparison.
+	type keyed struct {
+		Suspect
+		key string
+	}
+	var ks []keyed
 	var walk func(node *Node, path predicate.Conjunction)
 	walk = func(node *Node, path predicate.Conjunction) {
 		if node.IsLeaf() {
 			if node.PureFail() {
-				out = append(out, Suspect{Path: path.Canonical(), Support: node.NFail})
+				c := path.Canonical()
+				ks = append(ks, keyed{Suspect{Path: c, Support: node.NFail}, c.String()})
 			}
 			return
 		}
@@ -437,15 +443,19 @@ func (n *Node) Suspects() []Suspect {
 		walk(node.No, append(path.Clone(), node.Split.Negated()))
 	}
 	walk(n, nil)
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Path) != len(out[j].Path) {
-			return len(out[i].Path) < len(out[j].Path)
+	sort.Slice(ks, func(i, j int) bool {
+		if len(ks[i].Path) != len(ks[j].Path) {
+			return len(ks[i].Path) < len(ks[j].Path)
 		}
-		if out[i].Support != out[j].Support {
-			return out[i].Support > out[j].Support
+		if ks[i].Support != ks[j].Support {
+			return ks[i].Support > ks[j].Support
 		}
-		return out[i].Path.String() < out[j].Path.String()
+		return ks[i].key < ks[j].key
 	})
+	var out []Suspect
+	for _, k := range ks {
+		out = append(out, k.Suspect)
+	}
 	return out
 }
 

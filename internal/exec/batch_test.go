@@ -124,19 +124,36 @@ func TestEvaluateBatchOracleError(t *testing.T) {
 	if ex.Spent() != 2 {
 		t.Fatalf("Spent = %d, want 2 (failed run refunds)", ex.Spent())
 	}
+
+	// A round whose commit fails reports the commit error on every run
+	// that did not reach the store and refunds each unit once, the failed
+	// oracle run's included: an instance of another space makes the store
+	// reject the whole batch. Evaluate's miss takes the same path.
+	foreign := pipeline.MustInstance(testSpace(t), pipeline.Ord(3), pipeline.Ord(4))
+	results = ex.EvaluateBatch(context.Background(), []pipeline.Instance{
+		pipeline.MustInstance(s, pipeline.Ord(3), pipeline.Ord(3)), bad, foreign,
+	})
+	for i, r := range results {
+		if r.Err == nil {
+			t.Fatalf("result %d of a failed commit reported no error", i)
+		}
+	}
+	if _, err := ex.Evaluate(context.Background(), foreign); err == nil {
+		t.Fatal("Evaluate of an uncommittable instance reported no error")
+	}
+	if ex.Store().Len() != 2 || ex.Spent() != 2 {
+		t.Fatalf("after failed commits: %d records, Spent = %d; want 2, 2", ex.Store().Len(), ex.Spent())
+	}
 }
 
-// TestEvaluateBatchDurableResume batches a round into a durable executor,
-// reopens the state dir, and asserts the replayed provenance serves every
-// instance with zero repeated oracle calls.
+// TestEvaluateBatchDurableResume batches a round into an executor over a
+// durable store, reopens the state dir, and asserts the replayed
+// provenance serves every instance with zero repeated oracle calls.
 func TestEvaluateBatchDurableResume(t *testing.T) {
 	dir := t.TempDir()
 	c := &callCounter{calls: map[string]int{}}
-	ex, err := NewDurable(c.oracle(), durableSpace(), dir,
-		WithWorkers(4), WithLogOptions(provlog.WithSync(true)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex, l := openDurable(t, dir, durableSpace(), c.oracle(),
+		[]provlog.Option{provlog.WithSync(true)}, WithWorkers(4))
 	s := ex.Store().Space()
 	var ins []pipeline.Instance
 	for _, x := range []float64{1, 2, 3} {
@@ -149,15 +166,12 @@ func TestEvaluateBatchDurableResume(t *testing.T) {
 			t.Fatalf("result %d: %v", i, r.Err)
 		}
 	}
-	if err := ex.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	ex2, err := NewDurable(c.oracle(), durableSpace(), dir, WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex2.Close()
+	ex2, l2 := openDurable(t, dir, durableSpace(), c.oracle(), nil, WithWorkers(4))
+	defer l2.Close()
 	s2 := ex2.Store().Space()
 	var ins2 []pipeline.Instance
 	for _, in := range ins {

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
-	"repro/internal/provenance"
+	"repro/internal/provlog"
 )
 
 func durableSpace() *pipeline.Space {
@@ -16,6 +16,18 @@ func durableSpace() *pipeline.Space {
 		pipeline.Parameter{Name: "mode", Kind: pipeline.Categorical,
 			Domain: []pipeline.Value{pipeline.Cat("fast"), pipeline.Cat("safe")}},
 	)
+}
+
+// openDurable builds an executor over the store provlog.Open replays from
+// dir, the way a durable session composes the two, and returns the log for
+// the caller to checkpoint and close.
+func openDurable(t *testing.T, dir string, space *pipeline.Space, oracle Oracle, logOpts []provlog.Option, opts ...Option) (*Executor, *provlog.Log) {
+	t.Helper()
+	l, st, err := provlog.Open(dir, space, logOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(oracle, st, opts...), l
 }
 
 // callCounter counts oracle invocations per instance across executor
@@ -50,7 +62,7 @@ func (c *callCounter) max() int {
 }
 
 // TestNewDurableResume evaluates a set of instances, drops the executor,
-// and builds a second durable executor over the same state dir: every
+// and builds a second one over the same state dir's replayed store: every
 // evaluation must be served from the replayed log, with zero repeated
 // oracle calls and zero budget spent.
 func TestNewDurableResume(t *testing.T) {
@@ -59,10 +71,7 @@ func TestNewDurableResume(t *testing.T) {
 	counter := &callCounter{calls: make(map[string]int)}
 
 	s1 := durableSpace()
-	e1, err := NewDurable(counter.oracle(), s1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1, l1 := openDurable(t, dir, s1, counter.oracle(), nil)
 	var keys []string
 	for _, x := range s1.Domain("x") {
 		for _, m := range s1.Domain("mode") {
@@ -76,16 +85,13 @@ func TestNewDurableResume(t *testing.T) {
 	if e1.Spent() != len(keys) {
 		t.Fatalf("first run spent %d, want %d", e1.Spent(), len(keys))
 	}
-	if err := e1.Close(); err != nil {
+	if err := l1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := durableSpace()
-	e2, err := NewDurable(counter.oracle(), s2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
+	e2, l2 := openDurable(t, dir, s2, counter.oracle(), nil)
+	defer l2.Close()
 	if e2.Store().Len() != len(keys) {
 		t.Fatalf("replayed store has %d records, want %d", e2.Store().Len(), len(keys))
 	}
@@ -122,11 +128,8 @@ func TestNewDurableCheckpointResume(t *testing.T) {
 	counter := &callCounter{calls: make(map[string]int)}
 
 	s1 := durableSpace()
-	e1, err := NewDurable(counter.oracle(), s1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.Checkpoint(); err != nil {
+	e1, l1 := openDurable(t, dir, s1, counter.oracle(), nil)
+	if err := l1.Checkpoint(); err != nil {
 		t.Fatal(err) // empty-log checkpoint must be a clean no-op
 	}
 	var all []pipeline.Instance
@@ -141,7 +144,7 @@ func TestNewDurableCheckpointResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e1.Checkpoint(); err != nil {
+	if err := l1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// The suffix: evaluations landing after the checkpoint.
@@ -150,16 +153,13 @@ func TestNewDurableCheckpointResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e1.Close(); err != nil {
+	if err := l1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	for round := 0; round < 2; round++ {
 		s2 := durableSpace()
-		e2, err := NewDurable(counter.oracle(), s2, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e2, l2 := openDurable(t, dir, s2, counter.oracle(), nil)
 		if e2.Store().Len() != len(all) {
 			t.Fatalf("round %d: store has %d records, want %d", round, e2.Store().Len(), len(all))
 		}
@@ -176,11 +176,11 @@ func TestNewDurableCheckpointResume(t *testing.T) {
 		if round == 0 {
 			// Compact again on resume so the second round loads a
 			// checkpoint that itself came from checkpoint + suffix.
-			if err := e2.Checkpoint(); err != nil {
+			if err := l2.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := e2.Close(); err != nil {
+		if err := l2.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,16 +189,5 @@ func TestNewDurableCheckpointResume(t *testing.T) {
 	}
 	if got := e1.Store(); got != nil && got.Len() != len(all) {
 		t.Fatalf("store drifted to %d records", got.Len())
-	}
-}
-
-// TestCheckpointNonDurable verifies executors without a log refuse to
-// checkpoint instead of silently doing nothing.
-func TestCheckpointNonDurable(t *testing.T) {
-	s := durableSpace()
-	counter := &callCounter{calls: make(map[string]int)}
-	e := New(counter.oracle(), provenance.NewStore(s))
-	if err := e.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint on a non-durable executor succeeded")
 	}
 }

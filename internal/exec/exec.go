@@ -5,17 +5,18 @@
 // pool of workers (Section 4.3, "each pipeline instance is independent;
 // hence different instances can be run in parallel").
 //
-// Executors come in two flavors: New builds a volatile one over an
-// existing store, and NewDurable write-ahead logs every oracle result
-// under a state directory (internal/provlog) so a killed run resumes with
-// zero repeated oracle calls. Durable executors also support Checkpoint,
-// which compacts the log so resume cost stays bounded by the live history
-// (see docs/ARCHITECTURE.md for how the layers fit together).
+// Every evaluation takes one path. Evaluate serves a memoized instance
+// from the store and sends a miss through EvaluateBatch as a set of one.
+// EvaluateBatch dedupes a hypothesis set against memoized history (and
+// against itself), claims budget deterministically in input order, runs
+// the misses on the calling goroutine and up to workers−1 more, and
+// commits every result through one provenance batch append, so a round
+// over a durable store costs one log write (one fsync) instead of one per
+// record.
 //
-// EvaluateBatch dispatches a whole hypothesis set: it dedupes against
-// memoized history, claims budget deterministically in input order, and
-// commits every result through one provenance batch append, so a durable
-// round costs one log write (one fsync) instead of one per record.
+// The executor owns no storage. A durable session opens its write-ahead
+// log with internal/provlog and builds the executor over the store the
+// log returns (see docs/ARCHITECTURE.md for how the layers fit together).
 package exec
 
 import (
@@ -23,11 +24,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/provenance"
-	"repro/internal/provlog"
 	"repro/internal/telemetry"
 )
 
@@ -76,13 +77,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithLogOptions forwards options to the durability log that NewDurable
-// opens (segment size, fsync, compaction and tier-merge policy). Executors
-// built by New have no log and ignore them.
-func WithLogOptions(opts ...provlog.Option) Option {
-	return func(e *Executor) { e.logOpts = append(e.logOpts, opts...) }
-}
-
 // FlakyPolicy configures quorum outcome resolution for non-deterministic
 // oracles (see pipeline.FlakyPolicy): how many trials to dispatch per
 // instance and how many agreeing votes resolve it. The zero value keeps
@@ -93,7 +87,7 @@ type FlakyPolicy = pipeline.FlakyPolicy
 // every un-memoized instance is re-dispatched until the policy's quorum
 // resolves (majority vote; an exact tie at the trial cap records
 // pipeline.OutcomeInconclusive). Each trial consumes one budget unit and is
-// write-ahead logged individually on durable executors, so a killed run
+// write-ahead logged individually when the store has a log, so a killed run
 // resumes mid-quorum with its accumulated votes. A disabled policy
 // (MaxTrials <= 1, including the zero value) is the deterministic fast
 // path: the executor behaves byte-for-byte as without the option.
@@ -107,10 +101,8 @@ type Executor struct {
 	oracle  Oracle
 	store   *provenance.Store
 	workers int
-	log     *provlog.Log     // non-nil for durable executors (NewDurable)
-	logOpts []provlog.Option // collected by WithLogOptions for NewDurable
-	tel     *Telemetry       // nil when uninstrumented (the fast path)
-	flaky   FlakyPolicy      // quorum policy; zero value = deterministic path
+	tel     *Telemetry  // nil when uninstrumented (the fast path)
+	flaky   FlakyPolicy // quorum policy; zero value = deterministic path
 
 	mu     sync.Mutex
 	budget int // remaining new executions; negative = unlimited
@@ -131,8 +123,8 @@ func New(oracle Oracle, store *provenance.Store, opts ...Option) *Executor {
 		}
 		// The vote ledger lives in the store so its bitset algebra and
 		// memoization see only resolved outcomes; the policy must be
-		// attached before the first trial. For durable executors the log
-		// has already replayed any partial quorums into the ledger.
+		// attached before the first trial. A store opened from a log has
+		// already replayed any partial quorums into the ledger.
 		store.SetTrialPolicy(e.flaky)
 	}
 	if e.tel != nil {
@@ -143,59 +135,6 @@ func New(oracle Oracle, store *provenance.Store, opts ...Option) *Executor {
 		store.SetMetrics(provenance.NewMetrics(e.tel.reg))
 	}
 	return e
-}
-
-// NewDurable builds an executor whose provenance is write-ahead logged
-// under dir: every oracle result is on disk before it is queryable, and
-// reopening the same dir replays the log into the store, so instances
-// evaluated by an earlier (even killed) process are served from provenance
-// without consuming budget or touching the oracle. The space must be
-// constructed from the same declaration every run; the log's fingerprint
-// check enforces this. Callers must Close the executor to seal the log.
-func NewDurable(oracle Oracle, space *pipeline.Space, dir string, opts ...Option) (*Executor, error) {
-	// Collect the log options before the log exists.
-	cfg := &Executor{}
-	for _, o := range opts {
-		o(cfg)
-	}
-	if cfg.flaky.Enabled() {
-		if err := cfg.flaky.Validate(); err != nil {
-			return nil, fmt.Errorf("exec: %w", err)
-		}
-	}
-	if cfg.tel != nil {
-		cfg.logOpts = append(cfg.logOpts, provlog.WithMetrics(provlog.NewMetrics(cfg.tel.reg, cfg.tel.journal)))
-	}
-	l, st, err := provlog.Open(dir, space, cfg.logOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("exec: durability: %w", err)
-	}
-	e := New(oracle, st, opts...)
-	e.log = l
-	return e, nil
-}
-
-// Close seals the durability log, if any. Further executions fail rather
-// than run unlogged; executors built by New have nothing to close.
-func (e *Executor) Close() error {
-	if e.log == nil {
-		return nil
-	}
-	return e.log.Close()
-}
-
-// Checkpoint folds the durability log's sealed history into a checkpoint
-// and garbage-collects the segments it supersedes, so reopening the state
-// directory loads the checkpoint instead of replaying the whole WAL (see
-// provlog.Log.Checkpoint). The executor stays live: evaluations continue
-// while the compaction runs. It fails for executors built by New, which
-// have no log. For periodic compaction, thread
-// provlog.WithCompactEvery through WithLogOptions instead.
-func (e *Executor) Checkpoint() error {
-	if e.log == nil {
-		return fmt.Errorf("exec: executor has no durability log to checkpoint")
-	}
-	return e.log.Checkpoint()
 }
 
 // Store returns the provenance store backing the executor.
@@ -247,7 +186,9 @@ func (e *Executor) release() {
 // Evaluate returns the outcome of one instance: from provenance when
 // already known, otherwise by running the oracle (consuming budget) and
 // recording the result. Evaluation is deterministic per Definition 2, so
-// memoization is sound.
+// memoization is sound. A miss is evaluated as a set of one by
+// EvaluateBatch, so it takes the same budget, dispatch and commit path as
+// every other instance.
 //
 //bugdoc:hotpath
 func (e *Executor) Evaluate(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
@@ -257,23 +198,8 @@ func (e *Executor) Evaluate(ctx context.Context, in pipeline.Instance) (pipeline
 		}
 		return out, nil
 	}
-	if t := e.tel; t != nil {
-		t.memoMisses.Inc()
-	}
-	if err := ctx.Err(); err != nil {
-		return pipeline.OutcomeUnknown, err
-	}
-	if err := e.reserve(); err != nil {
-		return pipeline.OutcomeUnknown, err
-	}
-	if e.flaky.Enabled() {
-		return e.evaluateFlaky(ctx, in)
-	}
-	out, err := e.runReserved(ctx, in)
-	if err != nil {
-		return pipeline.OutcomeUnknown, err
-	}
-	return e.commitOne(in, out)
+	r := e.EvaluateBatch(ctx, []pipeline.Instance{in})[0]
+	return r.Outcome, r.Err
 }
 
 // evaluateFlaky resolves one instance under the flaky policy: it runs the
@@ -290,8 +216,8 @@ func (e *Executor) Evaluate(ctx context.Context, in pipeline.Instance) (pipeline
 // trial normally runs alone on its instance. A caller racing another on
 // one instance stays correct: the ledger refuses votes once the tallies
 // resolve, so recorded votes never exceed MaxTrials and every resolver
-// commits the same outcome. The racer's extra trials stay paid, like
-// commitOne's duplicate runs.
+// commits the same outcome. The racer's extra trials stay paid, like the
+// duplicate runs commitBatch skips.
 func (e *Executor) evaluateFlaky(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
 	held := true // one reservation claimed by the caller
 	for {
@@ -398,22 +324,6 @@ func (e *Executor) runOracle(ctx context.Context, in pipeline.Instance) (pipelin
 	return out, err
 }
 
-// commitOne records one oracle result in provenance.
-func (e *Executor) commitOne(in pipeline.Instance, out pipeline.Outcome) (pipeline.Outcome, error) {
-	if err := e.store.Add(in, out, "executor"); err != nil {
-		// A concurrent evaluation of the same instance won the race; its
-		// result is authoritative and our duplicate execution was wasted
-		// budget (the paper accepts this: parallelism "may lead to the
-		// execution of pipelines that are ultimately unnecessary").
-		if prev, ok := e.store.Lookup(in); ok {
-			return prev, nil
-		}
-		e.release()
-		return pipeline.OutcomeUnknown, err
-	}
-	return out, nil
-}
-
 // Result pairs an instance with its evaluation or error from
 // EvaluateBatch.
 type Result struct {
@@ -427,7 +337,7 @@ type Result struct {
 // memoized history (and against itself) up front, claims budget in input
 // order, dispatches the misses across the workers, and commits all results
 // through a single provenance.Store.AddBatch — one store write-lock
-// acquisition and one sink append, so a durable executor pays one log
+// acquisition and one sink append, so a store with a log pays one log
 // write (one fsync) per round instead of one per record. Results become
 // queryable, and durable, together at the end of the batch, so a crash
 // mid-batch re-executes the whole round. Individual failures (budget
@@ -449,46 +359,7 @@ func (e *Executor) EvaluateBatch(ctx context.Context, ins []pipeline.Instance) [
 	results := make([]Result, len(ins))
 	run, dupOf := e.planSet(ctx, ins, results)
 	e.tel.batchDispatch(len(ins), len(run), len(dupOf), !e.flaky.Enabled())
-
-	if len(run) > 0 {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		workers := e.workers
-		if workers > len(run) {
-			workers = len(run)
-		}
-		var queue *telemetry.Gauge
-		if e.tel != nil {
-			queue = e.tel.queueDepth
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					queue.Add(-1)
-					var out pipeline.Outcome
-					var err error
-					if e.flaky.Enabled() {
-						// Quorum resolution commits per instance: every vote
-						// is already its own log write, so batching the final
-						// records would only delay resolution visibility.
-						out, err = e.evaluateFlaky(ctx, ins[i])
-					} else {
-						out, err = e.runReserved(ctx, ins[i])
-					}
-					results[i].Outcome, results[i].Err = out, err
-				}
-			}()
-		}
-		for _, i := range run {
-			queue.Add(1)
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-
+	e.dispatch(ctx, ins, run, results)
 	if !e.flaky.Enabled() {
 		e.commitBatch(ins, run, results)
 	}
@@ -496,6 +367,49 @@ func (e *Executor) EvaluateBatch(ctx context.Context, ins []pipeline.Instance) [
 		results[i].Outcome, results[i].Err = results[j].Outcome, results[j].Err
 	}
 	return results
+}
+
+// dispatch evaluates the instances at indices run of ins and writes each
+// result to its index of results. The calling goroutine is one of
+// min(workers, len(run)) workers, and each worker takes the next index
+// from one shared counter until none is left, so a one-worker round runs
+// inline. The queue-depth gauge counts the dispatched instances no worker
+// has taken yet.
+func (e *Executor) dispatch(ctx context.Context, ins []pipeline.Instance, run []int, results []Result) {
+	var queue *telemetry.Gauge
+	if e.tel != nil {
+		queue = e.tel.queueDepth
+	}
+	queue.Add(int64(len(run)))
+	var next atomic.Int64
+	work := func() {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= len(run) {
+				return
+			}
+			queue.Add(-1)
+			i := run[k]
+			if e.flaky.Enabled() {
+				// Quorum resolution commits per instance: every vote is
+				// already its own log write, so batching the final records
+				// would only delay resolution visibility.
+				results[i].Outcome, results[i].Err = e.evaluateFlaky(ctx, ins[i])
+			} else {
+				results[i].Outcome, results[i].Err = e.runReserved(ctx, ins[i])
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(e.workers, len(run)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // planSet resolves memoized hits and intra-set duplicates and claims
@@ -548,20 +462,21 @@ func (e *Executor) planSet(ctx context.Context, ins []pipeline.Instance, results
 // refunded: an unrecorded execution must not be treated as provenance.
 func (e *Executor) commitBatch(ins []pipeline.Instance, run []int, results []Result) {
 	entries := make([]provenance.Entry, 0, len(run))
-	idxs := make([]int, 0, len(run))
 	for _, i := range run {
 		if results[i].Err == nil {
 			entries = append(entries, provenance.Entry{
 				Instance: ins[i], Outcome: results[i].Outcome, Source: "executor",
 			})
-			idxs = append(idxs, i)
 		}
 	}
 	if len(entries) == 0 {
 		return
 	}
 	if _, err := e.store.AddBatch(entries); err != nil {
-		for _, i := range idxs {
+		for _, i := range run {
+			if results[i].Err != nil {
+				continue // not in the batch
+			}
 			if _, ok := e.store.Lookup(ins[i]); !ok {
 				results[i].Outcome = pipeline.OutcomeUnknown
 				results[i].Err = err

@@ -146,51 +146,59 @@ func TestEvaluateContextCancelled(t *testing.T) {
 }
 
 // TestEvaluateAllParallelAndOrdered evaluates all of a set through
-// EvaluateBatch: the oracle runs concurrently and the results come back in
-// input order.
+// EvaluateBatch at 1, 2 and 4 workers: the calling goroutine and workers−1
+// more run the oracle, so the peak of concurrent oracle calls reaches 2
+// when there are two workers or more and never exceeds the worker count,
+// and the results come back in input order.
 func TestEvaluateAllParallelAndOrdered(t *testing.T) {
 	s := testSpace(t)
-	var inFlight, peak atomic.Int32
-	oracle := OracleFunc(func(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
-		cur := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-		inFlight.Add(-1)
-		return failIfA1(ctx, in)
-	})
-	ex := New(oracle, provenance.NewStore(s), WithWorkers(4))
 	var ins []pipeline.Instance
 	for a := 1.0; a <= 4; a++ {
 		for b := 1.0; b <= 4; b++ {
 			ins = append(ins, pipeline.MustInstance(s, pipeline.Ord(a), pipeline.Ord(b)))
 		}
 	}
-	results := ex.EvaluateBatch(context.Background(), ins)
-	if len(results) != len(ins) {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("result %d: %v", i, r.Err)
+	for _, workers := range []int{1, 2, 4} {
+		var inFlight, peak atomic.Int32
+		oracle := OracleFunc(func(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
+			cur := inFlight.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			time.Sleep(5 * time.Millisecond)
+			inFlight.Add(-1)
+			return failIfA1(ctx, in)
+		})
+		ex := New(oracle, provenance.NewStore(s), WithWorkers(workers))
+		results := ex.EvaluateBatch(context.Background(), ins)
+		if len(results) != len(ins) {
+			t.Fatalf("workers %d: results = %d", workers, len(results))
 		}
-		if !r.Instance.Equal(ins[i]) {
-			t.Fatalf("result %d out of order", i)
+		for i, r := range results {
+			if r.Err != nil {
+				t.Fatalf("workers %d: result %d: %v", workers, i, r.Err)
+			}
+			if !r.Instance.Equal(ins[i]) {
+				t.Fatalf("workers %d: result %d out of order", workers, i)
+			}
+			want := pipeline.Succeed
+			if ins[i].Value(0) == pipeline.Ord(1) {
+				want = pipeline.Fail
+			}
+			if r.Outcome != want {
+				t.Fatalf("workers %d: result %d = %v, want %v", workers, i, r.Outcome, want)
+			}
 		}
-		want := pipeline.Succeed
-		if ins[i].Value(0) == pipeline.Ord(1) {
-			want = pipeline.Fail
+		p := peak.Load()
+		if p > int32(workers) {
+			t.Fatalf("workers %d: peak concurrency = %d, above the worker count", workers, p)
 		}
-		if r.Outcome != want {
-			t.Fatalf("result %d = %v, want %v", i, r.Outcome, want)
+		if workers >= 2 && p < 2 {
+			t.Fatalf("workers %d: peak concurrency = %d, want >= 2", workers, p)
 		}
-	}
-	if p := peak.Load(); p < 2 {
-		t.Fatalf("peak concurrency = %d, want >= 2", p)
 	}
 }
 

@@ -218,26 +218,20 @@ func TestFlakyResumeFromReplayedVotes(t *testing.T) {
 				return pipeline.Fail, nil
 			})
 			s1 := durableSpace()
-			e1, err := NewDurable(oracle, s1, dir, WithFlakyPolicy(c.policy))
-			if err != nil {
-				t.Fatal(err)
-			}
+			e1, l1 := openDurable(t, dir, s1, oracle, nil, WithFlakyPolicy(c.policy))
 			in1 := pipeline.MustInstance(s1, pipeline.Ord(3), pipeline.Cat("safe"))
 			for _, v := range c.votes {
 				if _, err := e1.Store().AddTrial(in1, v, "executor"); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := e1.Close(); err != nil {
+			if err := l1.Close(); err != nil {
 				t.Fatal(err)
 			}
 
 			s2 := durableSpace()
-			e2, err := NewDurable(oracle, s2, dir, WithFlakyPolicy(c.policy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e2.Close()
+			e2, l2 := openDurable(t, dir, s2, oracle, nil, WithFlakyPolicy(c.policy))
+			defer l2.Close()
 			in2 := pipeline.MustInstance(s2, pipeline.Ord(3), pipeline.Cat("safe"))
 			out, err := e2.Evaluate(context.Background(), in2)
 			if err != nil || out != pipeline.Fail {
@@ -330,9 +324,6 @@ func TestFlakyPolicyValidationOnConstruction(t *testing.T) {
 		}()
 		New(OracleFunc(failIfA1), provenance.NewStore(s), WithFlakyPolicy(bad))
 	}()
-	if _, err := NewDurable(OracleFunc(failIfA1), s, t.TempDir(), WithFlakyPolicy(bad)); err == nil {
-		t.Error("NewDurable accepted an invalid flaky policy")
-	}
 }
 
 // TestFlakyQuorumRaceStress races 8 workers re-dispatching the same

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -63,7 +64,7 @@ func TestTelemetryCounters(t *testing.T) {
 	}
 
 	// Journal: one trial_start/trial_end pair per oracle run, one
-	// batch_dispatch per set.
+	// batch_dispatch per set — the Evaluate miss is a set of one.
 	counts := map[string]int{}
 	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
 	for sc.Scan() {
@@ -76,8 +77,29 @@ func TestTelemetryCounters(t *testing.T) {
 	if counts["trial_start"] != 2 || counts["trial_end"] != 2 {
 		t.Errorf("journal trials = %v, want 2 starts + 2 ends", counts)
 	}
-	if counts["batch_dispatch"] != 1 {
-		t.Errorf("journal batch_dispatch = %d, want 1", counts["batch_dispatch"])
+	if counts["batch_dispatch"] != 2 {
+		t.Errorf("journal batch_dispatch = %d, want 2", counts["batch_dispatch"])
+	}
+
+	// Queue depth counts the dispatched instances no worker has taken: a
+	// one-worker round of four reads 3, 2, 1, 0 from inside its oracle
+	// calls, and 0 once the round returns.
+	qreg := telemetry.NewRegistry()
+	var depths []int64
+	qex := New(OracleFunc(func(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
+		depths = append(depths, qreg.Snapshot().Gauges["exec_queue_depth"])
+		return failIfA1(ctx, in)
+	}), provenance.NewStore(s), WithTelemetry(NewTelemetry(qreg, nil)))
+	var round []pipeline.Instance
+	for b := 1.0; b <= 4; b++ {
+		round = append(round, pipeline.MustInstance(s, pipeline.Ord(3), pipeline.Ord(b)))
+	}
+	qex.EvaluateBatch(ctx, round)
+	if want := []int64{3, 2, 1, 0}; !slices.Equal(depths, want) {
+		t.Errorf("queue depth seen by the oracle = %v, want %v", depths, want)
+	}
+	if got := qreg.Snapshot().Gauges["exec_queue_depth"]; got != 0 {
+		t.Errorf("queue depth after the round = %d, want 0", got)
 	}
 }
 

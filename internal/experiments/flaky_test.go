@@ -14,23 +14,25 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/predicate"
 	"repro/internal/provenance"
+	"repro/internal/provlog"
 	"repro/internal/synth"
 )
 
 // runFlakySession drives one full debugging session — plant a failing
-// hint, seed history, FindAll with DDT — over a durable executor and
-// returns the recovered causes, the provenance record stream in sequence
+// hint, seed history, FindAll with DDT — over an executor on the store
+// provlog.Open replays from dir, and returns the recovered causes, the provenance record stream in sequence
 // order, and the budget spent. The two rand seeds are split so the twin
 // sessions sample identical instances regardless of oracle wrapping.
 func runFlakySession(t *testing.T, dir string, sp *synth.Pipeline, oracle exec.Oracle,
 	historySeed, algoSeed int64, opts ...exec.Option) (predicate.DNF, []provenance.Record, int) {
 	t.Helper()
 	ctx := context.Background()
-	ex, err := exec.NewDurable(oracle, sp.Space, dir, opts...)
+	l, st, err := provlog.Open(dir, sp.Space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ex.Close()
+	defer l.Close()
+	ex := exec.New(oracle, st, opts...)
 	if in, ok := sp.SampleFailing(rand.New(rand.NewSource(historySeed))); ok {
 		if _, err := ex.Evaluate(ctx, in); err != nil {
 			t.Fatal(err)

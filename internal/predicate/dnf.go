@@ -38,18 +38,25 @@ func (d DNF) Validate(s *pipeline.Space) error {
 // Canonical returns a copy with each conjunct canonicalized, syntactic
 // duplicates removed, and conjuncts sorted deterministically.
 func (d DNF) Canonical() DNF {
-	out := make(DNF, 0, len(d))
-	for _, c := range d {
-		out = append(out, c.Canonical())
+	// Each conjunct is rendered once, not on both sides of every
+	// comparison.
+	type keyed struct {
+		c   Conjunction
+		key string
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	dedup := out[:0]
-	for i, c := range out {
-		if i == 0 || c.String() != out[i-1].String() {
-			dedup = append(dedup, c)
+	ks := make([]keyed, len(d))
+	for i, c := range d {
+		cc := c.Canonical()
+		ks[i] = keyed{cc, cc.String()}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make(DNF, 0, len(d))
+	for i, k := range ks {
+		if i == 0 || k.key != ks[i-1].key {
+			out = append(out, k.c)
 		}
 	}
-	return dedup
+	return out
 }
 
 // Clone returns a deep copy of the DNF.

@@ -16,19 +16,24 @@ import (
 // outside the declared universe are never contained in any region.
 type Region struct {
 	space   *pipeline.Space
-	allowed [][]bool // [param][domainIndex]
+	allowed [][]bool // [param][domainIndex], rows cut from one backing array
 }
 
 // FullRegion returns the region allowing every domain value of every
 // parameter (the denotation of the empty conjunction).
 func FullRegion(s *pipeline.Space) Region {
+	n := 0
+	for i := 0; i < s.Len(); i++ {
+		n += len(s.At(i).Domain)
+	}
+	cells := make([]bool, n)
+	for j := range cells {
+		cells[j] = true
+	}
 	allowed := make([][]bool, s.Len())
 	for i := range allowed {
-		row := make([]bool, len(s.At(i).Domain))
-		for j := range row {
-			row[j] = true
-		}
-		allowed[i] = row
+		d := len(s.At(i).Domain)
+		allowed[i], cells = cells[:d:d], cells[d:]
 	}
 	return Region{space: s, allowed: allowed}
 }
@@ -114,13 +119,11 @@ func (r Region) Intersect(o Region) Region {
 	if r.space != o.space {
 		panic("predicate: Intersect across spaces")
 	}
-	out := Region{space: r.space, allowed: make([][]bool, len(r.allowed))}
-	for i := range r.allowed {
-		row := make([]bool, len(r.allowed[i]))
+	out := r.clone()
+	for i, row := range out.allowed {
 		for j := range row {
-			row[j] = r.allowed[i][j] && o.allowed[i][j]
+			row[j] = row[j] && o.allowed[i][j]
 		}
-		out.allowed[i] = row
 	}
 	return out
 }
@@ -154,12 +157,17 @@ func (r Region) restrict(t Triple) Region {
 	return out
 }
 
+// clone copies the region into rows cut from one backing array.
 func (r Region) clone() Region {
+	n := 0
+	for _, row := range r.allowed {
+		n += len(row)
+	}
+	cells := make([]bool, n)
 	out := Region{space: r.space, allowed: make([][]bool, len(r.allowed))}
-	for i := range r.allowed {
-		row := make([]bool, len(r.allowed[i]))
-		copy(row, r.allowed[i])
-		out.allowed[i] = row
+	for i, row := range r.allowed {
+		out.allowed[i], cells = cells[:len(row):len(row)], cells[len(row):]
+		copy(out.allowed[i], row)
 	}
 	return out
 }

@@ -27,7 +27,17 @@ func TestFullRegion(t *testing.T) {
 	if r.Empty() {
 		t.Fatal("full region must not be empty")
 	}
+	// The rows share one backing array: a region costs two allocations,
+	// the row headers and the cells, whatever its parameter count.
+	if n := testing.AllocsPerRun(100, func() { regionSink = FullRegion(s) }); n != 2 {
+		t.Fatalf("FullRegion allocated %v times, want 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { regionSink = r.Intersect(r) }); n != 2 {
+		t.Fatalf("Intersect allocated %v times, want 2", n)
+	}
 }
+
+var regionSink Region
 
 func TestRegionOfConjunction(t *testing.T) {
 	s := testSpace(t)

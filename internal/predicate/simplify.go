@@ -205,15 +205,17 @@ func irredundant(s *pipeline.Space, d DNF) (DNF, error) {
 	for changed := true; changed && len(kept) > 1; {
 		changed = false
 		order := make([]int, len(kept))
+		keys := make([]string, len(kept)) // each conjunct rendered once per sort
 		for i := range order {
 			order[i] = i
+			keys[i] = kept[i].String()
 		}
 		sort.Slice(order, func(a, b int) bool {
 			ca, cb := kept[order[a]], kept[order[b]]
 			if len(ca) != len(cb) {
 				return len(ca) > len(cb)
 			}
-			return ca.String() < cb.String()
+			return keys[order[a]] < keys[order[b]]
 		})
 		for _, i := range order {
 			rest := make(DNF, 0, len(kept)-1)

@@ -97,10 +97,9 @@ func compareStores(t *testing.T, r *rand.Rand, s *pipeline.Space, a, b *Store, i
 			t.Fatalf("MostDifferentSucceeding(%v): (%v,%v) vs (%v,%v)", ref, ma, oka, mb, okb)
 		}
 		k := 1 + r.Intn(5)
-		pad := r.Intn(2) == 0
-		if !sameInstances(a.MutuallyDisjointSucceeding(ref, k, pad),
-			b.MutuallyDisjointSucceeding(ref, k, pad)) {
-			t.Fatalf("MutuallyDisjointSucceeding(%v, %d, %v) diverges", ref, k, pad)
+		if !sameInstances(a.MutuallyDisjointSucceeding(ref, k),
+			b.MutuallyDisjointSucceeding(ref, k)) {
+			t.Fatalf("MutuallyDisjointSucceeding(%v, %d) diverges", ref, k)
 		}
 	}
 }

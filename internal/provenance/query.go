@@ -151,11 +151,11 @@ func (st *Store) MostDifferentSucceeding(ref pipeline.Instance) (pipeline.Instan
 // MutuallyDisjointSucceeding greedily selects up to k succeeding instances
 // that are disjoint from ref and pairwise disjoint, in execution order
 // (the CP_G set of the Stacked Shortcut algorithm). When fewer than k fully
-// disjoint instances exist it pads, if allowed, with the most-different
-// remaining succeeding instances, reflecting the paper's "mutually disjoint
-// if possible". A ref from a different space selects nothing (see
+// disjoint instances exist it pads with the most-different remaining
+// succeeding instances, reflecting the paper's "mutually disjoint if
+// possible". A ref from a different space selects nothing (see
 // MostDifferentSucceeding).
-func (st *Store) MutuallyDisjointSucceeding(ref pipeline.Instance, k int, pad bool) []pipeline.Instance {
+func (st *Store) MutuallyDisjointSucceeding(ref pipeline.Instance, k int) []pipeline.Instance {
 	if ref.Space() != st.space {
 		return nil
 	}
@@ -180,9 +180,6 @@ func (st *Store) MutuallyDisjointSucceeding(ref pipeline.Instance, k int, pad bo
 			chosen = append(chosen, in)
 			used[idx] = true
 		}
-	}
-	if !pad {
-		return chosen
 	}
 	// Pad with most-different succeeding instances not yet chosen.
 	type cand struct {

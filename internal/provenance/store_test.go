@@ -126,7 +126,7 @@ func TestCrossSpaceQueriesDoNotPanic(t *testing.T) {
 	if in, ok := st.MostDifferentSucceeding(ref); ok {
 		t.Fatalf("MostDifferentSucceeding(foreign) = %v, want not found", in)
 	}
-	if got := st.MutuallyDisjointSucceeding(ref, 3, true); got != nil {
+	if got := st.MutuallyDisjointSucceeding(ref, 3); got != nil {
 		t.Fatalf("MutuallyDisjointSucceeding(foreign) = %v, want nil", got)
 	}
 	// Same space count, different identity: still foreign.
@@ -135,7 +135,7 @@ func TestCrossSpaceQueriesDoNotPanic(t *testing.T) {
 	if _, ok := st.MostDifferentSucceeding(refTwin); ok {
 		t.Fatal("MostDifferentSucceeding must reject a twin-space ref")
 	}
-	if got := st.MutuallyDisjointSucceeding(refTwin, 2, false); got != nil {
+	if got := st.MutuallyDisjointSucceeding(refTwin, 2); got != nil {
 		t.Fatalf("MutuallyDisjointSucceeding(twin) = %v, want nil", got)
 	}
 	// The trial ledger settles a foreign instance as unknown, so the
@@ -149,25 +149,25 @@ func TestMutuallyDisjointSucceeding(t *testing.T) {
 	s := testSpace(t)
 	st := seedStore(t, s)
 	f, _ := st.FirstFailing()
-	// (2,y) and (3,z) are mutually disjoint and disjoint from (1,x).
-	got := st.MutuallyDisjointSucceeding(f, 3, false)
-	if len(got) != 2 {
+	// (2,y) and (3,z) are mutually disjoint and disjoint from (1,x), and
+	// they come first; padding adds the remaining succeeding instance.
+	got := st.MutuallyDisjointSucceeding(f, 3)
+	if len(got) != 3 {
 		t.Fatalf("MutuallyDisjointSucceeding = %v", got)
 	}
-	for i := range got {
-		if !got[i].DisjointFrom(f) {
-			t.Fatalf("instance %v not disjoint from %v", got[i], f)
+	disjoint := got[:2]
+	for i := range disjoint {
+		if !disjoint[i].DisjointFrom(f) {
+			t.Fatalf("instance %v not disjoint from %v", disjoint[i], f)
 		}
-		for j := i + 1; j < len(got); j++ {
-			if !got[i].DisjointFrom(got[j]) {
-				t.Fatalf("instances %v and %v not mutually disjoint", got[i], got[j])
+		for j := i + 1; j < len(disjoint); j++ {
+			if !disjoint[i].DisjointFrom(disjoint[j]) {
+				t.Fatalf("instances %v and %v not mutually disjoint", disjoint[i], disjoint[j])
 			}
 		}
 	}
-	// Padding adds the remaining succeeding instance.
-	padded := st.MutuallyDisjointSucceeding(f, 3, true)
-	if len(padded) != 3 {
-		t.Fatalf("padded = %v", padded)
+	if got[2].DisjointFrom(f) {
+		t.Fatalf("padding instance %v is disjoint from %v; want the remaining, overlapping one", got[2], f)
 	}
 }
 
