@@ -40,17 +40,18 @@
 //     counting-based: every "="/"<=" candidate's gain derives from
 //     per-value-code vote counts and their prefix sums, instead of
 //     evaluating each candidate against every example, so a node costs
-//     O(params × (examples + k log k)) for k observed codes. It trains on
-//     a Grower, an append-only columnar set: one code column per
-//     parameter and one succeed and one fail vote per example. A node
-//     counts votes over its rows of each column, never reading an
-//     Instance, orders its observed codes by sorting packed rank<<32 |
-//     code integer keys, and reads the entropy of counts below 128 from a
-//     table filled once by the entropy function itself, so every gain is
-//     bit-identical to computing it directly. The Debugging Decision
-//     Trees loop keeps one Grower per run and regrows its tree from it
-//     after every refuted suspect, reusing the columns and the build
-//     scratch, so a regrow allocates only its nodes. forest, the SMAC
+//     O(params × (examples + codes)). It trains on a Grower, an
+//     append-only columnar set: one code column per parameter and one
+//     succeed and one fail vote per example. A node counts votes over its
+//     rows of each column, never reading an Instance, walks each
+//     parameter's codes in rank order (a list each build inverts once
+//     from the rank table), skipping codes it did not observe, and reads
+//     the entropy of counts below 128 from a table filled once by the
+//     entropy function itself, so every gain is bit-identical to
+//     computing it directly. The Debugging Decision Trees loop keeps one
+//     Grower per run and regrows its tree from it after every refuted
+//     suspect, reusing the columns and the build scratch, so a regrow
+//     allocates only its nodes. forest, the SMAC
 //     surrogate, scores each candidate's variance over the node's
 //     examples and sorts the observed codes with a rank comparator.
 //   - internal/exec: the executor's memoized Evaluate path and the replay

@@ -150,8 +150,7 @@ loop:
 // resolved.
 func nextSuspect(s *pipeline.Space, tree *dtree.Node, confirmed predicate.DNF, resolved map[string]bool) (predicate.Conjunction, string, bool, error) {
 	for _, sus := range tree.Suspects() {
-		key := sus.Path.String()
-		if resolved[key] {
+		if resolved[sus.Key] {
 			continue
 		}
 		if len(confirmed) > 0 {
@@ -163,7 +162,7 @@ func nextSuspect(s *pipeline.Space, tree *dtree.Node, confirmed predicate.DNF, r
 				continue
 			}
 		}
-		return sus.Path, key, true, nil
+		return sus.Path, sus.Key, true, nil
 	}
 	return nil, "", false, nil
 }
@@ -271,50 +270,72 @@ func minimizeConfirmed(ctx context.Context, ex *exec.Executor, suspect predicate
 // sampleTests draws verification instances from the suspect's region: all
 // of them when the region is small, a random sample otherwise. Every
 // parameter varies within its allowed set, so inequality triples are probed
-// at multiple satisfying values, not just one prototype.
+// at multiple satisfying values, not just one prototype. Tests are drawn as
+// code vectors — each parameter's allowed set is the codes of its allowed
+// domain values (Region.AllowedCodes) — and become instances through
+// Space.InstanceOfCodes, so no test value is interned again.
 func sampleTests(s *pipeline.Space, region predicate.Region, opts DDTOptions) []pipeline.Instance {
 	r := opts.Rand
-	allowed := make([][]pipeline.Value, s.Len())
-	for i := 0; i < s.Len(); i++ {
-		allowed[i] = region.AllowedValues(s.At(i).Name)
-		if len(allowed[i]) == 0 {
+	n := s.Len()
+	cells := 0
+	for i := 0; i < n; i++ {
+		cells += len(s.At(i).Domain)
+	}
+	// Every allowed set is cut from one array sized for all domains.
+	codes := make([]uint32, 0, cells)
+	allowed := make([][]uint32, n)
+	for i := range allowed {
+		start := len(codes)
+		codes = region.AllowedCodes(i, codes)
+		if len(codes) == start {
 			return nil
 		}
+		allowed[i] = codes[start:len(codes):len(codes)]
 	}
 
 	max := opts.MaxSuspectTests
-	var tests []pipeline.Instance
-	if size, _ := region.Count(); size <= uint64(max) {
-		// Exhaustive: the whole filtered Cartesian product.
-		idx := make([]int, s.Len())
-		vals := make([]pipeline.Value, s.Len())
+	size, _ := region.Count()
+	exhaustive := size <= uint64(max)
+	if exhaustive {
+		max = int(size)
+	}
+	// Test k owns codes slab[k*n:(k+1)*n]; a draw dropped as a duplicate
+	// leaves them to the next draw.
+	slab := make([]uint32, max*n)
+	tests := make([]pipeline.Instance, 0, max)
+	if exhaustive {
+		// The whole filtered Cartesian product.
+		idx := make([]int, n)
 		for {
+			k := len(tests) * n
+			test := slab[k : k+n : k+n]
 			for i := range idx {
-				vals[i] = allowed[i][idx[i]]
+				test[i] = allowed[i][idx[i]]
 			}
-			if in, err := pipeline.NewInstance(s, vals); err == nil {
+			if in, err := s.InstanceOfCodes(test); err == nil {
 				tests = append(tests, in)
 			}
-			k := len(idx) - 1
-			for ; k >= 0; k-- {
-				idx[k]++
-				if idx[k] < len(allowed[k]) {
+			i := len(idx) - 1
+			for ; i >= 0; i-- {
+				idx[i]++
+				if idx[i] < len(allowed[i]) {
 					break
 				}
-				idx[k] = 0
+				idx[i] = 0
 			}
-			if k < 0 {
+			if i < 0 {
 				return tests
 			}
 		}
 	}
 	seen := pipeline.NewInstanceMap[struct{}](max)
-	vals := make([]pipeline.Value, s.Len()) // NewInstance copies it
 	for attempts := 0; len(tests) < max && attempts < max*10; attempts++ {
-		for i := range vals {
-			vals[i] = allowed[i][r.Intn(len(allowed[i]))]
+		k := len(tests) * n
+		test := slab[k : k+n : k+n]
+		for i := range test {
+			test[i] = allowed[i][r.Intn(len(allowed[i]))]
 		}
-		in, err := pipeline.NewInstance(s, vals)
+		in, err := s.InstanceOfCodes(test)
 		if err != nil {
 			continue
 		}

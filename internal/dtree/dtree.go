@@ -20,24 +20,24 @@
 // only its nodes.
 //
 // Split search is counting-based: at each node one pass per parameter
-// over the node's rows of that column accumulates per-code succeed/fail
-// vote counts, and the information gain of every candidate derives from
-// those counts (prefix sums for ordinal thresholds). Candidates are
-// visited in value order by sorting the node's k observed codes as
-// packed integer keys, rank<<32 | code, where rank comes from the space's
-// cached value order (pipeline.Space.ValueOrder, fetched once per build);
-// ranks are a permutation, so the key order is the value order. A node
-// costs O(params × (examples + k log k)) integer work, with no lock and no
-// Value comparison. Entropies of vote counts below 128 come from a table
-// filled on first use by entropyCounts itself, so every gain, tie-break
-// and tree is bit-identical to computing each entropy directly.
+// over the node's rows of that column adds each example's votes to its
+// value code's counts, and the information gain of every candidate
+// derives from those counts (prefix sums for ordinal thresholds).
+// Candidates are visited in value order by walking the parameter's codes
+// listed by rank, a list each build inverts once from the space's cached
+// value order (pipeline.Space.ValueOrder); the walk skips codes the node
+// did not observe and clears the counts it reads. A node costs
+// O(params × (examples + codes)) integer work, with no sort, no lock and
+// no Value comparison, and builds a candidate's triple only when it beats
+// or ties the best so far. Entropies of vote counts below 128 come from a
+// table filled on first use by entropyCounts itself, so every gain,
+// tie-break and tree is bit-identical to computing each entropy directly.
 package dtree
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -110,21 +110,25 @@ func Build(s *pipeline.Space, examples []Example) *Node {
 // all the examples added so far. It holds the examples as columns — one
 // value-code column per parameter and a succeed and a fail vote per
 // example — and the scratch every Build reuses: the index permutation the
-// nodes partition, the partition buffer, the per-code vote counts and the
-// sort keys. Building twice over the same examples allocates only the
-// second tree's nodes, so a caller whose provenance only grows, like the
-// Debugging Decision Trees loop, keeps one Grower and calls Add and Build
-// in turn.
+// nodes partition, the partition buffer, each parameter's codes in value
+// order and the per-code vote counts. Building twice over the same
+// examples allocates only the second tree's nodes, so a caller whose
+// provenance only grows, like the Debugging Decision Trees loop, keeps one
+// Grower and calls Add and Build in turn.
 //
 // A Grower is not safe for concurrent use.
 type Grower struct {
 	space *pipeline.Space
+	// names[i] and cmps[i] are parameter i's name and the comparator its
+	// candidate splits test: "<=" for ordinals, "=" for categoricals.
+	names []string
+	cmps  []predicate.Comparator
 	// cols[i][j] is parameter i's value code in example j.
 	cols [][]uint32
-	// succ[j] and fail[j] are example j's votes: its weight on the side of
-	// its outcome and zero on the other. Examples without a vote are never
-	// added, so succ[j]+fail[j] >= 1.
-	succ, fail []int
+	// votes[j] is example j's votes: its weight on the side of its outcome
+	// and zero on the other. Examples without a vote are never added, so
+	// votes[j].s+votes[j].f >= 1.
+	votes []tally
 
 	// Build scratch. idx is the tree-wide permutation of example indices:
 	// each node owns the window idx[lo:hi] and stably partitions it in
@@ -133,15 +137,19 @@ type Grower struct {
 	// vals[i] and rank[i] are parameter i's code→value and code→rank
 	// snapshots (pipeline.Space.ValueOrder), taken at the start of each
 	// build; every added example's codes were interned before it was
-	// added, so they cover them all.
-	vals [][]pipeline.Value
-	rank [][]uint32
-	// countS/countF accumulate succeed/fail votes per value code of the
-	// parameter being scanned; keys holds its observed codes as
-	// rank<<32 | code.
-	countS, countF []int
-	keys           []uint64
+	// added, so they cover them all. byRank[i] inverts rank[i]: it lists
+	// parameter i's codes in value order, every row cut from rankBuf.
+	vals    [][]pipeline.Value
+	rank    [][]uint32
+	byRank  [][]uint32
+	rankBuf []uint32
+	// counts accumulates the votes per value code of the parameter being
+	// scanned; bestSplit zeroes each entry again as it reads it.
+	counts []tally
 }
+
+// tally is a pair of succeed and fail vote counts.
+type tally struct{ s, f int }
 
 // NewGrower returns an empty training set for instances of s.
 func NewGrower(s *pipeline.Space) *Grower { return newGrower(s, 0) }
@@ -150,18 +158,26 @@ func NewGrower(s *pipeline.Space) *Grower { return newGrower(s, 0) }
 // its columns carved from one allocation.
 func newGrower(s *pipeline.Space, n int) *Grower {
 	g := &Grower{
-		space: s,
-		cols:  make([][]uint32, s.Len()),
-		vals:  make([][]pipeline.Value, s.Len()),
-		rank:  make([][]uint32, s.Len()),
+		space:  s,
+		names:  s.Names(),
+		cmps:   make([]predicate.Comparator, s.Len()),
+		cols:   make([][]uint32, s.Len()),
+		vals:   make([][]pipeline.Value, s.Len()),
+		rank:   make([][]uint32, s.Len()),
+		byRank: make([][]uint32, s.Len()),
+	}
+	for i := range g.cmps {
+		g.cmps[i] = predicate.Eq
+		if s.At(i).Kind == pipeline.Ordinal {
+			g.cmps[i] = predicate.Le
+		}
 	}
 	if n > 0 {
 		flat := make([]uint32, n*s.Len())
 		for i := range g.cols {
 			g.cols[i] = flat[i*n : i*n : (i+1)*n]
 		}
-		votes := make([]int, 2*n)
-		g.succ, g.fail = votes[:0:n], votes[n:n:2*n]
+		g.votes = make([]tally, 0, n)
 	}
 	return g
 }
@@ -174,20 +190,19 @@ func (g *Grower) Add(ex Example) error {
 	if ex.Instance.Space() != g.space {
 		return fmt.Errorf("dtree: example instance belongs to a different space")
 	}
-	var s, f int
+	var v tally
 	switch ex.Outcome {
 	case pipeline.Succeed:
-		s = ex.weight()
+		v.s = ex.weight()
 	case pipeline.Fail:
-		f = ex.weight()
+		v.f = ex.weight()
 	default:
 		return nil
 	}
 	for i := range g.cols {
 		g.cols[i] = append(g.cols[i], ex.Instance.Code(i))
 	}
-	g.succ = append(g.succ, s)
-	g.fail = append(g.fail, f)
+	g.votes = append(g.votes, v)
 	return nil
 }
 
@@ -200,24 +215,35 @@ func (g *Grower) Build() *Node {
 }
 
 // prepare readies the build scratch for the examples added so far: fresh
-// value-order snapshots, count arrays covering every code, and the
-// identity permutation.
+// value-order snapshots and the codes listed by rank, count arrays
+// covering every code, and the identity permutation.
 func (g *Grower) prepare() {
 	entropyOnce.Do(fillEntropyTable)
-	codes := 0
+	codes, total := 0, 0
 	for i := range g.cols {
 		g.vals[i], g.rank[i] = g.space.ValueOrder(i)
-		codes = max(codes, len(g.vals[i]))
+		codes = max(codes, len(g.rank[i]))
+		total += len(g.rank[i])
 	}
-	if len(g.countS) < codes {
-		g.countS = make([]int, codes)
-		g.countF = make([]int, codes)
-		g.keys = make([]uint64, 0, codes)
+	if cap(g.rankBuf) < total {
+		g.rankBuf = make([]uint32, total)
 	}
-	n := len(g.succ)
+	buf := g.rankBuf[:total]
+	for i, rank := range g.rank {
+		byRank := buf[:len(rank):len(rank)]
+		buf = buf[len(rank):]
+		for c, r := range rank {
+			byRank[r] = uint32(c)
+		}
+		g.byRank[i] = byRank
+	}
+	if len(g.counts) < codes {
+		g.counts = make([]tally, codes)
+	}
+	n := len(g.votes)
 	if cap(g.idx) < n {
-		g.idx = make([]int32, n, cap(g.succ))
-		g.tmp = make([]int32, 0, cap(g.succ))
+		g.idx = make([]int32, n, cap(g.votes))
+		g.tmp = make([]int32, 0, cap(g.votes))
 	}
 	g.idx = g.idx[:n]
 	for j := range g.idx {
@@ -229,8 +255,9 @@ func (g *Grower) prepare() {
 func (g *Grower) grow(lo, hi int) *Node {
 	n := &Node{}
 	for _, j := range g.idx[lo:hi] {
-		n.NSucceed += g.succ[j]
-		n.NFail += g.fail[j]
+		v := g.votes[j]
+		n.NSucceed += v.s
+		n.NFail += v.f
 	}
 	if n.NSucceed == 0 || n.NFail == 0 {
 		return n
@@ -264,13 +291,17 @@ type split struct {
 // candidate separates the examples at all.
 //
 // The search is counting-based: one pass per parameter over its column
-// accumulates per-code succeed/fail votes, and the gain of every "="
-// candidate falls out of the per-code counts while every "<=" candidate
-// falls out of prefix sums over the codes sorted by value rank — O(params
-// × (examples + k log k)) per node for k observed codes, instead of the
-// naive O(params × values × examples). The gain arithmetic is identical to
-// evaluating each candidate against the example list, so the chosen split
-// (including tie-breaks) matches the naive search exactly.
+// accumulates per-code succeed/fail votes, and one walk over the
+// parameter's codes in value order (byRank) derives the gain of every "="
+// candidate from its code's counts and of every "<=" candidate from the
+// prefix sums — O(params × (examples + codes)) per node, instead of the
+// naive O(params × values × examples). The walk skips codes no example of
+// the window carries (every example carries a vote) and zeroes the counts
+// it reads, leaving them clear for the next parameter and node. The gain
+// arithmetic is identical to evaluating each candidate against the
+// example list, and candidates arrive in value order, so the chosen split
+// (including tie-breaks) matches the naive search exactly. A candidate's
+// triple is built only when its gain beats or ties the best.
 //
 //bugdoc:hotpath
 func (g *Grower) bestSplit(lo, hi, totS, totF int) (split, bool) {
@@ -280,42 +311,37 @@ func (g *Grower) bestSplit(lo, hi, totS, totF int) (split, bool) {
 	// session is unchanged.
 	total := float64(totS + totF)
 	baseH := entropy(totS, totF)
+	votes, counts := g.votes, g.counts
 	var best split
 	bestGain := -1.0
 	for i, col := range g.cols {
-		p := g.space.At(i)
-		vals, rank := g.vals[i], g.rank[i]
-		// Count votes per value code of parameter i, keying each code on
-		// its first sight.
-		keys := g.keys[:0]
 		for _, j := range window {
-			c := col[j]
-			if g.countS[c]+g.countF[c] == 0 {
-				keys = append(keys, uint64(rank[c])<<32|uint64(c))
-			}
-			g.countS[c] += g.succ[j]
-			g.countF[c] += g.fail[j]
+			v, t := votes[j], &counts[col[j]]
+			t.s += v.s
+			t.f += v.f
 		}
-		slices.Sort(keys)
 		// Thresholds between consecutive observed ordinal values: testing
 		// "<= v" for each observed v covers them all (the largest is
 		// rejected by the empty-no-side guard, since nothing exceeds it).
-		// Prefix sums over the sorted codes give the yes-side counts of
-		// each threshold. NaN values — possible only through out-of-domain
+		// Prefix sums in value order give the yes-side counts of each
+		// threshold. NaN values — possible only through out-of-domain
 		// instances — never satisfy any "<=": NaN ranks last, so it is
 		// the largest observed value, never a threshold, and its examples
 		// land on every no side, exactly as Holds evaluates them. A
 		// categorical candidate "= v" counts v's votes alone.
+		name, cmp := g.names[i], g.cmps[i]
 		yesS, yesF := 0, 0
-		for _, k := range keys {
-			c := uint32(k)
-			cmp := predicate.Eq
-			if p.Kind == pipeline.Ordinal {
-				cmp = predicate.Le
-				yesS += g.countS[c]
-				yesF += g.countF[c]
+		for _, c := range g.byRank[i] {
+			t := counts[c]
+			if t.s+t.f == 0 {
+				continue
+			}
+			counts[c] = tally{}
+			if cmp == predicate.Le {
+				yesS += t.s
+				yesF += t.f
 			} else {
-				yesS, yesF = g.countS[c], g.countF[c]
+				yesS, yesF = t.s, t.f
 			}
 			yes, no := yesS+yesF, totS+totF-yesS-yesF
 			if yes == 0 || no == 0 {
@@ -324,16 +350,14 @@ func (g *Grower) bestSplit(lo, hi, totS, totF int) (split, bool) {
 			gain := baseH -
 				float64(yes)/total*entropy(yesS, yesF) -
 				float64(no)/total*entropy(totS-yesS, totF-yesF)
-			t := predicate.T(p.Name, cmp, vals[c])
-			if gain > bestGain+1e-12 ||
-				(math.Abs(gain-bestGain) <= 1e-12 && bestGain >= 0 && t.Less(best.t)) {
-				best, bestGain = split{t: t, param: i, code: c}, gain
+			if gain > bestGain+1e-12 {
+				best, bestGain = split{t: predicate.T(name, cmp, g.vals[i][c]), param: i, code: c}, gain
+			} else if math.Abs(gain-bestGain) <= 1e-12 && bestGain >= 0 {
+				if t := predicate.T(name, cmp, g.vals[i][c]); t.Less(best.t) {
+					best, bestGain = split{t: t, param: i, code: c}, gain
+				}
 			}
 		}
-		for _, k := range keys {
-			g.countS[uint32(k)], g.countF[uint32(k)] = 0, 0
-		}
-		g.keys = keys
 	}
 	// A separating split always exists unless the examples coincide on
 	// every parameter (bestGain stays -1 in that case).
@@ -413,49 +437,46 @@ func entropyCounts(s, f float64) float64 {
 
 // Suspect is a root-to-leaf path ending in a pure-fail leaf: a conjunction
 // of triples that, on the evidence so far, always fails. Support counts the
-// failing examples in the leaf.
+// failing examples in the leaf. Key is Path's rendering (Path.String()),
+// which callers can use to key the suspect without rendering it again.
 type Suspect struct {
 	Path    predicate.Conjunction
 	Support int
+	Key     string
 }
 
 // Suspects extracts all pure-fail paths, shortest first (ties broken by
-// higher support, then lexicographically) — the order in which the
+// higher support, then lexicographically by Key) — the order in which the
 // Debugging Decision Trees algorithm tests them, since shorter paths make
-// more concise root causes.
+// more concise root causes. Each path is canonical and rendered once.
 func (n *Node) Suspects() []Suspect {
-	// Each path is rendered once, not on both sides of every comparison.
-	type keyed struct {
-		Suspect
-		key string
-	}
-	var ks []keyed
-	var walk func(node *Node, path predicate.Conjunction)
-	walk = func(node *Node, path predicate.Conjunction) {
+	var out []Suspect
+	var path predicate.Conjunction // the triples from the root to the node walked
+	var walk func(node *Node)
+	walk = func(node *Node) {
 		if node.IsLeaf() {
 			if node.PureFail() {
-				c := path.Canonical()
-				ks = append(ks, keyed{Suspect{Path: c, Support: node.NFail}, c.String()})
+				c := path.Canonical() // a copy: path is reused
+				out = append(out, Suspect{Path: c, Support: node.NFail, Key: c.String()})
 			}
 			return
 		}
-		walk(node.Yes, append(path.Clone(), node.Split))
-		walk(node.No, append(path.Clone(), node.Split.Negated()))
+		path = append(path, node.Split)
+		walk(node.Yes)
+		path[len(path)-1] = node.Split.Negated()
+		walk(node.No)
+		path = path[:len(path)-1]
 	}
-	walk(n, nil)
-	sort.Slice(ks, func(i, j int) bool {
-		if len(ks[i].Path) != len(ks[j].Path) {
-			return len(ks[i].Path) < len(ks[j].Path)
+	walk(n)
+	slices.SortFunc(out, func(a, b Suspect) int {
+		if len(a.Path) != len(b.Path) {
+			return len(a.Path) - len(b.Path)
 		}
-		if ks[i].Support != ks[j].Support {
-			return ks[i].Support > ks[j].Support
+		if a.Support != b.Support {
+			return b.Support - a.Support
 		}
-		return ks[i].key < ks[j].key
+		return strings.Compare(a.Key, b.Key)
 	})
-	var out []Suspect
-	for _, k := range ks {
-		out = append(out, k.Suspect)
-	}
 	return out
 }
 

@@ -23,9 +23,9 @@ func bestSplit(s *pipeline.Space, examples []Example) (predicate.Triple, bool) {
 	}
 	g.prepare()
 	totS, totF := 0, 0
-	for j := range g.succ {
-		totS += g.succ[j]
-		totF += g.fail[j]
+	for _, v := range g.votes {
+		totS += v.s
+		totF += v.f
 	}
 	sp, ok := g.bestSplit(0, len(g.idx), totS, totF)
 	return sp.t, ok
@@ -302,6 +302,37 @@ func TestCountingSplitMatchesNaiveDuplicates(t *testing.T) {
 		wantT, wantOK := naiveBestSplit(s, examples)
 		if gotOK != wantOK || gotT != wantT {
 			t.Fatalf("trial %d: bestSplit = (%v, %v), naive = (%v, %v)", trial, gotT, gotOK, wantT, wantOK)
+		}
+	}
+}
+
+// TestBestSplitBreaksTiesByTriple checks the tie-break when candidates
+// arrive out of triple order: parameters declared in reverse name order
+// carry identical columns, so each of z's candidates ties one of a's and
+// the search must return the least triple, on a, not the first it met.
+func TestBestSplitBreaksTiesByTriple(t *testing.T) {
+	for _, kind := range []pipeline.Kind{pipeline.Categorical, pipeline.Ordinal} {
+		dom := []pipeline.Value{pipeline.Cat("x"), pipeline.Cat("y")}
+		want := predicate.T("a", predicate.Eq, pipeline.Cat("x"))
+		if kind == pipeline.Ordinal {
+			dom = []pipeline.Value{pipeline.Ord(1), pipeline.Ord(2)}
+			want = predicate.T("a", predicate.Le, pipeline.Ord(1))
+		}
+		s := pipeline.MustSpace(
+			pipeline.Parameter{Name: "z", Kind: kind, Domain: dom},
+			pipeline.Parameter{Name: "a", Kind: kind, Domain: dom},
+		)
+		var examples []Example
+		for k, out := range []pipeline.Outcome{pipeline.Fail, pipeline.Fail, pipeline.Succeed} {
+			v := dom[min(k, 1)]
+			examples = append(examples, Example{Instance: pipeline.MustInstance(s, v, v), Outcome: out})
+		}
+		got, ok := bestSplit(s, examples)
+		if !ok || got != want {
+			t.Fatalf("%v: bestSplit = (%v, %v), want %v", kind, got, ok, want)
+		}
+		if naive, _ := naiveBestSplit(s, examples); naive != want {
+			t.Fatalf("%v: naive bestSplit = %v, want %v", kind, naive, want)
 		}
 	}
 }

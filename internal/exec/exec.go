@@ -372,15 +372,23 @@ func (e *Executor) EvaluateBatch(ctx context.Context, ins []pipeline.Instance) [
 // dispatch evaluates the instances at indices run of ins and writes each
 // result to its index of results. The calling goroutine is one of
 // min(workers, len(run)) workers, and each worker takes the next index
-// from one shared counter until none is left, so a one-worker round runs
-// inline. The queue-depth gauge counts the dispatched instances no worker
-// has taken yet.
+// from one shared counter until none is left. A round with one worker, or
+// one instance, runs inline and needs neither the counter nor a
+// WaitGroup. The queue-depth gauge counts the dispatched instances no
+// worker has taken yet.
 func (e *Executor) dispatch(ctx context.Context, ins []pipeline.Instance, run []int, results []Result) {
 	var queue *telemetry.Gauge
 	if e.tel != nil {
 		queue = e.tel.queueDepth
 	}
 	queue.Add(int64(len(run)))
+	if min(e.workers, len(run)) <= 1 {
+		for _, i := range run {
+			queue.Add(-1)
+			results[i].Outcome, results[i].Err = e.runOne(ctx, ins[i])
+		}
+		return
+	}
 	var next atomic.Int64
 	work := func() {
 		for {
@@ -390,14 +398,7 @@ func (e *Executor) dispatch(ctx context.Context, ins []pipeline.Instance, run []
 			}
 			queue.Add(-1)
 			i := run[k]
-			if e.flaky.Enabled() {
-				// Quorum resolution commits per instance: every vote is
-				// already its own log write, so batching the final records
-				// would only delay resolution visibility.
-				results[i].Outcome, results[i].Err = e.evaluateFlaky(ctx, ins[i])
-			} else {
-				results[i].Outcome, results[i].Err = e.runReserved(ctx, ins[i])
-			}
+			results[i].Outcome, results[i].Err = e.runOne(ctx, ins[i])
 		}
 	}
 	var wg sync.WaitGroup
@@ -412,12 +413,26 @@ func (e *Executor) dispatch(ctx context.Context, ins []pipeline.Instance, run []
 	wg.Wait()
 }
 
+// runOne is dispatch's per-instance step: it evaluates one instance whose
+// budget planSet reserved.
+func (e *Executor) runOne(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
+	if e.flaky.Enabled() {
+		// Quorum resolution commits per instance: every vote is already
+		// its own log write, so batching the final records would only
+		// delay resolution visibility.
+		return e.evaluateFlaky(ctx, in)
+	}
+	return e.runReserved(ctx, in)
+}
+
 // planSet resolves memoized hits and intra-set duplicates and claims
 // budget for the misses in input order. It fills results for everything it
 // resolves and returns the indices to dispatch plus the duplicate mapping.
+// The map that finds duplicates among the misses is made only when a miss
+// arrives after another has been claimed, so a set of one allocates none.
 func (e *Executor) planSet(ctx context.Context, ins []pipeline.Instance, results []Result) (run []int, dupOf map[int]int) {
 	t := e.tel
-	firstAt := pipeline.NewInstanceMap[int32](len(ins))
+	var firstAt *pipeline.InstanceMap[int32] // each claimed miss's index in ins
 	for i, in := range ins {
 		results[i].Instance = in
 		if out, ok := e.store.Lookup(in); ok {
@@ -427,15 +442,21 @@ func (e *Executor) planSet(ctx context.Context, ins []pipeline.Instance, results
 			results[i].Outcome = out
 			continue
 		}
-		if j, seen := firstAt.Get(in); seen {
-			if t != nil {
-				t.dedupDrops.Inc()
+		if len(run) > 0 {
+			if firstAt == nil {
+				firstAt = pipeline.NewInstanceMap[int32](len(ins))
+				firstAt.Put(ins[run[0]], int32(run[0]))
 			}
-			if dupOf == nil {
-				dupOf = make(map[int]int)
+			if j, seen := firstAt.Get(in); seen {
+				if t != nil {
+					t.dedupDrops.Inc()
+				}
+				if dupOf == nil {
+					dupOf = make(map[int]int)
+				}
+				dupOf[i] = int(j)
+				continue
 			}
-			dupOf[i] = int(j)
-			continue
 		}
 		if t != nil {
 			t.memoMisses.Inc()
@@ -448,7 +469,9 @@ func (e *Executor) planSet(ctx context.Context, ins []pipeline.Instance, results
 			results[i].Outcome, results[i].Err = pipeline.OutcomeUnknown, err
 			continue
 		}
-		firstAt.Put(in, int32(i))
+		if firstAt != nil {
+			firstAt.Put(in, int32(i))
+		}
 		run = append(run, i)
 	}
 	return run, dupOf

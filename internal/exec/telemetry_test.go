@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -148,6 +149,47 @@ func TestMemoizedNilTelemetryAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("memoized Evaluate (no telemetry) allocated %v/op", n)
+	}
+}
+
+// TestEvaluateMissAllocs pins what a one-instance Evaluate miss allocates
+// over an in-memory store with a no-op oracle: the set of one, its result
+// slice, the dispatch list and the commit's entry slice. A round of one
+// makes no dedupe map, counter, closure or WaitGroup. Twelve binary
+// parameters keep the store's amortized index growth far below one
+// allocation per miss.
+func TestEvaluateMissAllocs(t *testing.T) {
+	params := make([]pipeline.Parameter, 12)
+	for i := range params {
+		params[i] = pipeline.Parameter{Name: fmt.Sprintf("p%d", i), Kind: pipeline.Ordinal,
+			Domain: []pipeline.Value{pipeline.Ord(0), pipeline.Ord(1)}}
+	}
+	s := pipeline.MustSpace(params...)
+	var ins []pipeline.Instance
+	s.Enumerate(func(in pipeline.Instance) bool {
+		ins = append(ins, in)
+		return true
+	})
+	ex := New(OracleFunc(func(context.Context, pipeline.Instance) (pipeline.Outcome, error) {
+		return pipeline.Fail, nil
+	}), provenance.NewStore(s))
+	ctx := context.Background()
+	for _, in := range ins[:1024] {
+		if _, err := ex.Evaluate(ctx, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 1024
+	if n := testing.AllocsPerRun(2000, func() {
+		if _, err := ex.Evaluate(ctx, ins[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); n > 4 {
+		t.Fatalf("Evaluate miss allocated %v/op, want at most 4", n)
+	}
+	if got := ex.Spent(); got != next {
+		t.Fatalf("Spent = %d after %d misses", got, next)
 	}
 }
 

@@ -65,6 +65,25 @@ func NewInstance(s *Space, vals []Value) (Instance, error) {
 	return newInstance(s, cp), nil
 }
 
+// InstanceOfCodes builds the instance of s whose interned code vector is
+// codes, one code per parameter in space order, and takes ownership of
+// codes: the caller must not modify it afterwards. Every code must already
+// be assigned (see NumCodes). The values are read from the intern table
+// under one read lock, so none is interned again; the instance is the one
+// NewInstance builds from the interned values.
+func (s *Space) InstanceOfCodes(codes []uint32) (Instance, error) {
+	if len(codes) != s.Len() {
+		return Instance{}, fmt.Errorf("pipeline: instance has %d codes for %d parameters",
+			len(codes), s.Len())
+	}
+	vals := make([]Value, len(codes))
+	if i := s.intern.values(codes, vals); i >= 0 {
+		return Instance{}, fmt.Errorf("pipeline: parameter %q has no interned code %d",
+			s.At(i).Name, codes[i])
+	}
+	return Instance{space: s, vals: vals, codes: codes, hash: hashCodes(codes)}, nil
+}
+
 // MustInstance is NewInstance that panics on error.
 func MustInstance(s *Space, vals ...Value) Instance {
 	in, err := NewInstance(s, vals)

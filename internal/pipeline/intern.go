@@ -7,7 +7,9 @@ import (
 )
 
 // Value interning. Every Space carries a table assigning each observed
-// Value a dense uint32 code per parameter. Instances cache their code
+// Value a dense uint32 code per parameter. The table keeps one map per
+// parameter, by the parameter's kind: ordinals keyed by their canonical
+// bits, categoricals by their label. Instances cache their code
 // vector and a 64-bit FNV-1a hash of it at construction, which makes
 // identity operations (Equal, DisjointFrom, DiffCount, map lookups in the
 // provenance store and the executor) integer comparisons with zero
@@ -28,47 +30,42 @@ import (
 // request and rebuilt as a new slice only after the parameter gains a
 // code. Space.ValueOrder hands it out together with the code→value table
 // as immutable snapshots, so split searches (internal/dtree,
-// internal/forest) sort observed codes by integer rank and read values
+// internal/forest) order observed codes by integer rank and read values
 // without any lock or Value comparison per step.
-
-// internKey is the canonical map key for interning a Value. Ordinals are
-// keyed by their bit pattern with -0 collapsed into +0 (so interning agrees
-// with ==) and all NaNs collapsed into one code (so an instance carrying
-// NaN still equals itself, matching the canonical Key() rendering).
-type internKey struct {
-	kind Kind
-	bits uint64
-	str  string
-}
 
 // canonicalNaN is the quiet NaN all NaN payloads intern as.
 var canonicalNaN = math.Float64bits(math.NaN())
 
-func makeInternKey(v Value) internKey {
-	if v.kind == Ordinal {
-		n := v.num
-		var bits uint64
-		switch {
-		case n != n:
-			bits = canonicalNaN
-		case n == 0:
-			bits = 0
-		default:
-			bits = math.Float64bits(n)
-		}
-		return internKey{kind: Ordinal, bits: bits}
+// ordinalBits is the key an ordinal is interned by: its bit pattern, with
+// -0 collapsed into +0 (so interning agrees with ==) and every NaN
+// collapsed into one pattern (so an instance carrying NaN still equals
+// itself, matching the canonical Key() rendering).
+func ordinalBits(n float64) uint64 {
+	switch {
+	case n != n:
+		return canonicalNaN
+	case n == 0:
+		return 0
 	}
-	return internKey{kind: v.kind, str: v.str}
+	return math.Float64bits(n)
 }
 
 // internTable is the per-space value table. Interning happens on every
 // instance construction, which may run concurrently (parallel oracle
 // dispatch), so the table is internally synchronized; lookups of
 // already-interned values take only a read lock.
+//
+// Each parameter keeps one map per value kind, allocated on the first
+// value of that kind: ordinals keyed by ordinalBits, categoricals by
+// label. Every constructor checks kinds, so a parameter holds only the map
+// of its own kind. A value of the other kind can still arrive through
+// Space.Intern from a corrupt log; it lands in the other map with a code
+// of its own, never one of the parameter's kind.
 type internTable struct {
-	mu    sync.RWMutex
-	codes []map[internKey]uint32 // per parameter: value -> dense code
-	vals  [][]Value              // per parameter: code -> value
+	mu   sync.RWMutex
+	nums []map[uint64]uint32 // per parameter: ordinal bits -> dense code
+	strs []map[string]uint32 // per parameter: categorical label -> dense code
+	vals [][]Value           // per parameter: code -> value
 	// ranks holds, per parameter, code -> rank in value order; nil until
 	// first requested and again after the parameter gains a code. A
 	// published slice is never written, so readers may keep it.
@@ -77,32 +74,57 @@ type internTable struct {
 
 func newInternTable(nParams int) *internTable {
 	return &internTable{
-		codes: make([]map[internKey]uint32, nParams),
+		nums:  make([]map[uint64]uint32, nParams),
+		strs:  make([]map[string]uint32, nParams),
 		vals:  make([][]Value, nParams),
 		ranks: make([][]uint32, nParams),
 	}
 }
 
+// lookup returns v's code for parameter i, if it has one. The caller holds
+// the lock.
+func (t *internTable) lookup(i int, v Value) (uint32, bool) {
+	var c uint32
+	var ok bool
+	switch v.kind {
+	case Ordinal:
+		c, ok = t.nums[i][ordinalBits(v.num)]
+	case Categorical:
+		c, ok = t.strs[i][v.str]
+	}
+	return c, ok
+}
+
 // code returns the dense code for value v of parameter i, interning it on
-// first sight.
+// first sight. It panics on an invalid Value: every constructor of
+// instances and spaces rejects one first.
 func (t *internTable) code(i int, v Value) uint32 {
-	k := makeInternKey(v)
 	t.mu.RLock()
-	c, ok := t.codes[i][k]
+	c, ok := t.lookup(i, v)
 	t.mu.RUnlock()
 	if ok {
 		return c
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c, ok := t.codes[i][k]; ok {
+	if c, ok := t.lookup(i, v); ok {
 		return c
 	}
-	if t.codes[i] == nil {
-		t.codes[i] = make(map[internKey]uint32)
-	}
 	c = uint32(len(t.vals[i]))
-	t.codes[i][k] = c
+	switch v.kind {
+	case Ordinal:
+		if t.nums[i] == nil {
+			t.nums[i] = make(map[uint64]uint32)
+		}
+		t.nums[i][ordinalBits(v.num)] = c
+	case Categorical:
+		if t.strs[i] == nil {
+			t.strs[i] = make(map[string]uint32)
+		}
+		t.strs[i][v.str] = c
+	default:
+		panic("pipeline: intern of an invalid Value")
+	}
 	t.vals[i] = append(t.vals[i], v)
 	t.ranks[i] = nil
 	return c
@@ -165,6 +187,21 @@ func compareValues(a, b Value) int {
 		return 1
 	}
 	return 0
+}
+
+// values resolves a code vector into vals, one code per parameter, under
+// one read lock. It returns the first parameter whose code was never
+// assigned, or -1 when every code resolved.
+func (t *internTable) values(codes []uint32, vals []Value) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for i, c := range codes {
+		if int(c) >= len(t.vals[i]) {
+			return i
+		}
+		vals[i] = t.vals[i][c]
+	}
+	return -1
 }
 
 // size returns the number of codes assigned so far for parameter i.

@@ -271,3 +271,79 @@ func TestValueOrderConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestInternKeys checks the keys values intern by: -0 and +0 share a
+// code, every NaN payload shares one code, and a value of one kind never
+// takes the code of a value of the other kind, whichever kind the
+// parameter declares.
+func TestInternKeys(t *testing.T) {
+	s := MustSpace(
+		Parameter{Name: "a", Kind: Ordinal, Domain: []Value{Ord(0), Ord(1)}},
+		Parameter{Name: "b", Kind: Categorical, Domain: []Value{Cat(""), Cat("1")}},
+	)
+	if neg, pos := s.Intern(0, Ord(math.Copysign(0, -1))), s.Intern(0, Ord(0)); neg != pos {
+		t.Fatalf("-0 interned as %d, +0 as %d", neg, pos)
+	}
+	nan := s.Intern(0, Ord(math.NaN()))
+	for _, bits := range []uint64{0x7ff8000000000001, 0x7ff0000000000001, 0xfff8000000000000, 0x7fffffffffffffff} {
+		if got := s.Intern(0, Ord(math.Float64frombits(bits))); got != nan {
+			t.Fatalf("NaN %#x interned as %d, NaN as %d", bits, got, nan)
+		}
+	}
+	for i := 0; i < s.Len(); i++ {
+		codes := map[uint32]Value{}
+		for _, v := range []Value{Ord(0), Ord(1), Cat(""), Cat("0"), Cat("1"), Ord(2)} {
+			c := s.Intern(i, v)
+			if prev, ok := codes[c]; ok && prev != v {
+				t.Fatalf("parameter %d: %v and %v share code %d", i, prev, v, c)
+			}
+			codes[c] = v
+			if again := s.Intern(i, v); again != c {
+				t.Fatalf("parameter %d: %v re-interned as %d, first %d", i, v, again, c)
+			}
+			if got := s.InternedValue(i, c); got != v {
+				t.Fatalf("parameter %d: code %d holds %v, want %v", i, c, got, v)
+			}
+		}
+	}
+}
+
+// TestInstanceOfCodes checks that an instance built from a code vector is
+// the one NewInstance builds from the values, including out-of-domain
+// ones, and that unassigned codes and wrong lengths are refused.
+func TestInstanceOfCodes(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		s := randomInternSpace(t, r)
+		for k := 0; k < 20; k++ {
+			want := s.RandomInstance(r)
+			if r.Intn(3) == 0 {
+				j := r.Intn(s.Len())
+				if s.At(j).Kind == Ordinal {
+					want = want.With(j, Ord(float64(100+r.Intn(3))))
+				} else {
+					want = want.With(j, Cat("extra"))
+				}
+			}
+			codes := make([]uint32, s.Len())
+			for i := range codes {
+				codes[i] = want.Code(i)
+			}
+			got, err := s.InstanceOfCodes(codes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) || got.Hash() != want.Hash() || !valueEqual(got, want) || got.Key() != want.Key() {
+				t.Fatalf("InstanceOfCodes(%v) = %v, want %v", codes, got, want)
+			}
+		}
+		bad := make([]uint32, s.Len())
+		bad[s.Len()-1] = uint32(s.NumCodes(s.Len() - 1))
+		if _, err := s.InstanceOfCodes(bad); err == nil {
+			t.Fatalf("InstanceOfCodes accepted unassigned code %d", bad[s.Len()-1])
+		}
+		if _, err := s.InstanceOfCodes(make([]uint32, s.Len()+1)); err == nil {
+			t.Fatal("InstanceOfCodes accepted a code vector of the wrong length")
+		}
+	}
+}

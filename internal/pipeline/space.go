@@ -27,6 +27,8 @@ type Space struct {
 	params []Parameter
 	index  map[string]int
 	intern *internTable
+	// domainCodes[i][j] is the code of params[i].Domain[j].
+	domainCodes [][]uint32
 }
 
 // NewSpace validates and assembles a parameter space. It requires at least
@@ -77,9 +79,17 @@ func NewSpace(params ...Parameter) (*Space, error) {
 	// Pre-intern the domains so domain values get the low codes in sorted
 	// domain order, deterministically across runs.
 	s.intern = newInternTable(len(s.params))
+	n := 0
+	for _, p := range s.params {
+		n += len(p.Domain)
+	}
+	flat := make([]uint32, n)
+	s.domainCodes = make([][]uint32, len(s.params))
 	for i, p := range s.params {
-		for _, v := range p.Domain {
-			s.intern.code(i, v)
+		d := len(p.Domain)
+		s.domainCodes[i], flat = flat[:d:d], flat[d:]
+		for j, v := range p.Domain {
+			s.domainCodes[i][j] = s.intern.code(i, v)
 		}
 	}
 	return s, nil
@@ -127,6 +137,13 @@ func (s *Space) Domain(name string) []Value {
 	return s.params[i].Domain
 }
 
+// DomainCodes returns the interned codes of parameter i's domain values,
+// in domain order: DomainCodes(i)[j] is the code of Domain[j]. A fresh
+// space's domain codes are 0..len(Domain)-1, but after AddToDomain a
+// domain index no longer equals its code. The returned slice is shared;
+// callers must not mutate it.
+func (s *Space) DomainCodes(i int) []uint32 { return s.domainCodes[i] }
+
 // DomainIndex returns the position of v inside parameter i's domain,
 // or -1 if v is not a domain value.
 func (s *Space) DomainIndex(i int, v Value) int {
@@ -156,7 +173,11 @@ func (s *Space) AddToDomain(name string, v Value) error {
 	}
 	p.Domain = append(p.Domain, v)
 	sort.Slice(p.Domain, func(a, b int) bool { return p.Domain[a].Less(p.Domain[b]) })
-	s.intern.code(i, v)
+	codes := make([]uint32, len(p.Domain))
+	for j, d := range p.Domain {
+		codes[j] = s.intern.code(i, d)
+	}
+	s.domainCodes[i] = codes
 	return nil
 }
 

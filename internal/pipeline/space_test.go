@@ -159,3 +159,43 @@ func TestSpaceString(t *testing.T) {
 		t.Fatalf("String = %q, want %q", got, want)
 	}
 }
+
+// TestDomainCodes checks that DomainCodes lists each domain value's code
+// in domain order, on a fresh space and after AddToDomain inserts values
+// into the middle of a domain, one of them interned out of domain first.
+func TestDomainCodes(t *testing.T) {
+	s := testSpace(t)
+	check := func(when string) {
+		t.Helper()
+		for i := 0; i < s.Len(); i++ {
+			dom, codes := s.At(i).Domain, s.DomainCodes(i)
+			if len(codes) != len(dom) {
+				t.Fatalf("%s: parameter %d has %d domain codes for %d values", when, i, len(codes), len(dom))
+			}
+			for j, v := range dom {
+				if got := s.InternedValue(i, codes[j]); got != v {
+					t.Fatalf("%s: parameter %d domain code %d holds %v, want %v", when, i, codes[j], got, v)
+				}
+			}
+		}
+	}
+	check("fresh")
+	for i := 0; i < s.Len(); i++ {
+		for j, c := range s.DomainCodes(i) {
+			if c != uint32(j) {
+				t.Fatalf("fresh parameter %d: domain index %d has code %d", i, j, c)
+			}
+		}
+	}
+	s.Intern(0, Ord(1.5))
+	if err := s.AddToDomain("p1", Ord(2.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddToDomain("p1", Ord(1.5)); err != nil {
+		t.Fatal(err)
+	}
+	check("expanded")
+	if j := s.DomainIndex(0, Ord(1.5)); s.DomainCodes(0)[j] == uint32(j) {
+		t.Fatalf("domain index %d of an expanded domain still equals its code", j)
+	}
+}

@@ -103,13 +103,20 @@ func (v Value) Less(w Value) bool {
 // String renders the value for humans: ordinals in shortest float form,
 // categoricals quoted.
 func (v Value) String() string {
+	var buf [32]byte
+	return string(v.AppendString(buf[:0]))
+}
+
+// AppendString appends the String form of v to dst and returns the
+// extended slice.
+func (v Value) AppendString(dst []byte) []byte {
 	switch v.kind {
 	case Ordinal:
-		return strconv.FormatFloat(v.num, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.num, 'g', -1, 64)
 	case Categorical:
-		return strconv.Quote(v.str)
+		return strconv.AppendQuote(dst, v.str)
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
 }
 

@@ -1,8 +1,8 @@
 package predicate
 
 import (
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/pipeline"
 )
@@ -66,7 +66,7 @@ func (c Conjunction) Params() []string {
 func (c Conjunction) Canonical() Conjunction {
 	out := make(Conjunction, len(c))
 	copy(out, c)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, compareTriples)
 	dedup := out[:0]
 	for i, t := range out {
 		if i == 0 || t != out[i-1] {
@@ -111,9 +111,13 @@ func (c Conjunction) String() string {
 	if len(c) == 0 {
 		return "TRUE"
 	}
-	parts := make([]string, len(c))
+	var buf [256]byte
+	b := buf[:0]
 	for i, t := range c {
-		parts[i] = t.String()
+		if i > 0 {
+			b = append(b, " AND "...)
+		}
+		b = t.appendTo(b)
 	}
-	return strings.Join(parts, " AND ")
+	return string(b)
 }

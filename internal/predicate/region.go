@@ -221,6 +221,19 @@ func (r Region) AnyInstance() (pipeline.Instance, bool) {
 	return in, true
 }
 
+// AllowedCodes appends the interned codes of parameter i's allowed domain
+// values to dst, in domain order (see pipeline.Space.DomainCodes), and
+// returns the extended slice.
+func (r Region) AllowedCodes(i int, dst []uint32) []uint32 {
+	codes := r.space.DomainCodes(i)
+	for j, allow := range r.allowed[i] {
+		if allow {
+			dst = append(dst, codes[j])
+		}
+	}
+	return dst
+}
+
 // AllowedValues returns the allowed domain values for the named parameter.
 func (r Region) AllowedValues(param string) []pipeline.Value {
 	i, ok := r.space.Index(param)

@@ -31,11 +31,14 @@ func Implies(s *pipeline.Space, c Conjunction, d DNF) (bool, error) {
 	if err := d.Validate(s); err != nil {
 		return false, err
 	}
-	return coveredBy(base, d), nil
+	return coveredBy(base, d, make([]Region, len(d))), nil
 }
 
-// coveredBy reports whether base ⊆ ∪_j region(d_j).
-func coveredBy(base Region, d DNF) bool {
+// coveredBy reports whether base ⊆ ∪_j region(d_j). regs[j] caches
+// region(d_j) for the whole Implies call: a zero Region is not computed
+// yet, and each is computed on first use, so a conjunct that covers base
+// outright spares the regions of the ones after it.
+func coveredBy(base Region, d DNF, regs []Region) bool {
 	if base.Empty() {
 		return true
 	}
@@ -43,9 +46,12 @@ func coveredBy(base Region, d DNF) bool {
 		return false
 	}
 	// Fast path: a single conjunct that covers base outright.
-	for _, c := range d {
-		r, err := RegionOf(base.Space(), c)
-		if err == nil && base.SubsetOf(r) {
+	for j, c := range d {
+		if regs[j].space == nil {
+			// Implies validated d, so RegionOf cannot fail here.
+			regs[j], _ = RegionOf(base.Space(), c)
+		}
+		if base.SubsetOf(regs[j]) {
 			return true
 		}
 	}
@@ -56,7 +62,7 @@ func coveredBy(base Region, d DNF) bool {
 		return true
 	}
 	for _, t := range first {
-		if !coveredBy(base.restrictNegated(t), rest) {
+		if !coveredBy(base.restrictNegated(t), rest, regs[1:]) {
 			return false
 		}
 	}

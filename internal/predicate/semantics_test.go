@@ -264,3 +264,64 @@ func TestEquivalentDNF(t *testing.T) {
 		t.Fatalf("expected non-equivalence: %v, %v", ok, err)
 	}
 }
+
+// TestImpliesUnionCovers checks Implies against enumeration on DNFs of up
+// to four non-empty conjuncts, counting the covers that need the union of
+// several conjuncts, where coveredBy branches and reuses the conjuncts'
+// regions across branches.
+func TestImpliesUnionCovers(t *testing.T) {
+	s := testSpace(t)
+	r := rand.New(rand.NewSource(23))
+	var pool []Triple
+	for _, p := range []string{"p1", "p3"} {
+		for _, v := range s.Domain(p) {
+			for _, c := range []Comparator{Eq, Neq, Le, Gt} {
+				pool = append(pool, T(p, c, v))
+			}
+		}
+	}
+	for _, v := range s.Domain("p2") {
+		pool = append(pool, T("p2", Eq, v), T("p2", Neq, v))
+	}
+	conj := func(n int) Conjunction {
+		c := make(Conjunction, n)
+		for k := range c {
+			c[k] = pool[r.Intn(len(pool))]
+		}
+		return c
+	}
+	unions := 0
+	for trial := 0; trial < 3000; trial++ {
+		c := conj(r.Intn(3))
+		d := make(DNF, 1+r.Intn(4))
+		for k := range d {
+			d[k] = conj(1 + r.Intn(2))
+		}
+		got, err := Implies(s, c, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, single := true, false
+		s.Enumerate(func(in pipeline.Instance) bool {
+			if c.Satisfied(in) && !d.Satisfied(in) {
+				want = false
+				return false
+			}
+			return true
+		})
+		for _, dc := range d {
+			if ok, _ := Implies(s, c, DNF{dc}); ok {
+				single = true
+			}
+		}
+		if got != want {
+			t.Fatalf("Implies(%v, %v) = %v, enumeration says %v", c, d, got, want)
+		}
+		if want && !single {
+			unions++
+		}
+	}
+	if unions < 100 {
+		t.Fatalf("only %d covers needed a union of conjuncts", unions)
+	}
+}

@@ -13,6 +13,7 @@ package predicate
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/pipeline"
 )
@@ -152,17 +153,38 @@ func (t Triple) Negated() Triple {
 }
 
 // Less orders triples canonically: by parameter, then comparator, then value.
-func (t Triple) Less(o Triple) bool {
-	if t.Param != o.Param {
-		return t.Param < o.Param
+func (t Triple) Less(o Triple) bool { return compareTriples(t, o) < 0 }
+
+// compareTriples is the canonical triple order as a three-way comparison:
+// negative exactly when a.Less(b), positive exactly when b.Less(a), zero
+// otherwise.
+func compareTriples(a, b Triple) int {
+	if c := strings.Compare(a.Param, b.Param); c != 0 {
+		return c
 	}
-	if t.Cmp != o.Cmp {
-		return t.Cmp < o.Cmp
+	switch {
+	case a.Cmp != b.Cmp:
+		return int(a.Cmp) - int(b.Cmp)
+	case a.Value.Less(b.Value):
+		return -1
+	case b.Value.Less(a.Value):
+		return 1
 	}
-	return t.Value.Less(o.Value)
+	return 0
 }
 
 // String renders the triple as "param cmp value".
 func (t Triple) String() string {
-	return fmt.Sprintf("%s %s %s", t.Param, t.Cmp, t.Value)
+	var buf [64]byte
+	return string(t.appendTo(buf[:0]))
+}
+
+// appendTo appends the String form of t to dst and returns the extended
+// slice.
+func (t Triple) appendTo(dst []byte) []byte {
+	dst = append(dst, t.Param...)
+	dst = append(dst, ' ')
+	dst = append(dst, t.Cmp.String()...)
+	dst = append(dst, ' ')
+	return t.Value.AppendString(dst)
 }

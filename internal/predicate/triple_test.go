@@ -1,6 +1,9 @@
 package predicate
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -137,5 +140,59 @@ func TestTripleString(t *testing.T) {
 	}
 	if got := T("p2", Neq, pipeline.Cat("a")).String(); got != `p2 != "a"` {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// canonicalByLess is Canonical as a sort.Slice over the canonical triple
+// order, spelled out, the reference the three-way sort must reproduce
+// element for element.
+func canonicalByLess(c Conjunction) Conjunction {
+	less := func(a, b Triple) bool {
+		if a.Param != b.Param {
+			return a.Param < b.Param
+		}
+		if a.Cmp != b.Cmp {
+			return a.Cmp < b.Cmp
+		}
+		return a.Value.Less(b.Value)
+	}
+	out := append(Conjunction(nil), c...)
+	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
+	dedup := out[:0]
+	for i, t := range out {
+		if i == 0 || t != out[i-1] {
+			dedup = append(dedup, t)
+		}
+	}
+	return dedup
+}
+
+// TestCanonicalMatchesLessSort checks Canonical against canonicalByLess on
+// random conjunctions with repeated triples, signed zeros and NaNs, which
+// Less does not order, comparing values bit for bit.
+func TestCanonicalMatchesLessSort(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	vals := []pipeline.Value{
+		pipeline.Ord(1), pipeline.Ord(2), pipeline.Ord(0), pipeline.Ord(math.Copysign(0, -1)),
+		pipeline.Ord(math.NaN()), pipeline.Ord(math.Float64frombits(0x7ff8000000000002)),
+		pipeline.Cat("a"), pipeline.Cat("b"),
+	}
+	for trial := 0; trial < 2000; trial++ {
+		c := make(Conjunction, r.Intn(40))
+		for k := range c {
+			c[k] = T([]string{"p", "q", "r"}[r.Intn(3)], Comparator(1+r.Intn(4)), vals[r.Intn(len(vals))])
+		}
+		got, want := c.Canonical(), canonicalByLess(c)
+		if len(got) != len(want) {
+			t.Fatalf("Canonical(%v) = %v, want %v", c, got, want)
+		}
+		for k := range got {
+			g, w := got[k], want[k]
+			if g.Param != w.Param || g.Cmp != w.Cmp || g.Value.Kind() != w.Value.Kind() ||
+				g.Value.Kind() == pipeline.Ordinal && math.Float64bits(g.Value.Num()) != math.Float64bits(w.Value.Num()) ||
+				g.Value.Kind() == pipeline.Categorical && g.Value.Str() != w.Value.Str() {
+				t.Fatalf("Canonical(%v)[%d] = %v, want %v", c, k, g, w)
+			}
+		}
 	}
 }
