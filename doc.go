@@ -24,12 +24,13 @@
 //     their code vector and a precomputed 64-bit hash, making Equal,
 //     DisjointFrom, DiffCount, and memoization probes allocation-free
 //     integer work; the string Key() survives only for codecs and display.
-//   - internal/provenance: the append-only log is indexed on Add with a
-//     map from instance hash to log position (Lookup), per-outcome
+//   - internal/provenance: the append-only log is indexed on every write
+//     with a map from instance hash to log position (Lookup), per-outcome
 //     sequence lists and bitsets, and per-(parameter, value-code) posting
-//     bitsets, so history queries (DisjointSucceeding,
-//     AnySucceedingSatisfying, CountSatisfying, ...) run as bitset algebra
-//     instead of log scans.
+//     bitsets, set in one pass per write that grows each touched bitset
+//     at most once, so history queries (DisjointSucceeding, Stacked
+//     Shortcut's MutuallyDisjointSucceeding, AnySucceedingSatisfying,
+//     CountSatisfying, ...) run as bitset algebra instead of log scans.
 //     Snapshot exposes a zero-copy read-only view for bulk consumers such
 //     as the decision-tree training loop.
 //   - internal/dtree and internal/forest: candidate splits come in value
@@ -78,9 +79,10 @@
 //   - provlog.Open replays existing segments into a fresh fully-indexed
 //     store (position map, outcome bitsets, posting bitsets), truncating a
 //     torn final record after a crash to the last intact frame boundary.
-//     Replay is batched (Space.AdoptInstances builds code-only instances,
-//     with no value slices) and runs at amortized sub-microsecond per
-//     record.
+//     Replay is batched: each batch of up to 8192 records becomes
+//     code-only instances over its own code slab (Space.AdoptInstances,
+//     no value slices) and commits as one Store.AddBatch write, one lock
+//     and one index pass, at amortized sub-microsecond per record.
 //   - The stack threads durability through bugdoc.WithDurability and
 //     bugdoc.ResumeSession, and the cmd/bugdoc -state-dir/-resume flags:
 //     each opens the log with provlog.Open and builds the executor over

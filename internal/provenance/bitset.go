@@ -9,13 +9,20 @@ import "math/bits"
 // whole-log scans.
 type bitset []uint64
 
-// set marks bit i, growing the word slice as needed.
-func (b *bitset) set(i int) {
-	w := i >> 6
-	for len(*b) <= w {
-		*b = append(*b, 0)
+// grow returns b extended with zero words to at least n words, in at most
+// one allocation, at least doubling b's capacity when it makes one. The
+// words past a bitset's length are zero: every bitset is allocated by
+// make, and nothing writes past its length.
+func (b bitset) grow(n int) bitset {
+	if len(b) >= n {
+		return b
 	}
-	(*b)[w] |= 1 << (uint(i) & 63)
+	if n <= cap(b) {
+		return b[:n]
+	}
+	nb := make(bitset, n, max(n, 2*cap(b)))
+	copy(nb, b)
+	return nb
 }
 
 // clone returns an independent copy of b.
@@ -49,9 +56,7 @@ func (b bitset) andNotWith(o bitset) {
 
 // orWith unions o into b, growing b as needed.
 func (b *bitset) orWith(o bitset) {
-	for len(*b) < len(o) {
-		*b = append(*b, 0)
-	}
+	*b = b.grow(len(o))
 	for i := range o {
 		(*b)[i] |= o[i]
 	}

@@ -150,7 +150,7 @@ func TestLoadSortedRunsMatchBuiltStore(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		s := randomProvenanceSpace(t, r)
 		built := NewStore(s)
-		ins := fillRandomStore(t, r, s, built, 10+r.Intn(60))
+		ins := fillRandomStore(t, r, s, built, 10+r.Intn(300))
 		if len(ins) == 0 {
 			continue
 		}

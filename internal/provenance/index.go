@@ -9,7 +9,9 @@ import (
 
 // This file holds the store's index maintenance: staging and committing
 // writes, both identity tiers, and the deferred base-run index. Every
-// function here runs with the store lock held.
+// write — an Add, an AddBatch, an AddHistory chunk, a replay batch, or the
+// deferred base build — sets its outcome bits and postings in one pass,
+// indexRangeLocked. Every function here runs with the store lock held.
 
 // posMap is the identity index over incrementally added records: instance
 // hash to log position. It holds no pointers and no copy of any instance;
@@ -108,41 +110,57 @@ func (st *Store) commitStagedLocked(from int) (int, error) {
 		}
 	}
 	for pos := from; pos < len(st.recs); pos++ {
-		r := &st.recs[pos]
-		switch r.Outcome {
+		switch st.recs[pos].Outcome {
 		case pipeline.Succeed:
 			st.succSeqs = append(st.succSeqs, int32(pos))
 		case pipeline.Fail:
 			st.failSeqs = append(st.failSeqs, int32(pos))
 		}
-		st.indexRecordBitsLocked(pos, r)
 	}
+	st.indexRangeLocked(from, len(st.recs))
 	return len(staged), nil
 }
 
-// indexRecordBitsLocked sets the positional indices — the outcome bitset
-// and the per-(parameter, code) postings — for one record at log position
-// pos. It is the single home of the posting-growth rule; the ordered
-// position lists are maintained by the callers, which differ in where
-// they append.
+// indexRangeLocked sets the positional indices — the outcome bitsets and
+// the per-(parameter, code) postings — of the records at log positions
+// [from, to), one write's worth. It is the single home of the
+// posting-growth rule: a bitset the write touches grows once, to the
+// write's last word, at least doubling its capacity when it reallocates,
+// so a bulk write allocates each touched bitset at most once and a
+// one-record write reallocates one only as often as appending did. The
+// ordered position lists are maintained by the callers, which differ in
+// where they append.
 //
 //bugdoc:hotpath
-func (st *Store) indexRecordBitsLocked(pos int, r *Record) {
-	switch r.Outcome {
-	case pipeline.Succeed:
-		st.succBits.set(pos)
-	case pipeline.Fail:
-		st.failBits.set(pos)
-		// OutcomeInconclusive joins neither bitset: a tie carries no
-		// evidence, so bitset algebra sees the record only through the
-		// postings (and Lookup still memoizes it).
-	}
-	for i := 0; i < st.space.Len(); i++ {
-		c := int(r.Instance.Code(i))
-		for len(st.posting[i]) <= c {
-			st.posting[i] = append(st.posting[i], nil)
+func (st *Store) indexRangeLocked(from, to int) {
+	words := (to + 63) >> 6
+	p := st.space.Len()
+	for pos := from; pos < to; pos++ {
+		r := &st.recs[pos]
+		w, bit := pos>>6, uint64(1)<<(uint(pos)&63)
+		switch r.Outcome {
+		case pipeline.Succeed:
+			st.succBits = st.succBits.grow(words)
+			st.succBits[w] |= bit
+		case pipeline.Fail:
+			st.failBits = st.failBits.grow(words)
+			st.failBits[w] |= bit
+			// OutcomeInconclusive joins neither bitset: a tie carries no
+			// evidence, so bitset algebra sees the record only through the
+			// postings (and Lookup still memoizes it).
 		}
-		st.posting[i][c].set(pos)
+		for i := 0; i < p; i++ {
+			c := int(r.Instance.Code(i))
+			row := st.posting[i]
+			if c >= len(row) {
+				row = append(row, make([]bitset, c+1-len(row))...)
+				st.posting[i] = row
+			}
+			if len(row[c]) < words {
+				row[c] = row[c].grow(words)
+			}
+			row[c][w] |= bit
+		}
 	}
 }
 
@@ -214,15 +232,14 @@ func (st *Store) indexBaseLocked() {
 	succ := make([]int32, 0, n+len(st.succSeqs))
 	fail := make([]int32, 0, n+len(st.failSeqs))
 	for pos := 0; pos < n; pos++ {
-		r := &st.recs[pos]
-		switch r.Outcome {
+		switch st.recs[pos].Outcome {
 		case pipeline.Succeed:
 			succ = append(succ, int32(pos))
 		case pipeline.Fail:
 			fail = append(fail, int32(pos))
 		}
-		st.indexRecordBitsLocked(pos, r)
 	}
+	st.indexRangeLocked(0, n)
 	st.succSeqs = append(succ, st.succSeqs...)
 	st.failSeqs = append(fail, st.failSeqs...)
 	st.baseUnindexed = 0

@@ -3,7 +3,10 @@ package provenance
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/pipeline"
 	"repro/internal/predicate"
@@ -136,22 +139,24 @@ func naiveLookup(st *Store, in pipeline.Instance) (pipeline.Outcome, bool) {
 	return pipeline.OutcomeUnknown, false
 }
 
-// randomProvenanceSpace builds a small randomized mixed-kind space.
+// randomProvenanceSpace builds a small randomized mixed-kind space of 2–5
+// parameters: from a dozen instances to a few thousand, so stores over the
+// larger ones span several 64-record bitset words.
 func randomProvenanceSpace(t *testing.T, r *rand.Rand) *pipeline.Space {
 	t.Helper()
-	n := 2 + r.Intn(3)
+	n := 2 + r.Intn(4)
 	params := make([]pipeline.Parameter, n)
 	for i := range params {
 		name := string(rune('a' + i))
 		if r.Intn(2) == 0 {
-			dom := make([]pipeline.Value, 2+r.Intn(4))
+			dom := make([]pipeline.Value, 2+r.Intn(6))
 			for j := range dom {
 				dom[j] = pipeline.Ord(float64(j))
 			}
 			params[i] = pipeline.Parameter{Name: name, Kind: pipeline.Ordinal, Domain: dom}
 		} else {
 			labels := []string{"u", "v", "w", "x", "y"}
-			dom := make([]pipeline.Value, 2+r.Intn(3))
+			dom := make([]pipeline.Value, 2+r.Intn(4))
 			for j := range dom {
 				dom[j] = pipeline.Cat(labels[j])
 			}
@@ -224,39 +229,56 @@ func randomOutcome(r *rand.Rand) pipeline.Outcome {
 }
 
 // fillMixedHistory drives a randomized history into st — a mix of single
-// Adds and AddBatches, with duplicates against history and within batches
-// sprinkled in — and returns the recorded instances in recording order.
+// Adds, AddBatches and AddHistory writes of 1–200 records, so one write
+// can span several 64-record bitset words, with duplicates against
+// history and within batches sprinkled in — and returns the recorded
+// instances in recording order.
 func fillMixedHistory(t *testing.T, r *rand.Rand, s *pipeline.Space, st *Store) []pipeline.Instance {
 	t.Helper()
 	var ins []pipeline.Instance
 	for step := 3 + r.Intn(6); step > 0; step-- {
-		if r.Intn(2) == 0 {
+		before := st.Len()
+		var added int
+		var err error
+		switch r.Intn(3) {
+		case 0:
 			entries := make([]Entry, 1+r.Intn(12))
 			for j := range entries {
 				entries[j] = Entry{Instance: s.RandomInstance(r), Outcome: randomOutcome(r), Source: fmt.Sprintf("s%d", step)}
 			}
-			before := st.Len()
-			added, err := st.AddBatch(entries)
-			if err != nil {
-				t.Fatal(err)
+			added, err = st.AddBatch(entries)
+		case 1:
+			// A history lists each instance once; drawn repeats are dropped.
+			var hist []Record
+			listed := make(map[string]bool)
+			for j := 1 + r.Intn(200); j > 0; j-- {
+				in := s.RandomInstance(r)
+				if !listed[in.Key()] {
+					listed[in.Key()] = true
+					hist = append(hist, Record{Instance: in, Outcome: randomOutcome(r), Source: "history"})
+				}
 			}
-			if st.Len() != before+added {
-				t.Fatalf("AddBatch reported %d added, store grew by %d", added, st.Len()-before)
+			added, err = st.AddHistory(hist)
+		default:
+			for draws := 1 + r.Intn(8); draws > 0; draws-- {
+				in := s.RandomInstance(r)
+				_, dup := st.Lookup(in)
+				if err := st.Add(in, randomOutcome(r), "add"); (err == nil) == dup {
+					t.Fatalf("Add(%v) = %v with the instance recorded: %v", in, err, dup)
+				}
+				if !dup {
+					added++
+				}
 			}
-			for _, rec := range st.Records()[before:] {
-				ins = append(ins, rec.Instance)
-			}
-			continue
 		}
-		for draws := 1 + r.Intn(8); draws > 0; draws-- {
-			in := s.RandomInstance(r)
-			_, dup := st.Lookup(in)
-			if err := st.Add(in, randomOutcome(r), "add"); (err == nil) == dup {
-				t.Fatalf("Add(%v) = %v with the instance recorded: %v", in, err, dup)
-			}
-			if !dup {
-				ins = append(ins, in)
-			}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Len() != before+added {
+			t.Fatalf("step reported %d added, store grew by %d", added, st.Len()-before)
+		}
+		for _, rec := range st.Records()[before:] {
+			ins = append(ins, rec.Instance)
 		}
 	}
 	return ins
@@ -274,9 +296,9 @@ func sameInstances(a, b []pipeline.Instance) bool {
 	return true
 }
 
-// TestIndexedQueriesMatchLinearScans drives randomized histories of Adds
-// and AddBatches and requires every indexed query to match its linear-scan
-// reference over the log.
+// TestIndexedQueriesMatchLinearScans drives randomized histories of Adds,
+// AddBatches and AddHistory writes and requires every indexed query to
+// match its linear-scan reference over the log.
 func TestIndexedQueriesMatchLinearScans(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 150; trial++ {
@@ -341,11 +363,118 @@ func TestIndexedQueriesMatchLinearScans(t *testing.T) {
 				t.Fatalf("trial %d: MostDifferentSucceeding(%v) = (%v,%v), linear scan (%v,%v)",
 					trial, ref, gin, gok, win, wok)
 			}
-			k := 1 + r.Intn(5)
-			if !sameInstances(st.MutuallyDisjointSucceeding(ref, k),
-				naiveMutuallyDisjointSucceeding(st, ref, k)) {
-				t.Fatalf("trial %d: MutuallyDisjointSucceeding(%v, %d) diverges", trial, ref, k)
+			// Pairwise disjoint runs differ on every parameter, so there are
+			// no more of them than the smallest domain has values: k runs
+			// from 0 past that count into padding, and once to every
+			// succeeding run, which pads through every tie.
+			most := len(s.At(0).Domain)
+			for i := 1; i < s.Len(); i++ {
+				most = min(most, len(s.At(i).Domain))
 			}
+			ks := []int{len(st.Succeeding()) + 1}
+			for k := 0; k <= most+1; k++ {
+				ks = append(ks, k)
+			}
+			for _, k := range ks {
+				if !sameInstances(st.MutuallyDisjointSucceeding(ref, k),
+					naiveMutuallyDisjointSucceeding(st, ref, k)) {
+					t.Fatalf("trial %d: MutuallyDisjointSucceeding(%v, %d) diverges", trial, ref, k)
+				}
+			}
+		}
+	}
+}
+
+// wideHistory is the 5,000-record history the allocation pins write: 8
+// ordinal parameters of 16 values each and random outcomes, so every
+// posting bitset spans about 79 words.
+func wideHistory(t *testing.T) (*pipeline.Space, []Record) {
+	t.Helper()
+	params := make([]pipeline.Parameter, 8)
+	for i := range params {
+		dom := make([]pipeline.Value, 16)
+		for j := range dom {
+			dom[j] = pipeline.Ord(float64(j))
+		}
+		params[i] = pipeline.Parameter{Name: string(rune('a' + i)), Kind: pipeline.Ordinal, Domain: dom}
+	}
+	s := pipeline.MustSpace(params...)
+	r := rand.New(rand.NewSource(5))
+	listed := make(map[string]bool)
+	var recs []Record
+	for len(recs) < 5000 {
+		in := s.RandomInstance(r)
+		if !listed[in.Key()] {
+			listed[in.Key()] = true
+			recs = append(recs, Record{Instance: in, Outcome: randomOutcome(r), Source: "history"})
+		}
+	}
+	return s, recs
+}
+
+// TestAddHistoryAllocatesEachBitsetOnce pins the one index pass per write:
+// AddHistory into an empty store allocates each outcome and posting bitset
+// it touches once, at the write's last word, however many words that is.
+// Writing 5,000 records instead of 64 then adds only the growth of the
+// position lists and identity maps, fewer allocations than the bitsets
+// touched; growing a bitset word by word reallocated each of them about
+// log2(79) more times.
+func TestAddHistoryAllocatesEachBitsetOnce(t *testing.T) {
+	s, recs := wideHistory(t)
+	allocs := func(recs []Record) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := NewStore(s).AddHistory(recs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	st := NewStore(s)
+	if _, err := st.AddHistory(recs); err != nil {
+		t.Fatal(err)
+	}
+	touched := 0
+	for _, bits := range append([]bitset{st.succBits, st.failBits}, slices.Concat(st.posting...)...) {
+		if len(bits) > 0 {
+			touched++
+		}
+	}
+	if extra := allocs(recs) - allocs(recs[:64]); extra >= float64(touched) {
+		t.Fatalf("AddHistory of %d records makes %.0f more allocations than of 64, want fewer than the %d bitsets it touches",
+			len(recs), extra, touched)
+	}
+}
+
+var disjointSink []pipeline.Instance
+
+// TestMutuallyDisjointSucceedingAllocatesPerWord pins the good-run query to
+// the bitset algebra: on a 5,000-record store it allocates its candidate
+// mask, bytes in proportion to the log's 64-record words, and its result,
+// never a copy of the succeeding instances. k = 30 exceeds the 15
+// mutually disjoint runs 16-value parameters allow, so it pads.
+func TestMutuallyDisjointSucceedingAllocatesPerWord(t *testing.T) {
+	s, recs := wideHistory(t)
+	st := NewStore(s)
+	if _, err := st.AddHistory(recs); err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := st.FirstFailing()
+	words := (st.Len() + 63) / 64
+	for _, k := range []int{4, 30} {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			disjointSink = st.MutuallyDisjointSucceeding(ref, k)
+		}
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+		budget := 2*8*words + 4*k*int(unsafe.Sizeof(pipeline.Instance{})) + 512
+		if perCall > uint64(budget) {
+			t.Fatalf("MutuallyDisjointSucceeding(ref, %d) allocates %d bytes over %d records, want at most %d",
+				k, perCall, st.Len(), budget)
+		}
+		if len(disjointSink) != k {
+			t.Fatalf("MutuallyDisjointSucceeding(ref, %d) returned %d runs", k, len(disjointSink))
 		}
 	}
 }

@@ -113,11 +113,7 @@ func (st *Store) DisjointSucceeding(ref pipeline.Instance) []pipeline.Instance {
 	st.rlockIndexed()
 	defer st.mu.RUnlock()
 	mask := st.succBits.clone()
-	for i := 0; i < st.space.Len(); i++ {
-		if c := int(ref.Code(i)); c < len(st.posting[i]) {
-			mask.andNotWith(st.posting[i][c])
-		}
-	}
+	st.clearPostingsLocked(mask, ref)
 	var out []pipeline.Instance
 	mask.forEach(func(pos int) bool {
 		out = append(out, st.recs[pos].Instance)
@@ -152,60 +148,71 @@ func (st *Store) MostDifferentSucceeding(ref pipeline.Instance) (pipeline.Instan
 // that are disjoint from ref and pairwise disjoint, in execution order
 // (the CP_G set of the Stacked Shortcut algorithm). When fewer than k fully
 // disjoint instances exist it pads with the most-different remaining
-// succeeding instances, reflecting the paper's "mutually disjoint if
-// possible". A ref from a different space selects nothing (see
-// MostDifferentSucceeding).
+// succeeding instances, earliest first on ties, reflecting the paper's
+// "mutually disjoint if possible". A ref from a different space selects
+// nothing (see MostDifferentSucceeding).
+//
+// The greedy pass is bitset algebra: the candidates are the succeeding
+// records minus ref's postings, each pick is the lowest remaining bit (the
+// earliest such run), and a pick clears its own postings from the
+// candidates. The query allocates the candidate mask and the result, never
+// a copy of the succeeding instances.
 func (st *Store) MutuallyDisjointSucceeding(ref pipeline.Instance, k int) []pipeline.Instance {
-	if ref.Space() != st.space {
+	if ref.Space() != st.space || k <= 0 {
 		return nil
 	}
-	succ := st.Succeeding()
+	st.rlockIndexed()
+	defer st.mu.RUnlock()
+	mask := st.succBits.clone()
+	st.clearPostingsLocked(mask, ref)
 	var chosen []pipeline.Instance
-	used := make(map[int]bool)
-	for idx, in := range succ {
-		if len(chosen) >= k {
-			return chosen
+	for len(chosen) < k {
+		pos, ok := mask.first()
+		if !ok {
+			break
 		}
-		if !in.DisjointFrom(ref) {
-			continue
-		}
-		ok := true
-		for _, c := range chosen {
-			if !in.DisjointFrom(c) {
-				ok = false
-				break
+		in := st.recs[pos].Instance
+		chosen = append(chosen, in)
+		st.clearPostingsLocked(mask, in)
+	}
+	if len(chosen) == k {
+		return chosen
+	}
+	// Pad with the most-different succeeding instances not yet chosen. The
+	// greedy pass ran the mask empty; it now marks the chosen positions.
+	taken := mask
+	for _, in := range chosen {
+		pos, _ := st.lookupPosLocked(in)
+		taken[pos>>6] |= 1 << (uint(pos) & 63)
+	}
+	for len(chosen) < k {
+		best, bestDiff := int32(-1), -1
+		for _, pos := range st.succSeqs {
+			if taken[pos>>6]&(1<<(uint(pos)&63)) != 0 {
+				continue
+			}
+			if d := st.recs[pos].Instance.DiffCount(ref); d > bestDiff {
+				best, bestDiff = pos, d
 			}
 		}
-		if ok {
-			chosen = append(chosen, in)
-			used[idx] = true
+		if best < 0 {
+			break
 		}
-	}
-	// Pad with most-different succeeding instances not yet chosen.
-	type cand struct {
-		in   pipeline.Instance
-		diff int
-		seq  int
-	}
-	var cands []cand
-	for idx, in := range succ {
-		if used[idx] {
-			continue
-		}
-		cands = append(cands, cand{in, in.DiffCount(ref), idx})
-	}
-	for len(chosen) < k && len(cands) > 0 {
-		best := 0
-		for i := 1; i < len(cands); i++ {
-			if cands[i].diff > cands[best].diff ||
-				(cands[i].diff == cands[best].diff && cands[i].seq < cands[best].seq) {
-				best = i
-			}
-		}
-		chosen = append(chosen, cands[best].in)
-		cands = append(cands[:best], cands[best+1:]...)
+		taken[best>>6] |= 1 << (uint(best) & 63)
+		chosen = append(chosen, st.recs[best].Instance)
 	}
 	return chosen
+}
+
+// clearPostingsLocked clears from mask every record sharing a value with
+// in on some parameter, leaving the records disjoint from in. The caller
+// holds the read lock.
+func (st *Store) clearPostingsLocked(mask bitset, in pipeline.Instance) {
+	for i := 0; i < st.space.Len(); i++ {
+		if c := int(in.Code(i)); c < len(st.posting[i]) {
+			mask.andNotWith(st.posting[i][c])
+		}
+	}
 }
 
 // tripleBitsLocked returns the records satisfying t as a bitset: the union

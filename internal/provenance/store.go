@@ -4,14 +4,16 @@
 // successful instances, and counterexamples) and extend it as they execute
 // new instances.
 //
-// The store is an append-only log with columnar indices maintained on Add:
-// a map from the instances' precomputed hashes to log positions (so Lookup
-// is an allocation-free hash probe confirmed against the logged record),
-// per-outcome sequence lists and bitsets, and
-// per-(parameter, value-code) posting bitsets. History queries
-// (DisjointSucceeding, AnySucceedingSatisfying, CountSatisfying, ...) run
-// as bitset intersections instead of whole-log scans, and Snapshot exposes
-// a read-only view of the log for bulk consumers.
+// The store is an append-only log with columnar indices maintained on
+// every write: a map from the instances' precomputed hashes to log
+// positions (so Lookup is an allocation-free hash probe confirmed against
+// the logged record), per-outcome sequence lists and bitsets, and
+// per-(parameter, value-code) posting bitsets. A write — one Add, one
+// AddBatch, one AddHistory chunk — sets its records' bits in one index
+// pass that grows each bitset it touches at most once. History queries
+// (DisjointSucceeding, MutuallyDisjointSucceeding, AnySucceedingSatisfying,
+// CountSatisfying, ...) run as bitset algebra instead of whole-log scans,
+// and Snapshot exposes a read-only view of the log for bulk consumers.
 //
 // One read-write lock guards the log and every index. The algorithm
 // drivers are sequential — choose a hypothesis, execute one batch, commit
@@ -259,8 +261,8 @@ func (st *Store) AddHistory(recs []Record) (added int, err error) {
 	}
 	for len(recs) > 0 {
 		chunk := recs[:min(len(recs), historyBatch)]
+		n, err := st.addChunk(chunk, len(recs))
 		recs = recs[len(chunk):]
-		n, err := st.addChunk(chunk)
 		added += n
 		if err != nil {
 			return added, err
@@ -271,11 +273,16 @@ func (st *Store) AddHistory(recs []Record) (added int, err error) {
 
 // addChunk commits one AddHistory write: it stages the validated records
 // of chunk that are not yet recorded and commits them with one sink
-// append.
-func (st *Store) addChunk(chunk []Record) (int, error) {
+// append. left counts the history's records from chunk on; an empty store
+// sizes its identity map for all of them first, so ingesting a history
+// never rehashes the map.
+func (st *Store) addChunk(chunk []Record, left int) (int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	from := len(st.recs)
+	if from == 0 {
+		st.byKey = newPosMap(left)
+	}
 	st.recs = slices.Grow(st.recs, len(chunk))
 	for i := range chunk {
 		st.stageLocked(chunk[i].Instance, chunk[i].Outcome, chunk[i].Source)

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,8 +66,9 @@ const replayBatch = 8192
 // dictionaries needed to resume appending (codes already framed per
 // parameter, source-id assignments). Exec records buffer into a columnar
 // batch and flush through Space.AdoptInstances as code-only instances, the
-// form checkpoint loads build too: replay materializes no values, and one
-// code copy per batch backs every instance in it.
+// form checkpoint loads build too: replay materializes no values, and the
+// batch's own code slab backs every instance in it. Each flush is one
+// store write, Store.AddBatch: one lock and one index pass per batch.
 //
 // With a checkpoint loaded, replay starts mid-stream: the store is
 // pre-populated with every record below skipBelow, the dictionaries are
@@ -87,11 +87,17 @@ type replayState struct {
 	ckptSeq   int        // watermark of the loaded checkpoint; 0 when none
 	ckpt      *ckptState // the loaded checkpoint's pristine tables; nil when none
 
-	batchCodes  []uint32 // row-major, one row of space.Len() codes per record
-	batchOuts   []pipeline.Outcome
-	batchSrc    []uint16
-	batchHashes []uint64            // flush scratch
-	batchIns    []pipeline.Instance // flush scratch, sized by the first flush
+	// batchCodes is the pending batch's code slab, row-major, one row of
+	// space.Len() codes per record. The store keeps each flushed slab, so
+	// every batch starts a fresh one, sized from unread: the bytes of the
+	// current segment not yet decoded, by its size at open, which bound
+	// the records it can still hold.
+	batchCodes   []uint32
+	unread       int64
+	batchOuts    []pipeline.Outcome
+	batchSrc     []uint16
+	batchHashes  []uint64           // flush scratch
+	batchEntries []provenance.Entry // flush scratch, sized by the first flush
 
 	// held keeps, per instance (by Key), the trial votes read ahead of
 	// their predecessors, until those arrive (see applyTrialVote).
@@ -114,36 +120,56 @@ func newReplayState(space *pipeline.Space, st *provenance.Store) *replayState {
 	}
 }
 
-// flush adopts the buffered records as code-only instances and commits
-// them to the store. The batch buffer is reused, so the instances adopt a
-// copy of it.
+// flush commits the buffered records to the store as one write: it adopts
+// them as code-only instances over the batch's code slab, which passes to
+// the store as it is, and hands them to Store.AddBatch. The log holds
+// each instance once, so a batch that adds fewer records than it decoded
+// repeats an instance, and replay fails naming it.
 func (rs *replayState) flush() error {
 	n := len(rs.batchOuts)
 	if n == 0 {
 		return nil
 	}
 	p := rs.space.Len()
-	codes := slices.Clone(rs.batchCodes)
+	codes := rs.batchCodes
+	rs.batchCodes = nil
 	rs.batchHashes = rs.batchHashes[:0]
 	for r := 0; r < n; r++ {
 		rs.batchHashes = append(rs.batchHashes, pipeline.HashCodes(codes[r*p:(r+1)*p]))
 	}
-	if cap(rs.batchIns) < n {
-		rs.batchIns = make([]pipeline.Instance, n)
+	if cap(rs.batchEntries) < n {
+		rs.batchEntries = make([]provenance.Entry, n)
 	}
-	ins := rs.batchIns[:n]
-	if err := rs.space.AdoptInstances(codes, rs.batchHashes, func(r int, in pipeline.Instance) { ins[r] = in }); err != nil {
+	entries := rs.batchEntries[:n]
+	if err := rs.space.AdoptInstances(codes, rs.batchHashes, func(r int, in pipeline.Instance) {
+		entries[r] = provenance.Entry{Instance: in, Outcome: rs.batchOuts[r], Source: rs.sources[rs.batchSrc[r]]}
+	}); err != nil {
 		return fmt.Errorf("provlog: %w", err)
 	}
-	for i, in := range ins {
-		if err := rs.st.Add(in, rs.batchOuts[i], rs.sources[rs.batchSrc[i]]); err != nil {
-			return err
-		}
+	from := rs.st.Len()
+	added, err := rs.st.AddBatch(entries)
+	if err != nil {
+		return err
 	}
-	rs.batchCodes = rs.batchCodes[:0]
+	if added < n {
+		return rs.repeatError(entries, from)
+	}
 	rs.batchOuts = rs.batchOuts[:0]
 	rs.batchSrc = rs.batchSrc[:0]
 	return nil
+}
+
+// repeatError names the first entry of a flushed batch that the store
+// skipped as already recorded. The batch was offered from log position
+// from on, and the entries it added sit there in order, so the first entry
+// that is not the record at its position is the repeat.
+func (rs *replayState) repeatError(entries []provenance.Entry, from int) error {
+	sn := rs.st.Snapshot()
+	i := 0
+	for from+i < sn.Len() && sn.At(from+i).Instance.Equal(entries[i].Instance) {
+		i++
+	}
+	return fmt.Errorf("provlog: record %d repeats instance %v, already recorded", from+i, entries[i].Instance)
 }
 
 // scanner reads frames sequentially, tracking the byte offset consumed so
@@ -325,6 +351,12 @@ func (rs *replayState) apply(typ byte, payload []byte) error {
 			return rs.applyTrialVote(payload, trial, src)
 		}
 		skip := rs.seen < rs.skipBelow
+		if !skip && rs.batchCodes == nil {
+			// This record plus at most one per unread exec frame of
+			// 4·P+8 bytes: never more than the segment's bytes allow.
+			rows := min(replayBatch, 1+rs.unread/int64(4*p+8))
+			rs.batchCodes = make([]uint32, 0, int(rows)*p)
+		}
 		for i := 0; i < p; i++ {
 			c := binary.LittleEndian.Uint32(payload[4*i : 4*i+4])
 			if int(c) >= rs.persisted[i] {
@@ -462,6 +494,10 @@ func replaySegment(sf segFile, rs *replayState, isFinal bool) (lastGood int64, e
 		return 0, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
 	sc := &scanner{r: bufio.NewReaderSize(f, 1<<16)}
 	hb := make([]byte, headerSize)
 	if _, err := io.ReadFull(sc.r, hb); err != nil {
@@ -509,6 +545,8 @@ func replaySegment(sf segFile, rs *replayState, isFinal bool) (lastGood int64, e
 		if err != nil {
 			return lastGood, fmt.Errorf("provlog: %s: %w", filepath.Base(sf.path), err)
 		}
+		// A file still being appended to can outgrow its size at open.
+		rs.unread = max(fi.Size()-sc.off, 0)
 		if err := rs.apply(typ, payload); err != nil {
 			return lastGood, fmt.Errorf("%w (%s, offset %d)", err, filepath.Base(sf.path), lastGood)
 		}
