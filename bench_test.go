@@ -508,40 +508,37 @@ func BenchmarkProvlogReplay100k(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/record")
 }
 
-// --- Checkpointed resume ---------------------------------------------------
+// --- Resume by WAL replay --------------------------------------------------
 
-// openBench lazily builds two state directories holding the same 1M-record
-// history: one as a raw WAL (full replay on Open), one compacted into a
-// checkpoint plus an empty suffix. Built once per process; TestMain removes
-// the tree.
+// openBench lazily builds a state directory holding a 1M-record history as
+// a WAL. Built once per process; TestMain removes the tree.
 var openBench struct {
-	once            sync.Once
-	base            string
-	walDir, ckptDir string
-	err             error
+	once   sync.Once
+	base   string
+	walDir string
+	err    error
 }
 
 const openBenchRecords = 1_000_000
 
-func openBenchDirs(b *testing.B) (string, string) {
+func openBenchDir(b *testing.B) string {
 	b.Helper()
 	openBench.once.Do(func() {
-		openBench.err = buildOpenBenchDirs()
+		openBench.err = buildOpenBenchDir()
 	})
 	if openBench.err != nil {
 		b.Fatal(openBench.err)
 	}
-	return openBench.walDir, openBench.ckptDir
+	return openBench.walDir
 }
 
-func buildOpenBenchDirs() error {
+func buildOpenBenchDir() error {
 	base, err := os.MkdirTemp("", "bugdoc-openbench-")
 	if err != nil {
 		return err
 	}
 	openBench.base = base
 	openBench.walDir = filepath.Join(base, "wal")
-	openBench.ckptDir = filepath.Join(base, "ckpt")
 
 	space := openBenchSpace()
 	l, st, err := provlog.Open(openBench.walDir, space)
@@ -578,39 +575,7 @@ func buildOpenBenchDirs() error {
 			return fmt.Errorf("openbench: AddBatch = %d, %v", added, err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		return err
-	}
-
-	// The checkpointed twin: identical bytes, then one compaction.
-	if err := os.MkdirAll(openBench.ckptDir, 0o755); err != nil {
-		return err
-	}
-	names, err := filepath.Glob(filepath.Join(openBench.walDir, "*"))
-	if err != nil {
-		return err
-	}
-	for _, p := range names {
-		if filepath.Base(p) == "wal.lock" {
-			continue
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(openBench.ckptDir, filepath.Base(p)), data, 0o644); err != nil {
-			return err
-		}
-	}
-	l2, _, err := provlog.Open(openBench.ckptDir, openBenchSpace())
-	if err != nil {
-		return err
-	}
-	if err := l2.Checkpoint(); err != nil {
-		l2.Close()
-		return err
-	}
-	return l2.Close()
+	return l.Close()
 }
 
 // openBenchSpace reconstructs the benchmark space fresh, the way a resumed
@@ -648,212 +613,17 @@ func benchOpen(b *testing.B, dir string) {
 }
 
 // BenchmarkOpenFullReplay1M measures resuming a 1M-record debugging
-// session the pre-compaction way: Open replays the entire append-ordered
-// WAL, frame by frame, so resume cost grows with the session's whole past.
+// session: Open replays the entire append-ordered WAL, frame by frame, so
+// resume cost grows with the session's whole past. CI gates it against
+// BENCH_BASELINE.json.
 func BenchmarkOpenFullReplay1M(b *testing.B) {
-	walDir, _ := openBenchDirs(b)
-	benchOpen(b, walDir)
-}
-
-// BenchmarkOpenCheckpointed1M measures resuming the same 1M-record history
-// after compaction: Open bulk-loads the sorted checkpoint run and replays
-// only the (empty) WAL suffix past its watermark — the bounded-cost resume
-// path, gated in CI against BENCH_BASELINE.json.
-func BenchmarkOpenCheckpointed1M(b *testing.B) {
-	_, ckptDir := openBenchDirs(b)
-	benchOpen(b, ckptDir)
-}
-
-// --- Delta checkpoints (LSM tiers) -----------------------------------------
-
-// deltaBench lazily builds one 1M-record state directory compacted to a
-// single base tier, over a space wide enough (8 parameters x 8 values =
-// 16.7M instances) that per-iteration delta rounds never exhaust it.
-// Benchmarks copy it rather than mutate it; TestMain removes the tree.
-var deltaBench struct {
-	once sync.Once
-	base string
-	err  error
-}
-
-const (
-	deltaBenchRecords = 1_000_000
-	deltaBenchRound   = 10_000
-)
-
-// deltaBenchSpace reconstructs the delta-benchmark space fresh, the way a
-// resumed process reconstructs its space from the spec.
-func deltaBenchSpace() *pipeline.Space {
-	params := make([]pipeline.Parameter, 8)
-	for i := range params {
-		dom := make([]pipeline.Value, 8)
-		for v := range dom {
-			dom[v] = pipeline.Ord(float64(v))
-		}
-		params[i] = pipeline.Parameter{Name: fmt.Sprintf("p%d", i), Kind: pipeline.Ordinal, Domain: dom}
-	}
-	return pipeline.MustSpace(params...)
-}
-
-func deltaBenchDir(b *testing.B) string {
-	b.Helper()
-	deltaBench.once.Do(func() {
-		deltaBench.err = buildDeltaBenchDir()
-	})
-	if deltaBench.err != nil {
-		b.Fatal(deltaBench.err)
-	}
-	return deltaBench.base
-}
-
-func buildDeltaBenchDir() error {
-	base, err := os.MkdirTemp("", "bugdoc-deltabench-")
-	if err != nil {
-		return err
-	}
-	deltaBench.base = base
-	space := deltaBenchSpace()
-	l, st, err := provlog.Open(base, space)
-	if err != nil {
-		return err
-	}
-	const chunk = 8192
-	vals := make([]pipeline.Value, space.Len())
-	entries := make([]provenance.Entry, 0, chunk)
-	for at := 0; at < deltaBenchRecords; at += chunk {
-		n := chunk
-		if at+n > deltaBenchRecords {
-			n = deltaBenchRecords - at
-		}
-		entries = entries[:0]
-		for k := 0; k < n; k++ {
-			x := at + k
-			for i := 0; i < space.Len(); i++ {
-				dom := space.At(i).Domain
-				vals[i] = dom[x%len(dom)]
-				x /= len(dom)
-			}
-			in, err := pipeline.NewInstance(space, vals)
-			if err != nil {
-				return err
-			}
-			out := pipeline.Succeed
-			if in.Hash()&1 == 0 {
-				out = pipeline.Fail
-			}
-			entries = append(entries, provenance.Entry{Instance: in, Outcome: out, Source: "bench"})
-		}
-		if added, err := st.AddBatch(entries); err != nil || added != n {
-			return fmt.Errorf("deltabench: AddBatch = %d, %v", added, err)
-		}
-	}
-	if err := l.Checkpoint(); err != nil {
-		l.Close()
-		return err
-	}
-	return l.Close()
-}
-
-// copyStateDir clones a state directory's regular files (minus the flock
-// file) so a benchmark can mutate its own copy.
-func copyStateDir(b *testing.B, src, dst string) {
-	b.Helper()
-	names, err := filepath.Glob(filepath.Join(src, "*"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range names {
-		if filepath.Base(p) == "wal.lock" {
-			continue
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, filepath.Base(p)), data, 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchCheckpointDelta measures checkpointing a 10k-record delta on top
-// of a 1M-record history under the given merge policy. Every iteration
-// rebuilds the identical state outside the timer — a fresh copy of the
-// compacted base directory, reopened, with the same 10k-record round
-// appended — and times only Checkpoint: the tier encode, any merges the
-// policy demands, the manifest publish, and collection. Identical
-// per-iteration state keeps the median stable enough to gate; a policy
-// that accumulates tiers across iterations would make the cost a
-// function of b.N.
-func benchCheckpointDelta(b *testing.B, policy provlog.MergePolicy) {
-	src := deltaBenchDir(b)
-	space := deltaBenchSpace()
-	ins := distinctInstances(b, space, deltaBenchRecords, deltaBenchRound)
-	entries := make([]provenance.Entry, deltaBenchRound)
-	for k, in := range ins {
-		out := pipeline.Succeed
-		if in.Hash()&1 == 0 {
-			out = pipeline.Fail
-		}
-		entries[k] = provenance.Entry{Instance: in, Outcome: out, Source: "bench"}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir, err := os.MkdirTemp(b.TempDir(), "round")
-		if err != nil {
-			b.Fatal(err)
-		}
-		copyStateDir(b, src, dir)
-		// Collect the previous iteration's ~0.5GB store outside the timer.
-		runtime.GC()
-		l, st, err := provlog.Open(dir, space, provlog.WithMergePolicy(policy))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Len() != deltaBenchRecords {
-			b.Fatalf("opened %d records, want %d", st.Len(), deltaBenchRecords)
-		}
-		if added, err := st.AddBatch(entries); err != nil || added != deltaBenchRound {
-			b.Fatalf("AddBatch = %d, %v", added, err)
-		}
-		b.StartTimer()
-		if err := l.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if err := l.Close(); err != nil {
-			b.Fatal(err)
-		}
-		os.RemoveAll(dir)
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/deltaBenchRound, "ns/record")
-}
-
-// BenchmarkCheckpointDelta1M is the headline tiered-checkpoint number:
-// under the default merge policy each checkpoint folds only the 10k-record
-// WAL suffix into a new tier (amortizing the occasional small-tier merge),
-// so the cost tracks the delta, not the 1M-record history. CI gates it
-// against BENCH_BASELINE.json.
-func BenchmarkCheckpointDelta1M(b *testing.B) {
-	benchCheckpointDelta(b, provlog.MergePolicy{})
-}
-
-// BenchmarkCheckpointFullRewrite1M is the contrast: MaxTiers 1 reproduces
-// the pre-tiering behavior of rewriting the entire history on every
-// checkpoint — O(history) per delta, the cost the tiers eliminate.
-func BenchmarkCheckpointFullRewrite1M(b *testing.B) {
-	benchCheckpointDelta(b, provlog.MergePolicy{MaxTiers: 1, SizeRatio: 1})
+	benchOpen(b, openBenchDir(b))
 }
 
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if openBench.base != "" {
 		os.RemoveAll(openBench.base)
-	}
-	if deltaBench.base != "" {
-		os.RemoveAll(deltaBench.base)
 	}
 	os.Exit(code)
 }

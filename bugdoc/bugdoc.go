@@ -71,10 +71,6 @@ type (
 	Store = provenance.Store
 	// Record is one provenance entry.
 	Record = provenance.Record
-	// MergePolicy schedules the durable log's checkpoint tier compaction:
-	// how many LSM-style tiers may accumulate and how steeply their sizes
-	// must grow before adjacent tiers merge.
-	MergePolicy = provlog.MergePolicy
 	// FlakyPolicy configures quorum outcome resolution for sessions whose
 	// oracle is non-deterministic: how many trials to dispatch per
 	// instance and how many agreeing votes resolve it.
@@ -202,18 +198,6 @@ func WithFsync(on bool) Option {
 	return func(s *Session) { s.fsync = on }
 }
 
-// WithMergePolicy sets the checkpoint tier-compaction policy of a durable
-// session's write-ahead log: every compaction folds only the records past
-// the newest checkpoint into a small tier file, and adjacent tiers merge
-// when more than MaxTiers accumulate or an older tier is less than
-// SizeRatio times its newer neighbor — so checkpoint cost tracks the
-// session's recent work, not its whole history. Zero fields take the
-// defaults (8 tiers, ratio 4); MaxTiers 1 restores the historic
-// full-rewrite compaction. It has no effect without WithDurability.
-func WithMergePolicy(p MergePolicy) Option {
-	return func(s *Session) { s.mergePolicy = &p }
-}
-
 // WithFlakyPolicy declares the session's oracle non-deterministic: every
 // new instance is dispatched between MinTrials and MaxTrials times and
 // its recorded outcome is resolved by majority vote once Quorum agreeing
@@ -224,17 +208,6 @@ func WithMergePolicy(p MergePolicy) Option {
 // MaxTrials <= 1) keeps the deterministic single-trial path.
 func WithFlakyPolicy(p FlakyPolicy) Option {
 	return func(s *Session) { s.flakyPolicy = &p }
-}
-
-// WithCompactEvery schedules automatic compaction for a durable session:
-// whenever n records have been logged past the newest checkpoint, the
-// write-ahead log folds its sealed history into a checkpoint in the
-// background and collects the superseded segments, keeping resume cost
-// bounded by the live history instead of the session's whole past. n <= 0
-// (the default) disables automatic compaction; Session.Checkpoint compacts
-// on demand either way. It has no effect without WithDurability.
-func WithCompactEvery(n int) Option {
-	return func(s *Session) { s.compactEvery = n }
 }
 
 // Session is a debugging session over one pipeline: an oracle, a provenance
@@ -250,8 +223,6 @@ type Session struct {
 	history      []Record
 	stateDir     string
 	fsync        bool
-	compactEvery int
-	mergePolicy  *MergePolicy
 	flakyPolicy  *FlakyPolicy
 	telemetryReg *Registry
 	journal      *Journal
@@ -284,12 +255,6 @@ func NewSession(space *Space, oracle Oracle, opts ...Option) (*Session, error) {
 		logOpts := []provlog.Option{provlog.WithMetrics(provlog.NewMetrics(s.telemetryReg, s.journal))}
 		if s.fsync {
 			logOpts = append(logOpts, provlog.WithSync(true))
-		}
-		if s.compactEvery > 0 {
-			logOpts = append(logOpts, provlog.WithCompactEvery(s.compactEvery))
-		}
-		if s.mergePolicy != nil {
-			logOpts = append(logOpts, provlog.WithMergePolicy(*s.mergePolicy))
 		}
 		var err error
 		if s.log, st, err = provlog.Open(s.stateDir, space, logOpts...); err != nil {
@@ -343,17 +308,17 @@ func (s *Session) Close() error {
 	return s.log.Close()
 }
 
-// Checkpoint compacts a durable session's write-ahead log: the history
-// executed so far folds into a checkpoint file, superseded segments are
-// collected, and the next ResumeSession loads the checkpoint instead of
-// replaying the whole WAL. The session stays usable throughout. It fails
-// for sessions without WithDurability; see WithCompactEvery for automatic
-// compaction.
+// Checkpoint fsyncs a durable session's write-ahead log, which is the
+// session's whole state: once it returns, a machine crash loses nothing
+// the session has recorded, and the next ResumeSession replays the log.
+// The session stays usable. Close syncs the log too, so Checkpoint is for
+// a session that keeps running. It fails for sessions without
+// WithDurability and after Close.
 func (s *Session) Checkpoint() error {
 	if s.log == nil {
 		return fmt.Errorf("bugdoc: session has no durability log to checkpoint")
 	}
-	return s.log.Checkpoint()
+	return s.log.Sync()
 }
 
 // Store exposes the session's provenance.

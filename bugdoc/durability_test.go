@@ -175,24 +175,26 @@ func TestDurableSessionCompletedRunReplaysFree(t *testing.T) {
 	}
 }
 
-// TestSessionCheckpointResume runs a full durable search, compacts the
-// session's log, and resumes it twice: the resumed searches must be served
-// entirely from the checkpointed provenance — zero repeated oracle calls —
-// and reach the same root causes.
+// TestSessionCheckpointResume pins Checkpoint's contract: it fsyncs the
+// durable session's log, which is its whole state, so after a search the
+// directory holds only WAL segments, space.json and the lock file. A
+// resumed session restores every record, and repeating the search spends
+// nothing and finds the same causes. Checkpoint fails without durability
+// and after Close.
 func TestSessionCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	oracle := &killableOracle{calls: make(map[string]int), quota: -1}
 
 	s1, err := bugdoc.NewSession(durabilitySpace(), oracle.oracle(),
-		bugdoc.WithDurability(dir), bugdoc.WithWorkers(2), bugdoc.WithCompactEvery(4))
+		bugdoc.WithDurability(dir), bugdoc.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Seed(ctx); err != nil {
 		t.Fatal(err)
 	}
-	causes, err := s1.FindAll(ctx, bugdoc.DebuggingDecisionTrees)
+	causes, err := s1.FindOne(ctx, bugdoc.DebuggingDecisionTrees)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,45 +202,49 @@ func TestSessionCheckpointResume(t *testing.T) {
 		t.Fatal("first run asserted no root cause")
 	}
 	spent := s1.Spent()
+	if spent == 0 {
+		t.Fatal("first run executed nothing")
+	}
 	if err := s1.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if name := e.Name(); name != "space.json" && name != "wal.lock" &&
+			!(strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg")) {
+			t.Fatalf("state directory holds %s after Checkpoint", name)
+		}
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if spent == 0 {
-		t.Fatal("first run executed nothing")
+	if err := s1.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint after Close succeeded")
 	}
 
-	for round := 0; round < 2; round++ {
-		s2, err := bugdoc.ResumeSession(dir, oracle.oracle(), bugdoc.WithWorkers(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s2.Store().Len() != spent {
-			t.Fatalf("round %d: resumed store has %d records, want %d", round, s2.Store().Len(), spent)
-		}
-		causes2, err := s2.FindAll(ctx, bugdoc.DebuggingDecisionTrees)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if causes2.String() != causes.String() {
-			t.Fatalf("round %d: resumed causes %v, want %v", round, causes2, causes)
-		}
-		if s2.Spent() != 0 {
-			t.Fatalf("round %d: resumed session spent %d new executions, want 0", round, s2.Spent())
-		}
-		if round == 0 {
-			if err := s2.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s2.Close(); err != nil {
-			t.Fatal(err)
-		}
+	s2, err := bugdoc.ResumeSession(dir, oracle.oracle(), bugdoc.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Store().Len() != spent {
+		t.Fatalf("resumed store has %d records, want %d", s2.Store().Len(), spent)
+	}
+	again, err := s2.FindOne(ctx, bugdoc.DebuggingDecisionTrees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != causes.String() {
+		t.Fatalf("resumed FindOne found %v, want %v", again, causes)
+	}
+	if s2.Spent() != 0 {
+		t.Fatalf("resumed FindOne spent %d new executions, want 0", s2.Spent())
 	}
 	if got := oracle.maxCalls(); got != 1 {
-		t.Fatalf("an instance reached the oracle %d times across checkpointed resumes, want at most once", got)
+		t.Fatalf("an instance reached the oracle %d times across the resume, want at most once", got)
 	}
 
 	// A session without WithDurability has no log: Checkpoint refuses

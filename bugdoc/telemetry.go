@@ -12,7 +12,7 @@ type (
 	// StatsSnapshot is a point-in-time view of every metric in a Registry.
 	StatsSnapshot = telemetry.Snapshot
 	// Journal is a JSON-lines session event log (oracle trials, batch
-	// dispatches, WAL flushes, checkpoints).
+	// dispatches, WAL flushes).
 	Journal = telemetry.Journal
 )
 
@@ -38,7 +38,7 @@ func WithTelemetry(reg *Registry) Option {
 
 // WithJournal streams structured session events (JSON lines) to j: oracle
 // trial spans with instance hash, outcome, and duration; batch dispatches;
-// WAL writes; checkpoints. The journal is line-atomic under concurrency.
+// WAL writes. The journal is line-atomic under concurrency.
 // Unlike WithTelemetry's counters, emitting an event allocates, so
 // journals record span-level events only — the per-record hot paths stay
 // untouched. Close the journal after the session when it owns a file

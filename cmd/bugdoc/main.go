@@ -1,6 +1,6 @@
 // Command bugdoc debugs a computational pipeline from the command line.
-// See docs/CLI.md for the full reference with a worked kill → resume →
-// compact session.
+// See docs/CLI.md for the full reference with a worked kill → resume
+// session.
 //
 // Input modes (exactly one):
 //
@@ -32,24 +32,6 @@
 //	bugdoc -demo polygamy -algo ddt -goal all -state-dir ./state \
 //	    -workers 8 -fsync
 //
-// Compaction flags: long sessions accumulate a WAL whose replay cost grows
-// with the whole past. -checkpoint-every N folds the records past the
-// newest checkpoint into a new tier file every N logged records, and
-// -compact runs one compaction over an existing state directory and exits
-// (no search; the space comes from the persisted spec, so not even
-// -demo/-spec is needed). Checkpoints are LSM-tiered: each compaction
-// writes only the delta, and -merge-policy K:R bounds the tier count (at
-// most K tiers, each at least R times the one above it; 1:1 restores the
-// historic rewrite-everything compaction):
-//
-//	bugdoc -demo polygamy -algo ddt -goal all -state-dir ./state \
-//	    -checkpoint-every 10000 -merge-policy 8:4
-//	bugdoc -state-dir ./state -compact
-//
-// After compaction, resuming loads the manifest's tiers and replays only
-// the WAL suffix past the newest watermark — resume cost is bounded by the
-// live history, and checkpoint cost by the delta since the last one.
-//
 // Flaky-oracle flags: -trials MIN:MAX:Q treats the oracle as
 // non-deterministic and resolves every new instance by quorum — it is
 // dispatched at least MIN and at most MAX times, its recorded outcome is
@@ -65,9 +47,9 @@
 //
 // Observability flags: -stats prints a runtime telemetry summary when the
 // session ends — including when it is interrupted with Ctrl-C — covering
-// memo hits, oracle latency percentiles, and WAL flush and checkpoint
-// costs. -events appends a JSON-lines journal of session events (oracle
-// trial spans, batch dispatches, WAL writes, checkpoints) to a file.
+// memo hits, oracle latency percentiles, and WAL flush costs. -events
+// appends a JSON-lines journal of session events (oracle trial spans,
+// batch dispatches, WAL writes) to a file.
 // -debug-addr serves the live metric registry at /debug/vars (JSON) and
 // the Go profiler at /debug/pprof/ while the session runs; ":0" picks a
 // free port and the chosen address is printed to stderr:
@@ -95,7 +77,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -133,9 +114,6 @@ func run() error {
 		resume   = flag.Bool("resume", false, "require existing state in -state-dir and continue it")
 		latency  = flag.Duration("latency", 0, "simulated per-execution latency (e.g. 50ms)")
 		fsync    = flag.Bool("fsync", false, "fsync every WAL write (default: leave flushing to the OS)")
-		compact  = flag.Bool("compact", false, "fold the -state-dir WAL into a checkpoint tier, collect superseded files, and exit")
-		ckptN    = flag.Int("checkpoint-every", 0, "compact the WAL in the background every N logged records (0 = only on -compact)")
-		mergePol = flag.String("merge-policy", "", "checkpoint tier merge policy as K:R — at most K tiers, each at least R times the one above (default 8:4; 1:1 = full rewrite)")
 		trials   = flag.String("trials", "", "flaky-oracle quorum as MIN:MAX:Q — dispatch each instance MIN..MAX times, resolve by majority once Q trials agree (empty = deterministic single-trial)")
 		flake    = flag.Float64("flake", 0, "corrupt each oracle verdict with this probability (deterministic per -seed; simulates a flaky pipeline)")
 		stats    = flag.Bool("stats", false, "print a runtime telemetry summary at exit (also on Ctrl-C)")
@@ -144,17 +122,9 @@ func run() error {
 	)
 	flag.Parse()
 
-	merge, mpErr := parseMergePolicy(*mergePol)
-	if mpErr != nil {
-		return mpErr
-	}
 	flaky, ftErr := parseTrials(*trials)
 	if ftErr != nil {
 		return ftErr
-	}
-
-	if *compact {
-		return compactStateDir(*stateDir, *specPath, merge)
 	}
 
 	var algo core.Algorithm
@@ -246,12 +216,6 @@ func run() error {
 		if *fsync {
 			logOpts = append(logOpts, provlog.WithSync(true))
 		}
-		if *ckptN > 0 {
-			logOpts = append(logOpts, provlog.WithCompactEvery(*ckptN))
-		}
-		if merge != nil {
-			logOpts = append(logOpts, provlog.WithMergePolicy(*merge))
-		}
 		if reg != nil || journal != nil {
 			logOpts = append(logOpts, provlog.WithMetrics(provlog.NewMetrics(reg, journal)))
 		}
@@ -304,24 +268,6 @@ func run() error {
 	return nil
 }
 
-// parseMergePolicy parses the -merge-policy flag: "" means nil (library
-// defaults), otherwise "K:R" with K >= 1 tiers and size ratio R >= 1.
-func parseMergePolicy(s string) (*provlog.MergePolicy, error) {
-	if s == "" {
-		return nil, nil
-	}
-	k, r, ok := strings.Cut(s, ":")
-	if !ok {
-		return nil, fmt.Errorf("-merge-policy: want K:R (e.g. 8:4), got %q", s)
-	}
-	maxTiers, err1 := strconv.Atoi(k)
-	ratio, err2 := strconv.Atoi(r)
-	if err1 != nil || err2 != nil || maxTiers < 1 || ratio < 1 {
-		return nil, fmt.Errorf("-merge-policy: want positive integers K:R (e.g. 8:4), got %q", s)
-	}
-	return &provlog.MergePolicy{MaxTiers: maxTiers, SizeRatio: ratio}, nil
-}
-
 // parseTrials parses the -trials flag: "" means nil (deterministic
 // single-trial execution), otherwise "MIN:MAX:Q" with 1 <= MIN <= MAX,
 // MAX >= 2, and 1 <= Q <= MAX.
@@ -347,71 +293,6 @@ func parseTrials(s string) (*exec.FlakyPolicy, error) {
 		return nil, fmt.Errorf("-trials: %v", err)
 	}
 	return &p, nil
-}
-
-// compactStateDir runs one explicit compaction over an existing state
-// directory: open (replaying the checkpoint tiers + WAL suffix), fold the
-// suffix into a new tier, merge tiers the policy says are due, collect
-// superseded files, and report the before/after shape. The parameter space
-// comes from specPath when given, otherwise from the spec persisted
-// alongside the log. A nil merge applies the library default policy.
-func compactStateDir(stateDir, specPath string, merge *provlog.MergePolicy) error {
-	if stateDir == "" {
-		return fmt.Errorf("-compact requires -state-dir")
-	}
-	if !provlog.Exists(stateDir) {
-		return fmt.Errorf("-compact: no session state in %s", stateDir)
-	}
-	var space *pipeline.Space
-	var err error
-	if specPath != "" {
-		sf, err := os.Open(specPath)
-		if err != nil {
-			return err
-		}
-		defer sf.Close()
-		space, err = spec.Read(sf)
-		if err != nil {
-			return err
-		}
-	} else {
-		space, err = provlog.ReadSpace(stateDir)
-		if err != nil {
-			return err
-		}
-	}
-	segsBefore, err := countFiles(stateDir, "wal-*.seg")
-	if err != nil {
-		return err
-	}
-	var logOpts []provlog.Option
-	if merge != nil {
-		logOpts = append(logOpts, provlog.WithMergePolicy(*merge))
-	}
-	lg, st, err := provlog.Open(stateDir, space, logOpts...)
-	if err != nil {
-		return err
-	}
-	if err := lg.Checkpoint(); err != nil {
-		lg.Close()
-		return err
-	}
-	if err := lg.Close(); err != nil {
-		return err
-	}
-	segsAfter, err := countFiles(stateDir, "wal-*.seg")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("compacted:       %s\n", stateDir)
-	fmt.Printf("records:         %d (checkpoint watermark)\n", st.Len())
-	fmt.Printf("segments:        %d -> %d\n", segsBefore, segsAfter)
-	return nil
-}
-
-func countFiles(dir, pattern string) (int, error) {
-	names, err := filepath.Glob(filepath.Join(dir, pattern))
-	return len(names), err
 }
 
 // historical loads the spec and provenance and replays the log.

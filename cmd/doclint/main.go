@@ -14,7 +14,7 @@
 // ignored. -docs takes a comma-separated list of markdown files or
 // directories (scanned for *.md); a reference gates only when its package
 // segment names one of the linted packages — `provlog.Open`,
-// `provlog.MergePolicy.MaxTiers`, `provenance.Store.LoadSortedRuns` —
+// `pipeline.FlakyPolicy.Quorum`, `provenance.Store.AddHistory` —
 // so mentions of other packages and shell snippets pass through. Exit
 // status 1 lists every offender as file:line: description.
 package main
@@ -157,7 +157,7 @@ func lintDir(ld *analysis.Loader, dir string, exports map[string]map[string]bool
 
 // recordFields adds a struct type's exported fields to the symbol set as
 // "Type.Field", so docs can reference configuration knobs like
-// `provlog.MergePolicy.MaxTiers`.
+// `pipeline.FlakyPolicy.Quorum`.
 func recordFields(syms map[string]bool, s *ast.TypeSpec) {
 	st, ok := s.Type.(*ast.StructType)
 	if !ok || st.Fields == nil {

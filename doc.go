@@ -8,10 +8,10 @@
 //
 // Deeper documentation lives under docs/: docs/ARCHITECTURE.md maps the
 // layers (pipeline → provenance → provlog → exec → bugdoc → cmd), the
-// write and compaction lifecycles, and the invariants each layer owns;
-// docs/ONDISK.md specifies the write-ahead log and checkpoint binary
-// formats byte by byte, with the crash-recovery rules; docs/CLI.md is the
-// cmd/bugdoc reference with a worked kill → resume → compact session.
+// write lifecycle, and the invariants each layer owns; docs/ONDISK.md
+// specifies the write-ahead log's binary format byte by byte, with the
+// crash-recovery rules; docs/CLI.md is the cmd/bugdoc reference with a
+// worked kill → resume session.
 //
 // # Execution-core architecture: interned values and columnar indices
 //
@@ -118,39 +118,21 @@
 //     frame prefix — torture-tested at every byte offset of a
 //     multi-record batch (internal/provlog).
 //
-// # Segment compaction and checkpointed resume
+// # The WAL is the state
 //
-// Long sessions accumulate WAL segments, and replaying the whole past on
-// every Open would make resume cost grow without bound. Compaction
-// (provlog.Log.Checkpoint, bugdoc.Session.Checkpoint, the
-// provlog.WithCompactEvery auto-trigger, cmd/bugdoc -compact and
-// -checkpoint-every) folds the records logged since the last checkpoint
-// into a checkpoint tier, all tiers in one format: a sorted run keyed by
-// instance hash, with the value and source dictionaries consolidated into
-// dense tables and a footer carrying the sequence range, record count,
-// space fingerprint, and a whole-file CRC-32C. A tier becomes live only
-// when the MANIFEST that names it is published by fsync+rename, and only
-// then are the segments it covers deleted, so a crash at any point of a
-// compaction recovers (torture-tested stage by stage).
+// A state directory holds WAL segments and space.json, nothing else: Open
+// and Replay rebuild the store by replaying every segment, so a resume
+// costs one pass over the session's history. That pass is cheap next to
+// the oracle calls it saves — BenchmarkOpenFullReplay1M replays a
+// 1M-record session in about 0.7 s on a 2-core VM, less than one
+// execution of a real pipeline — so no checkpoint format stands beside
+// the log. bugdoc.Session.Checkpoint fsyncs the log (provlog.Log.Sync),
+// which makes the whole state durable. A directory holding a MANIFEST was
+// checkpointed by an older version; Open and Replay refuse it without
+// touching it.
 //
-//   - Open loads the tiers the MANIFEST names, index-free, from
-//     mmap-backed files decoded on every core: rows adopt wholesale into
-//     the store as its base runs — code-only instances over the shared
-//     decoded matrix, identity served by binary search over the stored
-//     hash order, outcome/posting indices built lazily on first query —
-//     and only the WAL suffix past the watermark replays frame by frame.
-//     Without a loadable MANIFEST, Open replays the whole WAL, or fails
-//     when its prefix has been collected.
-//   - Resume cost is bounded by live history, not total history:
-//     BenchmarkOpenCheckpointed1M opens a 1M-record session several times
-//     faster than BenchmarkOpenFullReplay1M replays the identical records
-//     (both gated in CI).
-//   - A checkpoint + WAL-suffix store is differentially tested to be
-//     identical — records, dictionaries, and indexed query behavior — to
-//     a full-WAL replay of the same bytes, across randomized histories.
-//
-// docs/ONDISK.md specifies both binary formats byte by byte with the full
-// crash matrix; docs/ARCHITECTURE.md diagrams the lifecycles.
+// docs/ONDISK.md specifies the binary format byte by byte with the
+// recovery rules; docs/ARCHITECTURE.md diagrams the write lifecycle.
 //
 // CI gates the hot paths with a benchmark-regression job: cmd/benchdiff
 // compares median ns/op of the gated benchmarks against the committed

@@ -118,10 +118,11 @@ func TestNewDurableResume(t *testing.T) {
 	}
 }
 
-// TestNewDurableCheckpointResume compacts the log mid-session and resumes
-// twice more: every previously evaluated instance must be served from the
-// checkpointed provenance with zero repeated oracle calls, and instances
-// evaluated after the checkpoint must survive via the WAL suffix.
+// TestNewDurableCheckpointResume checkpoints the log mid-session — a
+// Log.Sync, since the WAL is the whole state — and resumes twice more:
+// every previously evaluated instance must be served from the replayed
+// provenance with zero repeated oracle calls, and instances evaluated
+// after the checkpoint must survive too.
 func TestNewDurableCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -129,8 +130,8 @@ func TestNewDurableCheckpointResume(t *testing.T) {
 
 	s1 := durableSpace()
 	e1, l1 := openDurable(t, dir, s1, counter.oracle(), nil)
-	if err := l1.Checkpoint(); err != nil {
-		t.Fatal(err) // empty-log checkpoint must be a clean no-op
+	if err := l1.Sync(); err != nil {
+		t.Fatal(err) // an empty-log checkpoint must be a clean no-op
 	}
 	var all []pipeline.Instance
 	for _, x := range s1.Domain("x") {
@@ -144,10 +145,10 @@ func TestNewDurableCheckpointResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l1.Checkpoint(); err != nil {
+	if err := l1.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// The suffix: evaluations landing after the checkpoint.
+	// Evaluations landing after the checkpoint.
 	for _, in := range all[half:] {
 		if _, err := e1.Evaluate(ctx, in); err != nil {
 			t.Fatal(err)
@@ -174,9 +175,9 @@ func TestNewDurableCheckpointResume(t *testing.T) {
 			t.Fatalf("round %d: resumed run spent %d executions, want 0", round, e2.Spent())
 		}
 		if round == 0 {
-			// Compact again on resume so the second round loads a
-			// checkpoint that itself came from checkpoint + suffix.
-			if err := l2.Checkpoint(); err != nil {
+			// Checkpoint again on resume, so the second round replays a
+			// log that was itself resumed and synced.
+			if err := l2.Sync(); err != nil {
 				t.Fatal(err)
 			}
 		}

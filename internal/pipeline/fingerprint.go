@@ -44,10 +44,10 @@ func (s *Space) Intern(i int, v Value) uint32 { return s.codeOf(i, v) }
 
 // AdoptInstances builds one code-only instance per row of flat, a
 // row-major matrix of Len interned codes per instance, and calls emit once
-// per row, in row order — bulk loaders (WAL replay, checkpoint loads) place
-// the instances straight into their own tables. Every row adopts its slice
-// of flat as its code vector: the caller hands over ownership and must not
-// modify flat afterwards. hashes[r] must be the identity hash of row r
+// per row, in row order — bulk loaders (WAL replay) place the instances
+// straight into their own tables. Every row adopts its slice of flat as
+// its code vector: the caller hands over ownership and must not modify
+// flat afterwards. hashes[r] must be the identity hash of row r
 // (HashCodes); bulk loaders compute it while decoding, and this
 // constructor trusts it rather than hashing again.
 //
@@ -60,32 +60,15 @@ func (s *Space) AdoptInstances(flat []uint32, hashes []uint64, emit func(r int, 
 	if p == 0 || len(flat)%p != 0 {
 		return fmt.Errorf("pipeline: %d codes over %d parameters", len(flat), p)
 	}
-	return s.AdoptInstancesRange(flat, hashes, 0, len(flat)/p, emit)
-}
-
-// AdoptInstancesRange is the range form of AdoptInstances: it adopts only
-// rows [lo, hi) of the code matrix, calling emit once per row in row order.
-// The range touches nothing outside its rows, so parallel loaders split a
-// matrix into disjoint ranges and adopt them concurrently — each goroutine
-// owns one range, and the shared flat/hashes slices are only read.
-// Ownership and hash semantics are those of AdoptInstances.
-func (s *Space) AdoptInstancesRange(flat []uint32, hashes []uint64, lo, hi int, emit func(r int, in Instance)) error {
-	p := s.Len()
-	if p == 0 || len(flat)%p != 0 {
-		return fmt.Errorf("pipeline: %d codes over %d parameters", len(flat), p)
-	}
 	n := len(flat) / p
 	if len(hashes) != n {
 		return fmt.Errorf("pipeline: %d hashes for %d instances", len(hashes), n)
-	}
-	if lo < 0 || hi < lo || hi > n {
-		return fmt.Errorf("pipeline: row range [%d, %d) of %d instances", lo, hi, n)
 	}
 	limits := make([]uint32, p)
 	for i := 0; i < p; i++ {
 		limits[i] = uint32(s.intern.size(i))
 	}
-	for r := lo; r < hi; r++ {
+	for r := 0; r < n; r++ {
 		row := flat[r*p : (r+1)*p : (r+1)*p]
 		for i, c := range row {
 			if c >= limits[i] {

@@ -251,9 +251,8 @@ const (
 
 // HashCodes returns the hash an Instance over this code vector carries
 // (Instance.Hash): FNV-1a over the little-endian bytes of the codes. Bulk
-// loaders (WAL replay and the checkpoint reader) use it to compute
-// instance hashes straight from decoded code rows, before any Instance
-// exists.
+// loaders (WAL replay) use it to compute instance hashes straight from
+// decoded code rows, before any Instance exists.
 func HashCodes(codes []uint32) uint64 { return hashCodes(codes) }
 
 func hashCodes(codes []uint32) uint64 {

@@ -2,8 +2,6 @@ package provenance
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,180 +10,8 @@ import (
 	"repro/internal/predicate"
 )
 
-// This file tests the store's two bulk and concurrent entry points: a
-// checkpoint load (LoadSortedRuns) must be indistinguishable from the
-// Add-built store it was cut from, and concurrent writers and readers must
-// only ever see dense, growing prefixes of the log.
-
-// compareStores fails the test unless a and b agree on every query the
-// store exposes, probing disjointness and predicate queries with the
-// recorded instances and random conjunctions.
-func compareStores(t *testing.T, r *rand.Rand, s *pipeline.Space, a, b *Store, ins []pipeline.Instance) {
-	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("Len: %d vs %d", a.Len(), b.Len())
-	}
-	ra, rb := a.Records(), b.Records()
-	if len(ra) != len(rb) {
-		t.Fatalf("Records: %d vs %d", len(ra), len(rb))
-	}
-	for i := range ra {
-		if ra[i].Seq != rb[i].Seq || ra[i].Outcome != rb[i].Outcome ||
-			ra[i].Source != rb[i].Source || !ra[i].Instance.Equal(rb[i].Instance) {
-			t.Fatalf("record %d: %+v vs %+v", i, ra[i], rb[i])
-		}
-		if ra[i].Seq != i {
-			t.Fatalf("record %d has seq %d", i, ra[i].Seq)
-		}
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if sa.Len() != sb.Len() {
-		t.Fatalf("Snapshot: %d vs %d", sa.Len(), sb.Len())
-	}
-	for i := 0; i < sa.Len(); i++ {
-		if !sa.At(i).Instance.Equal(sb.At(i).Instance) {
-			t.Fatalf("snapshot record %d diverges", i)
-		}
-	}
-	asucc, afail := a.Outcomes()
-	bsucc, bfail := b.Outcomes()
-	if asucc != bsucc || afail != bfail {
-		t.Fatalf("Outcomes: (%d,%d) vs (%d,%d)", asucc, afail, bsucc, bfail)
-	}
-	if !sameInstances(a.Failing(), b.Failing()) {
-		t.Fatal("Failing diverges")
-	}
-	if !sameInstances(a.Succeeding(), b.Succeeding()) {
-		t.Fatal("Succeeding diverges")
-	}
-	fa, oka := a.FirstFailing()
-	fb, okb := b.FirstFailing()
-	if oka != okb || (oka && !fa.Equal(fb)) {
-		t.Fatalf("FirstFailing: (%v,%v) vs (%v,%v)", fa, oka, fb, okb)
-	}
-	for _, in := range ins {
-		oa, ha := a.Lookup(in)
-		ob, hb := b.Lookup(in)
-		if oa != ob || ha != hb {
-			t.Fatalf("Lookup(%v): (%v,%v) vs (%v,%v)", in, oa, ha, ob, hb)
-		}
-	}
-	for probe := 0; probe < 12; probe++ {
-		c := randomConjunction(r, s)
-		as, af := a.CountSatisfying(c)
-		bs, bf := b.CountSatisfying(c)
-		if as != bs || af != bf {
-			t.Fatalf("CountSatisfying(%v): (%d,%d) vs (%d,%d)", c, as, af, bs, bf)
-		}
-		ai, aok := a.AnySucceedingSatisfying(c)
-		bi, bok := b.AnySucceedingSatisfying(c)
-		if aok != bok || (aok && !ai.Equal(bi)) {
-			t.Fatalf("AnySucceedingSatisfying(%v): (%v,%v) vs (%v,%v)", c, ai, aok, bi, bok)
-		}
-	}
-	if len(ins) == 0 {
-		return
-	}
-	for probe := 0; probe < 6; probe++ {
-		ref := ins[r.Intn(len(ins))]
-		if !sameInstances(a.DisjointSucceeding(ref), b.DisjointSucceeding(ref)) {
-			t.Fatalf("DisjointSucceeding(%v) diverges", ref)
-		}
-		ma, oka := a.MostDifferentSucceeding(ref)
-		mb, okb := b.MostDifferentSucceeding(ref)
-		if oka != okb || (oka && !ma.Equal(mb)) {
-			t.Fatalf("MostDifferentSucceeding(%v): (%v,%v) vs (%v,%v)", ref, ma, oka, mb, okb)
-		}
-		k := 1 + r.Intn(5)
-		if !sameInstances(a.MutuallyDisjointSucceeding(ref, k),
-			b.MutuallyDisjointSucceeding(ref, k)) {
-			t.Fatalf("MutuallyDisjointSucceeding(%v, %d) diverges", ref, k)
-		}
-	}
-}
-
-// buildSortedRuns renders a store's records as hash-sorted checkpoint
-// tiers — the same (hash, seq) ordering internal/provlog encodes — so the
-// tests can exercise LoadSortedRuns without a disk round trip. The log is
-// cut into the given number of contiguous sequence ranges at random
-// points, one tier each, returned newest (highest range) first.
-func buildSortedRuns(r *rand.Rand, st *Store, tiers int) ([]Record, []SortedRun) {
-	recs := st.Records()
-	cuts := []int{0, len(recs)}
-	for i := 1; i < tiers; i++ {
-		cuts = append(cuts, r.Intn(len(recs)+1))
-	}
-	sort.Ints(cuts)
-	var runs []SortedRun
-	for i := len(cuts) - 1; i > 0; i-- {
-		lo, hi := cuts[i-1], cuts[i]
-		seqs := make([]int32, 0, hi-lo)
-		for s := lo; s < hi; s++ {
-			seqs = append(seqs, int32(s))
-		}
-		sort.Slice(seqs, func(a, b int) bool {
-			ha, hb := recs[seqs[a]].Instance.Hash(), recs[seqs[b]].Instance.Hash()
-			if ha != hb {
-				return ha < hb
-			}
-			return seqs[a] < seqs[b]
-		})
-		hashes := make([]uint64, len(seqs))
-		for j, s := range seqs {
-			hashes[j] = recs[s].Instance.Hash()
-		}
-		runs = append(runs, SortedRun{Hashes: hashes, Seqs: seqs})
-	}
-	return recs, runs
-}
-
-// TestLoadSortedRunsMatchBuiltStore is the checkpoint-resume differential:
-// a store that adopts multi-tier sorted runs must answer every query
-// exactly like the Add-built store the runs were cut from, before and
-// after post-load Adds. Odd trials append before the first query, so the
-// deferred base index merges in front of incrementally indexed records;
-// even trials build it first.
-func TestLoadSortedRunsMatchBuiltStore(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 40; trial++ {
-		s := randomProvenanceSpace(t, r)
-		built := NewStore(s)
-		ins := fillRandomStore(t, r, s, built, 10+r.Intn(300))
-		if len(ins) == 0 {
-			continue
-		}
-		recs, runs := buildSortedRuns(r, built, 1+r.Intn(4))
-		loaded := NewStore(s)
-		if err := loaded.LoadSortedRuns(recs, runs); err != nil {
-			t.Fatalf("trial %d: LoadSortedRuns (%d tiers): %v", trial, len(runs), err)
-		}
-		// Probe identity before any query so the base tiers serve the
-		// lookups index-free.
-		for _, in := range ins {
-			want, _ := built.Lookup(in)
-			got, ok := loaded.Lookup(in)
-			if !ok || got != want {
-				t.Fatalf("trial %d: base-tier Lookup = (%v,%v), want %v", trial, got, ok, want)
-			}
-		}
-		addBoth := func() {
-			extra := fillRandomStore(t, r, s, built, 5)
-			for _, in := range extra {
-				out, _ := built.Lookup(in)
-				if err := loaded.Add(in, out, "rand"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ins = append(ins, extra...)
-		}
-		if trial%2 == 1 {
-			addBoth()
-		}
-		compareStores(t, r, s, built, loaded, ins)
-		addBoth()
-		compareStores(t, r, s, built, loaded, ins)
-	}
-}
+// This file tests the store's concurrent entry points: concurrent writers
+// and readers must only ever see dense, growing prefixes of the log.
 
 // concurrentSpace is the 8x8x4 space the concurrency tests enumerate.
 func concurrentSpace() *pipeline.Space {
@@ -338,63 +164,6 @@ func TestConcurrentAddBatches(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestEnsureIndexedRacesLookups is the -race stress for the
-// checkpoint-resume fast path: a store freshly loaded from sorted runs
-// serves concurrent identity Lookups while the first history queries
-// ensure the deferred base index is built, under the write lock. The store
-// is one lock over one set of indices, the single shard the subtest names.
-func TestEnsureIndexedRacesLookups(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	t.Run("shards=1", func(t *testing.T) {
-		s := randomProvenanceSpace(t, r)
-		built := NewStore(s)
-		ins := fillRandomStore(t, r, s, built, 64)
-		if len(ins) == 0 {
-			t.Skip("space too small to seed")
-		}
-		recs, runs := buildSortedRuns(r, built, 2)
-		st := NewStore(s)
-		if err := st.LoadSortedRuns(recs, runs); err != nil {
-			t.Fatal(err)
-		}
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				<-start
-				for rounds := 0; rounds < 200; rounds++ {
-					in := ins[(w*131+rounds)%len(ins)]
-					if _, ok := st.Lookup(in); !ok {
-						t.Errorf("lookup missed a loaded instance")
-						return
-					}
-				}
-			}(w)
-		}
-		for w := 0; w < 2; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				// First queries: these race the deferred index build.
-				succ, fail := st.Outcomes()
-				if succ+fail != len(recs) {
-					t.Errorf("Outcomes = %d+%d, want %d", succ, fail, len(recs))
-				}
-				st.CountSatisfying(predicate.Conjunction{})
-				st.DisjointSucceeding(ins[0])
-				if _, ok := st.FirstFailing(); ok {
-					st.Failing()
-				}
-			}()
-		}
-		close(start)
-		wg.Wait()
-	})
 }
 
 // TestSnapshotConsistencySingleWriterStress is the -race stress for the

@@ -2,16 +2,15 @@ package provenance
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/pipeline"
 )
 
 // This file holds the store's index maintenance: staging and committing
-// writes, both identity tiers, and the deferred base-run index. Every
-// write — an Add, an AddBatch, an AddHistory chunk, a replay batch, or the
-// deferred base build — sets its outcome bits and postings in one pass,
-// indexRangeLocked. Every function here runs with the store lock held.
+// writes and the identity index. Every write — an Add, an AddBatch, an
+// AddHistory chunk or a replay batch — sets its outcome bits and postings
+// in one pass, indexRangeLocked. Every function here runs with the store
+// lock held.
 
 // posMap is the identity index over incrementally added records: instance
 // hash to log position. It holds no pointers and no copy of any instance;
@@ -80,7 +79,7 @@ func (m *posMap) dropNewest(h uint64) {
 // caller holds the write lock throughout. The caller has validated in and
 // out.
 func (st *Store) stageLocked(in pipeline.Instance, out pipeline.Outcome, source string) bool {
-	if _, dup := st.lookupPosLocked(in); dup {
+	if _, dup := st.byKey.get(in, st.recs); dup {
 		return false
 	}
 	pos := int32(len(st.recs))
@@ -161,89 +160,5 @@ func (st *Store) indexRangeLocked(from, to int) {
 			}
 			row[c][w] |= bit
 		}
-	}
-}
-
-// lookupPosLocked resolves an instance to its log position through both
-// identity tiers: the position map over incrementally added (and staged)
-// records, then a binary search of the base runs adopted from a
-// checkpoint.
-//
-//bugdoc:hotpath
-func (st *Store) lookupPosLocked(in pipeline.Instance) (int32, bool) {
-	if i, ok := st.byKey.get(in, st.recs); ok {
-		return i, true
-	}
-	return st.baseLookupLocked(in)
-}
-
-// baseRun is one adopted checkpoint tier: a hash-ascending column plus the
-// log position of each row's record.
-type baseRun struct {
-	hash []uint64
-	pos  []int32
-}
-
-// baseLookupLocked probes the sorted base runs, newest tier first, and
-// returns the first hit — the recency-ordered fan-out that makes a
-// multi-tier checkpoint load behave exactly like the single merged run.
-// Kept out of the map-hit path: Lookup's memoization hit is the hottest
-// operation in the system and pays only a length check for the base tiers.
-//
-//bugdoc:hotpath
-func (st *Store) baseLookupLocked(in pipeline.Instance) (int32, bool) {
-	h := in.Hash()
-	for ri := range st.baseRuns {
-		run := &st.baseRuns[ri]
-		lo, hi := 0, len(run.hash)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if run.hash[mid] < h {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		for ; lo < len(run.hash) && run.hash[lo] == h; lo++ {
-			pos := run.pos[lo]
-			if st.recs[pos].Instance.Equal(in) {
-				return pos, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// indexBaseLocked builds the deferred base-run index in place, if one is
-// pending: it indexes every adopted base record and puts the base
-// positions in front of the outcome position lists. Records committed
-// after the load are already indexed behind them — base positions all
-// precede post-load ones, and the bitsets are positional. The caller holds
-// the write lock.
-func (st *Store) indexBaseLocked() {
-	n := st.baseUnindexed
-	if n == 0 {
-		return
-	}
-	var start time.Time
-	if st.met != nil {
-		start = time.Now()
-	}
-	succ := make([]int32, 0, n+len(st.succSeqs))
-	fail := make([]int32, 0, n+len(st.failSeqs))
-	for pos := 0; pos < n; pos++ {
-		switch st.recs[pos].Outcome {
-		case pipeline.Succeed:
-			succ = append(succ, int32(pos))
-		case pipeline.Fail:
-			fail = append(fail, int32(pos))
-		}
-	}
-	st.indexRangeLocked(0, n)
-	st.succSeqs = append(succ, st.succSeqs...)
-	st.failSeqs = append(fail, st.failSeqs...)
-	st.baseUnindexed = 0
-	if st.met != nil {
-		st.met.indexBuilt(time.Since(start))
 	}
 }

@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -51,18 +50,6 @@ func TestStoreMetricsGauges(t *testing.T) {
 		t.Errorf("record gauge = %d after one more Add, want %d", got, n+1)
 	}
 
-	// A checkpoint-loaded store times its one deferred base-index build.
-	loaded := NewStore(s)
-	loaded.SetMetrics(NewMetrics(reg))
-	recs, runs := buildSortedRuns(rand.New(rand.NewSource(1)), st, 2)
-	if err := loaded.LoadSortedRuns(recs, runs); err != nil {
-		t.Fatal(err)
-	}
-	loaded.Outcomes()
-	loaded.Outcomes()
-	if got := reg.Snapshot().Histograms["provenance_index_build_ns"].Count; got != 1 {
-		t.Errorf("index builds observed = %d, want 1", got)
-	}
 }
 
 func TestSetMetricsNilSafe(t *testing.T) {
@@ -72,8 +59,6 @@ func TestSetMetricsNilSafe(t *testing.T) {
 	if NewMetrics(nil) != nil {
 		t.Fatal("NewMetrics(nil) should return nil")
 	}
-	var m *Metrics
-	m.indexBuilt(0)
 	in := pipeline.MustInstance(s, pipeline.Ord(1), pipeline.Ord(1))
 	if err := st.Add(in, pipeline.Fail, "test"); err != nil {
 		t.Fatal(err)

@@ -44,25 +44,9 @@ func (st *Store) Records() []Record {
 	return out
 }
 
-// rlockIndexed read-locks the store with every index built: a deferred
-// base index still pending is built first, under the write lock. Every
-// query that reads the outcome or posting indices takes its read lock
-// through here.
-func (st *Store) rlockIndexed() {
-	st.mu.RLock()
-	if st.baseUnindexed == 0 {
-		return
-	}
-	st.mu.RUnlock()
-	st.mu.Lock()
-	st.indexBaseLocked()
-	st.mu.Unlock()
-	st.mu.RLock()
-}
-
 // Outcomes counts succeeding and failing records.
 func (st *Store) Outcomes() (succeed, fail int) {
-	st.rlockIndexed()
+	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return len(st.succSeqs), len(st.failSeqs)
 }
@@ -70,7 +54,7 @@ func (st *Store) Outcomes() (succeed, fail int) {
 // byOutcome returns the instances with the given outcome in execution
 // order, projected from the ordered position list.
 func (st *Store) byOutcome(out pipeline.Outcome) []pipeline.Instance {
-	st.rlockIndexed()
+	st.mu.RLock()
 	defer st.mu.RUnlock()
 	list := st.succSeqs
 	if out == pipeline.Fail {
@@ -95,7 +79,7 @@ func (st *Store) Succeeding() []pipeline.Instance { return st.byOutcome(pipeline
 // FirstFailing returns the earliest failing instance, the natural CP_f for
 // the Shortcut algorithms.
 func (st *Store) FirstFailing() (pipeline.Instance, bool) {
-	st.rlockIndexed()
+	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if len(st.failSeqs) == 0 {
 		return pipeline.Instance{}, false
@@ -110,7 +94,7 @@ func (st *Store) DisjointSucceeding(ref pipeline.Instance) []pipeline.Instance {
 	if ref.Space() != st.space {
 		return nil // instances over different spaces are never disjoint
 	}
-	st.rlockIndexed()
+	st.mu.RLock()
 	defer st.mu.RUnlock()
 	mask := st.succBits.clone()
 	st.clearPostingsLocked(mask, ref)
@@ -132,7 +116,7 @@ func (st *Store) MostDifferentSucceeding(ref pipeline.Instance) (pipeline.Instan
 	if ref.Space() != st.space {
 		return pipeline.Instance{}, false
 	}
-	st.rlockIndexed()
+	st.mu.RLock()
 	defer st.mu.RUnlock()
 	best, bestDiff := pipeline.Instance{}, -1
 	for _, pos := range st.succSeqs {
@@ -161,7 +145,7 @@ func (st *Store) MutuallyDisjointSucceeding(ref pipeline.Instance, k int) []pipe
 	if ref.Space() != st.space || k <= 0 {
 		return nil
 	}
-	st.rlockIndexed()
+	st.mu.RLock()
 	defer st.mu.RUnlock()
 	mask := st.succBits.clone()
 	st.clearPostingsLocked(mask, ref)
@@ -182,7 +166,7 @@ func (st *Store) MutuallyDisjointSucceeding(ref pipeline.Instance, k int) []pipe
 	// greedy pass ran the mask empty; it now marks the chosen positions.
 	taken := mask
 	for _, in := range chosen {
-		pos, _ := st.lookupPosLocked(in)
+		pos, _ := st.byKey.get(in, st.recs)
 		taken[pos>>6] |= 1 << (uint(pos) & 63)
 	}
 	for len(chosen) < k {
@@ -262,7 +246,7 @@ func (st *Store) conjunctionBitsLocked(c predicate.Conjunction) (mask bitset, ok
 // sanity check ("whether any superset of the hypothetical root cause is in
 // an already executed successful execution").
 func (st *Store) AnySucceedingSatisfying(c predicate.Conjunction) (pipeline.Instance, bool) {
-	st.rlockIndexed()
+	st.mu.RLock()
 	defer st.mu.RUnlock()
 	mask := st.succBits // read-only unless replaced by an owned intersection
 	if len(c) > 0 {
@@ -287,7 +271,7 @@ func (st *Store) CountSatisfying(c predicate.Conjunction) (succeed, fail int) {
 	if len(c) == 0 {
 		return st.Outcomes()
 	}
-	st.rlockIndexed()
+	st.mu.RLock()
 	defer st.mu.RUnlock()
 	mask, ok := st.conjunctionBitsLocked(c)
 	if !ok {

@@ -20,14 +20,6 @@
 // it, query — so a query never waits on a concurrent write in practice,
 // and the one lock gives every query an exact view of a dense log prefix.
 //
-// Identity is two-tiered, LSM-style: records added one by one live in the
-// position map, while a checkpoint bulk-load (LoadSortedRuns) adopts the
-// hash-sorted checkpoint runs wholesale, serving identity probes by binary
-// search and deferring the outcome and posting indices to the first query
-// that needs them — so resuming a huge session builds no per-record index
-// at all. Either way the store behaves identically; the deferral is never
-// observable.
-//
 // The store itself is volatile; durability is delegated to a pluggable
 // Sink. A sink's Append runs inside Add and AddBatch, under the store's
 // lock and before the records are committed, so a durable sink (the
@@ -99,25 +91,8 @@ type Store struct {
 	recs []Record // the committed log, ascending sequence
 
 	// byKey maps instance hashes to log positions, each hit confirmed
-	// against st.recs (see posMap). Records adopted as base runs are not
-	// in byKey: identity probes for them binary-search the sorted runs
-	// instead, LSM-style, so a checkpoint load never pays to build a hash
-	// index.
+	// against st.recs (see posMap).
 	byKey posMap
-
-	// The base runs: the hash-sorted checkpoint tiers, newest tier first.
-	// Each run's hash column is ascending and pos[i] is the log position
-	// of the record whose instance hashes to hash[i] (ties ordered by
-	// seq). An identity probe binary-searches the runs newest-first, so
-	// when tiers could ever shadow one another the most recent write wins —
-	// though a store-fed log holds each instance exactly once, so in
-	// practice every probe hits at most one run. baseUnindexed is the
-	// length of the base prefix (all adopted records, across every run)
-	// whose outcome and posting indices have not been built yet; the first
-	// query that needs them triggers the deferred build. The memoization
-	// path (Lookup) never does.
-	baseRuns      []baseRun
-	baseUnindexed int
 
 	// Outcome partitions: position lists preserve execution order for
 	// O(matches) enumeration; bitsets drive the boolean-algebra queries.
@@ -137,7 +112,6 @@ type Store struct {
 	trialPolicy pipeline.FlakyPolicy
 
 	sink Sink
-	met  *Metrics // nil when uninstrumented; see SetMetrics
 }
 
 // NewStore creates an empty store for instances of space s.
@@ -290,104 +264,8 @@ func (st *Store) addChunk(chunk []Record, left int) (int, error) {
 	return st.commitStagedLocked(from)
 }
 
-// SortedRun is one hash-sorted checkpoint tier handed to LoadSortedRuns:
-// Hashes ascending, and Seqs[i] the global sequence (log position) of the
-// record hashing to Hashes[i] (ties in sequence order). The two columns
-// are parallel and the store takes ownership of both.
-type SortedRun struct {
-	Hashes []uint64
-	Seqs   []int32
-}
-
-// LoadSortedRuns adopts a set of decoded checkpoint tiers as the store's
-// base runs: recs in sequence order (dense from 0 — the store must be
-// empty), plus one SortedRun per tier, newest tier first, whose sequence
-// sets partition [0, len(recs)). No hash index is built — identity probes
-// binary-search each tier's sorted hash column, newest first, so the most
-// recent tier wins a probe (recency dedup) — and the outcome and posting
-// indices are deferred to the first query that needs them, so loading
-// checkpoints of any size costs O(records) decode-adjacent work and the
-// memoization path is ready immediately.
-// Records added after the load go to the hash-map tier and index
-// incrementally as usual; the deferred base build merges in front of them
-// (base sequences all precede post-load ones, and bitsets are positional).
-//
-// The store adopts the tiers' columns wholesale, copying nothing, and
-// takes ownership of every slice. The caller vouches that the hashes are
-// the records' instance hashes (internal/provlog verifies them against the
-// CRC-protected rows); sortedness and sequence coverage are verified here,
-// and duplicate instances within a tier surface as a verification error
-// since equal instances hash adjacently.
-func (st *Store) LoadSortedRuns(recs []Record, runs []SortedRun) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.sink != nil {
-		return fmt.Errorf("provenance: bulk load on a store with a sink attached")
-	}
-	if len(st.recs) != 0 {
-		return fmt.Errorf("provenance: LoadSortedRuns into a non-empty store")
-	}
-	for i := range recs {
-		r := &recs[i]
-		if r.Instance.Space() != st.space {
-			return fmt.Errorf("provenance: record %d: instance belongs to a different space", i)
-		}
-		if !recordableOutcome(r.Outcome) {
-			return fmt.Errorf("provenance: record %d: cannot record outcome %v", i, r.Outcome)
-		}
-		if r.Seq != i {
-			return fmt.Errorf("provenance: record %d has sequence %d, want %d", i, r.Seq, i)
-		}
-	}
-	total := 0
-	for _, run := range runs {
-		total += len(run.Hashes)
-	}
-	if total != len(recs) {
-		return fmt.Errorf("provenance: sorted runs hold %d rows for %d records", total, len(recs))
-	}
-	// Each run must be sorted and duplicate-free, and across runs the
-	// sequence columns must cover every record exactly once.
-	covered := make([]uint64, (len(recs)+63)/64)
-	for ri, run := range runs {
-		if len(run.Seqs) != len(run.Hashes) {
-			return fmt.Errorf("provenance: sorted run %d has %d hashes and %d seqs", ri, len(run.Hashes), len(run.Seqs))
-		}
-		for i := range run.Hashes {
-			if i > 0 && run.Hashes[i] < run.Hashes[i-1] {
-				return fmt.Errorf("provenance: sorted run %d out of order at row %d", ri, i)
-			}
-			s := run.Seqs[i]
-			if int(s) >= len(recs) || s < 0 {
-				return fmt.Errorf("provenance: sorted run %d row %d names seq %d of %d", ri, i, s, len(recs))
-			}
-			if covered[s>>6]&(1<<(uint(s)&63)) != 0 {
-				return fmt.Errorf("provenance: sorted runs name seq %d twice", s)
-			}
-			covered[s>>6] |= 1 << (uint(s) & 63)
-			if i > 0 && run.Hashes[i] == run.Hashes[i-1] &&
-				recs[run.Seqs[i]].Instance.Equal(recs[run.Seqs[i-1]].Instance) {
-				return fmt.Errorf("provenance: sorted run %d holds instance %v twice", ri, recs[run.Seqs[i]].Instance)
-			}
-		}
-	}
-	st.recs = recs
-	st.baseRuns = make([]baseRun, 0, len(runs))
-	for _, run := range runs {
-		if len(run.Hashes) == 0 {
-			continue
-		}
-		// Log position equals global sequence, so the tier's seq column is
-		// the pos column, adopted as-is.
-		st.baseRuns = append(st.baseRuns, baseRun{hash: run.Hashes, pos: run.Seqs})
-	}
-	st.baseUnindexed = len(recs)
-	return nil
-}
-
 // Lookup returns the recorded outcome for the instance, if any. Hits
-// perform no allocations: the probe goes through the identity map (and,
-// for checkpoint-loaded stores, a binary search of the sorted base runs),
+// perform no allocations: the probe goes through the identity map,
 // followed by an integer code-vector compare.
 //
 //buglint:ignore crossspace read-only hash+Equal probe: a foreign instance can only miss (Equal compares spaces), and the guard's pointer load is measurable on the hottest path
@@ -397,19 +275,10 @@ func (st *Store) Lookup(in pipeline.Instance) (pipeline.Outcome, bool) {
 	// operation in the system and the defer bookkeeping (plus the extra
 	// argument spills it forces) is measurable there.
 	st.mu.RLock()
-	// The map probe is open-coded ahead of the base-run fallback so the
-	// common hit costs exactly what it did before the base tier existed.
 	if i, ok := st.byKey.get(in, st.recs); ok {
 		out := st.recs[i].Outcome
 		st.mu.RUnlock()
 		return out, true
-	}
-	if len(st.baseRuns) > 0 {
-		if i, ok := st.baseLookupLocked(in); ok {
-			out := st.recs[i].Outcome
-			st.mu.RUnlock()
-			return out, true
-		}
 	}
 	st.mu.RUnlock()
 	return pipeline.OutcomeUnknown, false

@@ -26,7 +26,7 @@ type TrialVote struct {
 }
 
 // TrialRecord is one instance's accumulated trial votes, as returned by
-// TrialVotesAll for checkpoint re-emission.
+// TrialVotesAll.
 type TrialRecord struct {
 	Instance pipeline.Instance
 	Votes    []TrialVote
@@ -116,7 +116,7 @@ func (st *Store) TrialOutcome(in pipeline.Instance) (pipeline.Outcome, bool) {
 	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if pos, ok := st.lookupPosLocked(in); ok {
+	if pos, ok := st.byKey.get(in, st.recs); ok {
 		return st.recs[pos].Outcome, true
 	}
 	ts := st.trialStateLocked(in, false)
@@ -144,7 +144,7 @@ func (st *Store) AddTrial(in pipeline.Instance, out pipeline.Outcome, source str
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if pos, ok := st.lookupPosLocked(in); ok {
+	if pos, ok := st.byKey.get(in, st.recs); ok {
 		return TrialResult{Trial: -1, Discarded: true, Resolved: true, Outcome: st.recs[pos].Outcome}, nil
 	}
 	ts := st.trialStateLocked(in, true)
@@ -170,13 +170,11 @@ func (st *Store) AddTrial(in pipeline.Instance, out pipeline.Outcome, source str
 
 // LoadTrialVote applies one replayed trial vote without touching the
 // sink. It is idempotent: a vote at an index already loaded must agree
-// with the loaded vote (checkpoint re-emission duplicates the vote
-// stream) and is otherwise ignored. A vote past the next free index
-// leaves OutcomeUnknown holes that later calls fill. Log replay
+// with the loaded vote and is otherwise ignored. A vote past the next free
+// index leaves OutcomeUnknown holes that later calls fill. Log replay
 // (internal/provlog) never leaves one: it holds a vote read ahead of its
-// predecessors aside until they arrive — a checkpoint's re-emitted votes
-// can trail a concurrently appended higher-index vote in the stream — and
-// fails a replay that ends with votes still held.
+// predecessors aside until they arrive, and fails a replay that ends with
+// votes still held.
 func (st *Store) LoadTrialVote(in pipeline.Instance, trial int, out pipeline.Outcome, source string) error {
 	if in.Space() != st.space {
 		return fmt.Errorf("provenance: trial vote instance belongs to a different space")
@@ -254,9 +252,8 @@ func (st *Store) TrialMargin(in pipeline.Instance) int {
 }
 
 // TrialVotesAll snapshots every instance's vote ledger, in no particular
-// order. Checkpointing uses it to re-emit the vote stream into the
-// post-rotation WAL segment before superseded segments are collected, so
-// votes survive segment GC.
+// order, so a caller can inspect the whole ledger at once — for example,
+// to check that a replayed ledger has no holes.
 func (st *Store) TrialVotesAll() []TrialRecord {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

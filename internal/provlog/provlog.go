@@ -14,14 +14,9 @@
 // size threshold; recovery tolerates a torn final record by truncating the
 // final segment back to its intact prefix.
 //
-// Resume cost stays bounded by compaction: Checkpoint (explicit, or
-// automatic under WithCompactEvery) folds the committed history into a
-// sorted, self-contained checkpoint file and garbage-collects the
-// segments it supersedes, all while appends continue. Open then loads the
-// checkpoint tiers the MANIFEST names, index-free, and replays only the
-// WAL suffix past their watermark, recovering cleanly from a crash at any
-// stage of a compaction. The byte-level formats and the full crash
-// matrix are specified in docs/ONDISK.md.
+// The WAL segments and space.json are a state directory's whole state:
+// Open and Replay rebuild the store by replaying every segment. The
+// byte-level format and the recovery rules are specified in docs/ONDISK.md.
 package provlog
 
 import (
@@ -31,7 +26,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -62,9 +56,9 @@ func WithSync(on bool) Option {
 }
 
 // Log is an open write-ahead log. It is safe for concurrent use: one mutex
-// serializes the writers, and each write — one Append, one AppendTrial,
-// or one checkpoint's vote re-emission — reaches the file as a single
-// write syscall of all its frames, plus one fsync under WithSync.
+// serializes the writers, and each write — one Append or one AppendTrial —
+// reaches the file as a single write syscall of all its frames, plus one
+// fsync under WithSync.
 type Log struct {
 	mu          sync.Mutex
 	dir         string
@@ -79,22 +73,6 @@ type Log struct {
 	size     int64
 	nextSeq  int
 	met      *Metrics // nil when uninstrumented; see WithMetrics
-
-	// Compaction state: the store Open attached (checkpoints snapshot it),
-	// the newest checkpoint's watermark, and the automatic trigger's
-	// bookkeeping. compactMu serializes whole compactions and is never
-	// held together with mu; compactWG tracks every in-flight compaction
-	// (background and explicit) so Close can drain them before releasing
-	// the directory lock.
-	store           *provenance.Store
-	compactEvery    int         // records past the watermark that trigger a background compaction; <= 0 disables
-	merge           MergePolicy // tier-compaction policy; zero fields take defaults
-	compactMu       sync.Mutex
-	compactWG       sync.WaitGroup
-	compacting      bool
-	compactFailures int // consecutive failed auto-compactions; backs off the trigger
-	lastCkptSeq     int
-	tiers           []tierRef // live checkpoint tiers, newest first; guarded by mu
 
 	// persisted counts, per parameter, the codes already written as dict
 	// frames; sourceID interns source strings to their frame ids.
@@ -139,10 +117,14 @@ func ReadSpace(dir string) (*pipeline.Space, error) {
 // The space must be constructed from the same declaration every run: its
 // fingerprint is stored in each segment header and replay refuses a
 // mismatch. Open also persists the space spec as space.json so ReadSpace
-// can reconstruct it.
+// can reconstruct it. A directory an older version checkpointed is
+// refused before anything in it is touched (see refuseCheckpointed).
 func Open(dir string, space *pipeline.Space, opts ...Option) (*Log, *provenance.Store, error) {
 	if space == nil {
 		return nil, nil, fmt.Errorf("provlog: nil space")
+	}
+	if err := refuseCheckpointed(dir); err != nil {
+		return nil, nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -175,62 +157,49 @@ func Open(dir string, space *pipeline.Space, opts ...Option) (*Log, *provenance.
 	if err := l.persistSpace(); err != nil {
 		return nil, nil, err
 	}
-	// Sweep up temp files a killed compaction left behind; the directory
-	// lock guarantees no live compactor owns them.
-	removeStrayTmp(dir)
-	rs, segs, lastGood, err := replayDir(dir, space, runtime.GOMAXPROCS(0))
+	rs, segs, lastGood, err := replayDir(dir, space)
 	if err != nil {
 		return nil, nil, err
 	}
 	st := rs.st
-	total := rs.seen
-	if rs.ckptSeq > total {
-		total = rs.ckptSeq
-	}
-	if st.Len() != total {
-		return nil, nil, fmt.Errorf("provlog: replay rebuilt %d records but the stream holds %d", st.Len(), total)
+	if st.Len() != rs.seen {
+		return nil, nil, fmt.Errorf("provlog: replay rebuilt %d records but the stream holds %d", st.Len(), rs.seen)
 	}
 	copy(l.persisted, rs.persisted)
 	l.sourceID = rs.sourceID
-	l.nextSeq = total
-	l.lastCkptSeq = rs.ckptSeq
-	if rs.ckpt != nil {
-		// Future checkpoints stack on the tiers this open loaded.
-		l.tiers = append([]tierRef(nil), rs.ckpt.tiers...)
+	l.nextSeq = rs.seen
+	if len(segs) == 0 {
+		err = l.createSegment(0, l.nextSeq)
+	} else {
+		err = l.reopenSegment(segs[len(segs)-1], lastGood)
 	}
-	l.met.tierCount(len(l.tiers))
-	switch {
-	case len(segs) == 0:
-		if err := l.createSegment(0, l.nextSeq); err != nil {
-			return nil, nil, err
-		}
-	case rs.seen < rs.ckptSeq:
-		// The WAL's tail below the watermark was lost (a machine crash
-		// after the checkpoint fsynced but before the OS flushed the WAL,
-		// possible without WithSync). The checkpoint is authoritative for
-		// everything below its watermark; the stale tail segment is
-		// abandoned where it ends and appends continue in a fresh segment
-		// whose header re-anchors the sequence at the watermark. Replay
-		// enters the stream there, so the abandoned tail is never
-		// re-counted, and the next compaction collects the stale segments.
-		// The dictionaries reset to the checkpoint's tables: dict frames
-		// the scan saw in the abandoned tail will never be replayed again,
-		// so the writer must re-emit them when next referenced.
-		copy(l.persisted, rs.ckpt.persisted)
-		l.sourceID = rs.ckpt.sourceID
-		if err := l.createSegment(segs[len(segs)-1].index+1, l.nextSeq); err != nil {
-			return nil, nil, err
-		}
-	default:
-		last := segs[len(segs)-1]
-		if err := l.reopenSegment(last, lastGood); err != nil {
-			return nil, nil, err
-		}
+	if err != nil {
+		return nil, nil, err
 	}
-	l.store = st
 	st.SetSink(l)
 	ok = true
 	return l, st, nil
+}
+
+// manifestName is the file through which older versions found their
+// checkpoint tiers.
+const manifestName = "MANIFEST"
+
+// refuseCheckpointed fails for a directory that holds a MANIFEST: an
+// older version checkpointed it, so part of its history may live only in
+// the tier files the MANIFEST names, which this version does not read.
+// Tier, checkpoint and temp files without a MANIFEST were never reachable
+// state and are ignored, as older versions ignored them.
+func refuseCheckpointed(dir string) error {
+	_, err := os.Stat(filepath.Join(dir, manifestName))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("provlog: %s holds a checkpoint %s; this version reads only WAL segments, and commit 2b2639a is the last that reads checkpointed state directories",
+		dir, manifestName)
 }
 
 // persistSpace writes space.json if absent, through atomicPublish so a
@@ -246,7 +215,7 @@ func (l *Log) persistSpace() error {
 		return err
 	}
 	return atomicPublish(l.dir, spaceFile+".tmp*", path,
-		func(tmp *os.File) error { return spec.Write(tmp, l.space) }, nil)
+		func(tmp *os.File) error { return spec.Write(tmp, l.space) })
 }
 
 func segPath(dir string, index uint32) string {
@@ -430,17 +399,15 @@ func (l *Log) appendFramesLocked(buf []byte, in pipeline.Instance, out pipeline.
 }
 
 // writeLocked ends a write begun by beginLocked: it writes the frames
-// with writeFrames and, on success, gives the compaction trigger a look.
-// A failed write rolls the dictionaries and the sequence back, so a
-// transient error (say, a full disk) fails only this write; only a write
-// whose partial frames could not be trimmed breaks the log, because the
-// on-disk tail no longer matches the dictionaries. recs is the number of
-// records among the frames. The caller holds l.mu.
+// with writeFrames. A failed write rolls the dictionaries and the
+// sequence back, so a transient error (say, a full disk) fails only this
+// write; only a write whose partial frames could not be trimmed breaks the
+// log, because the on-disk tail no longer matches the dictionaries. recs
+// is the number of records among the frames. The caller holds l.mu.
 func (l *Log) writeLocked(frames []byte, recs int) error {
 	l.frames = frames[:0] // keep the grown buffer for the next write
 	err := l.writeFrames(frames, l.undoSeq, recs)
 	if err == nil {
-		l.maybeCompactLocked()
 		return nil
 	}
 	var fe *flushError
@@ -533,28 +500,40 @@ func (l *Log) rotate(firstSeq int) error {
 	return nil
 }
 
-// Close waits out a background compaction and closes the active segment.
-// Further appends fail, so a store still holding the log as its sink
+// Sync fsyncs the active segment and the directory, so every write the
+// log has returned from, and every segment file it has created, survives
+// a machine crash. Sealed segments were fsynced when they rotated. Sync
+// is how a caller makes the whole state durable at a point of its
+// choosing without paying WithSync on every write; Close syncs too.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return fmt.Errorf("provlog: log is closed")
+	}
+	if l.broken != nil {
+		return l.broken
+	}
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
+	return syncDir(l.dir)
+}
+
+// Close syncs and closes the active segment and releases the directory
+// lock. Further appends fail, so a store still holding the log as its sink
 // rejects new records rather than silently dropping durability.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	var err error
-	if l.f != nil {
-		err = l.f.Sync()
-		if cerr := l.f.Close(); err == nil {
-			err = cerr
-		}
+	err := l.f.Sync()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	l.mu.Unlock()
-	// A background compaction aborts at its next closed-check; wait for it
-	// before releasing the directory lock so it cannot mutate a directory
-	// another process has started to own.
-	l.compactWG.Wait()
 	if l.lock != nil {
 		if cerr := l.lock.Close(); err == nil {
 			err = cerr

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/predicate"
 	"repro/internal/provenance"
 )
 
@@ -100,9 +101,103 @@ func segmentCount(l *Log) int {
 	return int(l.segIndex) + 1
 }
 
-// assertStoresEqual lives in checkpoint_test.go: it compares two stores
-// over independently constructed spaces by records, dictionaries, and
-// every indexed query surface.
+// assertStoreMatches verifies the store holds exactly the given records in
+// execution order.
+func assertStoreMatches(t *testing.T, st *provenance.Store, ins []pipeline.Instance, outs []pipeline.Outcome, srcs []string) {
+	t.Helper()
+	if st.Len() != len(ins) {
+		t.Fatalf("store holds %d records, want %d", st.Len(), len(ins))
+	}
+	sn := st.Snapshot()
+	for i := range ins {
+		r := sn.At(i)
+		if r.Seq != i {
+			t.Fatalf("record %d has seq %d", i, r.Seq)
+		}
+		if r.Instance.Key() != ins[i].Key() || r.Outcome != outs[i] || r.Source != srcs[i] {
+			t.Fatalf("record %d = {%v %v %q}, want {%v %v %q}",
+				i, r.Instance, r.Outcome, r.Source, ins[i], outs[i], srcs[i])
+		}
+	}
+}
+
+// assertStoresEqual compares two stores rebuilt over independently
+// constructed spaces: the records (order, identity, outcome, source), the
+// interning dictionaries, and the behavior of every indexed query surface.
+func assertStoresEqual(t *testing.T, a, b *provenance.Store) {
+	t.Helper()
+	sa, sb := a.Space(), b.Space()
+	if sa.Len() != sb.Len() {
+		t.Fatalf("spaces have %d and %d parameters", sa.Len(), sb.Len())
+	}
+	if a.Len() != b.Len() {
+		t.Fatalf("stores hold %d and %d records", a.Len(), b.Len())
+	}
+	// Dictionaries: same codes assigned to the same values per parameter.
+	for i := 0; i < sa.Len(); i++ {
+		if sa.NumCodes(i) != sb.NumCodes(i) {
+			t.Fatalf("parameter %d has %d and %d interned codes", i, sa.NumCodes(i), sb.NumCodes(i))
+		}
+		for c := 0; c < sa.NumCodes(i); c++ {
+			va, vb := sa.InternedValue(i, uint32(c)), sb.InternedValue(i, uint32(c))
+			if va.Kind() != vb.Kind() || va.String() != vb.String() {
+				t.Fatalf("parameter %d code %d interned as %v and %v", i, c, va, vb)
+			}
+		}
+	}
+	// Records in execution order, plus Lookup through the identity index.
+	na, nb := a.Snapshot(), b.Snapshot()
+	for i := 0; i < na.Len(); i++ {
+		ra, rb := na.At(i), nb.At(i)
+		if ra.Seq != rb.Seq || ra.Instance.Key() != rb.Instance.Key() ||
+			ra.Outcome != rb.Outcome || ra.Source != rb.Source {
+			t.Fatalf("record %d = {%d %v %v %q} and {%d %v %v %q}",
+				i, ra.Seq, ra.Instance, ra.Outcome, ra.Source,
+				rb.Seq, rb.Instance, rb.Outcome, rb.Source)
+		}
+		if out, ok := b.Lookup(rb.Instance); !ok || out != ra.Outcome {
+			t.Fatalf("record %d: Lookup = %v, %v", i, out, ok)
+		}
+	}
+	// Outcome and posting indices through their query surfaces.
+	asucc, afail := a.Outcomes()
+	bsucc, bfail := b.Outcomes()
+	if asucc != bsucc || afail != bfail {
+		t.Fatalf("outcomes (%d, %d) and (%d, %d)", asucc, afail, bsucc, bfail)
+	}
+	keys := func(ins []pipeline.Instance) string {
+		parts := make([]string, len(ins))
+		for i, in := range ins {
+			parts[i] = in.Key()
+		}
+		return strings.Join(parts, "\n")
+	}
+	if keys(a.Failing()) != keys(b.Failing()) {
+		t.Fatal("failing sets differ")
+	}
+	if keys(a.Succeeding()) != keys(b.Succeeding()) {
+		t.Fatal("succeeding sets differ")
+	}
+	if fa, oka := a.FirstFailing(); oka {
+		fb, okb := b.FirstFailing()
+		if !okb || fa.Key() != fb.Key() {
+			t.Fatal("first failing differs")
+		}
+		if keys(a.DisjointSucceeding(fa)) != keys(b.DisjointSucceeding(fb)) {
+			t.Fatal("disjoint succeeding sets differ")
+		}
+	}
+	for i := 0; i < sa.Len(); i++ {
+		for c := 0; c < sa.NumCodes(i); c++ {
+			cond := predicate.Conjunction{predicate.T(sa.At(i).Name, predicate.Eq, sa.InternedValue(i, uint32(c)))}
+			as, af := a.CountSatisfying(cond)
+			bs, bf := b.CountSatisfying(cond)
+			if as != bs || af != bf {
+				t.Fatalf("CountSatisfying(%v) = (%d, %d) and (%d, %d)", cond, as, af, bs, bf)
+			}
+		}
+	}
+}
 
 func TestRoundtrip(t *testing.T) {
 	dir := t.TempDir()

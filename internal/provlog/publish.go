@@ -6,16 +6,15 @@ import "os"
 // crash-safe protocol every durable artifact in this package uses:
 // CreateTemp → write → fsync file → close → rename → fsync dir. A crash
 // at any point leaves either the old file or the new one, never a partial
-// or empty file under the real name. The beforeRename hook (checkpoint
-// crash-injection stages) runs once the temp file is durable, just before
-// it is published; the temp file is removed on any failure.
+// or empty file under the real name. The temp file is removed on any
+// failure.
 //
 // This is the only function allowed to call os.Rename — the renamesync
 // analyzer (see docs/ANALYZERS.md) holds every other publication site to
 // routing through here.
 //
 //bugdoc:publish
-func atomicPublish(dir, tmpPattern, finalPath string, write func(*os.File) error, beforeRename func() error) error {
+func atomicPublish(dir, tmpPattern, finalPath string, write func(*os.File) error) error {
 	tmp, err := os.CreateTemp(dir, tmpPattern)
 	if err != nil {
 		return err
@@ -31,11 +30,6 @@ func atomicPublish(dir, tmpPattern, finalPath string, write func(*os.File) error
 	}
 	if err := tmp.Close(); err != nil {
 		return err
-	}
-	if beforeRename != nil {
-		if err := beforeRename(); err != nil {
-			return err
-		}
 	}
 	if err := os.Rename(tmp.Name(), finalPath); err != nil {
 		return err

@@ -3,15 +3,12 @@ package provlog
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,10 +25,8 @@ type segFile struct {
 
 // listSegments returns the log's segments ordered by index and verifies
 // the indices are contiguous (a gap means a segment was lost, which
-// recovery cannot paper over). The lowest index need not be zero:
-// compaction garbage-collects the oldest segments once a checkpoint covers
-// them, and replayDir verifies that a checkpoint actually accounts for the
-// missing prefix.
+// recovery cannot paper over). replayDir checks that the lowest index is
+// zero.
 func listSegments(dir string) ([]segFile, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if err != nil {
@@ -65,16 +60,10 @@ const replayBatch = 8192
 // replayState accumulates the decoded log: the rebuilt store plus the
 // dictionaries needed to resume appending (codes already framed per
 // parameter, source-id assignments). Exec records buffer into a columnar
-// batch and flush through Space.AdoptInstances as code-only instances, the
-// form checkpoint loads build too: replay materializes no values, and the
-// batch's own code slab backs every instance in it. Each flush is one
-// store write, Store.AddBatch: one lock and one index pass per batch.
-//
-// With a checkpoint loaded, replay starts mid-stream: the store is
-// pre-populated with every record below skipBelow, the dictionaries are
-// seeded with the checkpoint's tables, and seen tracks the stream position
-// (records encountered, applied or skipped) so segment headers chain-check
-// without rescanning the collected prefix.
+// batch and flush through Space.AdoptInstances as code-only instances:
+// replay materializes no values, and the batch's own code slab backs every
+// instance in it. Each flush is one store write, Store.AddBatch: one lock
+// and one index pass per batch.
 type replayState struct {
 	space     *pipeline.Space
 	st        *provenance.Store
@@ -82,10 +71,7 @@ type replayState struct {
 	sources   []string
 	sourceID  map[string]uint16
 
-	skipBelow int        // records with seq below this are already in the store
-	seen      int        // exec records encountered so far, skipped ones included
-	ckptSeq   int        // watermark of the loaded checkpoint; 0 when none
-	ckpt      *ckptState // the loaded checkpoint's pristine tables; nil when none
+	seen int // exec records decoded so far; segment headers chain-check against it
 
 	// batchCodes is the pending batch's code slab, row-major, one row of
 	// space.Len() codes per record. The store keeps each flushed slab, so
@@ -299,7 +285,7 @@ func (rs *replayState) apply(typ byte, payload []byte) error {
 		if p >= rs.space.Len() {
 			return fmt.Errorf("provlog: dict entry for parameter %d of %d", p, rs.space.Len())
 		}
-		if int(code) > rs.persisted[p] {
+		if int(code) != rs.persisted[p] {
 			return fmt.Errorf("provlog: dict entry for parameter %d assigns code %d, want %d",
 				p, code, rs.persisted[p])
 		}
@@ -316,23 +302,10 @@ func (rs *replayState) apply(typ byte, payload []byte) error {
 			return fmt.Errorf("provlog: value %v of parameter %q interned as code %d, log says %d (log written against a different space?)",
 				v, rs.space.At(p).Name, got, code)
 		}
-		if int(code) < rs.persisted[p] {
-			// Replay entered mid-stream: this frame is already covered by
-			// the checkpoint's dictionary, and the Intern agreement above
-			// verified it matches.
-			return nil
-		}
 		rs.persisted[p]++
 	case frameSource:
 		id := binary.LittleEndian.Uint16(payload[0:2])
 		src := string(payload[4:])
-		if int(id) < len(rs.sources) {
-			// Covered by the checkpoint's source table; verify agreement.
-			if rs.sources[id] != src {
-				return fmt.Errorf("provlog: source entry %d is %q, checkpoint says %q", id, src, rs.sources[id])
-			}
-			return nil
-		}
 		if int(id) != len(rs.sources) {
 			return fmt.Errorf("provlog: source entry assigns id %d, want %d", id, len(rs.sources))
 		}
@@ -350,8 +323,7 @@ func (rs *replayState) apply(typ byte, payload []byte) error {
 			// routes to the store's vote ledger instead of the record log.
 			return rs.applyTrialVote(payload, trial, src)
 		}
-		skip := rs.seen < rs.skipBelow
-		if !skip && rs.batchCodes == nil {
+		if rs.batchCodes == nil {
 			// This record plus at most one per unread exec frame of
 			// 4·P+8 bytes: never more than the segment's bytes allow.
 			rows := min(replayBatch, 1+rs.unread/int64(4*p+8))
@@ -362,21 +334,13 @@ func (rs *replayState) apply(typ byte, payload []byte) error {
 			if int(c) >= rs.persisted[i] {
 				return fmt.Errorf("provlog: record references code %d of parameter %d before its dict entry", c, i)
 			}
-			if !skip {
-				rs.batchCodes = append(rs.batchCodes, c)
-			}
+			rs.batchCodes = append(rs.batchCodes, c)
 		}
 		out := pipeline.Outcome(payload[4*p])
 		if out != pipeline.Succeed && out != pipeline.Fail && out != pipeline.OutcomeInconclusive {
 			return fmt.Errorf("provlog: record with invalid outcome %d", out)
 		}
 		rs.seen++
-		if skip {
-			// The record is already in the store via the checkpoint; the
-			// validation above still ran, so a corrupt covered region is
-			// detected rather than silently shadowed.
-			return nil
-		}
 		rs.batchOuts = append(rs.batchOuts, out)
 		rs.batchSrc = append(rs.batchSrc, srcID)
 		if len(rs.batchOuts) >= replayBatch {
@@ -387,13 +351,12 @@ func (rs *replayState) apply(typ byte, payload []byte) error {
 }
 
 // applyTrialVote decodes one trial-vote exec frame and loads it into the
-// store's vote ledger. Votes are idempotent by (instance, trial index), so
-// the duplicates a checkpoint re-emission leaves in the stream are safe.
-// They are loaded in trial order: a vote whose predecessors have not been
-// read yet — a checkpoint's re-emitted votes can trail a concurrently
-// appended higher-index vote — is held aside until they arrive, so the
-// memory replay spends on votes tracks the frames it has read, never an
-// index a frame names.
+// store's vote ledger. The writer logs each instance's votes once and in
+// trial order, but replay trusts no index a frame names: a repeated vote
+// must agree with the first (votes are idempotent by instance and trial
+// index), and a vote read ahead of its predecessors is held aside until
+// they arrive, so the memory replay spends on votes tracks the frames it
+// has read.
 func (rs *replayState) applyTrialVote(payload []byte, trial int, src string) error {
 	p := rs.space.Len()
 	codes := make([]uint32, p) // the vote ledger keeps the instance, so each vote adopts its own row
@@ -554,20 +517,17 @@ func replaySegment(sf segFile, rs *replayState, isFinal bool) (lastGood int64, e
 	}
 }
 
-// replayDir rebuilds the store recorded under dir: it loads the tier
-// stack the MANIFEST names, replays the segments holding records past its
-// watermark — skipping over already-covered records in a partially
-// collected segment — and returns the replay state, the segment list, and
+// replayDir rebuilds the store recorded under dir by replaying its
+// segments in order, and returns the replay state, the segment list, and
 // the intact byte length of the final segment (the recovery point a writer
-// must truncate to before appending). A missing or unloadable MANIFEST
-// stack means a full WAL replay when the log's first segment survives, and
-// an error naming the MANIFEST's fault when it does not — never a partial
-// store. Each loaded tier decodes on up to par goroutines (<= 1 =
-// sequential); Open and Replay pass GOMAXPROCS.
-func replayDir(dir string, space *pipeline.Space, par int) (*replayState, []segFile, int64, error) {
+// must truncate to before appending).
+func replayDir(dir string, space *pipeline.Space) (*replayState, []segFile, int64, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, nil, 0, err
+	}
+	if len(segs) > 0 && segs[0].index != 0 {
+		return nil, nil, 0, fmt.Errorf("provlog: log starts at segment %d: the segments before it are missing", segs[0].index)
 	}
 	// Size the store from the segment bytes: every record costs at least an
 	// exec frame, so this caps the record count within the dictionary
@@ -579,64 +539,10 @@ func replayDir(dir string, space *pipeline.Space, par int) (*replayState, []segF
 			capEstimate += (fi.Size() - headerSize) / execFrame
 		}
 	}
-
-	var rs *replayState
-	tiers, ckErr := readManifest(dir, space.Fingerprint())
-	if ckErr == nil {
-		st, cs, err := loadTierPlan(dir, tiers, space, par)
-		if err != nil && !errors.Is(err, errCkptInvalid) && !errors.Is(err, fs.ErrNotExist) {
-			// A tier that provably belongs to a different space: no replay
-			// can paper over that.
-			return nil, nil, 0, err
-		}
-		ckErr = err
-		if err == nil {
-			rs = newReplayState(space, st)
-			// The replay mutates its tables as it scans the suffix; the
-			// stack's own stay pristine in rs.ckpt, the authoritative
-			// fallback when the WAL's tail turns out to be lost.
-			copy(rs.persisted, cs.persisted)
-			rs.sources = append(rs.sources, cs.sources...)
-			for s, id := range cs.sourceID {
-				rs.sourceID[s] = id
-			}
-			rs.skipBelow = cs.watermark
-			rs.ckptSeq = cs.watermark
-			rs.ckpt = cs
-		}
-	}
-	if rs == nil {
-		if len(segs) > 0 && segs[0].index != 0 {
-			return nil, nil, 0, fmt.Errorf("provlog: log starts at segment %d with no loadable checkpoint covering the collected prefix (%v)",
-				segs[0].index, ckErr)
-		}
-		rs = newReplayState(space, provenance.NewStoreWithCapacity(space, int(capEstimate)))
-	}
-
-	start, startSeq, err := pickStartSegment(segs, rs.skipBelow)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if start < 0 {
-		// No segment enters the stream at or below the watermark: either
-		// the directory has no segments, or its only segment's header was
-		// torn mid-write and it holds nothing. The stream position resumes
-		// at the watermark.
-		rs.seen = rs.skipBelow
-		if len(segs) > 0 {
-			lastGood, err := replaySegment(segs[len(segs)-1], rs, true)
-			if err == nil {
-				err = rs.checkHeld()
-			}
-			return rs, segs, lastGood, err
-		}
-		return rs, segs, 0, nil
-	}
-	rs.seen = startSeq
+	rs := newReplayState(space, provenance.NewStoreWithCapacity(space, int(capEstimate)))
 	var lastGood int64
-	for i := start; i < len(segs); i++ {
-		lastGood, err = replaySegment(segs[i], rs, i == len(segs)-1)
-		if err != nil {
+	for i, sf := range segs {
+		if lastGood, err = replaySegment(sf, rs, i == len(segs)-1); err != nil {
 			return nil, nil, 0, err
 		}
 	}
@@ -646,56 +552,22 @@ func replayDir(dir string, space *pipeline.Space, par int) (*replayState, []segF
 	return rs, segs, lastGood, nil
 }
 
-// pickStartSegment returns the index and first sequence of the segment
-// replay should enter the stream at: the oldest segment carrying the
-// highest first sequence at or below the watermark. Earlier segments are
-// fully covered by the checkpoint (their records end where the start
-// segment's begin, and their trial votes were re-emitted past the
-// checkpoint's rotation) and are never opened. Several consecutive
-// segments may share a first sequence — trial-vote frames consume no
-// sequence number, so a segment holding only votes ends where it began —
-// and the tie resolves to the oldest: the later tie members hold no
-// records the earlier ones would double-apply, but the earlier ones hold
-// vote and dictionary frames replay must not skip. It returns index -1
-// when no segment qualifies — an empty directory, or a lone final segment
-// whose header tore mid-write. A lowest segment starting past the
-// watermark means earlier segments were lost.
-func pickStartSegment(segs []segFile, watermark int) (int, int, error) {
-	start, startSeq := -1, 0
-	for i, sf := range segs {
-		fs, err := readSegmentFirstSeq(sf.path)
-		if err != nil {
-			if i == len(segs)-1 {
-				// The final segment's header tore mid-write; it holds
-				// nothing and the writer recreates it.
-				break
-			}
-			return 0, 0, fmt.Errorf("provlog: %s: corrupt header in sealed segment", filepath.Base(sf.path))
-		}
-		if i == 0 && fs > uint64(watermark) {
-			return 0, 0, fmt.Errorf("provlog: %s begins at record %d but the checkpoint covers only %d — earlier segments were lost",
-				filepath.Base(sf.path), fs, watermark)
-		}
-		if fs <= uint64(watermark) && (start < 0 || int(fs) > startSeq) {
-			start, startSeq = i, int(fs)
-		}
-	}
-	return start, startSeq, nil
-}
-
 // Replay rebuilds a fully-indexed provenance store from the log in dir
-// without modifying any file, loading a checkpoint when one is present and
-// replaying the WAL suffix past its watermark. Space must be constructed
-// exactly as it was when the log was created (same spec); the segment
-// headers' and checkpoint footer's fingerprint enforce this. A torn final
-// record — the signature of a crash mid-append — is skipped; the returned
-// store holds exactly the intact prefix.
+// without modifying any file. Space must be constructed exactly as it was
+// when the log was created (same spec); the segment headers' fingerprint
+// enforces this. A torn final record — the signature of a crash
+// mid-append — is skipped; the returned store holds exactly the intact
+// prefix. Like Open, Replay refuses a directory an older version
+// checkpointed.
 func Replay(dir string, space *pipeline.Space) (*provenance.Store, error) {
-	rs, segs, _, err := replayDir(dir, space, runtime.GOMAXPROCS(0))
+	if err := refuseCheckpointed(dir); err != nil {
+		return nil, err
+	}
+	rs, segs, _, err := replayDir(dir, space)
 	if err != nil {
 		return nil, err
 	}
-	if len(segs) == 0 && rs.ckptSeq == 0 {
+	if len(segs) == 0 {
 		return nil, fmt.Errorf("provlog: no log segments in %s", dir)
 	}
 	return rs.st, nil

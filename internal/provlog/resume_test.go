@@ -9,9 +9,9 @@ import (
 )
 
 // TestOpenResumeMatchesReplay covers the resume path end to end: a
-// directory holding a checkpoint plus a WAL suffix reopens into a store
-// indistinguishable from a read-only Replay, and a session extended after
-// that resume — appends, another compaction — reopens identically again.
+// directory holding a WAL reopens into a store indistinguishable from a
+// read-only Replay, and a session extended after that resume reopens
+// identically again.
 func TestOpenResumeMatchesReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
@@ -20,13 +20,7 @@ func TestOpenResumeMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins, outs, srcs := testRecords(t, s, 150)
-	fillStore(t, st, ins[:80], outs[:80], srcs[:80])
-	if err := l.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// A live suffix past the watermark: the reopen must replay it on top
-	// of the loaded run.
-	fillStore(t, st, ins[80:120], outs[80:120], srcs[80:120])
+	fillStore(t, st, ins[:120], outs[:120], srcs[:120])
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +36,10 @@ func TestOpenResumeMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertStoresEqual(t, flat, st2)
-	// Extend the resumed session and compact again. Instances are
-	// space-bound, so the history is regenerated over the reopened space.
+	// Extend the resumed session. Instances are space-bound, so the
+	// history is regenerated over the reopened space.
 	ins, outs, srcs = testRecords(t, st2.Space(), 150)
 	fillStore(t, st2, ins[120:], outs[120:], srcs[120:])
-	if err := l2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +76,9 @@ func frameRecords(s *pipeline.Space, ins []pipeline.Instance) []byte {
 
 // TestReplayRejectsRepeatedInstance pins replay's duplicate rejection. A
 // store-fed log holds each instance once, so exec frames that repeat an
-// instance — within one replay batch, across two, or past a checkpoint's
-// watermark, repeating a checkpointed record — mean the log is corrupt:
-// Open and Replay both fail, naming the instance.
+// instance — within one replay batch, across two, or past a checkpoint,
+// in a later segment than the original — mean the log is corrupt: Open
+// and Replay both fail, naming the instance.
 func TestReplayRejectsRepeatedInstance(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -116,10 +107,25 @@ func TestReplayRejectsRepeatedInstance(t *testing.T) {
 			return ins[5]
 		}},
 		{"past a checkpoint", func(t *testing.T, dir string) pipeline.Instance {
-			ins, outs, _ := buildCheckpointed(t, dir, 40)
+			s := testSpace(t)
+			l, st, err := Open(dir, s, withSegmentSize(256))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins, outs, srcs := testRecords(t, s, 40)
+			fillStore(t, st, ins, outs, srcs)
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
 			segs, err := listSegments(dir)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(segs) < 2 {
+				t.Fatalf("log has %d segments, want the repeat in a later one", len(segs))
 			}
 			f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0)
 			if err != nil {

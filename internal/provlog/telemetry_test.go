@@ -15,8 +15,8 @@ func TestMetricsFlushAndCheckpoint(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var jbuf bytes.Buffer
 	met := NewMetrics(reg, telemetry.NewJournal(&jbuf))
-	// A tiny segment forces rotations so the checkpoint has segments to GC;
-	// WithSync exercises the fsync-latency histogram.
+	// A tiny segment forces rotations; WithSync exercises the
+	// fsync-latency histogram.
 	l, st, err := Open(dir, s, withSegmentSize(256), WithSync(true), WithMetrics(met))
 	if err != nil {
 		t.Fatal(err)
@@ -43,27 +43,11 @@ func TestMetricsFlushAndCheckpoint(t *testing.T) {
 		t.Errorf("fsync histogram count %d != flushes %d", fs.Count, flushes)
 	}
 
-	if err := l.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	snap = reg.Snapshot()
-	if got := snap.Counters["provlog_checkpoints"]; got != 1 {
-		t.Errorf("checkpoints = %d, want 1", got)
-	}
-	if snap.Counters["provlog_checkpoint_bytes"] == 0 {
-		t.Error("no checkpoint bytes counted")
-	}
-	if h := snap.Histograms["provlog_checkpoint_ns"]; h.Count != 1 {
-		t.Errorf("checkpoint duration count = %d, want 1", h.Count)
-	}
-	if snap.Counters["provlog_segments_gcd"] == 0 {
-		t.Error("no GC'd segments counted despite rotations before the checkpoint")
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The journal carries one wal_flush span per flush and the checkpoint.
+	// The journal carries one wal_flush span per flush.
 	counts := map[string]int{}
 	sc := bufio.NewScanner(bytes.NewReader(jbuf.Bytes()))
 	for sc.Scan() {
@@ -76,9 +60,6 @@ func TestMetricsFlushAndCheckpoint(t *testing.T) {
 	if int64(counts["wal_flush"]) != flushes {
 		t.Errorf("journal wal_flush = %d, want %d", counts["wal_flush"], flushes)
 	}
-	if counts["checkpoint"] != 1 {
-		t.Errorf("journal checkpoint = %d, want 1", counts["checkpoint"])
-	}
 }
 
 func TestNilMetricsLogUnchanged(t *testing.T) {
@@ -90,9 +71,6 @@ func TestNilMetricsLogUnchanged(t *testing.T) {
 	}
 	ins, outs, srcs := testRecords(t, s, 5)
 	fillStore(t, st, ins, outs, srcs)
-	if err := l.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

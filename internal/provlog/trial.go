@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/pipeline"
-	"repro/internal/provenance"
 )
 
 // Trial votes (flaky-oracle sessions) persist as ordinary exec frames
@@ -15,10 +14,10 @@ import (
 // old reader sees well-formed frames, and the replayer routes any frame
 // whose source carries the prefix to the store's vote ledger instead of
 // the record log. Trial frames consume no global sequence number: replay
-// does not count them against segment-header firstSeq positions, and they
-// are idempotent (keyed by instance and trial index) so checkpoint
-// re-emission may duplicate them freely. The reserved prefix is rejected
-// on record sources, so a record can never be mistaken for a vote.
+// does not count them against segment-header firstSeq positions, and
+// replay loads them idempotently, keyed by instance and trial index. The
+// reserved prefix is rejected on record sources, so a record can never be
+// mistaken for a vote.
 const trialSourcePrefix = "trial#"
 
 // isTrialSource reports whether a source string is a reserved trial
@@ -65,42 +64,6 @@ func (l *Log) AppendTrial(in pipeline.Instance, trial int, out pipeline.Outcome,
 	if err != nil {
 		l.rollbackLocked()
 		return err
-	}
-	return l.writeLocked(buf, 0)
-}
-
-// reemitTrials writes the store's entire vote ledger to the active
-// segment with one write. Checkpoint calls it after sealing the active
-// segment and before superseded segments are collected: votes recorded
-// before the checkpoint's rotation live only in segments about to be
-// GC'd, so re-emitting every vote into the post-rotation segment is what
-// lets partial quorums survive compaction. Replay absorbs the duplicates
-// (votes are idempotent by trial index).
-func (l *Log) reemitTrials(trials []provenance.TrialRecord) error {
-	if len(trials) == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.beginLocked(); err != nil {
-		return err
-	}
-	buf := l.frames[:0]
-	for _, tr := range trials {
-		if tr.Instance.Space() != l.space {
-			l.rollbackLocked()
-			return fmt.Errorf("provlog: trial vote belongs to a different space")
-		}
-		for idx, v := range tr.Votes {
-			if v.Outcome == pipeline.OutcomeUnknown {
-				continue // a ledger hole (see LoadTrialVote); there is no vote to re-emit
-			}
-			var err error
-			if buf, err = l.appendFramesLocked(buf, tr.Instance, v.Outcome, trialSourceName(idx, v.Source)); err != nil {
-				l.rollbackLocked()
-				return err
-			}
-		}
 	}
 	return l.writeLocked(buf, 0)
 }

@@ -166,9 +166,9 @@ func TestTrialVotesSurviveKill(t *testing.T) {
 }
 
 // TestTrialVotesSurviveCheckpoint interleaves votes with enough records to
-// rotate segments, checkpoints (collecting the superseded segments the
-// original vote frames live in), and reopens: the re-emitted votes must
-// still replay.
+// rotate segments, checkpoints twice — the second with nothing new — and
+// reopens: the votes, whose frames now lie in sealed segments, must still
+// replay.
 func TestTrialVotesSurviveCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
@@ -186,12 +186,10 @@ func TestTrialVotesSurviveCheckpoint(t *testing.T) {
 	}
 	ins, outs, srcs := testRecords(t, s, 20)
 	fillStore(t, st, ins, outs, srcs)
-	if err := l.Checkpoint(); err != nil {
+	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// A second checkpoint with nothing new: the no-op path must also keep
-	// the votes alive.
-	if err := l.Checkpoint(); err != nil {
+	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -218,7 +216,7 @@ func TestTrialVotesSurviveCheckpoint(t *testing.T) {
 }
 
 // TestInconclusiveRecordRoundtrip persists an inconclusive (tied-quorum)
-// record through the WAL, a checkpoint, and replay.
+// record through the WAL and replay.
 func TestInconclusiveRecordRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)
@@ -232,9 +230,6 @@ func TestInconclusiveRecordRoundtrip(t *testing.T) {
 	}
 	ins, outs, srcs := testRecords(t, s, 8)
 	fillStore(t, st, ins, outs, srcs)
-	if err := l.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +239,7 @@ func TestInconclusiveRecordRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out, found := got.Lookup(rebuild(t, s2, tied)); !found || out != pipeline.OutcomeInconclusive {
-		t.Fatalf("inconclusive record after checkpoint+replay = %v, %v", out, found)
+		t.Fatalf("inconclusive record after replay = %v, %v", out, found)
 	}
 	succ, fail := got.Outcomes()
 	wantS, wantF := 0, 0

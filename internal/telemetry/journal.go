@@ -17,7 +17,7 @@ import (
 // driver interleaves whole events, never partial ones. A nil *Journal is a
 // valid no-op target, which is the disabled path; emitting to an enabled
 // journal allocates (it formats JSON), so journals belong on span-level
-// events — oracle trials, batch dispatches, flushes, checkpoints — not
+// events — oracle trials, batch dispatches, flushes — not
 // per-record hot paths.
 type Journal struct {
 	mu  sync.Mutex
