@@ -547,7 +547,7 @@ func buildOpenBenchDir() error {
 	}
 	const chunk = 8192
 	vals := make([]pipeline.Value, space.Len())
-	entries := make([]provenance.Entry, 0, chunk)
+	entries := make([]provenance.Record, 0, chunk)
 	for at := 0; at < openBenchRecords; at += chunk {
 		n := chunk
 		if at+n > openBenchRecords {
@@ -569,7 +569,7 @@ func buildOpenBenchDir() error {
 			if in.Hash()&1 == 0 {
 				out = pipeline.Fail
 			}
-			entries = append(entries, provenance.Entry{Instance: in, Outcome: out, Source: "bench"})
+			entries = append(entries, provenance.Record{Instance: in, Outcome: out, Source: "bench"})
 		}
 		if added, err := st.AddBatch(entries); err != nil || added != n {
 			return fmt.Errorf("openbench: AddBatch = %d, %v", added, err)
@@ -723,13 +723,13 @@ func BenchmarkStoreAddBatch(b *testing.B) {
 	space := benchLogSpace(b)
 	const n = 1024
 	ins := distinctInstances(b, space, 0, n)
-	entries := make([]provenance.Entry, n)
+	entries := make([]provenance.Record, n)
 	for i, in := range ins {
 		out := pipeline.Succeed
 		if in.Hash()&1 == 0 {
 			out = pipeline.Fail
 		}
-		entries[i] = provenance.Entry{Instance: in, Outcome: out, Source: "bench"}
+		entries[i] = provenance.Record{Instance: in, Outcome: out, Source: "bench"}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -785,13 +785,13 @@ func BenchmarkStoreAddBatchParallel(b *testing.B) {
 	space := benchLogSpace(b)
 	const workers, per, round = 8, 512, 128
 	ins := distinctInstances(b, space, 0, workers*per)
-	entries := make([]provenance.Entry, len(ins))
+	entries := make([]provenance.Record, len(ins))
 	for i, in := range ins {
 		out := pipeline.Succeed
 		if in.Hash()&1 == 0 {
 			out = pipeline.Fail
 		}
-		entries[i] = provenance.Entry{Instance: in, Outcome: out, Source: "bench"}
+		entries[i] = provenance.Record{Instance: in, Outcome: out, Source: "bench"}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -800,7 +800,7 @@ func BenchmarkStoreAddBatchParallel(b *testing.B) {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(chunk []provenance.Entry) {
+			go func(chunk []provenance.Record) {
 				defer wg.Done()
 				for at := 0; at < len(chunk); at += round {
 					if _, err := st.AddBatch(chunk[at : at+round]); err != nil {

@@ -157,10 +157,10 @@ func WithSeed(seed int64) Option {
 
 // WithHistory pre-populates the provenance with previously-run instances
 // G = CP_1..CP_k; their evaluations are free. The history is recorded
-// with one write per up to 8192 records (Store.AddHistory), so a durable
-// session logs a history of any length in a few WAL writes. It must list
-// each instance at most once: NewSession rejects a repeated instance,
-// durable or not, before anything is logged. A durable session resumed
+// by one Store.AddBatch, one WAL write per up to 8192 records, so a
+// durable session logs a history of any length in a few WAL writes. It
+// must list each instance at most once: NewSession rejects a repeated
+// instance, durable or not, before anything is logged. A durable session resumed
 // over a log that already holds some of the history records only the
 // rest.
 //
@@ -273,7 +273,7 @@ func NewSession(space *Space, oracle Oracle, opts ...Option) (*Session, error) {
 	// A replayed log may already hold history records from an earlier run
 	// of this session; only the missing ones are added (and thereby
 	// logged).
-	if _, err := st.AddHistory(s.history); err != nil {
+	if _, err := st.AddBatch(s.history); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("bugdoc: history: %w", err)
 	}

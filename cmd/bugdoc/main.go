@@ -227,7 +227,7 @@ func run() error {
 		resumed = durable.Len()
 		// Carry any provenance loaded outside the log (the historical CSV)
 		// into the durable store; records already replayed are skipped.
-		if _, err := durable.AddHistory(st.Snapshot().Records()); err != nil {
+		if _, err := durable.AddBatch(st.Snapshot().Records()); err != nil {
 			return err
 		}
 		st = durable

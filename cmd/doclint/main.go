@@ -14,7 +14,7 @@
 // ignored. -docs takes a comma-separated list of markdown files or
 // directories (scanned for *.md); a reference gates only when its package
 // segment names one of the linted packages — `provlog.Open`,
-// `pipeline.FlakyPolicy.Quorum`, `provenance.Store.AddHistory` —
+// `pipeline.FlakyPolicy.Quorum`, `provenance.Store.AddBatch` —
 // so mentions of other packages and shell snippets pass through. Exit
 // status 1 lists every offender as file:line: description.
 package main

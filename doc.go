@@ -103,11 +103,13 @@
 //     calling goroutine and up to workers−1 more, and commits every result
 //     through one provenance.Store.AddBatch. Evaluate sends a miss through
 //     it as a set of one, so every oracle result takes this path.
-//   - provenance.Store.AddBatch takes the write lock once and hands the
-//     sink the whole deduplicated batch in one Append, all or nothing;
-//     Store.Add hands it one record. The sink runs under the store lock,
-//     before the records are committed, so a record is never queryable
-//     before it is durable, and a failed append leaves the store unchanged.
+//   - provenance.Store.AddBatch takes the write lock once, skips the
+//     records the store already holds, rejects a batch that lists an
+//     instance twice, and hands the sink the rest in one Append per 8192
+//     records, so a round is all or nothing; Store.Add hands it one
+//     record. The sink runs under the store lock, before the records are
+//     committed, so a record is never queryable before it is durable, and
+//     a failed append commits none of its records.
 //   - internal/provlog.Log.Append frames the batch's records (dictionary
 //     entries first) and writes them with one write call — and, with fsync
 //     enabled (provlog.WithSync, bugdoc.WithFsync, cmd/bugdoc -fsync), one

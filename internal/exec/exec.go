@@ -128,11 +128,10 @@ func New(oracle Oracle, store *provenance.Store, opts ...Option) *Executor {
 		store.SetTrialPolicy(e.flaky)
 	}
 	if e.tel != nil {
-		// Extend the instrumentation down into the store: the record gauge
-		// and index-build timing. The executor owns the evaluation session,
-		// so attaching here keeps one WithTelemetry option the single
-		// switch for the whole stack.
-		store.SetMetrics(provenance.NewMetrics(e.tel.reg))
+		// The store's record count, read at snapshot time: the executor
+		// owns the evaluation session, so registering it here keeps one
+		// WithTelemetry option the single switch for the whole stack.
+		e.tel.reg.GaugeFunc("provenance_records", func() int64 { return int64(store.Len()) })
 	}
 	return e
 }
@@ -478,24 +477,25 @@ func (e *Executor) planSet(ctx context.Context, ins []pipeline.Instance, results
 }
 
 // commitBatch records every successful oracle run of the round through one
-// AddBatch. Entries the store skipped as duplicates (a concurrent
-// evaluation won the race) keep their results — the recorded outcome is
-// identical by determinism. If the batch commit fails, results whose
-// record did not reach the store report the error and their budget is
-// refunded: an unrecorded execution must not be treated as provenance.
+// AddBatch; planSet listed each instance once. Records the store skipped
+// as already recorded (a concurrent evaluation won the race) keep their
+// results — the recorded outcome is identical by determinism. If the
+// batch commit fails, results whose record did not reach the store report
+// the error and their budget is refunded: an unrecorded execution must
+// not be treated as provenance.
 func (e *Executor) commitBatch(ins []pipeline.Instance, run []int, results []Result) {
-	entries := make([]provenance.Entry, 0, len(run))
+	recs := make([]provenance.Record, 0, len(run))
 	for _, i := range run {
 		if results[i].Err == nil {
-			entries = append(entries, provenance.Entry{
+			recs = append(recs, provenance.Record{
 				Instance: ins[i], Outcome: results[i].Outcome, Source: "executor",
 			})
 		}
 	}
-	if len(entries) == 0 {
+	if len(recs) == 0 {
 		return
 	}
-	if _, err := e.store.AddBatch(entries); err != nil {
+	if _, err := e.store.AddBatch(recs); err != nil {
 		for _, i := range run {
 			if results[i].Err != nil {
 				continue // not in the batch

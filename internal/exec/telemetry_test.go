@@ -122,6 +122,47 @@ func TestTelemetryUnboundedBudgetGauge(t *testing.T) {
 	}
 }
 
+// TestProvenanceRecordsGauge pins the store's record gauge: it reads the
+// live record count after each write, the executor's and any other, and a
+// journal-only telemetry registers nothing.
+func TestProvenanceRecordsGauge(t *testing.T) {
+	s := testSpace(t)
+	st := provenance.NewStore(s)
+	if err := st.Add(pipeline.MustInstance(s, pipeline.Ord(1), pipeline.Ord(1)), pipeline.Fail, "history"); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	ex := New(OracleFunc(failIfA1), st, WithTelemetry(NewTelemetry(reg, nil)))
+	gauge := func(want int) {
+		t.Helper()
+		if got := reg.Snapshot().Gauges["provenance_records"]; got != int64(want) || want != st.Len() {
+			t.Fatalf("record gauge = %d with %d records, want %d", got, st.Len(), want)
+		}
+	}
+	gauge(1)
+	ctx := context.Background()
+	if _, err := ex.Evaluate(ctx, pipeline.MustInstance(s, pipeline.Ord(2), pipeline.Ord(2))); err != nil {
+		t.Fatal(err)
+	}
+	gauge(2)
+	ex.EvaluateBatch(ctx, []pipeline.Instance{
+		pipeline.MustInstance(s, pipeline.Ord(3), pipeline.Ord(1)),
+		pipeline.MustInstance(s, pipeline.Ord(3), pipeline.Ord(2)),
+		pipeline.MustInstance(s, pipeline.Ord(2), pipeline.Ord(2)), // memoized
+	})
+	gauge(4)
+	if err := st.Add(pipeline.MustInstance(s, pipeline.Ord(100), pipeline.Ord(1)), pipeline.Succeed, "test"); err != nil {
+		t.Fatal(err)
+	}
+	gauge(5)
+
+	var buf bytes.Buffer
+	journalOnly := New(OracleFunc(failIfA1), st, WithTelemetry(NewTelemetry(nil, telemetry.NewJournal(&buf))))
+	if _, err := journalOnly.Evaluate(ctx, pipeline.MustInstance(s, pipeline.Ord(4), pipeline.Ord(4))); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewTelemetryNilNil(t *testing.T) {
 	if NewTelemetry(nil, nil) != nil {
 		t.Fatal("NewTelemetry(nil, nil) should return nil (uninstrumented)")

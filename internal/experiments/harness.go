@@ -134,11 +134,7 @@ func newProblemWithHistory(ctx context.Context, space *pipeline.Space, oracle ex
 // budget < 0 means unlimited.
 func (p *problem) executor(budget, workers int) (*exec.Executor, error) {
 	st := provenance.NewStoreWithCapacity(p.space, len(p.seeds))
-	entries := make([]provenance.Entry, len(p.seeds))
-	for i, r := range p.seeds {
-		entries[i] = provenance.Entry{Instance: r.Instance, Outcome: r.Outcome, Source: "seed"}
-	}
-	if _, err := st.AddBatch(entries); err != nil {
+	if _, err := st.AddBatch(p.seeds); err != nil {
 		return nil, err
 	}
 	opts := []exec.Option{exec.WithBudget(budget)}

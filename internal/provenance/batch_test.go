@@ -8,14 +8,16 @@ import (
 )
 
 // recordingSink captures every batch appended to it; fail makes the next
-// Append fail, recording nothing.
+// Append fail, recording nothing, and a positive failAt fails every Append
+// made once failAt batches are recorded.
 type recordingSink struct {
 	batches [][]Record
 	fail    bool
+	failAt  int
 }
 
 func (s *recordingSink) Append(recs []Record) error {
-	if s.fail {
+	if s.fail || s.failAt > 0 && len(s.batches) == s.failAt {
 		s.fail = false
 		return fmt.Errorf("sink down")
 	}
@@ -23,9 +25,9 @@ func (s *recordingSink) Append(recs []Record) error {
 	return nil
 }
 
-func batchEntries(t *testing.T, s *pipeline.Space, n int) []Entry {
+func batchRecords(t *testing.T, s *pipeline.Space, n int) []Record {
 	t.Helper()
-	entries := make([]Entry, n)
+	entries := make([]Record, n)
 	for i := range entries {
 		in, err := pipeline.NewInstance(s, []pipeline.Value{
 			pipeline.Ord(float64(100 + i)), pipeline.Cat("x"),
@@ -37,29 +39,36 @@ func batchEntries(t *testing.T, s *pipeline.Space, n int) []Entry {
 		if i%2 == 0 {
 			out = pipeline.Fail
 		}
-		entries[i] = Entry{Instance: in, Outcome: out, Source: "batch"}
+		entries[i] = Record{Instance: in, Outcome: out, Source: "batch"}
 	}
 	return entries
 }
 
 // TestAddBatchCommitsAndSkipsDuplicates covers the core semantics: one
-// multi-record sink append, duplicate skipping against the store and
-// within the batch, and index integrity afterwards.
+// multi-record sink append, records already in the store skipped, a batch
+// that lists an instance twice rejected before anything is written, and
+// index integrity afterwards.
 func TestAddBatchCommitsAndSkipsDuplicates(t *testing.T) {
 	s := testSpace(t)
 	sink := &recordingSink{}
 	st := NewStore(s)
 	st.SetSink(sink)
-	entries := batchEntries(t, s, 6)
+	entries := batchRecords(t, s, 6)
 	if err := st.Add(entries[0].Instance, entries[0].Outcome, "seed"); err != nil {
 		t.Fatal(err)
 	}
-	withDups := append(append([]Entry(nil), entries...), entries[1], entries[3])
-	added, err := st.AddBatch(withDups)
+	withDups := append(append([]Record(nil), entries...), entries[1], entries[3])
+	if added, err := st.AddBatch(withDups); err == nil || added != 0 {
+		t.Fatalf("AddBatch of a batch listing instances twice = %d, %v; want 0 and an error", added, err)
+	}
+	if st.Len() != 1 || len(sink.batches) != 1 {
+		t.Fatalf("rejected batch wrote: store has %d records, sink saw %d appends", st.Len(), len(sink.batches))
+	}
+	added, err := st.AddBatch(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added != 5 { // 6 fresh minus the one already recorded; intra-batch dups skip
+	if added != 5 { // 6 fresh minus the one already recorded
 		t.Fatalf("added = %d, want 5", added)
 	}
 	if st.Len() != 6 {
@@ -94,7 +103,7 @@ func TestSinkFailureCommitsNothing(t *testing.T) {
 	sink := &recordingSink{}
 	st := NewStore(s)
 	st.SetSink(sink)
-	entries := batchEntries(t, s, 6)
+	entries := batchRecords(t, s, 6)
 	if _, err := st.AddBatch(entries[:1]); err != nil {
 		t.Fatal(err)
 	}
@@ -166,18 +175,18 @@ func collidingInstances(t *testing.T, s *pipeline.Space, n int) []pipeline.Insta
 
 // TestHashCollisions drives distinct instances that share one 64-bit hash
 // through every write path: each must commit and look up as itself, a
-// true duplicate among them must still be skipped and written once, and
-// a failed sink append must unstage exactly the ones it staged, leaving a
-// committed instance under the same hash in place.
+// committed one must be skipped and written once, and a batch that lists
+// one twice, like a failed sink append, must unstage exactly the ones it
+// staged, leaving a committed instance under the same hash in place.
 func TestHashCollisions(t *testing.T) {
 	s := testSpace(t)
 	ins := collidingInstances(t, s, 3)
 	outcomes := []pipeline.Outcome{pipeline.Fail, pipeline.Succeed, pipeline.Fail}
-	entries := make([]Entry, 0, len(ins)+1)
+	entries := make([]Record, 0, len(ins))
 	for i, in := range ins {
-		entries = append(entries, Entry{Instance: in, Outcome: outcomes[i], Source: "c"})
+		entries = append(entries, Record{Instance: in, Outcome: outcomes[i], Source: "c"})
 	}
-	entries = append(entries, entries[1]) // a true in-batch duplicate
+	withRepeat := append(append([]Record(nil), entries...), entries[1])
 	check := func(t *testing.T, st *Store) {
 		t.Helper()
 		if st.Len() != len(ins) {
@@ -186,6 +195,18 @@ func TestHashCollisions(t *testing.T) {
 		for i, in := range ins {
 			if out, ok := st.Lookup(in); !ok || out != outcomes[i] {
 				t.Fatalf("Lookup(%v) = %v, %v; want %v", in, out, ok, outcomes[i])
+			}
+		}
+	}
+	// unstaged checks that a failed write left only ins[:committed].
+	unstaged := func(t *testing.T, st *Store, committed int) {
+		t.Helper()
+		if st.Len() != committed {
+			t.Fatalf("failed write committed %d records", st.Len()-committed)
+		}
+		for i, in := range ins {
+			if _, ok := st.Lookup(in); ok != (i < committed) {
+				t.Fatalf("after the failed write, Lookup(%v) reports recorded = %v", in, ok)
 			}
 		}
 	}
@@ -204,6 +225,10 @@ func TestHashCollisions(t *testing.T) {
 	})
 	t.Run("AddBatch", func(t *testing.T) {
 		st := NewStore(s)
+		if added, err := st.AddBatch(withRepeat); err == nil || added != 0 {
+			t.Fatalf("AddBatch listing %v twice = %d, %v; want 0 and an error", ins[1], added, err)
+		}
+		unstaged(t, st, 0)
 		if added, err := st.AddBatch(entries); err != nil || added != len(ins) {
 			t.Fatalf("AddBatch = %d, %v; want %d", added, err, len(ins))
 		}
@@ -216,23 +241,17 @@ func TestHashCollisions(t *testing.T) {
 		if err := st.Add(ins[0], outcomes[0], "c"); err != nil {
 			t.Fatal(err)
 		}
-		// The failed write stages the two instances colliding with the
+		// Both failed writes stage the two instances colliding with the
 		// committed one, and must unstage exactly them.
 		sink.fail = true
 		if _, err := st.AddBatch(entries); err == nil {
 			t.Fatal("AddBatch must surface the sink failure")
 		}
-		if st.Len() != 1 {
-			t.Fatalf("failed write committed %d records", st.Len()-1)
+		unstaged(t, st, 1)
+		if _, err := st.AddBatch(withRepeat); err == nil {
+			t.Fatalf("AddBatch listing %v twice succeeded", ins[1])
 		}
-		if out, ok := st.Lookup(ins[0]); !ok || out != outcomes[0] {
-			t.Fatalf("failed write disturbed the committed %v: Lookup = %v, %v", ins[0], out, ok)
-		}
-		for _, in := range ins[1:] {
-			if _, ok := st.Lookup(in); ok {
-				t.Fatalf("failed write left %v queryable", in)
-			}
-		}
+		unstaged(t, st, 1)
 		if added, err := st.AddBatch(entries); err != nil || added != len(ins)-1 {
 			t.Fatalf("AddBatch = %d, %v; want %d", added, err, len(ins)-1)
 		}
@@ -243,10 +262,12 @@ func TestHashCollisions(t *testing.T) {
 	})
 }
 
-// TestAddHistory pins the history contract: one sink append per
-// historyBatch records, records already in the store skipped, and a
-// repeated instance or an invalid record rejected over the whole history
-// before anything is written — including a repeat that spans two writes.
+// TestAddHistory pins AddBatch's contract for a session's history: one
+// sink append per historyBatch records it adds, records already in the
+// store skipped, a repeated instance or an invalid record rejected over
+// the whole batch before anything is written — including a repeat that
+// spans two appends, and a repeat of a record the store holds — and a
+// failed append committing the appends before it.
 func TestAddHistory(t *testing.T) {
 	s := pipeline.MustSpace(
 		pipeline.Parameter{Name: "a", Kind: pipeline.Ordinal, Domain: ordDomain(0)},
@@ -264,8 +285,8 @@ func TestAddHistory(t *testing.T) {
 	}
 
 	bad := map[string][]Record{
-		"repeat across writes": append(append([]Record(nil), hist...), hist[0]),
-		"unknown outcome":      append(append([]Record(nil), hist...), Record{Instance: hist[1].Instance}),
+		"repeat across appends": append(append([]Record(nil), hist...), hist[0]),
+		"unknown outcome":       append(append([]Record(nil), hist...), Record{Instance: hist[1].Instance}),
 		"foreign instance": append(append([]Record(nil), hist...),
 			Record{Instance: pipeline.MustInstance(testSpace(t), pipeline.Ord(1), pipeline.Cat("x")), Outcome: pipeline.Fail}),
 	}
@@ -273,8 +294,8 @@ func TestAddHistory(t *testing.T) {
 		st := NewStore(s)
 		sink := &recordingSink{}
 		st.SetSink(sink)
-		if _, err := st.AddHistory(recs); err == nil {
-			t.Fatalf("%s: AddHistory accepted the history", name)
+		if _, err := st.AddBatch(recs); err == nil {
+			t.Fatalf("%s: AddBatch accepted the history", name)
 		}
 		if st.Len() != 0 || len(sink.batches) != 0 {
 			t.Fatalf("%s: rejected history wrote %d records in %d appends", name, st.Len(), len(sink.batches))
@@ -287,19 +308,42 @@ func TestAddHistory(t *testing.T) {
 	if err := st.Add(hist[3].Instance, hist[3].Outcome, "earlier run"); err != nil {
 		t.Fatal(err)
 	}
-	added, err := st.AddHistory(hist)
-	if err != nil || added != n-1 {
-		t.Fatalf("AddHistory = %d, %v; want %d", added, err, n-1)
+	if _, err := st.AddBatch([]Record{hist[0], hist[3], hist[1], hist[3]}); err == nil {
+		t.Fatal("AddBatch accepted a batch listing a recorded instance twice")
 	}
-	if len(sink.batches) != 3 || len(sink.batches[1]) != historyBatch-1 || len(sink.batches[2]) != 5 {
-		t.Fatalf("sink saw %d appends, want the earlier Add then %d and 5 records", len(sink.batches), historyBatch-1)
+	if st.Len() != 1 || len(sink.batches) != 1 {
+		t.Fatalf("rejected batch wrote: store has %d records, sink saw %d appends", st.Len(), len(sink.batches))
+	}
+	added, err := st.AddBatch(hist)
+	if err != nil || added != n-1 {
+		t.Fatalf("AddBatch = %d, %v; want %d", added, err, n-1)
+	}
+	if len(sink.batches) != 3 || len(sink.batches[1]) != historyBatch || len(sink.batches[2]) != 4 {
+		t.Fatalf("sink saw %d appends, want the earlier Add then %d and 4 records", len(sink.batches), historyBatch)
 	}
 	for i, r := range hist {
 		if out, ok := st.Lookup(r.Instance); !ok || out != r.Outcome {
 			t.Fatalf("history record %d: Lookup = %v, %v; want %v", i, out, ok, r.Outcome)
 		}
 	}
-	if added, err := st.AddHistory(hist); err != nil || added != 0 || len(sink.batches) != 3 {
+	if added, err := st.AddBatch(hist); err != nil || added != 0 || len(sink.batches) != 3 {
 		t.Fatalf("re-adding the history = %d, %v with %d appends; want 0 and no write", added, err, len(sink.batches))
+	}
+
+	// A failed second append leaves the first append's records committed
+	// and unstages the rest.
+	st = NewStore(s)
+	st.SetSink(&recordingSink{failAt: 1})
+	added, err = st.AddBatch(hist)
+	if err == nil || added != historyBatch || st.Len() != historyBatch {
+		t.Fatalf("AddBatch failing its second append = %d, %v with %d records; want %d and the error", added, err, st.Len(), historyBatch)
+	}
+	if succ, fail := st.Outcomes(); succ+fail != historyBatch {
+		t.Fatalf("outcome indices count %d records, want %d", succ+fail, historyBatch)
+	}
+	for i, r := range hist {
+		if _, ok := st.Lookup(r.Instance); ok != (i < historyBatch) {
+			t.Fatalf("after the failed second append, history record %d recorded = %v", i, ok)
+		}
 	}
 }

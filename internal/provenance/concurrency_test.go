@@ -112,9 +112,9 @@ func TestConcurrentAddBatches(t *testing.T) {
 			if staged {
 				st.SetSink(sink)
 			}
-			all := make([]Entry, 64)
+			all := make([]Record, 64)
 			for x := range all {
-				all[x] = Entry{Instance: concurrentInstance(s, x), Outcome: concurrentOutcome(x), Source: "b"}
+				all[x] = Record{Instance: concurrentInstance(s, x), Outcome: concurrentOutcome(x), Source: "b"}
 			}
 			var wg sync.WaitGroup
 			var total atomic.Int64
@@ -127,7 +127,7 @@ func TestConcurrentAddBatches(t *testing.T) {
 					lo := (w * 8) % len(all)
 					for lo < len(all) {
 						hi := min(lo+8+w, len(all))
-						added, err := st.AddBatch(append([]Entry(nil), all[lo:hi]...))
+						added, err := st.AddBatch(append([]Record(nil), all[lo:hi]...))
 						if err != nil {
 							t.Error(err)
 							return
@@ -206,9 +206,9 @@ func TestSnapshotConsistencySingleWriterStress(t *testing.T) {
 		for x := 0; x < total; {
 			if x%3 == 0 {
 				hi := min(x+1+x%5, total)
-				entries := make([]Entry, 0, hi-x)
+				entries := make([]Record, 0, hi-x)
 				for ; x < hi; x++ {
-					entries = append(entries, Entry{Instance: ins[x], Outcome: outs[x], Source: "w"})
+					entries = append(entries, Record{Instance: ins[x], Outcome: outs[x], Source: "w"})
 				}
 				if _, err := st.AddBatch(entries); err != nil {
 					t.Error(err)

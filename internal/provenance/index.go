@@ -7,10 +7,10 @@ import (
 )
 
 // This file holds the store's index maintenance: staging and committing
-// writes and the identity index. Every write — an Add, an AddBatch, an
-// AddHistory chunk or a replay batch — sets its outcome bits and postings
-// in one pass, indexRangeLocked. Every function here runs with the store
-// lock held.
+// writes and the identity index. Every write — an Add or an AddBatch, of
+// an executor round, a history or a replay batch — sets its outcome bits
+// and postings in one pass, indexRangeLocked. Every function here runs
+// with the store lock held.
 
 // posMap is the identity index over incrementally added records: instance
 // hash to log position. It holds no pointers and no copy of any instance;
@@ -72,43 +72,43 @@ func (m *posMap) dropNewest(h uint64) {
 	}
 }
 
-// stageLocked appends a record for in to the log and the identity index,
-// unless in is already recorded or staged, and reports whether it did. A
-// staged record is not committed: its outcome and posting indices wait
+// stageLocked appends a record for in to the log and the identity index.
+// A staged record is not committed: its outcome and posting indices wait
 // for commitStagedLocked, and no reader sees it before then, because the
 // caller holds the write lock throughout. The caller has validated in and
-// out.
-func (st *Store) stageLocked(in pipeline.Instance, out pipeline.Outcome, source string) bool {
-	if _, dup := st.byKey.get(in, st.recs); dup {
-		return false
-	}
+// out and probed that in is neither recorded nor staged.
+func (st *Store) stageLocked(in pipeline.Instance, out pipeline.Outcome, source string) {
 	pos := int32(len(st.recs))
 	st.byKey.put(in.Hash(), pos)
 	st.recs = append(st.recs, Record{Seq: int(pos), Instance: in, Outcome: out, Source: source})
-	return true
 }
 
-// commitStagedLocked commits the records staged past log position from
-// as one write: one sink append of them all, then their outcome and
-// posting indices. A failed append unstages them, leaving the store as it
-// was before the write, and commits nothing. It returns how many records
-// committed.
-func (st *Store) commitStagedLocked(from int) (int, error) {
-	staged := st.recs[from:]
-	if len(staged) == 0 {
-		return 0, nil
+// unstageLocked drops the records staged past log position from, newest
+// first, so the identity index forgets each under its hash in turn.
+func (st *Store) unstageLocked(from int) {
+	for pos := len(st.recs) - 1; pos >= from; pos-- {
+		st.byKey.dropNewest(st.recs[pos].Instance.Hash())
 	}
-	if st.sink != nil {
-		if err := st.sink.Append(staged); err != nil {
-			for pos := len(st.recs) - 1; pos >= from; pos-- {
-				st.byKey.dropNewest(st.recs[pos].Instance.Hash())
-			}
-			clear(staged)
-			st.recs = st.recs[:from]
-			return 0, fmt.Errorf("provenance: sink: %w", err)
+	clear(st.recs[from:])
+	st.recs = st.recs[:from]
+}
+
+// commitStagedLocked commits the records staged past log position from:
+// it hands them to the sink in appends of at most historyBatch records,
+// then sets the outcome and posting indices of every appended record in
+// one pass. A failed append unstages its records and every one staged
+// after them. It returns how many records committed.
+func (st *Store) commitStagedLocked(from int) (int, error) {
+	var err error
+	to := len(st.recs)
+	for end := from; st.sink != nil && end < to; end += historyBatch {
+		if err = st.sink.Append(st.recs[end:min(end+historyBatch, to)]); err != nil {
+			st.unstageLocked(end)
+			to, err = end, fmt.Errorf("provenance: sink: %w", err)
+			break
 		}
 	}
-	for pos := from; pos < len(st.recs); pos++ {
+	for pos := from; pos < to; pos++ {
 		switch st.recs[pos].Outcome {
 		case pipeline.Succeed:
 			st.succSeqs = append(st.succSeqs, int32(pos))
@@ -116,8 +116,8 @@ func (st *Store) commitStagedLocked(from int) (int, error) {
 			st.failSeqs = append(st.failSeqs, int32(pos))
 		}
 	}
-	st.indexRangeLocked(from, len(st.recs))
-	return len(staged), nil
+	st.indexRangeLocked(from, to)
+	return to - from, err
 }
 
 // indexRangeLocked sets the positional indices — the outcome bitsets and
@@ -127,8 +127,7 @@ func (st *Store) commitStagedLocked(from int) (int, error) {
 // write's last word, at least doubling its capacity when it reallocates,
 // so a bulk write allocates each touched bitset at most once and a
 // one-record write reallocates one only as often as appending did. The
-// ordered position lists are maintained by the callers, which differ in
-// where they append.
+// ordered position lists are maintained by commitStagedLocked.
 //
 //bugdoc:hotpath
 func (st *Store) indexRangeLocked(from, to int) {

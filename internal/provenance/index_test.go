@@ -229,10 +229,11 @@ func randomOutcome(r *rand.Rand) pipeline.Outcome {
 }
 
 // fillMixedHistory drives a randomized history into st — a mix of single
-// Adds, AddBatches and AddHistory writes of 1–200 records, so one write
-// can span several 64-record bitset words, with duplicates against
-// history and within batches sprinkled in — and returns the recorded
-// instances in recording order.
+// Adds and AddBatches of 1–12 and 1–200 records, so one write can span
+// several 64-record bitset words, with duplicates against history
+// sprinkled in — and returns the recorded instances in recording order.
+// A small batch that draws an instance twice must be rejected whole; it
+// then commits without its repeats.
 func fillMixedHistory(t *testing.T, r *rand.Rand, s *pipeline.Space, st *Store) []pipeline.Instance {
 	t.Helper()
 	var ins []pipeline.Instance
@@ -242,11 +243,22 @@ func fillMixedHistory(t *testing.T, r *rand.Rand, s *pipeline.Space, st *Store) 
 		var err error
 		switch r.Intn(3) {
 		case 0:
-			entries := make([]Entry, 1+r.Intn(12))
-			for j := range entries {
-				entries[j] = Entry{Instance: s.RandomInstance(r), Outcome: randomOutcome(r), Source: fmt.Sprintf("s%d", step)}
+			var batch, once []Record
+			listed := make(map[string]bool)
+			for j := 1 + r.Intn(12); j > 0; j-- {
+				rec := Record{Instance: s.RandomInstance(r), Outcome: randomOutcome(r), Source: fmt.Sprintf("s%d", step)}
+				batch = append(batch, rec)
+				if !listed[rec.Instance.Key()] {
+					listed[rec.Instance.Key()] = true
+					once = append(once, rec)
+				}
 			}
-			added, err = st.AddBatch(entries)
+			if len(once) < len(batch) {
+				if n, err := st.AddBatch(batch); err == nil || n != 0 || st.Len() != before {
+					t.Fatalf("AddBatch of a batch with repeats = %d, %v, store grew by %d; want 0 and an error", n, err, st.Len()-before)
+				}
+			}
+			added, err = st.AddBatch(once)
 		case 1:
 			// A history lists each instance once; drawn repeats are dropped.
 			var hist []Record
@@ -258,7 +270,7 @@ func fillMixedHistory(t *testing.T, r *rand.Rand, s *pipeline.Space, st *Store) 
 					hist = append(hist, Record{Instance: in, Outcome: randomOutcome(r), Source: "history"})
 				}
 			}
-			added, err = st.AddHistory(hist)
+			added, err = st.AddBatch(hist)
 		default:
 			for draws := 1 + r.Intn(8); draws > 0; draws-- {
 				in := s.RandomInstance(r)
@@ -296,9 +308,9 @@ func sameInstances(a, b []pipeline.Instance) bool {
 	return true
 }
 
-// TestIndexedQueriesMatchLinearScans drives randomized histories of Adds,
-// AddBatches and AddHistory writes and requires every indexed query to
-// match its linear-scan reference over the log.
+// TestIndexedQueriesMatchLinearScans drives randomized histories of Adds
+// and AddBatches and requires every indexed query to match its
+// linear-scan reference over the log.
 func TestIndexedQueriesMatchLinearScans(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 150; trial++ {
@@ -413,23 +425,23 @@ func wideHistory(t *testing.T) (*pipeline.Space, []Record) {
 }
 
 // TestAddHistoryAllocatesEachBitsetOnce pins the one index pass per write:
-// AddHistory into an empty store allocates each outcome and posting bitset
-// it touches once, at the write's last word, however many words that is.
-// Writing 5,000 records instead of 64 then adds only the growth of the
-// position lists and identity maps, fewer allocations than the bitsets
-// touched; growing a bitset word by word reallocated each of them about
-// log2(79) more times.
+// AddBatch of a history into an empty store allocates each outcome and
+// posting bitset it touches once, at the write's last word, however many
+// words that is. Writing 5,000 records instead of 64 then adds only the
+// growth of the position lists and identity maps, fewer allocations than
+// the bitsets touched; growing a bitset word by word reallocated each of
+// them about log2(79) more times.
 func TestAddHistoryAllocatesEachBitsetOnce(t *testing.T) {
 	s, recs := wideHistory(t)
 	allocs := func(recs []Record) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := NewStore(s).AddHistory(recs); err != nil {
+			if _, err := NewStore(s).AddBatch(recs); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	st := NewStore(s)
-	if _, err := st.AddHistory(recs); err != nil {
+	if _, err := st.AddBatch(recs); err != nil {
 		t.Fatal(err)
 	}
 	touched := 0
@@ -439,7 +451,7 @@ func TestAddHistoryAllocatesEachBitsetOnce(t *testing.T) {
 		}
 	}
 	if extra := allocs(recs) - allocs(recs[:64]); extra >= float64(touched) {
-		t.Fatalf("AddHistory of %d records makes %.0f more allocations than of 64, want fewer than the %d bitsets it touches",
+		t.Fatalf("AddBatch of %d records makes %.0f more allocations than of 64, want fewer than the %d bitsets it touches",
 			len(recs), extra, touched)
 	}
 }
@@ -454,7 +466,7 @@ var disjointSink []pipeline.Instance
 func TestMutuallyDisjointSucceedingAllocatesPerWord(t *testing.T) {
 	s, recs := wideHistory(t)
 	st := NewStore(s)
-	if _, err := st.AddHistory(recs); err != nil {
+	if _, err := st.AddBatch(recs); err != nil {
 		t.Fatal(err)
 	}
 	ref, _ := st.FirstFailing()

@@ -8,9 +8,9 @@
 // every write: a map from the instances' precomputed hashes to log
 // positions (so Lookup is an allocation-free hash probe confirmed against
 // the logged record), per-outcome sequence lists and bitsets, and
-// per-(parameter, value-code) posting bitsets. A write — one Add, one
-// AddBatch, one AddHistory chunk — sets its records' bits in one index
-// pass that grows each bitset it touches at most once. History queries
+// per-(parameter, value-code) posting bitsets. A write — one Add or one
+// AddBatch — sets its records' bits in one index pass that grows each
+// bitset it touches at most once. History queries
 // (DisjointSucceeding, MutuallyDisjointSucceeding, AnySucceedingSatisfying,
 // CountSatisfying, ...) run as bitset algebra instead of whole-log scans,
 // and Snapshot exposes a read-only view of the log for bulk consumers.
@@ -26,9 +26,9 @@
 // segmented write-ahead log in internal/provlog) gives write-ahead
 // semantics: no record becomes queryable unless its log append succeeded,
 // and rebuilding a store by replaying the log reproduces the indices
-// exactly. Each write is one Append call — one record for Add, the whole
-// deduplicated batch for AddBatch, up to historyBatch records for
-// AddHistory — and a failed Append leaves the store unchanged.
+// exactly. Add is one Append call of one record, and AddBatch one per
+// historyBatch records it adds; a failed Append commits none of its
+// records.
 package provenance
 
 import (
@@ -50,11 +50,11 @@ type Record struct {
 
 // Sink receives the records of every write at the moment they are
 // committed to a store. Append is called with the store's lock held,
-// before the records are committed, with one record for Add and the whole
-// deduplicated batch for AddBatch: if Append fails, the write fails and
-// the store is unchanged, so a sink must persist either all of recs or
-// none. Records therefore arrive exactly in sequence order, without gaps
-// or duplicates, and a sink that persists them (internal/provlog) is a
+// before the records are committed, with one record for Add and up to
+// historyBatch records of an AddBatch: if Append fails, none of recs
+// commits, so a sink must persist either all of recs or none. Records
+// therefore arrive exactly in sequence order, without gaps or
+// duplicates, and a sink that persists them (internal/provlog) is a
 // write-ahead log of the store. recs is the staged tail of the store's
 // own log: Append must neither modify nor retain it.
 type Sink interface {
@@ -66,14 +66,6 @@ type Sink interface {
 // quorum ties under a FlakyPolicy. OutcomeUnknown never commits.
 func recordableOutcome(o pipeline.Outcome) bool {
 	return o == pipeline.Succeed || o == pipeline.Fail || o == pipeline.OutcomeInconclusive
-}
-
-// Entry is one record-to-be of AddBatch: an instance, its evaluation, and
-// the component that ran it. Sequence numbers are assigned by the store.
-type Entry struct {
-	Instance pipeline.Instance
-	Outcome  pipeline.Outcome
-	Source   string
 }
 
 // Store is an append-only, thread-safe provenance log over a single
@@ -164,102 +156,73 @@ func (st *Store) Add(in pipeline.Instance, out pipeline.Outcome, source string) 
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	from := len(st.recs)
-	if !st.stageLocked(in, out, source) {
+	if _, dup := st.byKey.get(in, st.recs); dup {
 		return fmt.Errorf("provenance: instance %v already recorded", in)
 	}
+	from := len(st.recs)
+	st.stageLocked(in, out, source)
 	_, err := st.commitStagedLocked(from)
 	return err
 }
 
-// AddBatch records a batch of evaluations under one lock acquisition and
-// with one sink append for the whole batch. Entries whose instance is
-// already recorded (or duplicated within the batch) are skipped, not
-// errors: batch callers dedupe against memoized history up front, but
-// races with concurrent evaluations of the same instance are benign and
-// the earlier record is authoritative. It returns how many entries were
-// added.
-//
-// Sequence numbers are assigned to the surviving entries in input order.
-// Validation errors (wrong space, unknown outcome) reject the whole batch
-// before anything is appended, and a sink failure commits nothing.
-func (st *Store) AddBatch(entries []Entry) (added int, err error) {
-	for i := range entries {
-		if entries[i].Instance.Space() != st.space {
-			return 0, fmt.Errorf("provenance: entry %d: instance belongs to a different space", i)
-		}
-		if o := entries[i].Outcome; !recordableOutcome(o) {
-			return 0, fmt.Errorf("provenance: entry %d: cannot record outcome %v", i, o)
-		}
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	from := len(st.recs)
-	st.recs = slices.Grow(st.recs, len(entries))
-	for i := range entries {
-		st.stageLocked(entries[i].Instance, entries[i].Outcome, entries[i].Source)
-	}
-	return st.commitStagedLocked(from)
-}
-
-// historyBatch caps the records one AddHistory write carries, so neither
-// a sink's frame buffer nor the staged log tail grows with the history.
-// It is the batch size log replay (internal/provlog) commits in.
+// historyBatch caps the records one sink append carries, so neither a
+// sink's frame buffer nor the staged log tail grows with a history. It is
+// the batch size log replay (internal/provlog) commits in.
 const historyBatch = 8192
 
-// AddHistory records previously-run instances — the history a debugging
-// session starts from — as writes of up to historyBatch records each,
-// staged straight from recs: each write is one sink append, as for
-// AddBatch. Records whose instance is already recorded are skipped, so a
-// durable store resumed over an earlier run's log adds only what is
-// missing; the records' Seq fields are ignored. It returns how many
+// AddBatch records a batch of evaluations — an executor round, a replayed
+// log batch, or the history a session starts from — under one lock
+// acquisition. Records whose instance is already in the store are
+// skipped, so a durable store resumed over an earlier run's log adds only
+// what is missing; the others take the next sequence numbers in input
+// order (the records' Seq fields are ignored). It returns how many
 // records were added.
 //
-// Unlike a batch, a history lists each instance at most once: a repeated
-// instance is an error, as are the records AddBatch rejects, and both
-// are checked over the whole history before anything is written.
-func (st *Store) AddHistory(recs []Record) (added int, err error) {
-	seen := newPosMap(len(recs))
+// A batch lists each instance at most once. A repeated instance, a
+// foreign instance or an unknown outcome rejects the whole batch before
+// anything is written. The staged records reach the sink in appends of
+// at most historyBatch records, so a batch of up to historyBatch records
+// commits all or nothing, and a longer one that fails returns how many
+// records committed before the failed append.
+func (st *Store) AddBatch(recs []Record) (added int, err error) {
 	for i := range recs {
-		in := recs[i].Instance
-		if in.Space() != st.space {
-			return 0, fmt.Errorf("provenance: history record %d: instance belongs to a different space", i)
+		if recs[i].Instance.Space() != st.space {
+			return 0, fmt.Errorf("provenance: record %d: instance belongs to a different space", i)
 		}
 		if o := recs[i].Outcome; !recordableOutcome(o) {
-			return 0, fmt.Errorf("provenance: history record %d: cannot record outcome %v", i, o)
-		}
-		if j, dup := seen.get(in, recs); dup {
-			return 0, fmt.Errorf("provenance: history lists instance %v twice (records %d and %d)", in, j, i)
-		}
-		seen.put(in.Hash(), int32(i))
-	}
-	for len(recs) > 0 {
-		chunk := recs[:min(len(recs), historyBatch)]
-		n, err := st.addChunk(chunk, len(recs))
-		recs = recs[len(chunk):]
-		added += n
-		if err != nil {
-			return added, err
+			return 0, fmt.Errorf("provenance: record %d: cannot record outcome %v", i, o)
 		}
 	}
-	return added, nil
-}
-
-// addChunk commits one AddHistory write: it stages the validated records
-// of chunk that are not yet recorded and commits them with one sink
-// append. left counts the history's records from chunk on; an empty store
-// sizes its identity map for all of them first, so ingesting a history
-// never rehashes the map.
-func (st *Store) addChunk(chunk []Record, left int) (int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	from := len(st.recs)
-	if from == 0 {
-		st.byKey = newPosMap(left)
+	if from == 0 && cap(st.recs) < len(recs) {
+		// An empty store sizes its identity map for the whole batch, so
+		// ingesting a history never rehashes it. NewStoreWithCapacity
+		// sized the map of a store whose log has room.
+		st.byKey = newPosMap(len(recs))
 	}
-	st.recs = slices.Grow(st.recs, len(chunk))
-	for i := range chunk {
-		st.stageLocked(chunk[i].Instance, chunk[i].Outcome, chunk[i].Source)
+	st.recs = slices.Grow(st.recs, len(recs))
+	// The staging probe finds repeats: a hit at or past from is a record
+	// of this batch, and skipped marks the log positions of the records
+	// this batch already found in the store.
+	var skipped bitset
+	for i := range recs {
+		in := recs[i].Instance
+		pos, held := st.byKey.get(in, st.recs)
+		if !held {
+			st.stageLocked(in, recs[i].Outcome, recs[i].Source)
+			continue
+		}
+		w, bit := pos>>6, uint64(1)<<(uint(pos)&63)
+		if int(pos) >= from || skipped != nil && skipped[w]&bit != 0 {
+			st.unstageLocked(from)
+			return 0, fmt.Errorf("provenance: batch lists instance %v twice (record %d repeats it)", in, i)
+		}
+		if skipped == nil {
+			skipped = make(bitset, (from+63)>>6)
+		}
+		skipped[w] |= bit
 	}
 	return st.commitStagedLocked(from)
 }

@@ -11,8 +11,9 @@ import (
 // with the store's write lock held, before the vote is counted in memory,
 // and must not return until the vote is durable — write-ahead semantics
 // for votes, mirroring Append for records. Trial votes carry no sequence
-// number (they are idempotent, keyed by instance and trial index), so the
-// sink may interleave them freely with record appends in its stream.
+// number: a vote is keyed by its instance and trial index, and the store
+// hands each instance's votes over once each, in trial order, so the sink
+// may interleave them freely with record appends in its stream.
 type TrialSink interface {
 	AppendTrial(in pipeline.Instance, trial int, out pipeline.Outcome, source string) error
 }
@@ -23,13 +24,6 @@ type TrialSink interface {
 type TrialVote struct {
 	Outcome pipeline.Outcome
 	Source  string
-}
-
-// TrialRecord is one instance's accumulated trial votes, as returned by
-// TrialVotesAll.
-type TrialRecord struct {
-	Instance pipeline.Instance
-	Votes    []TrialVote
 }
 
 // TrialResult reports the vote tallies after an AddTrial call and the
@@ -55,12 +49,10 @@ type TrialResult struct {
 // trialState is one instance's in-memory vote ledger: the durable votes
 // in trial order.
 type trialState struct {
-	in    pipeline.Instance
 	votes []TrialVote
 }
 
-// tally counts the succeed and fail votes. Holes (see
-// LoadTrialVote) carry OutcomeUnknown and count as nothing.
+// tally counts the succeed and fail votes.
 func (ts *trialState) tally() (succ, fail int) {
 	for _, v := range ts.votes {
 		switch v.Outcome {
@@ -89,7 +81,7 @@ func (st *Store) trialStateLocked(in pipeline.Instance, create bool) *trialState
 		st.trialByKey = pipeline.NewInstanceMap[int32](0)
 	}
 	st.trialByKey.Put(in, int32(len(st.trialRecs)))
-	st.trialRecs = append(st.trialRecs, trialState{in: in})
+	st.trialRecs = append(st.trialRecs, trialState{})
 	return &st.trialRecs[len(st.trialRecs)-1]
 }
 
@@ -169,12 +161,9 @@ func (st *Store) AddTrial(in pipeline.Instance, out pipeline.Outcome, source str
 }
 
 // LoadTrialVote applies one replayed trial vote without touching the
-// sink. It is idempotent: a vote at an index already loaded must agree
-// with the loaded vote and is otherwise ignored. A vote past the next free
-// index leaves OutcomeUnknown holes that later calls fill. Log replay
-// (internal/provlog) never leaves one: it holds a vote read ahead of its
-// predecessors aside until they arrive, and fails a replay that ends with
-// votes still held.
+// sink. The writer logs each instance's votes once each and in trial
+// order, so a vote loads only when trial is the instance's vote count;
+// any other — a repeat, a gap, a reordering — fails and loads nothing.
 func (st *Store) LoadTrialVote(in pipeline.Instance, trial int, out pipeline.Outcome, source string) error {
 	if in.Space() != st.space {
 		return fmt.Errorf("provenance: trial vote instance belongs to a different space")
@@ -184,18 +173,15 @@ func (st *Store) LoadTrialVote(in pipeline.Instance, trial int, out pipeline.Out
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	ts := st.trialStateLocked(in, true)
-	for trial >= len(ts.votes) {
-		ts.votes = append(ts.votes, TrialVote{})
+	ts := st.trialStateLocked(in, trial == 0) // only a first vote opens a ledger
+	want := 0
+	if ts != nil {
+		want = len(ts.votes)
 	}
-	if prev := ts.votes[trial].Outcome; prev != pipeline.OutcomeUnknown {
-		if prev != out {
-			return fmt.Errorf("provenance: replayed trial %d of %v disagrees: %v vs %v",
-				trial, in, prev, out)
-		}
-		return nil
+	if trial != want {
+		return fmt.Errorf("provenance: replayed trial %d of %v, want trial %d", trial, in, want)
 	}
-	ts.votes[trial] = TrialVote{Outcome: out, Source: source}
+	ts.votes = append(ts.votes, TrialVote{Outcome: out, Source: source})
 	return nil
 }
 
@@ -249,23 +235,4 @@ func (st *Store) TrialMargin(in pipeline.Instance) int {
 		return succ - fail
 	}
 	return fail - succ
-}
-
-// TrialVotesAll snapshots every instance's vote ledger, in no particular
-// order, so a caller can inspect the whole ledger at once — for example,
-// to check that a replayed ledger has no holes.
-func (st *Store) TrialVotesAll() []TrialRecord {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var all []TrialRecord
-	for j := range st.trialRecs {
-		ts := &st.trialRecs[j]
-		if len(ts.votes) == 0 {
-			continue
-		}
-		votes := make([]TrialVote, len(ts.votes))
-		copy(votes, ts.votes)
-		all = append(all, TrialRecord{Instance: ts.in, Votes: votes})
-	}
-	return all
 }

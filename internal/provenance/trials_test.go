@@ -2,6 +2,8 @@ package provenance
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -97,64 +99,53 @@ func TestTrialVoteRejectsNonVerdicts(t *testing.T) {
 	}
 }
 
-func TestLoadTrialVoteHolesAndIdempotence(t *testing.T) {
+// TestLoadTrialVoteInTrialOrder pins replay's one vote rule: a vote loads
+// only as the instance's next trial. A repeat, a gap and a disagreement
+// each fail with an error naming the instance, the trial read and the
+// trial expected, and load nothing.
+func TestLoadTrialVoteInTrialOrder(t *testing.T) {
 	s := testSpace(t)
 	st := NewStore(s)
 	st.SetTrialPolicy(trialPolicy())
 	in := pipeline.MustInstance(s, pipeline.Ord(1), pipeline.Cat("y"))
+	refused := func(trial int, out pipeline.Outcome, want int) {
+		t.Helper()
+		before := st.TrialVotes(in)
+		err := st.LoadTrialVote(in, trial, out, "t")
+		if err == nil {
+			t.Fatalf("LoadTrialVote(trial %d, %v) with %d votes loaded succeeded", trial, out, want)
+		}
+		for _, part := range []string{in.String(), fmt.Sprintf("trial %d", trial), fmt.Sprintf("want trial %d", want)} {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("LoadTrialVote error %q does not name %q", err, part)
+			}
+		}
+		if after := st.TrialVotes(in); !slices.Equal(after, before) {
+			t.Fatalf("refused vote changed the ledger from %v to %v", before, after)
+		}
+	}
 
-	// A high-index vote may arrive first (checkpoint re-emission trailing
-	// a live append); the gap is padded with holes that count as nothing.
-	if err := st.LoadTrialVote(in, 2, pipeline.Fail, "t"); err != nil {
-		t.Fatal(err)
+	refused(1, pipeline.Fail, 0) // a gap before any vote
+	if st.trialStateLocked(in, false) != nil {
+		t.Fatal("a refused first vote opened a ledger")
 	}
-	if got := st.TrialCount(in); got != 3 {
-		t.Fatalf("TrialCount = %d, want 3 (two holes + one vote)", got)
-	}
-	if got := st.TrialMargin(in); got != 1 {
-		t.Fatalf("TrialMargin = %d, want 1 (holes carry no vote)", got)
-	}
-	// Filling the holes, duplicating a vote, and disagreeing:
 	if err := st.LoadTrialVote(in, 0, pipeline.Fail, "t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LoadTrialVote(in, 2, pipeline.Fail, "t"); err != nil {
-		t.Fatalf("idempotent duplicate rejected: %v", err)
+	refused(0, pipeline.Fail, 1)    // a repeat, agreeing
+	refused(0, pipeline.Succeed, 1) // a repeat, disagreeing
+	refused(2, pipeline.Fail, 1)    // a gap
+	for trial := 1; trial < 3; trial++ {
+		if err := st.LoadTrialVote(in, trial, pipeline.Fail, "t"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := st.LoadTrialVote(in, 2, pipeline.Succeed, "t"); err == nil {
-		t.Fatal("disagreeing duplicate accepted")
+	if got := st.TrialCount(in); got != 3 {
+		t.Fatalf("TrialCount = %d, want 3", got)
 	}
-	if err := st.LoadTrialVote(in, 1, pipeline.Fail, "t"); err != nil {
-		t.Fatal(err)
-	}
-	// All three failing votes now present: the policy resolves.
+	// All three failing votes present: the policy resolves.
 	if out, done := st.TrialOutcome(in); !done || out != pipeline.Fail {
 		t.Fatalf("TrialOutcome over replayed quorum = %v, %v", out, done)
-	}
-}
-
-func TestTrialVotesAllSnapshots(t *testing.T) {
-	s := testSpace(t)
-	st := NewStore(s)
-	st.SetTrialPolicy(trialPolicy())
-	want := map[uint64]int{}
-	for a := 1; a <= 3; a++ {
-		in := pipeline.MustInstance(s, pipeline.Ord(float64(a)), pipeline.Cat("x"))
-		for k := 0; k < a; k++ {
-			if _, err := st.AddTrial(in, pipeline.Fail, fmt.Sprintf("s%d", k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want[in.Hash()] = a
-	}
-	all := st.TrialVotesAll()
-	if len(all) != len(want) {
-		t.Fatalf("TrialVotesAll returned %d ledgers, want %d", len(all), len(want))
-	}
-	for _, tr := range all {
-		if want[tr.Instance.Hash()] != len(tr.Votes) {
-			t.Fatalf("instance %v has %d votes, want %d", tr.Instance, len(tr.Votes), want[tr.Instance.Hash()])
-		}
 	}
 }
 

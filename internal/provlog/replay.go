@@ -63,7 +63,9 @@ const replayBatch = 8192
 // batch and flush through Space.AdoptInstances as code-only instances:
 // replay materializes no values, and the batch's own code slab backs every
 // instance in it. Each flush is one store write, Store.AddBatch: one lock
-// and one index pass per batch.
+// and one index pass per batch. Trial votes do not buffer: each loads
+// into the store's vote ledger as it is read, in the trial order the
+// writer logged it.
 type replayState struct {
 	space     *pipeline.Space
 	st        *provenance.Store
@@ -78,23 +80,12 @@ type replayState struct {
 	// every batch starts a fresh one, sized from unread: the bytes of the
 	// current segment not yet decoded, by its size at open, which bound
 	// the records it can still hold.
-	batchCodes   []uint32
-	unread       int64
-	batchOuts    []pipeline.Outcome
-	batchSrc     []uint16
-	batchHashes  []uint64           // flush scratch
-	batchEntries []provenance.Entry // flush scratch, sized by the first flush
-
-	// held keeps, per instance (by Key), the trial votes read ahead of
-	// their predecessors, until those arrive (see applyTrialVote).
-	held map[string]*heldVotes
-}
-
-// heldVotes is one instance's trial votes that replay has read but not
-// yet loaded, keyed by trial index.
-type heldVotes struct {
-	in    pipeline.Instance
-	votes map[int]provenance.TrialVote
+	batchCodes  []uint32
+	unread      int64
+	batchOuts   []pipeline.Outcome
+	batchSrc    []uint16
+	batchHashes []uint64            // flush scratch
+	batchRecs   []provenance.Record // flush scratch, sized by the first flush
 }
 
 func newReplayState(space *pipeline.Space, st *provenance.Store) *replayState {
@@ -109,8 +100,9 @@ func newReplayState(space *pipeline.Space, st *provenance.Store) *replayState {
 // flush commits the buffered records to the store as one write: it adopts
 // them as code-only instances over the batch's code slab, which passes to
 // the store as it is, and hands them to Store.AddBatch. The log holds
-// each instance once, so a batch that adds fewer records than it decoded
-// repeats an instance, and replay fails naming it.
+// each instance once: AddBatch refuses a batch that repeats one of its own
+// records, and a batch that adds fewer records than it decoded repeats
+// one an earlier batch recorded, so replay fails naming it.
 func (rs *replayState) flush() error {
 	n := len(rs.batchOuts)
 	if n == 0 {
@@ -123,39 +115,39 @@ func (rs *replayState) flush() error {
 	for r := 0; r < n; r++ {
 		rs.batchHashes = append(rs.batchHashes, pipeline.HashCodes(codes[r*p:(r+1)*p]))
 	}
-	if cap(rs.batchEntries) < n {
-		rs.batchEntries = make([]provenance.Entry, n)
+	if cap(rs.batchRecs) < n {
+		rs.batchRecs = make([]provenance.Record, n)
 	}
-	entries := rs.batchEntries[:n]
+	recs := rs.batchRecs[:n]
 	if err := rs.space.AdoptInstances(codes, rs.batchHashes, func(r int, in pipeline.Instance) {
-		entries[r] = provenance.Entry{Instance: in, Outcome: rs.batchOuts[r], Source: rs.sources[rs.batchSrc[r]]}
+		recs[r] = provenance.Record{Instance: in, Outcome: rs.batchOuts[r], Source: rs.sources[rs.batchSrc[r]]}
 	}); err != nil {
 		return fmt.Errorf("provlog: %w", err)
 	}
 	from := rs.st.Len()
-	added, err := rs.st.AddBatch(entries)
+	added, err := rs.st.AddBatch(recs)
 	if err != nil {
 		return err
 	}
 	if added < n {
-		return rs.repeatError(entries, from)
+		return rs.repeatError(recs, from)
 	}
 	rs.batchOuts = rs.batchOuts[:0]
 	rs.batchSrc = rs.batchSrc[:0]
 	return nil
 }
 
-// repeatError names the first entry of a flushed batch that the store
+// repeatError names the first record of a flushed batch that the store
 // skipped as already recorded. The batch was offered from log position
-// from on, and the entries it added sit there in order, so the first entry
+// from on, and the records it added sit there in order, so the first one
 // that is not the record at its position is the repeat.
-func (rs *replayState) repeatError(entries []provenance.Entry, from int) error {
+func (rs *replayState) repeatError(recs []provenance.Record, from int) error {
 	sn := rs.st.Snapshot()
 	i := 0
-	for from+i < sn.Len() && sn.At(from+i).Instance.Equal(entries[i].Instance) {
+	for from+i < sn.Len() && sn.At(from+i).Instance.Equal(recs[i].Instance) {
 		i++
 	}
-	return fmt.Errorf("provlog: record %d repeats instance %v, already recorded", from+i, entries[i].Instance)
+	return fmt.Errorf("provlog: record %d repeats instance %v, already recorded", from+i, recs[i].Instance)
 }
 
 // scanner reads frames sequentially, tracking the byte offset consumed so
@@ -351,12 +343,10 @@ func (rs *replayState) apply(typ byte, payload []byte) error {
 }
 
 // applyTrialVote decodes one trial-vote exec frame and loads it into the
-// store's vote ledger. The writer logs each instance's votes once and in
-// trial order, but replay trusts no index a frame names: a repeated vote
-// must agree with the first (votes are idempotent by instance and trial
-// index), and a vote read ahead of its predecessors is held aside until
-// they arrive, so the memory replay spends on votes tracks the frames it
-// has read.
+// store's vote ledger. The writer logs each instance's votes once each and
+// in trial order, and Store.LoadTrialVote refuses any other vote, so a
+// repeated, skipped or reordered vote fails the replay naming its
+// instance; nothing is sized from the trial index a frame names.
 func (rs *replayState) applyTrialVote(payload []byte, trial int, src string) error {
 	p := rs.space.Len()
 	codes := make([]uint32, p) // the vote ledger keeps the instance, so each vote adopts its own row
@@ -375,75 +365,7 @@ func (rs *replayState) applyTrialVote(payload []byte, trial int, src string) err
 	if err := rs.space.AdoptInstances(codes, []uint64{pipeline.HashCodes(codes)}, func(_ int, a pipeline.Instance) { in = a }); err != nil {
 		return fmt.Errorf("provlog: %w", err)
 	}
-	if trial > rs.st.TrialCount(in) {
-		return rs.holdVote(in, trial, provenance.TrialVote{Outcome: out, Source: src})
-	}
-	if err := rs.st.LoadTrialVote(in, trial, out, src); err != nil {
-		return err
-	}
-	if len(rs.held) == 0 {
-		return nil
-	}
-	key := in.Key()
-	h := rs.held[key]
-	if h == nil {
-		return nil
-	}
-	for {
-		next := rs.st.TrialCount(in)
-		v, ok := h.votes[next]
-		if !ok {
-			break
-		}
-		if err := rs.st.LoadTrialVote(in, next, v.Outcome, v.Source); err != nil {
-			return err
-		}
-		delete(h.votes, next)
-	}
-	if len(h.votes) == 0 {
-		delete(rs.held, key)
-	}
-	return nil
-}
-
-// holdVote sets aside a trial vote read ahead of its predecessors. A
-// repeat of a held vote must agree with it, as LoadTrialVote demands of
-// loaded ones.
-func (rs *replayState) holdVote(in pipeline.Instance, trial int, v provenance.TrialVote) error {
-	if rs.held == nil {
-		rs.held = make(map[string]*heldVotes)
-	}
-	key := in.Key()
-	h := rs.held[key]
-	if h == nil {
-		h = &heldVotes{in: in, votes: make(map[int]provenance.TrialVote)}
-		rs.held[key] = h
-	}
-	if prev, ok := h.votes[trial]; ok {
-		if prev.Outcome != v.Outcome {
-			return fmt.Errorf("provlog: replayed trial %d of %v disagrees: %v vs %v", trial, in, prev.Outcome, v.Outcome)
-		}
-		return nil
-	}
-	h.votes[trial] = v
-	return nil
-}
-
-// checkHeld fails a replay that ends with trial votes still held: their
-// predecessors never appeared in the stream, so the vote ledger would have
-// holes.
-func (rs *replayState) checkHeld() error {
-	for _, h := range rs.held {
-		first := -1
-		for trial := range h.votes {
-			if first < 0 || trial < first {
-				first = trial
-			}
-		}
-		return fmt.Errorf("provlog: replay ended with trial %d of %v logged but trial %d missing",
-			first, h.in, rs.st.TrialCount(h.in))
-	}
-	return nil
+	return rs.st.LoadTrialVote(in, trial, out, src)
 }
 
 // replaySegment replays one segment into rs and returns the number of
@@ -545,9 +467,6 @@ func replayDir(dir string, space *pipeline.Space) (*replayState, []segFile, int6
 		if lastGood, err = replaySegment(sf, rs, i == len(segs)-1); err != nil {
 			return nil, nil, 0, err
 		}
-	}
-	if err := rs.checkHeld(); err != nil {
-		return nil, nil, 0, err
 	}
 	return rs, segs, lastGood, nil
 }

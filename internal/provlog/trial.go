@@ -14,10 +14,11 @@ import (
 // old reader sees well-formed frames, and the replayer routes any frame
 // whose source carries the prefix to the store's vote ledger instead of
 // the record log. Trial frames consume no global sequence number: replay
-// does not count them against segment-header firstSeq positions, and
-// replay loads them idempotently, keyed by instance and trial index. The
-// reserved prefix is rejected on record sources, so a record can never be
-// mistaken for a vote.
+// does not count them against segment-header firstSeq positions. The
+// writer logs each instance's votes once each, in trial order, and replay
+// refuses a stream that repeats, skips or reorders one. The reserved
+// prefix is rejected on record sources, so a record can never be mistaken
+// for a vote.
 const trialSourcePrefix = "trial#"
 
 // isTrialSource reports whether a source string is a reserved trial

@@ -126,12 +126,12 @@ func TestConcurrentBatchesAndAppends(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			entries := make([]provenance.Entry, 0, batchSize)
+			entries := make([]provenance.Record, 0, batchSize)
 			for i := 0; i < batchSize; i++ {
 				// Writers b and b+1 share half their instances, so batches
 				// race each other (and the single adders below) on them.
 				in := writerInstance(t, s, b/2, i)
-				entries = append(entries, provenance.Entry{
+				entries = append(entries, provenance.Record{
 					Instance: in, Outcome: outcomeFor(in), Source: "batch",
 				})
 			}
@@ -186,9 +186,9 @@ func buildBatchLog(t *testing.T, dir string, n int) (recEnds []int64, ins []pipe
 		t.Fatal(err)
 	}
 	ins, outs, srcs = testRecords(t, s, n)
-	entries := make([]provenance.Entry, n)
+	entries := make([]provenance.Record, n)
 	for i := range ins {
-		entries[i] = provenance.Entry{Instance: ins[i], Outcome: outs[i], Source: srcs[i]}
+		entries[i] = provenance.Record{Instance: ins[i], Outcome: outs[i], Source: srcs[i]}
 	}
 	added, err := st.AddBatch(entries)
 	if err != nil || added != n {
@@ -288,12 +288,12 @@ func TestBatchCommitTornTailTorture(t *testing.T) {
 			t.Fatalf("offset %d: Open: %v", off, err)
 		}
 		more, mouts, msrcs := testRecords(t, space, len(ins)+4)
-		var entries []provenance.Entry
+		var entries []provenance.Record
 		for i := range more {
 			if _, known := st2.Lookup(more[i]); known {
 				continue
 			}
-			entries = append(entries, provenance.Entry{Instance: more[i], Outcome: mouts[i], Source: msrcs[i]})
+			entries = append(entries, provenance.Record{Instance: more[i], Outcome: mouts[i], Source: msrcs[i]})
 		}
 		if _, err := st2.AddBatch(entries); err != nil {
 			t.Fatalf("offset %d: append after repair: %v", off, err)
@@ -339,7 +339,7 @@ func TestFailedWriteBreaksLog(t *testing.T) {
 	if err := st.Add(ins[4], outs[4], srcs[4]); err == nil || !errors.Is(err, l.broken) {
 		t.Fatalf("Add after the failure = %v, want the sticky error", err)
 	}
-	if _, err := st.AddBatch([]provenance.Entry{{Instance: ins[5], Outcome: outs[5], Source: srcs[5]}}); err == nil || !errors.Is(err, l.broken) {
+	if _, err := st.AddBatch([]provenance.Record{{Instance: ins[5], Outcome: outs[5], Source: srcs[5]}}); err == nil || !errors.Is(err, l.broken) {
 		t.Fatalf("AddBatch after the failure = %v, want the sticky error", err)
 	}
 	st.SetTrialPolicy(pipeline.FlakyPolicy{MinTrials: 3, MaxTrials: 5, Quorum: 3})
@@ -429,9 +429,9 @@ func TestOneWritePerStoreWrite(t *testing.T) {
 	if got := flushes(); got != 8 {
 		t.Fatalf("8 Adds made %d writes", got)
 	}
-	entries := make([]provenance.Entry, 0, 16)
+	entries := make([]provenance.Record, 0, 16)
 	for i := 8; i < 24; i++ {
-		entries = append(entries, provenance.Entry{Instance: ins[i], Outcome: outs[i], Source: srcs[i]})
+		entries = append(entries, provenance.Record{Instance: ins[i], Outcome: outs[i], Source: srcs[i]})
 	}
 	if added, err := st.AddBatch(entries); err != nil || added != 16 {
 		t.Fatalf("AddBatch = %d, %v", added, err)
