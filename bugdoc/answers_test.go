@@ -2,6 +2,7 @@ package bugdoc_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,9 +13,9 @@ import (
 	"repro/internal/synth"
 )
 
-// The tests in this file pin what the algorithms answer on two fixed pools
-// of synthetic pipelines drawn from seed 1: the executions they spend and
-// the precision and recall metrics.Judge gives their causes. The values do
+// The tests in this file pin what the algorithms answer on fixed pools of
+// synthetic pipelines drawn from master seeds: the executions they spend
+// and the precision and recall metrics.Judge gives their causes. The values do
 // not depend on the machine, so they are exact gates: a change that means
 // to change an answer updates the pin in the same diff and says so in
 // CHANGES.md; any other change must leave them as they are.
@@ -120,13 +121,35 @@ func TestDDTAnswersPinned(t *testing.T) {
 	answerPin{execs: 8132, precision: 122.0 / 214, recall: 94.0 / 260}.check(t, got)
 }
 
-// TestStackedShortcutAnswersPinned runs FindOne with Stacked Shortcut on
-// 32 pipelines of 8 to 15 parameters, each starting from a 500-run
-// history on two workers: the inputs of the session benchmark's
-// durable-resume workload, at a tenth of its history and in memory.
-func TestStackedShortcutAnswersPinned(t *testing.T) {
+// findOnePin is one FindOne pool's pinned outcome: the executions the
+// sessions spend, the sessions that find a true minimal cause, and the
+// false causes they assert.
+type findOnePin struct {
+	seed                  int64
+	execs, hits, falsePos int
+}
+
+// check compares the pool's answers with the pin, deriving precision and
+// recall as metrics.Aggregate does over the pool's 32 sessions.
+func (p findOnePin) check(t *testing.T, got answerPin) {
+	t.Helper()
+	answerPin{
+		execs:     p.execs,
+		precision: float64(p.hits) / float64(p.hits+p.falsePos),
+		recall:    float64(p.hits) / 32,
+	}.check(t, got)
+}
+
+// findOnePool runs FindOne with algo on 32 pipelines of 8 to 15
+// parameters drawn from seed, each session starting from a 500-run history
+// on two workers: the inputs of the session benchmark's durable-resume
+// workload, at a tenth of its history and in memory. Neither Shortcut nor
+// Stacked Shortcut draws from the session's random source, so only the
+// master seed makes pools differ.
+func findOnePool(t *testing.T, seed int64, algo bugdoc.Algorithm) answerPin {
+	t.Helper()
 	ctx := context.Background()
-	r := rand.New(rand.NewSource(1))
+	r := rand.New(rand.NewSource(seed))
 	var got answerPin
 	var ag metrics.Aggregate
 	for i := 0; i < 32; i++ {
@@ -156,7 +179,7 @@ func TestStackedShortcutAnswersPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		causes, err := s.FindOne(ctx, bugdoc.StackedShortcut)
+		causes, err := s.FindOne(ctx, algo)
 		if err != nil {
 			t.Fatalf("pipeline %d: %v", i, err)
 		}
@@ -168,7 +191,43 @@ func TestStackedShortcutAnswersPinned(t *testing.T) {
 		ag.Add(ev)
 	}
 	got.precision, got.recall = ag.FindOnePrecision(), ag.FindOneRecall()
-	// 15 of the 32 sessions find a true minimal cause, and the sessions
-	// assert 6 false causes.
-	answerPin{execs: 1467, precision: 15.0 / 21, recall: 15.0 / 32}.check(t, got)
+	return got
+}
+
+// TestStackedShortcutAnswersPinned runs FindOne with Stacked Shortcut on
+// the pools of master seeds 1 to 8 (see findOnePool).
+func TestStackedShortcutAnswersPinned(t *testing.T) {
+	for _, pin := range []findOnePin{
+		{seed: 1, execs: 862, hits: 15, falsePos: 6},
+		{seed: 2, execs: 812, hits: 19, falsePos: 8},
+		{seed: 3, execs: 853, hits: 17, falsePos: 7},
+		{seed: 4, execs: 810, hits: 19, falsePos: 4},
+		{seed: 5, execs: 880, hits: 24, falsePos: 3},
+		{seed: 6, execs: 852, hits: 18, falsePos: 8},
+		{seed: 7, execs: 912, hits: 22, falsePos: 6},
+		{seed: 8, execs: 824, hits: 18, falsePos: 7},
+	} {
+		t.Run(fmt.Sprintf("seed=%d", pin.seed), func(t *testing.T) {
+			pin.check(t, findOnePool(t, pin.seed, bugdoc.StackedShortcut))
+		})
+	}
+}
+
+// TestShortcutAnswersPinned runs FindOne with Shortcut on the pools of
+// master seeds 1 to 8 (see findOnePool).
+func TestShortcutAnswersPinned(t *testing.T) {
+	for _, pin := range []findOnePin{
+		{seed: 1, execs: 214, hits: 10, falsePos: 7},
+		{seed: 2, execs: 210, hits: 14, falsePos: 10},
+		{seed: 3, execs: 212, hits: 12, falsePos: 5},
+		{seed: 4, execs: 205, hits: 15, falsePos: 4},
+		{seed: 5, execs: 223, hits: 17, falsePos: 5},
+		{seed: 6, execs: 213, hits: 12, falsePos: 9},
+		{seed: 7, execs: 237, hits: 20, falsePos: 4},
+		{seed: 8, execs: 211, hits: 16, falsePos: 5},
+	} {
+		t.Run(fmt.Sprintf("seed=%d", pin.seed), func(t *testing.T) {
+			pin.check(t, findOnePool(t, pin.seed, bugdoc.Shortcut))
+		})
+	}
 }

@@ -128,7 +128,8 @@ type Algorithm = core.Algorithm
 
 // The three BugDoc algorithms.
 const (
-	// Shortcut is Algorithm 1: a single linear substitution pass.
+	// Shortcut is Algorithm 1: a single substitution pass, made over
+	// groups of parameters (see internal/core.Shortcut).
 	Shortcut = core.AlgoShortcut
 	// StackedShortcut is Algorithm 2: shortcut against k disjoint goods.
 	StackedShortcut = core.AlgoStackedShortcut

@@ -25,7 +25,7 @@ func main() {
 	fmt.Println("Pipeline:", gan.Space)
 	fmt.Printf("Evaluation: FID <= %.0f (mode collapse threshold)\n\n", gansim.Threshold)
 
-	// Pass 1: Stacked Shortcut — linear in the number of parameters.
+	// Pass 1: Stacked Shortcut — at most 2|P| − 1 executions per good.
 	s1, err := bugdoc.NewSession(gan.Space, gan.Oracle(), bugdoc.WithSeed(11))
 	if err != nil {
 		log.Fatal(err)

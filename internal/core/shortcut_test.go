@@ -349,7 +349,9 @@ func TestShortcutTheorem1(t *testing.T) {
 		if !eq {
 			t.Fatalf("trial %d: Shortcut = %v, want %v", trial, d, cause)
 		}
-		// Theorem 1 says the linear pass executes at most |P| new instances.
+		// Theorem 1 bounds the paper's linear pass by |P| new instances.
+		// With one parameter in the cause, the group search splits down a
+		// single path, two tests a level, and stays within that bound.
 		if ex.Spent() > nParams+2 { // +2 for the seeded pair
 			t.Fatalf("trial %d: spent %d instances for %d parameters", trial, ex.Spent(), nParams)
 		}

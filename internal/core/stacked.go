@@ -43,14 +43,18 @@ func StackedShortcut(ctx context.Context, ex *exec.Executor, k int) (predicate.C
 
 // StackedShortcutWith runs the stacked algorithm against an explicit CP_f
 // and good set, unioning the per-call assertions. Under a bounded budget,
-// additional shortcut passes only start while the budget can still cover a
-// full substitution sweep — a partially-swept pass would keep untested
-// CP_f values and bloat the union with unverified conditions.
+// a further shortcut pass only starts while the budget covers the pass's
+// worst case, 2d − 1 executions for the d parameters where CP_f and the
+// good differ (see Shortcut) — a pass cut short would keep untested CP_f
+// values and bloat the union with unverified conditions. The guard counts
+// one budget unit per execution, as a deterministic oracle spends them;
+// under a flaky policy one instance can take several units, so a pass can
+// still run out.
 func StackedShortcutWith(ctx context.Context, ex *exec.Executor, cpf pipeline.Instance, goods []pipeline.Instance) (predicate.Conjunction, error) {
 	var union predicate.Conjunction
 	for i, cpg := range goods {
 		if i > 0 {
-			if remaining, bounded := ex.Remaining(); bounded && remaining < cpf.Space().Len() {
+			if remaining, bounded := ex.Remaining(); bounded && remaining < 2*cpf.DiffCount(cpg)-1 {
 				break
 			}
 		}

@@ -476,6 +476,10 @@ func (e *Executor) planSet(ctx context.Context, ins []pipeline.Instance, results
 	return run, dupOf
 }
 
+// commitOnStack is the number of records commitBatch builds without a
+// heap allocation.
+const commitOnStack = 16
+
 // commitBatch records every successful oracle run of the round through one
 // AddBatch; planSet listed each instance once. Records the store skipped
 // as already recorded (a concurrent evaluation won the race) keep their
@@ -483,8 +487,15 @@ func (e *Executor) planSet(ctx context.Context, ins []pipeline.Instance, results
 // batch commit fails, results whose record did not reach the store report
 // the error and their budget is refunded: an unrecorded execution must
 // not be treated as provenance.
+//
+// AddBatch copies the records into the log and keeps no reference to its
+// argument, so a round of up to commitOnStack records builds them in an
+// array on the stack: Shortcut's rounds hold one record, and DDT's at most
+// its MaxSuspectTests, 8 by default. A longer round grows the slice onto
+// the heap.
 func (e *Executor) commitBatch(ins []pipeline.Instance, run []int, results []Result) {
-	recs := make([]provenance.Record, 0, len(run))
+	var buf [commitOnStack]provenance.Record
+	recs := buf[:0]
 	for _, i := range run {
 		if results[i].Err == nil {
 			recs = append(recs, provenance.Record{

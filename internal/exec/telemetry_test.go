@@ -193,27 +193,32 @@ func TestMemoizedNilTelemetryAllocFree(t *testing.T) {
 	}
 }
 
-// TestEvaluateMissAllocs pins what a one-instance Evaluate miss allocates
-// over an in-memory store with a no-op oracle: the set of one, its result
-// slice, the dispatch list and the commit's entry slice. A round of one
-// makes no dedupe map, counter, closure or WaitGroup. Twelve binary
-// parameters keep the store's amortized index growth far below one
-// allocation per miss.
-func TestEvaluateMissAllocs(t *testing.T) {
+// binaryInstances returns every instance of a space of twelve binary
+// parameters. That many parameters keep a store's amortized index growth
+// far below one allocation per record.
+func binaryInstances() []pipeline.Instance {
 	params := make([]pipeline.Parameter, 12)
 	for i := range params {
 		params[i] = pipeline.Parameter{Name: fmt.Sprintf("p%d", i), Kind: pipeline.Ordinal,
 			Domain: []pipeline.Value{pipeline.Ord(0), pipeline.Ord(1)}}
 	}
-	s := pipeline.MustSpace(params...)
 	var ins []pipeline.Instance
-	s.Enumerate(func(in pipeline.Instance) bool {
+	pipeline.MustSpace(params...).Enumerate(func(in pipeline.Instance) bool {
 		ins = append(ins, in)
 		return true
 	})
+	return ins
+}
+
+// TestEvaluateMissAllocs pins what a one-instance Evaluate miss allocates
+// over an in-memory store with a no-op oracle: the set of one, its result
+// slice and the dispatch list. A round of one makes no dedupe map,
+// counter, closure or WaitGroup, and commits its record from the stack.
+func TestEvaluateMissAllocs(t *testing.T) {
+	ins := binaryInstances()
 	ex := New(OracleFunc(func(context.Context, pipeline.Instance) (pipeline.Outcome, error) {
 		return pipeline.Fail, nil
-	}), provenance.NewStore(s))
+	}), provenance.NewStore(ins[0].Space()))
 	ctx := context.Background()
 	for _, in := range ins[:1024] {
 		if _, err := ex.Evaluate(ctx, in); err != nil {
@@ -226,11 +231,32 @@ func TestEvaluateMissAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		next++
-	}); n > 4 {
-		t.Fatalf("Evaluate miss allocated %v/op, want at most 4", n)
+	}); n > 3 {
+		t.Fatalf("Evaluate miss allocated %v/op, want at most 3", n)
 	}
 	if got := ex.Spent(); got != next {
 		t.Fatalf("Spent = %d after %d misses", got, next)
+	}
+}
+
+// TestCommitBatchAllocFree pins that commitBatch builds a round's records
+// on the stack: committing one record into a store presized for every
+// record allocates nothing.
+func TestCommitBatchAllocFree(t *testing.T) {
+	ins := binaryInstances()
+	ex := New(nil, provenance.NewStoreWithCapacity(ins[0].Space(), len(ins)))
+	run := []int{0}
+	results := make([]Result, 1)
+	next := 0
+	if n := testing.AllocsPerRun(2000, func() {
+		results[0] = Result{Outcome: pipeline.Fail}
+		ex.commitBatch(ins[next:next+1], run, results)
+		next++
+	}); n != 0 {
+		t.Fatalf("one-record commitBatch allocated %v/op", n)
+	}
+	if got := ex.Store().Len(); got != next {
+		t.Fatalf("store holds %d records after %d commits", got, next)
 	}
 }
 

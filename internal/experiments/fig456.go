@@ -110,8 +110,12 @@ type Fig5Result struct {
 }
 
 // Fig5 measures the number of new instances each algorithm executes as the
-// parameter count grows: Shortcut and Stacked Shortcut scale linearly, DDT
-// faster.
+// parameter count grows. The paper's Shortcut and Stacked Shortcut scale
+// linearly, one execution per differing parameter and pass. This
+// Shortcut substitutes groups of parameters (see core.Shortcut): a pass
+// can cost up to 2|P| − 1 executions, which shows in the smallest spaces,
+// but with one short planted conjunction, as here, its count grows with
+// the logarithm of |P|. DDT spends more and grows faster.
 func Fig5(ctx context.Context, cfg Fig5Config) (*Fig5Result, error) {
 	if len(cfg.ParamCounts) == 0 {
 		cfg.ParamCounts = []int{3, 5, 7, 9, 11, 13, 15}

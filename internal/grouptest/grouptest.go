@@ -1,16 +1,26 @@
-// Package grouptest implements the group-testing extension sketched in the
+// Package grouptest implements adaptive group testing: it finds the
+// defective elements among n by testing groups of them, splitting only the
+// groups that test positive.
+//
+// It serves two searches. The first is the extension sketched in the
 // paper's conclusion: "we would like to explore group testing to identify
 // problematic data elements when a dataset has been identified as a root
 // cause". When BugDoc asserts that an input dataset causes the failure, the
 // next question is *which rows* of that dataset are to blame; re-running the
-// pipeline once per row is prohibitive, so adaptive group testing runs it on
-// row subsets instead.
+// pipeline once per row is prohibitive, so FindDefectives runs it on row
+// subsets instead. The second is the Shortcut algorithm (internal/core),
+// which substitutes a succeeding instance's values onto a failing one a
+// group of parameters at a time through SplitDepthFirst: a parameter is
+// defective when its substitution ends the failure.
 //
-// The tester assumes the standard group-testing premise, which matches
-// BugDoc's definitive-cause semantics: a run over a subset of elements fails
-// iff the subset contains at least one defective element. Under that
-// premise, adaptive binary splitting finds all d defectives among n
-// elements in O(d log n) pipeline runs.
+// Both find exactly the defectives under the standard group-testing
+// premise, which matches BugDoc's definitive-cause semantics: a test of a
+// subset of elements is positive iff the subset contains at least one
+// defective element. Under that premise, adaptive binary splitting finds
+// all d defectives among n elements in O(d log n) tests. SplitDepthFirst
+// makes at most 2n − 1 tests whatever its tests report; Shortcut relies
+// on that bound, because its substitutions can interact when a failure
+// has more than one cause.
 package grouptest
 
 import (
@@ -141,11 +151,11 @@ type Result struct {
 // are independent hypotheses, so each round is submitted as a set — one
 // TestBatch call when the tester supports it (letting an executor-backed
 // tester parallelize the runs and commit their provenance in one batch),
-// sequential Test calls otherwise. An unbudgeted run visits exactly the
-// ranges of the depth-first formulation, in breadth-first order; under
-// MaxTests the budget is spent breadth-first, so a truncated search may
-// have isolated different (typically fewer) defectives than a depth-first
-// spend of the same budget would.
+// sequential Test calls otherwise. Under the premise, an unbudgeted run
+// visits exactly the ranges SplitDepthFirst visits, in breadth-first
+// order; under MaxTests the budget is spent breadth-first, so a truncated
+// search may have isolated different (typically fewer) defectives than a
+// depth-first spend of the same budget would.
 func FindDefectives(ctx context.Context, t Tester, n int, opts Options) (*Result, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("grouptest: negative element count %d", n)
@@ -227,6 +237,61 @@ func FindDefectives(ctx context.Context, t Tester, n int, opts Options) (*Result
 	}
 	sort.Ints(res.Defective)
 	return res, nil
+}
+
+// SplitDepthFirst searches the index range [0, n) by adaptive binary
+// splitting, depth-first. It tests the whole range first. A range that
+// tests negative is discarded; a positive range of two or more indices is
+// split into [lo, mid) and [mid, hi), mid = lo + (hi−lo)/2, and the first
+// half is searched to completion before the second is tested. A positive
+// single index is defective. It returns the defective indices in
+// increasing order and the number of tests made, which is at most 2n − 1
+// (every node of a binary tree over n leaves) and O(d log n) for d
+// defectives.
+//
+// Tests run one at a time in that order, so a test may depend on the
+// verdicts before it: Shortcut keeps the substitution of every negative
+// group before it tests the next one. FindDefectives visits the same
+// ranges breadth-first, which lets a BatchTester run each level's ranges
+// together; under a cap on tests the two orders spend it differently.
+//
+// Cancellation of ctx stops the search before the next test; an error
+// from test stops it at once. Either way the search returns the
+// defectives found so far, the tests made (the failed one included) and
+// the error.
+func SplitDepthFirst(ctx context.Context, n int, test func(lo, hi int) (positive bool, err error)) (defective []int, tests int, err error) {
+	if n < 0 {
+		return nil, 0, fmt.Errorf("grouptest: negative element count %d", n)
+	}
+	type span struct{ lo, hi int }
+	// Each split pushes two ranges and pops one, so the stack holds at most
+	// one range per level of the tree (plus one): 64 entries cover any n.
+	var buf [64]span
+	stack := buf[:0]
+	if n > 0 {
+		stack = append(stack, span{0, n})
+	}
+	for len(stack) > 0 {
+		sp := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if err := ctx.Err(); err != nil {
+			return defective, tests, err
+		}
+		tests++
+		positive, err := test(sp.lo, sp.hi)
+		if err != nil {
+			return defective, tests, err
+		}
+		switch {
+		case !positive:
+		case sp.hi-sp.lo == 1:
+			defective = append(defective, sp.lo)
+		default:
+			mid := sp.lo + (sp.hi-sp.lo)/2
+			stack = append(stack, span{mid, sp.hi}, span{sp.lo, mid})
+		}
+	}
+	return defective, tests, nil
 }
 
 // FindFirstDefective isolates one defective element (the lowest-indexed one
