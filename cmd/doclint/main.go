@@ -23,13 +23,13 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
-
-	"repro/internal/analysis"
 )
 
 func main() {
@@ -39,18 +39,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: doclint [-docs files] <package dir>...")
 		os.Exit(2)
 	}
-	// All packages parse through the shared analysis loader (one FileSet,
-	// same build-tag filtering as buglint); doclint stays syntax-only, so
-	// it never pays for typechecking.
-	ld, err := analysis.NewLoader(".")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "doclint:", err)
-		os.Exit(2)
-	}
+	// doclint stays syntax-only, so it never pays for typechecking.
+	fset := token.NewFileSet()
 	bad := 0
 	exports := map[string]map[string]bool{}
 	for _, dir := range flag.Args() {
-		offenders, err := lintDir(ld, dir, exports)
+		offenders, err := lintDir(fset, dir, exports)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "doclint:", err)
 			os.Exit(2)
@@ -77,13 +71,12 @@ func main() {
 	}
 }
 
-// lintDir parses one package directory through the shared loader and
-// returns an entry per exported declaration without a doc comment. As a
-// side effect it records the package's exported surface into exports —
-// top-level names plus "Type.Method" pairs — for the -docs reference
-// check.
-func lintDir(ld *analysis.Loader, dir string, exports map[string]map[string]bool) ([]string, error) {
-	files, err := ld.ParseDir(dir)
+// lintDir parses the package in one directory and returns an entry per
+// exported declaration without a doc comment. As a side effect it records
+// the package's exported surface into exports — top-level names plus
+// "Type.Method" pairs — for the -docs reference check.
+func lintDir(fset *token.FileSet, dir string, exports map[string]map[string]bool) ([]string, error) {
+	files, err := parseDir(fset, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +85,7 @@ func lintDir(ld *analysis.Loader, dir string, exports map[string]map[string]bool
 	}
 	var out []string
 	report := func(pos token.Pos, kind, name string) {
-		p := ld.Fset.Position(pos)
+		p := fset.Position(pos)
 		out = append(out, fmt.Sprintf("%s:%d: exported %s %s has no doc comment", p.Filename, p.Line, kind, name))
 	}
 	{
@@ -153,6 +146,25 @@ func lintDir(ld *analysis.Loader, dir string, exports map[string]map[string]bool
 		}
 	}
 	return out, nil
+}
+
+// parseDir parses, with comments, the non-test Go files that go/build
+// selects in dir for the current GOOS/GOARCH, in file-name order, so
+// only one of lock_unix.go / lock_other.go is read, as the compiler would.
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+	pkg, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	files := make([]*ast.File, 0, len(pkg.GoFiles))
+	for _, name := range pkg.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 // recordFields adds a struct type's exported fields to the symbol set as

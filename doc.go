@@ -92,10 +92,13 @@
 //
 // # Batched hypothesis dispatch: one WAL write per round
 //
-// BugDoc's algorithms emit sets of candidate instances per round — DDT
-// suspect verifications, stacked-shortcut candidate pools, group-testing
-// levels — and the execution stack dispatches them as sets instead of
-// loops:
+// DDT emits each suspect's verification tests as one set per round (as do
+// SMAC's initial design and the experiment harness's samples), and the
+// execution stack dispatches a set as a set instead of a loop. Shortcut
+// and Stacked Shortcut are sequential: each substitution depends on the
+// outcome of the one before, so they send one instance per Evaluate call,
+// and each of their executions is a round, and in a durable session a WAL
+// write, of its own. The stack:
 //
 //   - exec.Executor.EvaluateBatch dedupes a hypothesis set against
 //     memoized history (and against itself), claims budget in input order

@@ -302,8 +302,6 @@ type split struct {
 // example list, and candidates arrive in value order, so the chosen split
 // (including tie-breaks) matches the naive search exactly. A candidate's
 // triple is built only when its gain beats or ties the best.
-//
-//bugdoc:hotpath
 func (g *Grower) bestSplit(lo, hi, totS, totF int) (split, bool) {
 	window := g.idx[lo:hi]
 	// Weighted example mass; equals the window's length for unit weights,
@@ -371,8 +369,6 @@ func (g *Grower) bestSplit(lo, hi, totS, totF int) (split, bool) {
 // a threshold holds for the codes ranked at or below its own (ranks follow
 // numeric order and put NaN last). tmp is free to reuse in the recursive
 // calls because its contents are copied back before they run.
-//
-//bugdoc:hotpath
 func (g *Grower) partition(lo, hi int, sp split) int {
 	col, rank := g.cols[sp.param], g.rank[sp.param]
 	le := sp.t.Cmp == predicate.Le
@@ -413,8 +409,6 @@ func fillEntropyTable() {
 // entropy is entropyCounts(float64(s), float64(f)) for vote counts s, f >=
 // 0, read from the table when both are below entropyTableSize. Callers
 // have filled the table through entropyOnce.
-//
-//bugdoc:hotpath
 func entropy(s, f int) float64 {
 	if uint(s) < entropyTableSize && uint(f) < entropyTableSize {
 		return entropyTable[s][f]

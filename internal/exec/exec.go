@@ -188,8 +188,6 @@ func (e *Executor) release() {
 // memoization is sound. A miss is evaluated as a set of one by
 // EvaluateBatch, so it takes the same budget, dispatch and commit path as
 // every other instance.
-//
-//bugdoc:hotpath
 func (e *Executor) Evaluate(ctx context.Context, in pipeline.Instance) (pipeline.Outcome, error) {
 	if out, ok := e.store.Lookup(in); ok {
 		if t := e.tel; t != nil {

@@ -72,6 +72,33 @@ func TestForestLearnsThreshold(t *testing.T) {
 	}
 }
 
+// TestPredictForeignSpace pins Predict's space guard: an instance of
+// another space predicts (0, 0), whether a twin space's, which the trees
+// would otherwise score as the home instance, or a smaller space's, whose
+// missing parameters the tree tests would read out of range.
+func TestPredictForeignSpace(t *testing.T) {
+	s := testSpace(t)
+	xs, ys := dataset(s, func(in pipeline.Instance) float64 {
+		if v, _ := in.ByName("x"); v.Num() <= 3 {
+			return 1
+		}
+		return 0
+	})
+	f := Train(s, xs, ys, Config{Trees: 8, Rand: rand.New(rand.NewSource(1))})
+	if mu, _ := f.Predict(pipeline.MustInstance(s, pipeline.Ord(2), pipeline.Cat("b"))); mu == 0 {
+		t.Fatal("the home instance must predict a nonzero mean")
+	}
+	small := pipeline.MustSpace(pipeline.Parameter{Name: "x", Kind: pipeline.Ordinal, Domain: ordDomain(1, 2)})
+	for _, in := range []pipeline.Instance{
+		pipeline.MustInstance(testSpace(t), pipeline.Ord(2), pipeline.Cat("b")),
+		pipeline.MustInstance(small, pipeline.Ord(2)),
+	} {
+		if mu, v := f.Predict(in); mu != 0 || v != 0 {
+			t.Fatalf("Predict(%v) of another space = %v, %v; want 0, 0", in, mu, v)
+		}
+	}
+}
+
 func TestForestLearnsCategorical(t *testing.T) {
 	s := testSpace(t)
 	xs, ys := dataset(s, func(in pipeline.Instance) float64 {

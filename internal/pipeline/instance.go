@@ -173,22 +173,16 @@ func (in Instance) With(i int, v Value) Instance {
 // Hash returns the precomputed 64-bit hash of the instance's interned code
 // vector. Equal instances always hash equal; the converse holds only up to
 // hash collisions, so maps keyed by Hash must confirm with Equal.
-//
-//bugdoc:hotpath
 func (in Instance) Hash() uint64 { return in.hash }
 
 // Code returns the interned code of the i-th parameter's value. Codes are
 // dense per parameter (see Space.NumCodes) and equal exactly when the
 // values are equal.
-//
-//bugdoc:hotpath
 func (in Instance) Code(i int) uint32 { return in.codes[i] }
 
 // Equal reports whether the two instances assign identical values over the
 // same space. It compares precomputed hashes and interned codes, never
 // values, so it allocates nothing.
-//
-//bugdoc:hotpath
 func (in Instance) Equal(other Instance) bool {
 	if in.space != other.space || in.hash != other.hash {
 		return false
@@ -203,8 +197,6 @@ func (in Instance) Equal(other Instance) bool {
 
 // DisjointFrom reports whether the instances differ on every parameter
 // (Definition 6). Instances over different spaces are never disjoint.
-//
-//bugdoc:hotpath
 func (in Instance) DisjointFrom(other Instance) bool {
 	if in.space != other.space {
 		return false
@@ -220,8 +212,6 @@ func (in Instance) DisjointFrom(other Instance) bool {
 // DiffCount returns the number of parameters on which the instances differ;
 // it is used by the heuristic fallback of the Shortcut algorithm ("take an
 // instance that differs in as many parameter-values as possible").
-//
-//bugdoc:hotpath
 func (in Instance) DiffCount(other Instance) int {
 	if in.space != other.space {
 		// Codes are only comparable within one space; fall back to values,

@@ -109,7 +109,44 @@ func TestInstanceEqualDisjointDiff(t *testing.T) {
 	if a.Equal(x) || a.DisjointFrom(x) {
 		t.Fatal("instances over different spaces are neither equal nor disjoint")
 	}
+	// Hashes cover codes only, so only the space comparison tells a apart
+	// from a twin-space instance with the same codes. The store's Lookup
+	// and every InstanceMap probe rely on it.
+	twin := MustInstance(other, Ord(1), Cat("a"), Ord(10))
+	if twin.Hash() != a.Hash() {
+		t.Fatal("a twin-space instance with equal codes must hash equal")
+	}
+	if a.Equal(twin) || twin.Equal(a) {
+		t.Fatal("a twin-space instance with equal codes must not be Equal")
+	}
 }
+
+// TestInstanceProbesAllocFree pins the identity probes every memo lookup
+// and disjointness query runs: DisjointFrom, and InstanceMap.Get on a hit
+// and on a miss, allocate nothing.
+func TestInstanceProbesAllocFree(t *testing.T) {
+	s := testSpace(t)
+	a := MustInstance(s, Ord(1), Cat("a"), Ord(10))
+	c := MustInstance(s, Ord(2), Cat("b"), Ord(20))
+	miss := MustInstance(s, Ord(3), Cat("c"), Ord(20))
+	m := NewInstanceMap[int](4)
+	m.Put(a, 1)
+	m.Put(c, 2)
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"DisjointFrom", func() { boolSink = a.DisjointFrom(c) }},
+		{"InstanceMap.Get hit", func() { _, boolSink = m.Get(c) }},
+		{"InstanceMap.Get miss", func() { _, boolSink = m.Get(miss) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.f); n != 0 {
+			t.Errorf("%s allocated %v times per call, want 0", tc.name, n)
+		}
+	}
+}
+
+var boolSink bool
 
 // TestDiffCountCrossSpaceLengths pins the cross-space fallback of
 // DiffCount to the shared parameter prefix: a space with fewer parameters

@@ -28,8 +28,6 @@ func NewInstanceMap[V any](n int) *InstanceMap[V] {
 }
 
 // Get returns the value stored for in, if any.
-//
-//bugdoc:hotpath
 func (m *InstanceMap[V]) Get(in Instance) (V, bool) {
 	if e, ok := m.prim[in.Hash()]; ok {
 		if e.in.Equal(in) {

@@ -141,6 +141,26 @@ func TestRegionContainsMatchesSatisfied(t *testing.T) {
 	}
 }
 
+// TestRegionContainsForeignSpace pins Contains' space guard: a region never
+// contains an instance of another space, neither a twin space's whose
+// values lie in the region nor a smaller space's, whose missing
+// parameters would be read out of range.
+func TestRegionContainsForeignSpace(t *testing.T) {
+	s := testSpace(t)
+	r := FullRegion(s)
+	vals := []pipeline.Value{pipeline.Ord(1), pipeline.Cat("a"), pipeline.Ord(10)}
+	if !r.Contains(pipeline.MustInstance(s, vals...)) {
+		t.Fatal("the full region must contain every instance of its space")
+	}
+	if r.Contains(pipeline.MustInstance(testSpace(t), vals...)) {
+		t.Fatal("a region contains a twin-space instance")
+	}
+	small := pipeline.MustSpace(pipeline.Parameter{Name: "p1", Kind: pipeline.Ordinal, Domain: ordDomain(1, 2)})
+	if r.Contains(pipeline.MustInstance(small, pipeline.Ord(1))) {
+		t.Fatal("a region contains a smaller-space instance")
+	}
+}
+
 func TestRegionCountMatchesEnumeration(t *testing.T) {
 	s := testSpace(t)
 	c := And(T("p1", Gt, pipeline.Ord(1)), T("p3", Eq, pipeline.Ord(20)))

@@ -27,8 +27,6 @@ func newPosMap(n int) posMap {
 }
 
 // get returns the position of in among recs, the records the map indexes.
-//
-//bugdoc:hotpath
 func (m *posMap) get(in pipeline.Instance, recs []Record) (int32, bool) {
 	h := in.Hash()
 	pos, ok := m.first[h]
@@ -128,8 +126,6 @@ func (st *Store) commitStagedLocked(from int) (int, error) {
 // so a bulk write allocates each touched bitset at most once and a
 // one-record write reallocates one only as often as appending did. The
 // ordered position lists are maintained by commitStagedLocked.
-//
-//bugdoc:hotpath
 func (st *Store) indexRangeLocked(from, to int) {
 	words := (to + 63) >> 6
 	p := st.space.Len()

@@ -231,8 +231,9 @@ func (st *Store) AddBatch(recs []Record) (added int, err error) {
 // perform no allocations: the probe goes through the identity map,
 // followed by an integer code-vector compare.
 //
-//buglint:ignore crossspace read-only hash+Equal probe: a foreign instance can only miss (Equal compares spaces), and the guard's pointer load is measurable on the hottest path
-//bugdoc:hotpath
+// Lookup has no space guard: the probe only reads, a foreign instance can
+// only miss because Equal compares spaces, and the guard's pointer load is
+// measurable on the hottest path.
 func (st *Store) Lookup(in pipeline.Instance) (pipeline.Outcome, bool) {
 	// Manual unlocks, not defer: the memoization hit is the hottest
 	// operation in the system and the defer bookkeeping (plus the extra

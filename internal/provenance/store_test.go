@@ -2,6 +2,9 @@ package provenance
 
 import (
 	"bytes"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,42 +109,147 @@ func TestStoreQueries(t *testing.T) {
 	if !ok || md.DiffCount(f) != 2 {
 		t.Fatalf("MostDifferentSucceeding = %v", md)
 	}
+	// A read lock a query left held makes TryLock fail at once; a later
+	// Lock would hang until the test timeout.
+	if !st.mu.TryLock() {
+		t.Fatal("a query left the store lock held")
+	}
+	st.mu.Unlock()
 }
 
-// TestCrossSpaceQueriesDoNotPanic pins the cross-space guards: a ref
-// instance from a different space — in particular one with FEWER
-// parameters, which used to drive DiffCount past the end of the shorter
-// code vector and panic — must make every heuristic query report
-// not-found, matching DisjointSucceeding's long-standing behavior.
+// TestCrossSpaceQueriesDoNotPanic pins the space guard of every exported
+// Store method that takes a pipeline.Instance, by what it answers. Codes
+// are interned per space, so an instance of another space means nothing
+// to the store's indexes. Two foreign instances probe each method: a
+// twin-space instance whose codes (and so hash) equal those of a recorded
+// home instance that also holds votes, and an instance of a smaller space,
+// which used to drive DiffCount past the end of the shorter code vector
+// and panic. Each foreign call must answer as for an unknown instance,
+// fail when it writes, and leave the home record and its votes unchanged.
 func TestCrossSpaceQueriesDoNotPanic(t *testing.T) {
 	s := testSpace(t)
-	st := seedStore(t, s)
-	small := pipeline.MustSpace(
+	st := NewStore(s)
+	st.SetTrialPolicy(trialPolicy())
+	home := pipeline.MustInstance(s, pipeline.Ord(1), pipeline.Cat("x"))
+	homeVotes := []TrialVote{{pipeline.Fail, "t"}, {pipeline.Succeed, "t"}, {pipeline.Fail, "t"}}
+	for _, v := range homeVotes {
+		if _, err := st.AddTrial(home, v.Outcome, v.Source); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add := func(in pipeline.Instance, out pipeline.Outcome) {
+		t.Helper()
+		if err := st.Add(in, out, "seed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(home, pipeline.Fail)
+	add(pipeline.MustInstance(s, pipeline.Ord(2), pipeline.Cat("y")), pipeline.Succeed)
+	add(pipeline.MustInstance(s, pipeline.Ord(3), pipeline.Cat("z")), pipeline.Succeed)
+	add(pipeline.MustInstance(s, pipeline.Ord(3), pipeline.Cat("x")), pipeline.Succeed)
+
+	twin := pipeline.MustInstance(testSpace(t), pipeline.Ord(1), pipeline.Cat("x"))
+	if twin.Hash() != home.Hash() || twin.Code(0) != home.Code(0) || twin.Code(1) != home.Code(1) {
+		t.Fatal("the twin-space instance must share the home instance's codes and hash")
+	}
+	small := pipeline.MustInstance(pipeline.MustSpace(
 		pipeline.Parameter{Name: "only", Kind: pipeline.Ordinal, Domain: ordDomain(1, 2)},
-	)
-	ref := pipeline.MustInstance(small, pipeline.Ord(1))
-	if got := st.DisjointSucceeding(ref); got != nil {
-		t.Fatalf("DisjointSucceeding(foreign) = %v, want nil", got)
+	), pipeline.Ord(1))
+
+	mustFail := func(t *testing.T, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("a foreign instance must be rejected")
+		}
 	}
-	if in, ok := st.MostDifferentSucceeding(ref); ok {
-		t.Fatalf("MostDifferentSucceeding(foreign) = %v, want not found", in)
+	methods := map[string]func(t *testing.T, in pipeline.Instance){
+		"Add": func(t *testing.T, in pipeline.Instance) {
+			mustFail(t, st.Add(in, pipeline.Fail, "foreign"))
+		},
+		"Lookup": func(t *testing.T, in pipeline.Instance) {
+			if out, ok := st.Lookup(in); ok {
+				t.Fatalf("Lookup = %v, hit; want a miss", out)
+			}
+		},
+		"DisjointSucceeding": func(t *testing.T, in pipeline.Instance) {
+			if got := st.DisjointSucceeding(in); got != nil {
+				t.Fatalf("DisjointSucceeding = %v, want nil", got)
+			}
+		},
+		"MostDifferentSucceeding": func(t *testing.T, in pipeline.Instance) {
+			if got, ok := st.MostDifferentSucceeding(in); ok {
+				t.Fatalf("MostDifferentSucceeding = %v, want not found", got)
+			}
+		},
+		"MutuallyDisjointSucceeding": func(t *testing.T, in pipeline.Instance) {
+			if got := st.MutuallyDisjointSucceeding(in, 3); got != nil {
+				t.Fatalf("MutuallyDisjointSucceeding = %v, want nil", got)
+			}
+		},
+		// The trial ledger settles a foreign instance as unknown, so the
+		// executor's commit path surfaces the space error.
+		"TrialOutcome": func(t *testing.T, in pipeline.Instance) {
+			if out, done := st.TrialOutcome(in); !done || out != pipeline.OutcomeUnknown {
+				t.Fatalf("TrialOutcome = %v, %v; want unknown, settled", out, done)
+			}
+		},
+		"AddTrial": func(t *testing.T, in pipeline.Instance) {
+			_, err := st.AddTrial(in, pipeline.Fail, "foreign")
+			mustFail(t, err)
+		},
+		// Trial 0 would open a ledger, and trial 3 would extend the home
+		// instance's: both must fail.
+		"LoadTrialVote": func(t *testing.T, in pipeline.Instance) {
+			mustFail(t, st.LoadTrialVote(in, 0, pipeline.Fail, "foreign"))
+			mustFail(t, st.LoadTrialVote(in, len(homeVotes), pipeline.Fail, "foreign"))
+		},
+		"TrialVotes": func(t *testing.T, in pipeline.Instance) {
+			if got := st.TrialVotes(in); got != nil {
+				t.Fatalf("TrialVotes = %v, want nil", got)
+			}
+		},
+		"TrialCount": func(t *testing.T, in pipeline.Instance) {
+			if got := st.TrialCount(in); got != 0 {
+				t.Fatalf("TrialCount = %d, want 0", got)
+			}
+		},
+		"TrialMargin": func(t *testing.T, in pipeline.Instance) {
+			if got := st.TrialMargin(in); got != 0 {
+				t.Fatalf("TrialMargin = %d, want 0", got)
+			}
+		},
 	}
-	if got := st.MutuallyDisjointSucceeding(ref, 3); got != nil {
-		t.Fatalf("MutuallyDisjointSucceeding(foreign) = %v, want nil", got)
+
+	// A new exported method that takes an instance needs a row above.
+	storeType := reflect.TypeOf(st)
+	instType := reflect.TypeOf(pipeline.Instance{})
+	for i := 0; i < storeType.NumMethod(); i++ {
+		m := storeType.Method(i)
+		for j := 1; j < m.Type.NumIn(); j++ {
+			if m.Type.In(j) == instType && methods[m.Name] == nil {
+				t.Errorf("Store.%s takes a pipeline.Instance but has no cross-space row", m.Name)
+			}
+		}
 	}
-	// Same space count, different identity: still foreign.
-	twin := testSpace(t)
-	refTwin := pipeline.MustInstance(twin, pipeline.Ord(1), pipeline.Cat("x"))
-	if _, ok := st.MostDifferentSucceeding(refTwin); ok {
-		t.Fatal("MostDifferentSucceeding must reject a twin-space ref")
-	}
-	if got := st.MutuallyDisjointSucceeding(refTwin, 2); got != nil {
-		t.Fatalf("MutuallyDisjointSucceeding(twin) = %v, want nil", got)
-	}
-	// The trial ledger settles a foreign instance as unknown, so the
-	// executor's commit path surfaces the space error.
-	if out, done := st.TrialOutcome(refTwin); !done || out != pipeline.OutcomeUnknown {
-		t.Fatalf("TrialOutcome(twin) = %v, %v; want unknown, settled", out, done)
+
+	for _, foreign := range []struct {
+		name string
+		in   pipeline.Instance
+	}{{"twin", twin}, {"small", small}} {
+		for _, name := range slices.Sorted(maps.Keys(methods)) {
+			t.Run(foreign.name+"/"+name, func(t *testing.T) {
+				methods[name](t, foreign.in)
+				if out, ok := st.Lookup(home); !ok || out != pipeline.Fail {
+					t.Fatalf("home Lookup = %v, %v after the foreign call", out, ok)
+				}
+				if got := st.TrialVotes(home); !slices.Equal(got, homeVotes) {
+					t.Fatalf("home votes = %v after the foreign call, want %v", got, homeVotes)
+				}
+				if st.Len() != 4 {
+					t.Fatalf("Len = %d after the foreign call, want 4", st.Len())
+				}
+			})
+		}
 	}
 }
 

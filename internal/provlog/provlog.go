@@ -206,7 +206,7 @@ func refuseCheckpointed(dir string) error {
 // crash never leaves a half-written spec. Earlier versions renamed without
 // fsyncing the file or the directory, so a crash shortly after Create
 // could surface an empty or missing spec; the shared helper closes that
-// hole (found by the renamesync analyzer).
+// hole.
 func (l *Log) persistSpace() error {
 	path := filepath.Join(l.dir, spaceFile)
 	if _, err := os.Stat(path); err == nil {

@@ -9,11 +9,10 @@ import "os"
 // or empty file under the real name. The temp file is removed on any
 // failure.
 //
-// This is the only function allowed to call os.Rename — the renamesync
-// analyzer (see docs/ANALYZERS.md) holds every other publication site to
-// routing through here.
-//
-//bugdoc:publish
+// This is the only function allowed to call os.Rename. TestPublishRule
+// (publish_test.go) parses the module and fails on a rename anywhere
+// else, or on one here without the file fsync before it and the
+// directory fsync after it.
 func atomicPublish(dir, tmpPattern, finalPath string, write func(*os.File) error) error {
 	tmp, err := os.CreateTemp(dir, tmpPattern)
 	if err != nil {

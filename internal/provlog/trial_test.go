@@ -46,6 +46,40 @@ func TestRecordSourceRejectsTrialPrefix(t *testing.T) {
 	}
 }
 
+// TestAppendTrialRejectsForeignSpace pins AppendTrial's space guard: a
+// vote on an instance of another space, whether a twin space's or a
+// smaller space's, fails and writes nothing to the segment.
+func TestAppendTrialRejectsForeignSpace(t *testing.T) {
+	dir := t.TempDir()
+	s := testSpace(t)
+	l, _, err := Open(dir, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	segSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(segPath(dir, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := segSize()
+	twin := pipeline.MustInstance(testSpace(t), pipeline.Ord(0.1), pipeline.Cat("lbfgs"), pipeline.Ord(1))
+	small := pipeline.MustInstance(pipeline.MustSpace(
+		pipeline.Parameter{Name: "alpha", Kind: pipeline.Ordinal, Domain: []pipeline.Value{pipeline.Ord(0.1)}},
+	), pipeline.Ord(0.1))
+	for _, in := range []pipeline.Instance{twin, small} {
+		if err := l.AppendTrial(in, 0, pipeline.Fail, "executor"); err == nil {
+			t.Fatalf("AppendTrial(%v) of another space succeeded", in)
+		}
+	}
+	if after := segSize(); after != before {
+		t.Fatalf("segment grew from %d to %d bytes on rejected votes", before, after)
+	}
+}
+
 // rebuild re-creates an instance's value assignment in another space:
 // Instance equality is space-scoped, so a store replayed into a fresh
 // space (a restarted process) must be queried with that space's own

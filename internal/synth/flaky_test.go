@@ -146,7 +146,9 @@ func TestFlakyOracleRegionGate(t *testing.T) {
 }
 
 // TestFlakyOracleTrialCounting checks the per-instance trial ordinal that
-// keys the corruption draws: it advances per call and is queryable.
+// keys the corruption draws: it advances per call and is queryable, and
+// the query releases the oracle's lock (TryLock fails at once where a
+// later Run would hang).
 func TestFlakyOracleTrialCounting(t *testing.T) {
 	p := flakyTestPipeline(t, 8)
 	o := p.FlakyOracle(SymmetricNoise(0.1, 3))
@@ -159,6 +161,10 @@ func TestFlakyOracleTrialCounting(t *testing.T) {
 	if got := o.TrialsFor(in); got != 5 {
 		t.Fatalf("TrialsFor = %d, want 5", got)
 	}
+	if !o.mu.TryLock() {
+		t.Fatal("TrialsFor left the oracle's lock held")
+	}
+	o.mu.Unlock()
 	if got := o.Calls(); got != 5 {
 		t.Fatalf("Calls = %d, want 5", got)
 	}

@@ -114,6 +114,11 @@ func TestOpenJournal(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// TryLock fails at once where a later Err would hang.
+	if !j.mu.TryLock() {
+		t.Fatal("Close left the journal's lock held")
+	}
+	j.mu.Unlock()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
