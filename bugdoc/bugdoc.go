@@ -330,8 +330,12 @@ func (s *Session) Spent() int { return s.ex.Spent() }
 
 // Seed ensures the provenance holds at least one failing and one
 // succeeding instance (sampling random instances as needed) — the
-// precondition of every algorithm. Sessions whose history already contains
-// both outcomes pay nothing.
+// precondition of every algorithm — and then tries, best effort, to record
+// a succeeding instance disjoint from the first failing one, the
+// Disjointness Condition of Shortcut's guarantee. A session whose history
+// already holds both outcomes and such a disjoint succeeding instance pays
+// nothing; one whose history holds both outcomes without it still spends
+// executions on random disjoint instances, within the session's budget.
 func (s *Session) Seed(ctx context.Context) error {
 	return core.SeedHistory(ctx, s.ex, rand.New(rand.NewSource(s.seed)), 0)
 }

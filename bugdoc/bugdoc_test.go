@@ -135,6 +135,47 @@ func TestSessionHistory(t *testing.T) {
 	}
 }
 
+// TestSeedPaysOnlyForAMissingDisjointRun pins what Seed spends on a
+// history that already holds both outcomes: nothing when a succeeding run
+// disjoint from the failing one is recorded; otherwise at least one
+// execution looking for one, and none past the budget.
+func TestSeedPaysOnlyForAMissingDisjointRun(t *testing.T) {
+	s := lrSpace(t)
+	ctx := context.Background()
+	failing := bugdoc.MustInstance(s, bugdoc.Ord(1), bugdoc.Cat("sgd"))
+	history := func(good bugdoc.Instance) bugdoc.Option {
+		return bugdoc.WithHistory([]bugdoc.Record{
+			{Instance: failing, Outcome: bugdoc.Fail, Source: "history"},
+			{Instance: good, Outcome: bugdoc.Succeed, Source: "history"},
+		})
+	}
+
+	disjoint := bugdoc.MustInstance(s, bugdoc.Ord(0.001), bugdoc.Cat("adam"))
+	session, err := bugdoc.NewSession(s, bugdoc.OracleFunc(diverges), history(disjoint))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := session.Seed(ctx); err != nil || session.Spent() != 0 {
+		t.Fatalf("with a disjoint succeeding run recorded, Seed spent %d (err %v), want 0", session.Spent(), err)
+	}
+
+	// The succeeding run shares opt = "sgd", and the oracle fails every
+	// new run, so only the budget ends the search for a disjoint one.
+	const budget = 3
+	failsAll := func(context.Context, bugdoc.Instance) (bugdoc.Outcome, error) { return bugdoc.Fail, nil }
+	sharing := bugdoc.MustInstance(s, bugdoc.Ord(0.001), bugdoc.Cat("sgd"))
+	session, err = bugdoc.NewSession(s, bugdoc.OracleFunc(failsAll), history(sharing), bugdoc.WithBudget(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := session.Seed(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if spent := session.Spent(); spent < 1 || spent > budget {
+		t.Fatalf("with no disjoint succeeding run, Seed spent %d, want 1..%d", spent, budget)
+	}
+}
+
 // TestWithHistoryLeavesCallerSliceAlone records two WithHistory options,
 // the first over a slice with spare capacity: both histories are recorded
 // in order, and the second never lands in the first caller's spare

@@ -136,7 +136,10 @@ func run() error {
 	case "ddt":
 		algo = core.AlgoDDT
 	default:
-		return fmt.Errorf("unknown algorithm %q", *algoName)
+		return fmt.Errorf("unknown algorithm %q (want shortcut | stacked | ddt)", *algoName)
+	}
+	if *goal != "one" && *goal != "all" {
+		return fmt.Errorf("unknown goal %q (want one | all)", *goal)
 	}
 
 	// Observability: one registry feeds -stats, -debug-addr, and the

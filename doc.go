@@ -80,9 +80,9 @@
 //     store (position map, outcome bitsets, posting bitsets), truncating a
 //     torn final record after a crash to the last intact frame boundary.
 //     Replay is batched: each batch of up to 8192 records becomes
-//     code-only instances over its own code slab (Space.AdoptInstances,
-//     no value slices) and commits as one Store.AddBatch write, one lock
-//     and one index pass, at amortized sub-microsecond per record.
+//     instances over its own code slab (Space.AdoptInstances; an instance
+//     is its code vector) and commits as one Store.AddBatch write, one
+//     lock and one index pass, at amortized sub-microsecond per record.
 //   - The stack threads durability through bugdoc.WithDurability and
 //     bugdoc.ResumeSession, and the cmd/bugdoc -state-dir/-resume flags:
 //     each opens the log with provlog.Open and builds the executor over

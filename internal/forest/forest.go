@@ -50,10 +50,11 @@ type Forest struct {
 
 type node struct {
 	// Split: param index and test. For ordinal parameters the test is
-	// value <= threshold; for categorical, value == category.
+	// value <= threshold; for categorical, the value's code == code, which
+	// holds exactly when the value is the one interned as code.
 	param     int
 	threshold float64
-	category  string
+	code      uint32
 	ordinal   bool
 
 	yes, no *node
@@ -133,7 +134,7 @@ func grow(s *pipeline.Space, xs []pipeline.Instance, ys []float64, idx []int, cf
 				}, cfg.MinLeaf, sc)
 				if v < bestVar {
 					bestVar, found = v, true
-					n.param, n.category, n.ordinal = pi, vals[c].Str(), false
+					n.param, n.code, n.ordinal = pi, c, false
 				}
 			}
 		}
@@ -158,11 +159,10 @@ func grow(s *pipeline.Space, xs []pipeline.Instance, ys []float64, idx []int, cf
 }
 
 func (n *node) test(in pipeline.Instance) bool {
-	v := in.Value(n.param)
 	if n.ordinal {
-		return v.Num() <= n.threshold
+		return in.Value(n.param).Num() <= n.threshold
 	}
-	return v.Kind() == pipeline.Categorical && v.Str() == n.category
+	return in.Code(n.param) == n.code
 }
 
 func (n *node) predict(in pipeline.Instance) float64 {

@@ -42,19 +42,16 @@ func (s *Space) Fingerprint() uint64 {
 // and the log diverged.
 func (s *Space) Intern(i int, v Value) uint32 { return s.codeOf(i, v) }
 
-// AdoptInstances builds one code-only instance per row of flat, a
-// row-major matrix of Len interned codes per instance, and calls emit once
-// per row, in row order — bulk loaders (WAL replay) place the instances
-// straight into their own tables. Every row adopts its slice of flat as
-// its code vector: the caller hands over ownership and must not modify
-// flat afterwards. hashes[r] must be the identity hash of row r
-// (HashCodes); bulk loaders compute it while decoding, and this
-// constructor trusts it rather than hashing again.
-//
-// No Value slice is materialized: the instances resolve values through the
-// intern table on demand (see Instance), so adopting any number of rows
-// costs O(1) per instance beyond the code validation. Every code must
-// already be assigned (see NumCodes).
+// AdoptInstances builds one instance per row of flat, a row-major matrix
+// of Len interned codes per instance, and calls emit once per row, in row
+// order — bulk loaders (WAL replay) place the instances straight into
+// their own tables. Every row adopts its slice of flat as its code vector:
+// the caller hands over ownership and must not modify flat afterwards.
+// hashes[r] must be the identity hash of row r (HashCodes); bulk loaders
+// compute it while decoding, and this constructor trusts it rather than
+// hashing again. So adopting a row costs its code validation and nothing
+// else: no allocation and no hashing. Every code must already be assigned
+// (see NumCodes).
 func (s *Space) AdoptInstances(flat []uint32, hashes []uint64, emit func(r int, in Instance)) error {
 	p := s.Len()
 	if p == 0 || len(flat)%p != 0 {

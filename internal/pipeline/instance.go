@@ -9,30 +9,20 @@ import (
 // parameter of a Space (Definition 1). Instances are immutable value types;
 // With returns modified copies. The zero Instance is invalid.
 //
-// Alongside its values, every instance caches the interned code vector and
-// a precomputed 64-bit hash of it (see intern.go), so identity operations
-// and memoization lookups are allocation-free integer work.
-//
-// Instances built by the bulk loaders (AdoptInstances) carry no
-// materialized value slice at all: vals is nil and Value resolves each
-// code through the space's intern table on demand. The observable values
-// are identical — codes determine values exactly — so the two forms are
-// interchangeable; only the storage strategy differs.
+// An instance is its space's interned code vector (see intern.go) plus a
+// precomputed 64-bit hash of it, so identity operations and memoization
+// lookups are allocation-free integer work. It keeps no values: Value
+// resolves each code through the space's intern table, which readers
+// consult without a lock.
 type Instance struct {
 	space *Space
-	vals  []Value // nil for code-only instances; resolve via the intern table
 	codes []uint32
 	hash  uint64
 }
 
-// newInstance builds an instance from an owned (not aliased) value slice,
-// interning the values. All construction paths funnel through it.
-func newInstance(s *Space, vals []Value) Instance {
-	codes := make([]uint32, len(vals))
-	for i, v := range vals {
-		codes[i] = s.codeOf(i, v)
-	}
-	return Instance{space: s, vals: vals, codes: codes, hash: hashCodes(codes)}
+// instance builds the instance of s over codes, which it takes as its own.
+func (s *Space) instance(codes []uint32) Instance {
+	return Instance{space: s, codes: codes, hash: hashCodes(codes)}
 }
 
 // Assignment is one (parameter, value) pair of an instance.
@@ -44,7 +34,8 @@ type Assignment struct {
 // NewInstance builds an instance over s from one value per parameter, in
 // space order. Values must match each parameter's kind; they need not be in
 // the declared domain (the universe is expandable), but note that domain-
-// exact reasoning (region algebra) only sees domain values.
+// exact reasoning (region algebra) only sees domain values. The instance
+// keeps the values' codes, not the values (see Value).
 func NewInstance(s *Space, vals []Value) (Instance, error) {
 	if s == nil {
 		return Instance{}, fmt.Errorf("pipeline: nil space")
@@ -60,28 +51,30 @@ func NewInstance(s *Space, vals []Value) (Instance, error) {
 				p.Name, p.Kind, v.Kind(), v)
 		}
 	}
-	cp := make([]Value, len(vals))
-	copy(cp, vals)
-	return newInstance(s, cp), nil
+	codes := make([]uint32, len(vals))
+	for i, v := range vals {
+		codes[i] = s.codeOf(i, v)
+	}
+	return s.instance(codes), nil
 }
 
 // InstanceOfCodes builds the instance of s whose interned code vector is
 // codes, one code per parameter in space order, and takes ownership of
 // codes: the caller must not modify it afterwards. Every code must already
-// be assigned (see NumCodes). The values are read from the intern table
-// under one read lock, so none is interned again; the instance is the one
-// NewInstance builds from the interned values.
+// be assigned (see NumCodes); the instance is the one NewInstance builds
+// from the interned values.
 func (s *Space) InstanceOfCodes(codes []uint32) (Instance, error) {
 	if len(codes) != s.Len() {
 		return Instance{}, fmt.Errorf("pipeline: instance has %d codes for %d parameters",
 			len(codes), s.Len())
 	}
-	vals := make([]Value, len(codes))
-	if i := s.intern.values(codes, vals); i >= 0 {
-		return Instance{}, fmt.Errorf("pipeline: parameter %q has no interned code %d",
-			s.At(i).Name, codes[i])
+	for i, c := range codes {
+		if int(c) >= s.NumCodes(i) {
+			return Instance{}, fmt.Errorf("pipeline: parameter %q has no interned code %d",
+				s.At(i).Name, c)
+		}
 	}
-	return Instance{space: s, vals: vals, codes: codes, hash: hashCodes(codes)}, nil
+	return s.instance(codes), nil
 }
 
 // MustInstance is NewInstance that panics on error.
@@ -130,12 +123,11 @@ func (in Instance) Space() *Space { return in.space }
 func (in Instance) Len() int { return len(in.codes) }
 
 // Value returns the value of the i-th parameter (CP_i[p] for p at index i).
-func (in Instance) Value(i int) Value {
-	if in.vals == nil {
-		return in.space.intern.value(i, in.codes[i])
-	}
-	return in.vals[i]
-}
+// It is the value its code was interned for, the parameter's
+// representative of every value that interns alike: -0 and +0 intern
+// together, and so do all NaN payloads, so an instance built from -0 reads
+// back whichever of the two its parameter saw first.
+func (in Instance) Value(i int) Value { return in.space.intern.value(i, in.codes[i]) }
 
 // ByName returns the value of the named parameter.
 func (in Instance) ByName(name string) (Value, bool) {
@@ -155,19 +147,10 @@ func (in Instance) With(i int, v Value) Instance {
 		panic(fmt.Sprintf("pipeline: parameter %q (%v) cannot hold %v value",
 			in.space.At(i).Name, in.space.At(i).Kind, v.Kind()))
 	}
-	vals := make([]Value, len(in.codes))
-	if in.vals == nil {
-		for j := range vals {
-			vals[j] = in.Value(j)
-		}
-	} else {
-		copy(vals, in.vals)
-	}
-	vals[i] = v
 	codes := make([]uint32, len(in.codes))
 	copy(codes, in.codes)
 	codes[i] = in.space.codeOf(i, v)
-	return Instance{space: in.space, vals: vals, codes: codes, hash: hashCodes(codes)}
+	return in.space.instance(codes)
 }
 
 // Hash returns the precomputed 64-bit hash of the instance's interned code

@@ -4,13 +4,14 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Value interning. Every Space carries a table assigning each observed
 // Value a dense uint32 code per parameter. The table keeps one map per
 // parameter, by the parameter's kind: ordinals keyed by their canonical
-// bits, categoricals by their label. Instances cache their code
-// vector and a 64-bit FNV-1a hash of it at construction, which makes
+// bits, categoricals by their label. An instance is its code vector and
+// a 64-bit FNV-1a hash of it computed at construction, which makes
 // identity operations (Equal, DisjointFrom, DiffCount, map lookups in the
 // provenance store and the executor) integer comparisons with zero
 // allocations; the string Key() survives only for codecs and display.
@@ -27,11 +28,14 @@ import (
 // value arrives, the table also owns each parameter's value order: a
 // code→rank table (rank = position among the parameter's values sorted by
 // value, NaN after every number), built under the intern lock on first
-// request and rebuilt as a new slice only after the parameter gains a
-// code. Space.ValueOrder hands it out together with the code→value table
-// as immutable snapshots, so split searches (internal/dtree,
-// internal/forest) order observed codes by integer rank and read values
-// without any lock or Value comparison per step.
+// request and dropped whenever the parameter gains a code.
+//
+// Each parameter's code→value table and rank table are published together
+// as an immutable column, replaced (never written) when the parameter
+// gains a code or its ranks are built. Instance.Value and Space.ValueOrder
+// read the current column without any lock, so split searches
+// (internal/dtree, internal/forest) order observed codes by integer rank
+// and read values without a lock or a Value comparison per step.
 
 // canonicalNaN is the quiet NaN all NaN payloads intern as.
 var canonicalNaN = math.Float64bits(math.NaN())
@@ -52,8 +56,9 @@ func ordinalBits(n float64) uint64 {
 
 // internTable is the per-space value table. Interning happens on every
 // instance construction, which may run concurrently (parallel oracle
-// dispatch), so the table is internally synchronized; lookups of
-// already-interned values take only a read lock.
+// dispatch), so the table is internally synchronized: lookups of
+// already-interned values take only a read lock, and reads of interned
+// values take none (see column).
 //
 // Each parameter keeps one map per value kind, allocated on the first
 // value of that kind: ordinals keyed by ordinalBits, categoricals by
@@ -63,22 +68,31 @@ func ordinalBits(n float64) uint64 {
 // of its own, never one of the parameter's kind.
 type internTable struct {
 	mu   sync.RWMutex
-	nums []map[uint64]uint32 // per parameter: ordinal bits -> dense code
-	strs []map[string]uint32 // per parameter: categorical label -> dense code
-	vals [][]Value           // per parameter: code -> value
-	// ranks holds, per parameter, code -> rank in value order; nil until
-	// first requested and again after the parameter gains a code. A
-	// published slice is never written, so readers may keep it.
-	ranks [][]uint32
+	nums []map[uint64]uint32      // per parameter: ordinal bits -> dense code
+	strs []map[string]uint32      // per parameter: categorical label -> dense code
+	cols []atomic.Pointer[column] // per parameter: the published column
+}
+
+// column is one parameter's published code tables. A published column is
+// never written, so readers load it without a lock and may keep it. The
+// write lock holder publishes a successor: one whose vals extend the old
+// (an append writes past every published length, never into it) with no
+// ranks, or one that adds the ranks of the same vals.
+type column struct {
+	vals []Value  // code -> value
+	rank []uint32 // code -> rank in value order; nil until first requested
 }
 
 func newInternTable(nParams int) *internTable {
-	return &internTable{
-		nums:  make([]map[uint64]uint32, nParams),
-		strs:  make([]map[string]uint32, nParams),
-		vals:  make([][]Value, nParams),
-		ranks: make([][]uint32, nParams),
+	t := &internTable{
+		nums: make([]map[uint64]uint32, nParams),
+		strs: make([]map[string]uint32, nParams),
+		cols: make([]atomic.Pointer[column], nParams),
 	}
+	for i := range t.cols {
+		t.cols[i].Store(&column{})
+	}
+	return t
 }
 
 // lookup returns v's code for parameter i, if it has one. The caller holds
@@ -110,7 +124,8 @@ func (t *internTable) code(i int, v Value) uint32 {
 	if c, ok := t.lookup(i, v); ok {
 		return c
 	}
-	c = uint32(len(t.vals[i]))
+	vals := t.cols[i].Load().vals
+	c = uint32(len(vals))
 	switch v.kind {
 	case Ordinal:
 		if t.nums[i] == nil {
@@ -125,29 +140,26 @@ func (t *internTable) code(i int, v Value) uint32 {
 	default:
 		panic("pipeline: intern of an invalid Value")
 	}
-	t.vals[i] = append(t.vals[i], v)
-	t.ranks[i] = nil
+	t.cols[i].Store(&column{vals: append(vals, v)})
 	return c
 }
 
 // order returns snapshots of parameter i's code→value and code→rank
-// tables, building the rank table under the write lock when it is stale.
-// The value snapshot is capped at its length: appends of later codes write
-// past it, never into it.
+// tables, publishing the rank table under the write lock when the current
+// column lacks it. The value snapshot is capped at its length, so a
+// caller's append cannot write into the table's spare capacity.
 func (t *internTable) order(i int) ([]Value, []uint32) {
-	t.mu.RLock()
-	vals, rank := t.vals[i], t.ranks[i]
-	t.mu.RUnlock()
-	if rank == nil {
+	col := t.cols[i].Load()
+	if col.rank == nil {
 		t.mu.Lock()
-		vals, rank = t.vals[i], t.ranks[i]
-		if rank == nil {
-			rank = rankValues(vals)
-			t.ranks[i] = rank
+		col = t.cols[i].Load()
+		if col.rank == nil {
+			col = &column{vals: col.vals, rank: rankValues(col.vals)}
+			t.cols[i].Store(col)
 		}
 		t.mu.Unlock()
 	}
-	return vals[:len(vals):len(vals)], rank
+	return col.vals[:len(col.vals):len(col.vals)], col.rank
 }
 
 // rankValues returns rank[c] = position of vals[c] among vals sorted by
@@ -189,34 +201,11 @@ func compareValues(a, b Value) int {
 	return 0
 }
 
-// values resolves a code vector into vals, one code per parameter, under
-// one read lock. It returns the first parameter whose code was never
-// assigned, or -1 when every code resolved.
-func (t *internTable) values(codes []uint32, vals []Value) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for i, c := range codes {
-		if int(c) >= len(t.vals[i]) {
-			return i
-		}
-		vals[i] = t.vals[i][c]
-	}
-	return -1
-}
-
 // size returns the number of codes assigned so far for parameter i.
-func (t *internTable) size(i int) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.vals[i])
-}
+func (t *internTable) size(i int) int { return len(t.cols[i].Load().vals) }
 
 // value returns the Value interned as code c of parameter i.
-func (t *internTable) value(i int, c uint32) Value {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.vals[i][c]
-}
+func (t *internTable) value(i int, c uint32) Value { return t.cols[i].Load().vals[c] }
 
 // NumCodes returns how many distinct values of parameter i have been
 // interned so far (domain values plus any observed out-of-domain values).

@@ -145,31 +145,85 @@ func TestInternCodesAreDense(t *testing.T) {
 	}
 }
 
-// TestInternConcurrent exercises concurrent instance construction over one
-// space (parallel oracle dispatch builds instances from worker goroutines).
-// Run under -race this checks the intern table's synchronization.
+// TestInternConcurrent builds instances from several goroutines over one
+// space (parallel oracle dispatch builds them from worker goroutines),
+// interning out-of-domain values through With, while readers call Value
+// and String on shared instances and on instances the writers hand over.
+// Run under -race -count=10 it checks the intern table's synchronization
+// and the publication of the columns Value reads without a lock.
 func TestInternConcurrent(t *testing.T) {
 	s := MustSpace(
 		Parameter{Name: "a", Kind: Ordinal, Domain: []Value{Ord(1), Ord(2), Ord(3)}},
 		Parameter{Name: "b", Kind: Categorical, Domain: []Value{Cat("x"), Cat("y")}},
 	)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
+	type built struct {
+		in   Instance
+		a, b Value  // the values in was built from
+		want string // in.String() when it was built
+	}
+	var shared []built
+	s.Enumerate(func(in Instance) bool {
+		shared = append(shared, built{in: in, a: in.Value(0), b: in.Value(1), want: in.String()})
+		return true
+	})
+	// Each writer builds 500 instances and hands every 4th to the readers;
+	// the channel holds every send, so no writer waits on a reader.
+	const writers, builds, every = 4, 500, 4
+	handoff := make(chan built, writers*builds/every)
+	var wwg, rwg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			failed := false
+			check := func(b built) {
+				switch {
+				case failed:
+				case b.in.Value(0) != b.a || b.in.Value(1) != b.b:
+					t.Errorf("%v reads back (%v, %v), built from (%v, %v)", b.in, b.in.Value(0), b.in.Value(1), b.a, b.b)
+					failed = true
+				case b.want != "" && b.in.String() != b.want:
+					t.Errorf("%v renders %q, rendered %q when built", b.in, b.in.String(), b.want)
+					failed = true
+				}
+			}
+			for {
+				select {
+				case b, ok := <-handoff:
+					if !ok {
+						return
+					}
+					check(b)
+				default:
+					for _, b := range shared {
+						check(b)
+					}
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wwg.Add(1)
 		go func(seed int64) {
-			defer wg.Done()
+			defer wwg.Done()
 			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < 500; i++ {
+			for i := 0; i < builds; i++ {
 				in := s.RandomInstance(r)
-				ood := in.With(0, Ord(float64(10+r.Intn(5))))
+				a, b := Ord(float64(10+r.Intn(1000))), Cat(strconv.Itoa(r.Intn(1000)))
+				ood := in.With(0, a).With(1, b)
 				if in.Equal(ood) {
 					t.Error("distinct instances compare equal")
 					return
 				}
+				if i%every == 0 {
+					handoff <- built{in: ood, a: a, b: b}
+				}
 			}
 		}(int64(w))
 	}
-	wg.Wait()
+	wwg.Wait()
+	close(handoff)
+	rwg.Wait()
 }
 
 // checkValueOrder verifies one ValueOrder snapshot: rank is a permutation
@@ -288,6 +342,27 @@ func TestInternKeys(t *testing.T) {
 	for _, bits := range []uint64{0x7ff8000000000001, 0x7ff0000000000001, 0xfff8000000000000, 0x7fffffffffffffff} {
 		if got := s.Intern(0, Ord(math.Float64frombits(bits))); got != nan {
 			t.Fatalf("NaN %#x interned as %d, NaN as %d", bits, got, nan)
+		}
+	}
+	// Instances that intern alike are Equal, and they render alike too:
+	// each reads back its parameter's representative, whichever value it
+	// was built from. Here +0 is the domain's; on a parameter that saw -0
+	// first, -0 is.
+	fresh := MustSpace(Parameter{Name: "z", Kind: Ordinal, Domain: []Value{Ord(1)}})
+	negZero := Ord(math.Copysign(0, -1))
+	for _, pair := range [][2]Instance{
+		{MustInstance(s, negZero, Cat("")), MustInstance(s, Ord(0), Cat(""))},
+		{MustInstance(s, Ord(0), Cat("")), MustInstance(s, negZero, Cat(""))},
+		{MustInstance(fresh, negZero), MustInstance(fresh, Ord(0))},
+		{MustInstance(s, Ord(math.Float64frombits(0x7ff8000000000001)), Cat("1")),
+			MustInstance(s, Ord(math.Float64frombits(0xfff8000000000000)), Cat("1"))},
+	} {
+		a, b := pair[0], pair[1]
+		if !a.Equal(b) {
+			t.Fatalf("%v and %v intern alike but are not Equal", a, b)
+		}
+		if a.Key() != b.Key() || a.String() != b.String() {
+			t.Fatalf("Equal instances render apart: %q / %s and %q / %s", a.Key(), a, b.Key(), b)
 		}
 	}
 	for i := 0; i < s.Len(); i++ {

@@ -5,12 +5,12 @@ import "math/rand"
 // RandomInstance draws an instance uniformly from the Cartesian product of
 // the parameter domains.
 func (s *Space) RandomInstance(r *rand.Rand) Instance {
-	vals := make([]Value, s.Len())
-	for i := range vals {
-		dom := s.params[i].Domain
-		vals[i] = dom[r.Intn(len(dom))]
+	codes := make([]uint32, s.Len())
+	for i := range codes {
+		dom := s.domainCodes[i]
+		codes[i] = dom[r.Intn(len(dom))]
 	}
-	return newInstance(s, vals)
+	return s.instance(codes)
 }
 
 // RandomDisjoint draws an instance uniformly among those disjoint from ref
@@ -18,9 +18,9 @@ func (s *Space) RandomInstance(r *rand.Rand) Instance {
 // when some parameter has a single-value domain, in which case no disjoint
 // instance exists.
 func (s *Space) RandomDisjoint(r *rand.Rand, ref Instance) (Instance, bool) {
-	vals := make([]Value, s.Len())
-	for i := range vals {
-		dom := s.params[i].Domain
+	codes := make([]uint32, s.Len())
+	for i := range codes {
+		dom := s.domainCodes[i]
 		refIdx := s.DomainIndex(i, ref.Value(i))
 		n := len(dom)
 		if refIdx >= 0 {
@@ -33,9 +33,9 @@ func (s *Space) RandomDisjoint(r *rand.Rand, ref Instance) (Instance, bool) {
 		if refIdx >= 0 && j >= refIdx {
 			j++
 		}
-		vals[i] = dom[j]
+		codes[i] = dom[j]
 	}
-	return newInstance(s, vals), true
+	return s.instance(codes), true
 }
 
 // Enumerate calls yield for every instance in the Cartesian product, in
@@ -43,21 +43,19 @@ func (s *Space) RandomDisjoint(r *rand.Rand, ref Instance) (Instance, bool) {
 // It is intended for small spaces; callers should consult NumInstances.
 func (s *Space) Enumerate(yield func(Instance) bool) {
 	idx := make([]int, s.Len())
-	vals := make([]Value, s.Len())
 	for {
+		codes := make([]uint32, s.Len())
 		for i, j := range idx {
-			vals[i] = s.params[i].Domain[j]
+			codes[i] = s.domainCodes[i][j]
 		}
-		cp := make([]Value, len(vals))
-		copy(cp, vals)
-		if !yield(newInstance(s, cp)) {
+		if !yield(s.instance(codes)) {
 			return
 		}
 		// Advance the mixed-radix counter.
 		i := s.Len() - 1
 		for ; i >= 0; i-- {
 			idx[i]++
-			if idx[i] < len(s.params[i].Domain) {
+			if idx[i] < len(s.domainCodes[i]) {
 				break
 			}
 			idx[i] = 0

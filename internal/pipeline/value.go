@@ -8,7 +8,7 @@
 // (Succeed or Fail) produced by an evaluation procedure.
 //
 // Values are interned per Space: each observed value gets a dense uint32
-// code per parameter, and instances cache their code vector plus a
+// code per parameter, and an instance is its code vector plus a
 // precomputed hash (see intern.go), so instance identity operations are
 // allocation-free integer comparisons and columnar consumers (the
 // provenance index, decision-tree split counting) can use dense arrays

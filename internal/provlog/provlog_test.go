@@ -218,6 +218,47 @@ func TestRoundtrip(t *testing.T) {
 	assertStoresEqual(t, st, got)
 }
 
+// TestReplayedInstanceRendersAlike logs instances built from -0, whose
+// parameter interned +0 first, and from a non-canonical NaN payload, then
+// replays the log into the same space: each replayed copy is Equal to the
+// logged instance and has its Key and String.
+func TestReplayedInstanceRendersAlike(t *testing.T) {
+	dir := t.TempDir()
+	s := pipeline.MustSpace(
+		pipeline.Parameter{Name: "x", Kind: pipeline.Ordinal,
+			Domain: []pipeline.Value{pipeline.Ord(0), pipeline.Ord(1)}},
+		pipeline.Parameter{Name: "y", Kind: pipeline.Ordinal,
+			Domain: []pipeline.Value{pipeline.Ord(1), pipeline.Ord(2)}},
+	)
+	l, st, err := Open(dir, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := []pipeline.Instance{
+		pipeline.MustInstance(s, pipeline.Ord(math.Copysign(0, -1)), pipeline.Ord(1)),
+		pipeline.MustInstance(s, pipeline.Ord(1), pipeline.Ord(math.Float64frombits(0x7ff8000000000001))),
+	}
+	fillStore(t, st, ins, []pipeline.Outcome{pipeline.Fail, pipeline.Succeed}, []string{"executor", "executor"})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Replay(dir, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := got.Snapshot()
+	for i, want := range ins {
+		in := sn.At(i).Instance
+		if !in.Equal(want) {
+			t.Fatalf("record %d replayed as %v, logged %v", i, in, want)
+		}
+		if in.Key() != want.Key() || in.String() != want.String() {
+			t.Fatalf("record %d: replayed copy renders %q / %s, logged instance %q / %s",
+				i, in.Key(), in, want.Key(), want)
+		}
+	}
+}
+
 func TestRotation(t *testing.T) {
 	dir := t.TempDir()
 	s := testSpace(t)

@@ -60,12 +60,12 @@ const replayBatch = 8192
 // replayState accumulates the decoded log: the rebuilt store plus the
 // dictionaries needed to resume appending (codes already framed per
 // parameter, source-id assignments). Exec records buffer into a columnar
-// batch and flush through Space.AdoptInstances as code-only instances:
-// replay materializes no values, and the batch's own code slab backs every
-// instance in it. Each flush is one store write, Store.AddBatch: one lock
-// and one index pass per batch. Trial votes do not buffer: each loads
-// into the store's vote ledger as it is read, in the trial order the
-// writer logged it.
+// batch and flush through Space.AdoptInstances: the batch's own code slab
+// backs every instance in it. Each flush is one store write,
+// Store.AddBatch: one lock and one index pass per batch. Trial votes do
+// not buffer: each becomes its instance through Space.InstanceOfCodes and
+// loads into the store's vote ledger as it is read, in the trial order
+// the writer logged it.
 type replayState struct {
 	space     *pipeline.Space
 	st        *provenance.Store
@@ -98,11 +98,11 @@ func newReplayState(space *pipeline.Space, st *provenance.Store) *replayState {
 }
 
 // flush commits the buffered records to the store as one write: it adopts
-// them as code-only instances over the batch's code slab, which passes to
-// the store as it is, and hands them to Store.AddBatch. The log holds
-// each instance once: AddBatch refuses a batch that repeats one of its own
-// records, and a batch that adds fewer records than it decoded repeats
-// one an earlier batch recorded, so replay fails naming it.
+// them as instances over the batch's code slab, which passes to the store
+// as it is, and hands them to Store.AddBatch. The log holds each instance
+// once: AddBatch refuses a batch that repeats one of its own records, and
+// a batch that adds fewer records than it decoded repeats one an earlier
+// batch recorded, so replay fails naming it.
 func (rs *replayState) flush() error {
 	n := len(rs.batchOuts)
 	if n == 0 {
@@ -349,7 +349,7 @@ func (rs *replayState) apply(typ byte, payload []byte) error {
 // instance; nothing is sized from the trial index a frame names.
 func (rs *replayState) applyTrialVote(payload []byte, trial int, src string) error {
 	p := rs.space.Len()
-	codes := make([]uint32, p) // the vote ledger keeps the instance, so each vote adopts its own row
+	codes := make([]uint32, p) // the vote ledger keeps the instance, so each vote owns its codes
 	for i := 0; i < p; i++ {
 		c := binary.LittleEndian.Uint32(payload[4*i : 4*i+4])
 		if int(c) >= rs.persisted[i] {
@@ -361,8 +361,8 @@ func (rs *replayState) applyTrialVote(payload []byte, trial int, src string) err
 	if out != pipeline.Succeed && out != pipeline.Fail {
 		return fmt.Errorf("provlog: trial vote with invalid outcome %d", out)
 	}
-	var in pipeline.Instance
-	if err := rs.space.AdoptInstances(codes, []uint64{pipeline.HashCodes(codes)}, func(_ int, a pipeline.Instance) { in = a }); err != nil {
+	in, err := rs.space.InstanceOfCodes(codes)
+	if err != nil {
 		return fmt.Errorf("provlog: %w", err)
 	}
 	return rs.st.LoadTrialVote(in, trial, out, src)
