@@ -267,6 +267,29 @@ func BenchmarkTreeBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkRegionOf measures building one conjunction's region, which DDT
+// does for every suspect it verifies and the algebra for every implication
+// and simplification step.
+func BenchmarkRegionOf(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	sp, err := synth.Generate(r, synth.Config{MinParams: 10, MaxParams: 10}, synth.Disjunction)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := sp.Minimal[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg, err := predicate.RegionOf(sp.Space, c)
+		if err != nil || reg.Empty() {
+			b.Fatalf("region of %v broken: empty %v, %v", c, reg.Empty(), err)
+		}
+		regionSink = reg
+	}
+}
+
+var regionSink predicate.Region
+
 // BenchmarkRegionImplies measures the exact implication check that the
 // metrics and the simplifier lean on.
 func BenchmarkRegionImplies(b *testing.B) {
@@ -276,6 +299,7 @@ func BenchmarkRegionImplies(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := sp.Minimal[0]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ok, err := predicate.Implies(sp.Space, c, sp.Truth)

@@ -271,28 +271,18 @@ func minimizeConfirmed(ctx context.Context, ex *exec.Executor, suspect predicate
 // of them when the region is small, a random sample otherwise. Every
 // parameter varies within its allowed set, so inequality triples are probed
 // at multiple satisfying values, not just one prototype. Tests are drawn as
-// code vectors — each parameter's allowed set is the codes of its allowed
-// domain values (Region.AllowedCodes) — and become instances through
-// Space.InstanceOfCodes, so no test value is interned again.
+// code vectors straight from the region's rows: a draw takes one
+// r.Intn(Region.AllowedCount(i)) per parameter and reads the code of that
+// allowed value with Region.AllowedCode, so no allowed list is built, and
+// Space.InstanceOfCodes turns the codes into an instance without interning
+// any value again. It allocates only the test codes' slab, the tests and,
+// when sampling, the dedupe map.
 func sampleTests(s *pipeline.Space, region predicate.Region, opts DDTOptions) []pipeline.Instance {
+	if region.Empty() {
+		return nil
+	}
 	r := opts.Rand
 	n := s.Len()
-	cells := 0
-	for i := 0; i < n; i++ {
-		cells += len(s.At(i).Domain)
-	}
-	// Every allowed set is cut from one array sized for all domains.
-	codes := make([]uint32, 0, cells)
-	allowed := make([][]uint32, n)
-	for i := range allowed {
-		start := len(codes)
-		codes = region.AllowedCodes(i, codes)
-		if len(codes) == start {
-			return nil
-		}
-		allowed[i] = codes[start:len(codes):len(codes)]
-	}
-
 	max := opts.MaxSuspectTests
 	size, _ := region.Count()
 	exhaustive := size <= uint64(max)
@@ -304,36 +294,30 @@ func sampleTests(s *pipeline.Space, region predicate.Region, opts DDTOptions) []
 	slab := make([]uint32, max*n)
 	tests := make([]pipeline.Instance, 0, max)
 	if exhaustive {
-		// The whole filtered Cartesian product.
-		idx := make([]int, n)
-		for {
-			k := len(tests) * n
-			test := slab[k : k+n : k+n]
-			for i := range idx {
-				test[i] = allowed[i][idx[i]]
+		// The whole filtered Cartesian product, in lexicographic order of
+		// the allowed values' positions: test k's positions are the digits
+		// of k in the mixed radix of the allowed counts, the last parameter
+		// varying fastest.
+		for k := 0; k < max; k++ {
+			test := slab[k*n : (k+1)*n : (k+1)*n]
+			rest := k
+			for i := n - 1; i >= 0; i-- {
+				c := region.AllowedCount(i)
+				test[i] = region.AllowedCode(i, rest%c)
+				rest /= c
 			}
 			if in, err := s.InstanceOfCodes(test); err == nil {
 				tests = append(tests, in)
 			}
-			i := len(idx) - 1
-			for ; i >= 0; i-- {
-				idx[i]++
-				if idx[i] < len(allowed[i]) {
-					break
-				}
-				idx[i] = 0
-			}
-			if i < 0 {
-				return tests
-			}
 		}
+		return tests
 	}
 	seen := pipeline.NewInstanceMap[struct{}](max)
 	for attempts := 0; len(tests) < max && attempts < max*10; attempts++ {
 		k := len(tests) * n
 		test := slab[k : k+n : k+n]
 		for i := range test {
-			test[i] = allowed[i][r.Intn(len(allowed[i]))]
+			test[i] = region.AllowedCode(i, r.Intn(region.AllowedCount(i)))
 		}
 		in, err := s.InstanceOfCodes(test)
 		if err != nil {

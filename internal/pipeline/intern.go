@@ -83,14 +83,37 @@ type column struct {
 	rank []uint32 // code -> rank in value order; nil until first requested
 }
 
-func newInternTable(nParams int) *internTable {
+// newInternTable returns the table of a space with the given parameters,
+// whose domains are sorted and distinct. It seeds each parameter in one
+// step: its domain values get codes 0..len(Domain)-1 in domain order, in
+// one map sized to the domain, and its one published column's value table
+// is the domain slice itself, capped at its length. AddToDomain therefore
+// never sorts a domain in place.
+func newInternTable(params []Parameter) *internTable {
+	n := len(params)
 	t := &internTable{
-		nums: make([]map[uint64]uint32, nParams),
-		strs: make([]map[string]uint32, nParams),
-		cols: make([]atomic.Pointer[column], nParams),
+		nums: make([]map[uint64]uint32, n),
+		strs: make([]map[string]uint32, n),
+		cols: make([]atomic.Pointer[column], n),
 	}
-	for i := range t.cols {
-		t.cols[i].Store(&column{})
+	// Nothing shares the table yet; the lock keeps the rule that the maps
+	// are written only under it.
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, p := range params {
+		switch p.Kind {
+		case Ordinal:
+			t.nums[i] = make(map[uint64]uint32, len(p.Domain))
+			for c, v := range p.Domain {
+				t.nums[i][ordinalBits(v.num)] = uint32(c)
+			}
+		case Categorical:
+			t.strs[i] = make(map[string]uint32, len(p.Domain))
+			for c, v := range p.Domain {
+				t.strs[i][v.str] = uint32(c)
+			}
+		}
+		t.cols[i].Store(&column{vals: slices.Clip(p.Domain)})
 	}
 	return t
 }

@@ -3,7 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Parameter describes one manipulable parameter of a pipeline: its name,
@@ -72,13 +72,13 @@ func NewSpace(params ...Parameter) (*Space, error) {
 				dom = append(dom, v)
 			}
 		}
-		sort.Slice(dom, func(a, b int) bool { return dom[a].Less(dom[b]) })
-		s.params[i] = Parameter{Name: p.Name, Kind: p.Kind, Domain: dom}
+		slices.SortFunc(dom, compareValues)
+		s.params[i] = Parameter{Name: p.Name, Kind: p.Kind, Domain: slices.Clip(dom)}
 		s.index[p.Name] = i
 	}
-	// Pre-intern the domains so domain values get the low codes in sorted
-	// domain order, deterministically across runs.
-	s.intern = newInternTable(len(s.params))
+	// Domain values get the low codes in sorted domain order,
+	// deterministically across runs.
+	s.intern = newInternTable(s.params)
 	n := 0
 	for _, p := range s.params {
 		n += len(p.Domain)
@@ -88,8 +88,8 @@ func NewSpace(params ...Parameter) (*Space, error) {
 	for i, p := range s.params {
 		d := len(p.Domain)
 		s.domainCodes[i], flat = flat[:d:d], flat[d:]
-		for j, v := range p.Domain {
-			s.domainCodes[i][j] = s.intern.code(i, v)
+		for j := range s.domainCodes[i] {
+			s.domainCodes[i][j] = uint32(j)
 		}
 	}
 	return s, nil
@@ -157,7 +157,14 @@ func (s *Space) DomainIndex(i int, v Value) int {
 
 // AddToDomain expands the universe of the named parameter with v,
 // implementing Definition 1's expandable universe. Adding an existing value
-// is a no-op. It fails if the parameter is unknown or v has the wrong kind.
+// is a no-op. It fails if the parameter is unknown, v has the wrong kind,
+// or v is NaN: NaN equals no value, so it could never be found in the
+// domain again, and it has no place in the sorted order the region algebra
+// (internal/predicate) relies on.
+//
+// The domain grows into a new slice, sorted, and is never sorted in place:
+// a fresh space's domain slice is its parameter's published code→value
+// table (see newInternTable).
 func (s *Space) AddToDomain(name string, v Value) error {
 	i, ok := s.index[name]
 	if !ok {
@@ -168,11 +175,14 @@ func (s *Space) AddToDomain(name string, v Value) error {
 		return fmt.Errorf("pipeline: parameter %q (%v) cannot hold %v value %v",
 			name, p.Kind, v.Kind(), v)
 	}
+	if v.Kind() == Ordinal && math.IsNaN(v.Num()) {
+		return fmt.Errorf("pipeline: parameter %q cannot add NaN to its domain", name)
+	}
 	if s.DomainIndex(i, v) >= 0 {
 		return nil
 	}
-	p.Domain = append(p.Domain, v)
-	sort.Slice(p.Domain, func(a, b int) bool { return p.Domain[a].Less(p.Domain[b]) })
+	p.Domain = append(slices.Clip(p.Domain), v)
+	slices.SortFunc(p.Domain, compareValues)
 	codes := make([]uint32, len(p.Domain))
 	for j, d := range p.Domain {
 		codes[j] = s.intern.code(i, d)

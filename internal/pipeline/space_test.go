@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -129,6 +131,81 @@ func TestAddToDomain(t *testing.T) {
 	}
 	if err := s.AddToDomain("nope", Ord(1)); err == nil {
 		t.Fatal("unknown parameter must fail")
+	}
+	if err := s.AddToDomain("p1", Ord(math.NaN())); err == nil {
+		t.Fatal("NaN must fail")
+	}
+	if n := len(s.Domain("p1")); n != 5 {
+		t.Fatalf("domain length after a refused NaN = %d", n)
+	}
+	if err := s.AddToDomain("p1", Ord(math.Inf(1))); err != nil {
+		t.Fatal(err)
+	}
+	if dom := s.Domain("p1"); dom[len(dom)-1] != Ord(math.Inf(1)) {
+		t.Fatalf("+Inf does not sort last: domain %v", dom)
+	}
+}
+
+// TestAddToDomainKeepsSnapshots checks that AddToDomain leaves what a
+// reader already holds alone: a fresh space's domain slice is its
+// parameter's published code→value table, so sorting the grown domain in
+// place would reorder the table under every earlier code and snapshot. The
+// declared domain repeats a value, so the deduplicated one is shorter than
+// the slice it was built in. A second add checks the same for a domain
+// that AddToDomain grew.
+func TestAddToDomainKeepsSnapshots(t *testing.T) {
+	for _, v := range []Value{Ord(2.5), Ord(0), Ord(9)} {
+		s := MustSpace(Parameter{Name: "p1", Kind: Ordinal, Domain: ordDomain(4, 1, 3, 2, 3)})
+		vals, rank := s.ValueOrder(0)
+		wantVals, wantRank := slices.Clone(vals), slices.Clone(rank)
+		dom := s.Domain("p1")
+		wantDom := slices.Clone(dom)
+		if err := s.AddToDomain("p1", v); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(vals, wantVals) || !slices.Equal(rank, wantRank) {
+			t.Fatalf("adding %v: ValueOrder snapshot changed from %v %v to %v %v", v, wantVals, wantRank, vals, rank)
+		}
+		if !slices.Equal(dom, wantDom) {
+			t.Fatalf("adding %v: the earlier domain slice changed from %v to %v", v, wantDom, dom)
+		}
+		for c, want := range wantVals {
+			if got := s.InternedValue(0, uint32(c)); got != want {
+				t.Fatalf("adding %v: code %d now holds %v, want %v", v, c, got, want)
+			}
+		}
+		if err := checkValueOrder(s.ValueOrder(0)); err != nil {
+			t.Fatalf("adding %v: %v", v, err)
+		}
+		// A grown domain may have spare capacity: the next add must not
+		// sort into it under a reader of the grown domain either.
+		grown := s.Domain("p1")
+		wantGrown := slices.Clone(grown)
+		if err := s.AddToDomain("p1", Ord(-1)); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(grown, wantGrown) {
+			t.Fatalf("adding %v then -1: the grown domain slice changed from %v to %v", v, wantGrown, grown)
+		}
+	}
+}
+
+// TestNewSpaceAllocs pins the cost of building a space: each parameter's
+// intern table is seeded in one step, one map sized to the domain and one
+// published column, not one column per domain value.
+func TestNewSpaceAllocs(t *testing.T) {
+	for _, c := range []struct{ values, allocs int }{{8, 72}, {30, 147}} {
+		params := make([]Parameter, 15)
+		for i := range params {
+			dom := make([]Value, c.values)
+			for j := range dom {
+				dom[j] = Ord(float64(c.values - j))
+			}
+			params[i] = Parameter{Name: fmt.Sprintf("p%02d", i), Kind: Ordinal, Domain: dom}
+		}
+		if n := testing.AllocsPerRun(20, func() { MustSpace(params...) }); n > float64(c.allocs) {
+			t.Errorf("NewSpace of 15 parameters with %d values allocated %v times, want at most %d", c.values, n, c.allocs)
+		}
 	}
 }
 

@@ -151,8 +151,12 @@ func tryMerge(s *pipeline.Space, a, b Conjunction) (Conjunction, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	for _, v := range s.At(idx).Domain {
-		if !t1.Holds(v) && !t2.Holds(v) {
+	dom := s.At(idx).Domain
+	x1, x2 := allowedIndices(dom, t1), allowedIndices(dom, t2)
+	// Each set is constant between consecutive bounds of either set, so
+	// checking index 0 and every bound checks every domain index.
+	for _, j := range [...]int{0, x1.lo, x1.hi, x2.lo, x2.hi} {
+		if j < len(dom) && !x1.has(j) && !x2.has(j) {
 			return nil, false, nil
 		}
 	}

@@ -8,7 +8,10 @@
 // denotes a region (a per-parameter subset of each domain); regions make
 // satisfiability, implication, equivalence, definitiveness and minimality
 // decidable, which the debugging algorithms and the evaluation metrics both
-// rely on.
+// rely on. A region is stored as packed bit rows, one per parameter, so
+// its queries are word operations; a triple's row is found by binary
+// search over the parameter's domain, which the space keeps sorted (see
+// Region).
 package predicate
 
 import (

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/pipeline"
@@ -39,7 +40,9 @@ func (st *Store) WriteCSV(w io.Writer) error {
 // list exactly the space's parameters (any order) plus "outcome". Values
 // must parse according to each parameter's kind; values outside the
 // declared domains are added to the universe (Definition 1 allows
-// expansion).
+// expansion), except NaN, which joins no domain (see
+// pipeline.Space.AddToDomain): a record holding NaN loads with that value
+// outside the universe.
 func ReadCSV(s *pipeline.Space, r io.Reader, source string) (*Store, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -102,8 +105,8 @@ func ReadCSV(s *pipeline.Space, r io.Reader, source string) (*Store, error) {
 			return nil, fmt.Errorf("provenance: line %d: %w", line, err)
 		}
 		for i := 0; i < s.Len(); i++ {
-			if s.DomainIndex(i, in.Value(i)) < 0 {
-				if err := s.AddToDomain(s.At(i).Name, in.Value(i)); err != nil {
+			if v := in.Value(i); s.DomainIndex(i, v) < 0 && !(v.Kind() == pipeline.Ordinal && math.IsNaN(v.Num())) {
+				if err := s.AddToDomain(s.At(i).Name, v); err != nil {
 					return nil, fmt.Errorf("provenance: line %d: %w", line, err)
 				}
 			}

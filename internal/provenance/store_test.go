@@ -335,6 +335,29 @@ func TestCSVExpandsUniverse(t *testing.T) {
 	}
 }
 
+// TestCSVLeavesNaNOutOfUniverse checks that a NaN cell loads as an
+// out-of-domain value: NaN joins no domain, so the universe is not
+// expanded by it, while a new categorical cell still expands it, and the
+// records survive a write and read.
+func TestCSVLeavesNaNOutOfUniverse(t *testing.T) {
+	s := testSpace(t)
+	st, err := ReadCSV(s, strings.NewReader("a,b,outcome\nNaN,x,fail\n2,w,succeed\n"), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if na, nb := len(s.Domain("a")), len(s.Domain("b")); st.Len() != 2 || na != 3 || nb != 4 {
+		t.Fatalf("Len = %d, domain sizes %d and %d, want 2, 3 and 4", st.Len(), na, nb)
+	}
+	var buf bytes.Buffer
+	if err := st.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := ReadCSV(testSpace(t), &buf, "loaded")
+	if err != nil || st2.Len() != 2 {
+		t.Fatalf("reloaded %d records, %v", st2.Len(), err)
+	}
+}
+
 func TestCSVErrors(t *testing.T) {
 	cases := []struct {
 		name, data string
