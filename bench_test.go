@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (Section 5), plus ablations over the design choices called out in
-// DESIGN.md and micro-benchmarks of the hot substrates. Sizes are reduced
-// against the paper's full ranges so the suite finishes quickly; the
-// cmd/bugdoc-bench binary runs the same experiments at any size.
+// docs/ARCHITECTURE.md and micro-benchmarks of the hot substrates. Sizes
+// are reduced against the paper's full ranges so the suite finishes
+// quickly; the cmd/bugdoc-bench binary runs the same experiments at any
+// size.
 package repro
 
 import (
@@ -162,7 +163,7 @@ func BenchmarkDBSherlockAccuracy(b *testing.B) {
 	}
 }
 
-// --- Ablations over DESIGN.md design choices -------------------------------
+// --- Ablations over docs/ARCHITECTURE.md design choices --------------------
 
 // newBenchProblem seeds one synthetic disjunction pipeline.
 func newBenchProblem(b *testing.B, seed int64) (*synth.Pipeline, *exec.Executor) {
@@ -841,7 +842,9 @@ func BenchmarkStoreAddBatchParallel(b *testing.B) {
 }
 
 // BenchmarkShortcutLinear measures one full Shortcut pass on a 10-parameter
-// pipeline (the paper's headline cost: linear in |P|).
+// pipeline. The paper's pass costs one execution per differing parameter;
+// this one costs at most 2d − 1 executions for d differing parameters, and
+// O(c log d) when c of them keep CP_f's value (see core.Shortcut).
 func BenchmarkShortcutLinear(b *testing.B) {
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
@@ -855,7 +858,7 @@ func BenchmarkShortcutLinear(b *testing.B) {
 			b.Fatal(err)
 		}
 		seeded := ex.Spent()
-		if _, err := core.ShortcutAuto(ctx, ex); err != nil {
+		if _, err := core.FindOne(ctx, ex, core.AlgoShortcut, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		if ex.Spent()-seeded > 10 {

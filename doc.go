@@ -2,9 +2,10 @@
 // Debug Computational Processes" (Lourenço, Freire, Shasha; SIGMOD 2020).
 //
 // The public API lives in package repro/bugdoc; the algorithms and
-// substrates live under internal/ (see DESIGN.md for the inventory); the
-// benchmark harness that regenerates every table and figure of the paper's
-// evaluation is cmd/bugdoc-bench, with Go benchmarks in bench_test.go.
+// substrates live under internal/ (see docs/ARCHITECTURE.md for the
+// inventory); the benchmark harness that regenerates every table and
+// figure of the paper's evaluation is cmd/bugdoc-bench, with Go
+// benchmarks in bench_test.go.
 //
 // Deeper documentation lives under docs/: docs/ARCHITECTURE.md maps the
 // layers (pipeline → provenance → provlog → exec → bugdoc → cmd), the
@@ -26,10 +27,10 @@
 //     integer work; the string Key() survives only for codecs and display.
 //   - internal/provenance: the append-only log is indexed on every write
 //     with a map from instance hash to log position (Lookup), per-outcome
-//     sequence lists and bitsets, and per-(parameter, value-code) posting
-//     bitsets, set in one pass per write that grows each touched bitset
-//     at most once, so history queries (DisjointSucceeding, Stacked
-//     Shortcut's MutuallyDisjointSucceeding, AnySucceedingSatisfying,
+//     bitsets, and per-(parameter, value-code) posting bitsets, set in one
+//     pass per write that grows each touched bitset at most once, so
+//     history queries (FirstFailing, the Shortcut family's good runs
+//     through MutuallyDisjointSucceeding, AnySucceedingSatisfying,
 //     CountSatisfying, ...) run as bitset algebra instead of log scans.
 //     Snapshot exposes a zero-copy read-only view for bulk consumers such
 //     as the decision-tree training loop.
@@ -142,6 +143,9 @@
 // CI gates the hot paths with a benchmark-regression job: cmd/benchdiff
 // compares median ns/op of the gated benchmarks against the committed
 // BENCH_BASELINE.json and fails the build on >25% regression. A docs
-// drift gate (cmd/doclint) fails the build when exported symbols of
-// bugdoc, internal/provenance, or internal/provlog lack godoc comments.
+// drift gate (cmd/doclint) fails the build when an exported symbol of one
+// of the thirteen packages CI lists (bugdoc and twelve under internal/,
+// from provenance and provlog to core and grouptest) lacks a godoc
+// comment, or when a backticked reference in README.md or docs/ no
+// longer resolves.
 package repro

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sync/atomic"
 
 	"repro/bugdoc"
 	"repro/internal/core"
@@ -59,25 +58,22 @@ func main() {
 	fmt.Print(bugdoc.Explain(causes))
 
 	// Step 2: the root cause names a dataset, so group-test its rows: each
-	// test runs the pipeline on a subset of the feed. The splitting rounds
-	// are independent hypothesis sets, so Parallel dispatches each round
-	// across workers, the way the executor parallelizes instance batches.
-	var runs atomic.Int64
-	tester := grouptest.TesterFunc(func(_ context.Context, rows []int) (bool, error) {
-		runs.Add(1)
-		for _, r := range rows {
+	// test runs the pipeline on the feed's rows [lo, hi) and reports
+	// whether it fails. Shortcut splits its parameters with the same
+	// search.
+	corrupt, runs, err := grouptest.SplitDepthFirst(ctx, datasetRows, func(lo, hi int) (bool, error) {
+		for r := lo; r < hi; r++ {
 			if corruptRows[r] {
 				return true, nil
 			}
 		}
 		return false, nil
 	})
-	res, err := grouptest.FindDefectives(ctx, grouptest.Parallel(tester, 4), datasetRows, grouptest.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nStep 2 — group testing over %d rows: corrupt rows %v found in %d pipeline runs\n",
-		datasetRows, res.Defective, runs.Load())
+		datasetRows, corrupt, runs)
 	fmt.Printf("         (naive row-at-a-time debugging would need %d runs)\n", datasetRows)
 
 	// Step 3: enrich the explanation with observed variables logged during

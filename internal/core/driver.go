@@ -70,9 +70,8 @@ func SeedHistory(ctx context.Context, ex *exec.Executor, r *rand.Rand, maxAttemp
 	if succ == 0 || fail == 0 {
 		return fmt.Errorf("core: could not seed history with both outcomes (%d succeed, %d fail)", succ, fail)
 	}
-	st := ex.Store()
-	cpf, _ := st.FirstFailing()
-	if len(st.DisjointSucceeding(cpf)) > 0 {
+	cpf, _ := ex.Store().FirstFailing()
+	if goods := ex.Store().MutuallyDisjointSucceeding(cpf, 1); len(goods) > 0 && goods[0].DisjointFrom(cpf) {
 		return nil
 	}
 	for attempts := 0; attempts < maxAttempts; attempts++ {
@@ -107,14 +106,12 @@ type Options struct {
 // budget.
 func FindOne(ctx context.Context, ex *exec.Executor, algo Algorithm, opts Options) (predicate.DNF, error) {
 	switch algo {
-	case AlgoShortcut:
-		d, err := ShortcutAuto(ctx, ex)
-		if err != nil {
-			return nil, err
+	case AlgoShortcut, AlgoStackedShortcut:
+		k := 1 // Algorithm 1 is Algorithm 2 over one good run
+		if algo == AlgoStackedShortcut {
+			k = DefaultStackedGoods
 		}
-		return wrapConjunction(d), nil
-	case AlgoStackedShortcut:
-		d, err := StackedShortcut(ctx, ex, DefaultStackedGoods)
+		d, err := StackedShortcut(ctx, ex, k)
 		if err != nil {
 			return nil, err
 		}

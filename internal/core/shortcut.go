@@ -122,42 +122,3 @@ func Shortcut(ctx context.Context, ex *exec.Executor, cpf, cpg pipeline.Instance
 	}
 	return d.Canonical(), nil
 }
-
-// PickFailing selects CP_f from provenance: the earliest failing instance.
-func PickFailing(ex *exec.Executor) (pipeline.Instance, error) {
-	cpf, ok := ex.Store().FirstFailing()
-	if !ok {
-		return pipeline.Instance{}, fmt.Errorf("core: provenance has no failing instance")
-	}
-	return cpf, nil
-}
-
-// PickDisjointGood selects CP_g for a given CP_f: a recorded succeeding
-// instance disjoint from cpf when one exists, otherwise the succeeding
-// instance differing on the most parameters (the paper's heuristic fallback
-// when the Disjointness Condition does not hold).
-func PickDisjointGood(ex *exec.Executor, cpf pipeline.Instance) (cpg pipeline.Instance, disjoint bool, err error) {
-	st := ex.Store()
-	if ds := st.DisjointSucceeding(cpf); len(ds) > 0 {
-		return ds[0], true, nil
-	}
-	md, ok := st.MostDifferentSucceeding(cpf)
-	if !ok {
-		return pipeline.Instance{}, false, fmt.Errorf("core: provenance has no succeeding instance")
-	}
-	return md, false, nil
-}
-
-// ShortcutAuto is the common driver: pick CP_f and CP_g from provenance and
-// run Shortcut.
-func ShortcutAuto(ctx context.Context, ex *exec.Executor) (predicate.Conjunction, error) {
-	cpf, err := PickFailing(ex)
-	if err != nil {
-		return nil, err
-	}
-	cpg, _, err := PickDisjointGood(ex, cpf)
-	if err != nil {
-		return nil, err
-	}
-	return Shortcut(ctx, ex, cpf, cpg)
-}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/predicate"
 	"repro/internal/provenance"
+	"repro/internal/synth"
 )
 
 func ordDomain(vals ...float64) []pipeline.Value {
@@ -452,26 +453,152 @@ func TestStackedShortcutAutoRequiresHistory(t *testing.T) {
 	}
 }
 
+// TestPickDisjointGoodFallsBackToMostDifferent pins the good run FindOne's
+// Shortcut pass takes, MutuallyDisjointSucceeding(cpf, 1), when no
+// succeeding run is disjoint from CP_f: the one differing from CP_f on the
+// most parameters, the earliest of them on ties.
 func TestPickDisjointGoodFallsBackToMostDifferent(t *testing.T) {
 	s := exampleSpace(t)
 	st := provenance.NewStore(s)
-	cpf := pipeline.MustInstance(s, pipeline.Ord(1), pipeline.Ord(1), pipeline.Ord(1))
-	near := pipeline.MustInstance(s, pipeline.Ord(1), pipeline.Ord(2), pipeline.Ord(2))
+	inst := func(vals ...float64) pipeline.Instance { return pipeline.MustInstance(s, ordDomain(vals...)...) }
+	cpf := inst(1, 1, 1)
+	near, far, tie := inst(1, 1, 2), inst(1, 2, 2), inst(2, 2, 1)
 	if err := st.Add(cpf, pipeline.Fail, "seed"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Add(near, pipeline.Succeed, "seed"); err != nil {
-		t.Fatal(err)
+	for _, in := range []pipeline.Instance{near, far, tie} {
+		if err := st.Add(in, pipeline.Succeed, "seed"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ex := exec.New(truthOracle(predicate.DNF{}), st)
-	cpg, disjoint, err := PickDisjointGood(ex, cpf)
-	if err != nil {
-		t.Fatal(err)
+	got := st.MutuallyDisjointSucceeding(cpf, 1)
+	if len(got) != 1 || !got[0].Equal(far) {
+		t.Fatalf("good run = %v, want %v", got, far)
 	}
-	if disjoint {
-		t.Fatal("no disjoint good exists; must report heuristic mode")
+}
+
+// linearGood picks Shortcut's good run by a scan of the log: the earliest
+// succeeding run disjoint from cpf, else the earliest of those differing
+// from cpf on the most parameters.
+func linearGood(sn provenance.Snapshot, cpf pipeline.Instance) (good pipeline.Instance, disjoint bool) {
+	bestDiff := -1
+	for _, rec := range sn.Records() {
+		if rec.Outcome != pipeline.Succeed {
+			continue
+		}
+		if rec.Instance.DisjointFrom(cpf) {
+			return rec.Instance, true
+		}
+		if d := rec.Instance.DiffCount(cpf); d > bestDiff {
+			good, bestDiff = rec.Instance, d
+		}
 	}
-	if !cpg.Equal(near) {
-		t.Fatalf("cpg = %v, want %v", cpg, near)
+	return good, false
+}
+
+// TestFindOneShortcutMatchesLinearPick runs FindOne(AlgoShortcut) on
+// synthetic pipelines of all three scenarios, with and without a budget,
+// and on a copy of each store runs Shortcut against CP_f and CP_g picked by
+// a scan of the log: the earliest failing run, and linearGood. Both must
+// assert the same cause and spend the same executions. The histories mix
+// disjoint and overlapping good runs, so both of linearGood's picks occur.
+func TestFindOneShortcutMatchesLinearPick(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(30))
+	pipelines, disjoint, fallbacks := 0, 0, 0
+	for _, sc := range []synth.Scenario{synth.SingleTriple, synth.SingleConjunction, synth.Disjunction} {
+		for trial := 0; trial < 80; trial++ {
+			p, err := synth.Generate(r, synth.Config{MinParams: 2, MaxParams: 10, MinValues: 2, MaxValues: 6}, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpf, ok := p.SampleFailing(r)
+			if !ok {
+				t.Fatalf("%v trial %d: no failing instance", sc, trial)
+			}
+			// A few random runs, the failing one, then succeeding runs that
+			// keep some of its values; every third history may hold one
+			// disjoint from it.
+			var ins []pipeline.Instance
+			for n := r.Intn(4); len(ins) < n; {
+				ins = append(ins, p.Space.RandomInstance(r))
+			}
+			ins = append(ins, cpf)
+			for j := 0; j < 1+r.Intn(4); j++ {
+				keep := 0.2 + 0.5*r.Float64()
+				if trial%3 == 0 && r.Intn(2) == 0 {
+					keep = 0
+				}
+				if in, ok := succeedingNear(r, p, cpf, keep); ok {
+					ins = append(ins, in)
+				}
+			}
+			var history []provenance.Record
+			seen, succeeding := map[string]bool{}, 0
+			for _, in := range ins {
+				if seen[in.Key()] {
+					continue
+				}
+				seen[in.Key()] = true
+				out := pipeline.Fail
+				if !p.Truth.Satisfied(in) {
+					out = pipeline.Succeed
+					succeeding++
+				}
+				history = append(history, provenance.Record{Instance: in, Outcome: out, Source: "history"})
+			}
+			if succeeding == 0 {
+				continue
+			}
+			pipelines++
+
+			for _, budget := range []int{-1, r.Intn(2 * p.Space.Len())} {
+				a, b := provenance.NewStore(p.Space), provenance.NewStore(p.Space)
+				for _, st := range []*provenance.Store{a, b} {
+					if _, err := st.AddBatch(history); err != nil {
+						t.Fatal(err)
+					}
+				}
+				exA := exec.New(p.Oracle(), a, exec.WithBudget(budget))
+				got, err := FindOne(ctx, exA, AlgoShortcut, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				sn := b.Snapshot()
+				var first pipeline.Instance
+				for _, rec := range sn.Records() {
+					if rec.Outcome == pipeline.Fail {
+						first = rec.Instance
+						break
+					}
+				}
+				cpg, dis := linearGood(sn, first)
+				exB := exec.New(p.Oracle(), b, exec.WithBudget(budget))
+				want, err := Shortcut(ctx, exB, first, cpg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := wrapConjunction(want); len(got) != len(w) || (len(w) == 1 && !got[0].EqualSyntactic(w[0])) {
+					t.Fatalf("%v trial %d, budget %d: FindOne = %v, Shortcut against the scanned pick %v = %v",
+						sc, trial, budget, got, cpg, want)
+				}
+				if exA.Spent() != exB.Spent() {
+					t.Fatalf("%v trial %d, budget %d: FindOne spent %d, Shortcut against the scanned pick %d",
+						sc, trial, budget, exA.Spent(), exB.Spent())
+				}
+				if dis {
+					disjoint++
+				} else {
+					fallbacks++
+				}
+			}
+		}
 	}
+	if pipelines < 200 || disjoint < 50 || fallbacks < 50 {
+		t.Fatalf("%d pipelines, %d runs against a disjoint good and %d against the fallback; want at least 200, 50 and 50",
+			pipelines, disjoint, fallbacks)
+	}
+	t.Logf("%d pipelines, each run with and without a budget: %d runs against a disjoint good, %d against the most different one",
+		pipelines, disjoint, fallbacks)
 }

@@ -14,25 +14,28 @@ import (
 // experiments use "Stacked Shortcut with four shortcuts").
 const DefaultStackedGoods = 4
 
-// StackedShortcut runs Algorithm 2: it takes one failing instance CP_f and
-// up to k succeeding instances CP_G that are disjoint from CP_f and
-// mutually disjoint where possible, runs Shortcut against each, and returns
-// the union of the asserted root causes. By Theorem 5, with k mutually
-// disjoint goods and at most k distinct minimal definitive root causes the
-// result is never a truncated assertion.
+// StackedShortcut runs Algorithm 2: it takes one failing instance CP_f, the
+// earliest recorded, and up to k succeeding instances CP_G that are
+// disjoint from CP_f and mutually disjoint where possible, runs Shortcut
+// against each, and returns the union of the asserted root causes. By
+// Theorem 5, with k mutually disjoint goods and at most k distinct minimal
+// definitive root causes the result is never a truncated assertion.
 //
 // When provenance lacks k mutually disjoint succeeding instances, the
 // remaining slots are filled with the most-different succeeding instances
 // ("even if all successful instances are not mutually disjoint ... each
 // additional call to shortcut reduces the likelihood of yielding a
-// truncated assertion").
+// truncated assertion"). With k = 1 this is Algorithm 1 against the
+// earliest succeeding instance disjoint from CP_f, or else the earliest
+// of those differing from it on the most parameters: FindOne runs
+// AlgoShortcut that way.
 func StackedShortcut(ctx context.Context, ex *exec.Executor, k int) (predicate.Conjunction, error) {
 	if k < 1 {
 		k = DefaultStackedGoods
 	}
-	cpf, err := PickFailing(ex)
-	if err != nil {
-		return nil, err
+	cpf, ok := ex.Store().FirstFailing()
+	if !ok {
+		return nil, fmt.Errorf("core: provenance has no failing instance")
 	}
 	goods := ex.Store().MutuallyDisjointSucceeding(cpf, k)
 	if len(goods) == 0 {

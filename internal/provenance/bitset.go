@@ -4,9 +4,10 @@ import "math/bits"
 
 // bitset is a dense bitmap over record sequence numbers. The store keeps
 // one per outcome and one per (parameter, value-code) posting list, so the
-// history queries (DisjointSucceeding, AnySucceedingSatisfying,
-// CountSatisfying, ...) run as word-wide boolean algebra instead of
-// whole-log scans.
+// history queries (FirstFailing, MutuallyDisjointSucceeding,
+// AnySucceedingSatisfying, CountSatisfying, ...) run as word-wide boolean
+// algebra instead of whole-log scans, and ascending bit order is
+// execution order.
 type bitset []uint64
 
 // grow returns b extended with zero words to at least n words, in at most

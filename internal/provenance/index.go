@@ -106,14 +106,6 @@ func (st *Store) commitStagedLocked(from int) (int, error) {
 			break
 		}
 	}
-	for pos := from; pos < to; pos++ {
-		switch st.recs[pos].Outcome {
-		case pipeline.Succeed:
-			st.succSeqs = append(st.succSeqs, int32(pos))
-		case pipeline.Fail:
-			st.failSeqs = append(st.failSeqs, int32(pos))
-		}
-	}
 	st.indexRangeLocked(from, to)
 	return to - from, err
 }
@@ -124,8 +116,7 @@ func (st *Store) commitStagedLocked(from int) (int, error) {
 // posting-growth rule: a bitset the write touches grows once, to the
 // write's last word, at least doubling its capacity when it reallocates,
 // so a bulk write allocates each touched bitset at most once and a
-// one-record write reallocates one only as often as appending did. The
-// ordered position lists are maintained by commitStagedLocked.
+// one-record write reallocates one only as often as appending did.
 func (st *Store) indexRangeLocked(from, to int) {
 	words := (to + 63) >> 6
 	p := st.space.Len()

@@ -48,25 +48,23 @@ func (st *Store) Records() []Record {
 func (st *Store) Outcomes() (succeed, fail int) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return len(st.succSeqs), len(st.failSeqs)
+	return st.succBits.count(), st.failBits.count()
 }
 
 // byOutcome returns the instances with the given outcome in execution
-// order, projected from the ordered position list.
+// order, read off the outcome's bitset.
 func (st *Store) byOutcome(out pipeline.Outcome) []pipeline.Instance {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	list := st.succSeqs
+	set := st.succBits
 	if out == pipeline.Fail {
-		list = st.failSeqs
+		set = st.failBits
 	}
-	if len(list) == 0 {
-		return nil
-	}
-	res := make([]pipeline.Instance, len(list))
-	for i, pos := range list {
-		res[i] = st.recs[pos].Instance
-	}
+	var res []pipeline.Instance
+	set.forEach(func(pos int) bool {
+		res = append(res, st.recs[pos].Instance)
+		return true
+	})
 	return res
 }
 
@@ -81,51 +79,11 @@ func (st *Store) Succeeding() []pipeline.Instance { return st.byOutcome(pipeline
 func (st *Store) FirstFailing() (pipeline.Instance, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if len(st.failSeqs) == 0 {
+	pos, ok := st.failBits.first()
+	if !ok {
 		return pipeline.Instance{}, false
 	}
-	return st.recs[st.failSeqs[0]].Instance, true
-}
-
-// DisjointSucceeding returns the succeeding instances disjoint from ref
-// (Definition 6), in execution order: the succeeding bitset minus the
-// union of ref's per-parameter posting lists.
-func (st *Store) DisjointSucceeding(ref pipeline.Instance) []pipeline.Instance {
-	if ref.Space() != st.space {
-		return nil // instances over different spaces are never disjoint
-	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	mask := st.succBits.clone()
-	st.clearPostingsLocked(mask, ref)
-	var out []pipeline.Instance
-	mask.forEach(func(pos int) bool {
-		out = append(out, st.recs[pos].Instance)
-		return true
-	})
-	return out
-}
-
-// MostDifferentSucceeding returns the succeeding instance differing from
-// ref on the most parameters — the heuristic stand-in for a disjoint good
-// instance when the Disjointness Condition does not hold. Ties break to
-// the earliest execution. A ref from a different space finds nothing:
-// cross-space difference counts are not comparable, and indexing another
-// space's shorter code vector used to panic here.
-func (st *Store) MostDifferentSucceeding(ref pipeline.Instance) (pipeline.Instance, bool) {
-	if ref.Space() != st.space {
-		return pipeline.Instance{}, false
-	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	best, bestDiff := pipeline.Instance{}, -1
-	for _, pos := range st.succSeqs {
-		in := st.recs[pos].Instance
-		if d := in.DiffCount(ref); d > bestDiff {
-			best, bestDiff = in, d
-		}
-	}
-	return best, bestDiff >= 0
+	return st.recs[pos].Instance, true
 }
 
 // MutuallyDisjointSucceeding greedily selects up to k succeeding instances
@@ -134,7 +92,9 @@ func (st *Store) MostDifferentSucceeding(ref pipeline.Instance) (pipeline.Instan
 // disjoint instances exist it pads with the most-different remaining
 // succeeding instances, earliest first on ties, reflecting the paper's
 // "mutually disjoint if possible". A ref from a different space selects
-// nothing (see MostDifferentSucceeding).
+// nothing: codes are interned per space, so cross-space difference counts
+// are not comparable, and indexing another space's shorter code vector
+// would panic.
 //
 // The greedy pass is bitset algebra: the candidates are the succeeding
 // records minus ref's postings, each pick is the lowest remaining bit (the
@@ -170,15 +130,15 @@ func (st *Store) MutuallyDisjointSucceeding(ref pipeline.Instance, k int) []pipe
 		taken[pos>>6] |= 1 << (uint(pos) & 63)
 	}
 	for len(chosen) < k {
-		best, bestDiff := int32(-1), -1
-		for _, pos := range st.succSeqs {
-			if taken[pos>>6]&(1<<(uint(pos)&63)) != 0 {
-				continue
+		best, bestDiff := -1, -1
+		st.succBits.forEach(func(pos int) bool {
+			if taken[pos>>6]&(1<<(uint(pos)&63)) == 0 {
+				if d := st.recs[pos].Instance.DiffCount(ref); d > bestDiff {
+					best, bestDiff = pos, d
+				}
 			}
-			if d := st.recs[pos].Instance.DiffCount(ref); d > bestDiff {
-				best, bestDiff = pos, d
-			}
-		}
+			return true
+		})
 		if best < 0 {
 			break
 		}

@@ -7,13 +7,15 @@
 // The store is an append-only log with columnar indices maintained on
 // every write: a map from the instances' precomputed hashes to log
 // positions (so Lookup is an allocation-free hash probe confirmed against
-// the logged record), per-outcome sequence lists and bitsets, and
-// per-(parameter, value-code) posting bitsets. A write — one Add or one
-// AddBatch — sets its records' bits in one index pass that grows each
-// bitset it touches at most once. History queries
-// (DisjointSucceeding, MutuallyDisjointSucceeding, AnySucceedingSatisfying,
-// CountSatisfying, ...) run as bitset algebra instead of whole-log scans,
-// and Snapshot exposes a read-only view of the log for bulk consumers.
+// the logged record), per-outcome bitsets, and per-(parameter,
+// value-code) posting bitsets. A write — one Add or one AddBatch — sets
+// its records' bits in one index pass that grows each bitset it touches
+// at most once. Bit positions are log positions, so an outcome bitset
+// lists its records in execution order, and it is the store's only
+// outcome index. History queries (FirstFailing,
+// MutuallyDisjointSucceeding, AnySucceedingSatisfying, CountSatisfying,
+// ...) run as bitset algebra instead of whole-log scans, and Snapshot
+// exposes a read-only view of the log for bulk consumers.
 //
 // One read-write lock guards the log and every index. The algorithm
 // drivers are sequential — choose a hypothesis, execute one batch, commit
@@ -86,10 +88,9 @@ type Store struct {
 	// against st.recs (see posMap).
 	byKey posMap
 
-	// Outcome partitions: position lists preserve execution order for
-	// O(matches) enumeration; bitsets drive the boolean-algebra queries.
-	// posting[i][c] holds the records whose parameter i has value-code c.
-	succSeqs, failSeqs []int32
+	// Outcome partitions as bitsets over log positions, which list each
+	// outcome's records in execution order; posting[i][c] holds the
+	// records whose parameter i has value-code c.
 	succBits, failBits bitset
 	posting            [][]bitset
 
@@ -122,8 +123,6 @@ func NewStoreWithCapacity(s *pipeline.Space, n int) *Store {
 	}
 	if n > 0 {
 		st.recs = make([]Record, 0, n)
-		st.succSeqs = make([]int32, 0, n)
-		st.failSeqs = make([]int32, 0, n)
 		st.succBits = make(bitset, 0, n/64+1)
 		st.failBits = make(bitset, 0, n/64+1)
 	}

@@ -100,15 +100,6 @@ func TestStoreQueries(t *testing.T) {
 	if !ok || f.Value(0) != pipeline.Ord(1) {
 		t.Fatalf("FirstFailing = %v, %v", f, ok)
 	}
-	// Disjoint from (1,x): (2,y) and (3,z); (3,x) shares b=x.
-	dis := st.DisjointSucceeding(f)
-	if len(dis) != 2 {
-		t.Fatalf("DisjointSucceeding = %v", dis)
-	}
-	md, ok := st.MostDifferentSucceeding(f)
-	if !ok || md.DiffCount(f) != 2 {
-		t.Fatalf("MostDifferentSucceeding = %v", md)
-	}
 	// A read lock a query left held makes TryLock fail at once; a later
 	// Lock would hang until the test timeout.
 	if !st.mu.TryLock() {
@@ -169,16 +160,6 @@ func TestCrossSpaceQueriesDoNotPanic(t *testing.T) {
 		"Lookup": func(t *testing.T, in pipeline.Instance) {
 			if out, ok := st.Lookup(in); ok {
 				t.Fatalf("Lookup = %v, hit; want a miss", out)
-			}
-		},
-		"DisjointSucceeding": func(t *testing.T, in pipeline.Instance) {
-			if got := st.DisjointSucceeding(in); got != nil {
-				t.Fatalf("DisjointSucceeding = %v, want nil", got)
-			}
-		},
-		"MostDifferentSucceeding": func(t *testing.T, in pipeline.Instance) {
-			if got, ok := st.MostDifferentSucceeding(in); ok {
-				t.Fatalf("MostDifferentSucceeding = %v, want not found", got)
 			}
 		},
 		"MutuallyDisjointSucceeding": func(t *testing.T, in pipeline.Instance) {

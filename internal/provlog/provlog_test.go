@@ -183,8 +183,8 @@ func assertStoresEqual(t *testing.T, a, b *provenance.Store) {
 		if !okb || fa.Key() != fb.Key() {
 			t.Fatal("first failing differs")
 		}
-		if keys(a.DisjointSucceeding(fa)) != keys(b.DisjointSucceeding(fb)) {
-			t.Fatal("disjoint succeeding sets differ")
+		if keys(a.MutuallyDisjointSucceeding(fa, 4)) != keys(b.MutuallyDisjointSucceeding(fb, 4)) {
+			t.Fatal("mutually disjoint succeeding runs differ")
 		}
 	}
 	for i := 0; i < sa.Len(); i++ {
